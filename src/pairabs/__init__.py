@@ -8,7 +8,8 @@ The package has four layers:
 * :mod:`pairabs.scenarios`: table builders for the swept presets, the
   exclusion family, and user-supplied overlaps, including all recoil entries;
 * :mod:`pairabs.rates`: closed-form norms, absorption matrix elements, the
-  relative rate, and null-state (exclusion) detection;
+  relative rate, and null-state (exclusion) detection, for one point or a
+  whole sweep grid at once;
 * :mod:`pairabs.oracle`: an independent brute-force expansion of the same
   amplitude used to cross-check the closed forms.
 
@@ -53,11 +54,13 @@ from .rates import (
     RateResult,
     bracket_sum,
     exclusion_check,
+    exclusion_mask,
     final_norm_sq,
     initial_norm_sq,
     matrix_element,
     matrix_element_product,
     relative_rate,
+    relative_rate_grid,
 )
 from .scenarios import (
     ALL_PAIRS,
@@ -115,6 +118,7 @@ __all__ = [
     "build_table",
     "combine",
     "exclusion_check",
+    "exclusion_mask",
     "family_exclusion_coefficient",
     "final_norm_sq",
     "formal_final_norm_sq",
@@ -126,6 +130,7 @@ __all__ = [
     "oracle_matrix_element",
     "random_realizable_table",
     "relative_rate",
+    "relative_rate_grid",
     "symmetrize",
     "validate_gram",
     "__version__",

@@ -114,27 +114,36 @@ class OverlapTable:
     Storing one orientation per pair is enough; the mirror orientation is
     derived by complex conjugation.  Diagonal entries are identically 1:
     every labeled state, recoiled ones included, is normalized.
+
+    An entry may also be a numpy array, one value per point of a sweep grid.
+    Such a grid table holds many tables at once: array entries are stored as
+    read-only complex copies, scalar entries are constant over the grid, and
+    every check applies to each point.  Lookups of array entries return
+    arrays, so elementwise formulas evaluate the whole grid in one pass.
     """
 
-    def __init__(self, entries: Mapping[tuple[CmLabel, CmLabel], complex]):
-        store: dict[tuple[CmLabel, CmLabel], complex] = {}
+    def __init__(self, entries: Mapping[tuple[CmLabel, CmLabel], complex | np.ndarray]):
+        store: dict[tuple[CmLabel, CmLabel], complex | np.ndarray] = {}
         for (x, y), raw in entries.items():
-            value = complex(raw)
-            if not cmath.isfinite(value):
-                raise ValueError(f"non-finite overlap for <{x}|{y}>: {raw!r}")
-            if abs(value) > 1.0 + 1e-12:
-                raise ValueError(f"|<{x}|{y}>| = {abs(value)} exceeds 1")
+            if isinstance(raw, np.ndarray):
+                value = _grid_entry(x, y, raw)
+            else:
+                value = complex(raw)
+                if not cmath.isfinite(value):
+                    raise ValueError(f"non-finite overlap for <{x}|{y}>: {raw!r}")
+                if abs(value) > 1.0 + 1e-12:
+                    raise ValueError(f"|<{x}|{y}>| = {abs(value)} exceeds 1")
             if x == y:
-                if value != 1.0:
+                if not _everywhere(value == 1.0):
                     raise ValueError(f"diagonal entry <{x}|{x}> must equal 1, got {raw!r}")
                 continue
             mirror = store.get((y, x))
-            if mirror is not None and mirror != value.conjugate():
+            if mirror is not None and not _everywhere(mirror == value.conjugate()):
                 raise ValueError(f"entries for <{x}|{y}> and <{y}|{x}> are not conjugates")
             store[(x, y)] = value
         self._entries = store
 
-    def overlap(self, x: CmLabel, y: CmLabel) -> complex:
+    def overlap(self, x: CmLabel, y: CmLabel) -> complex | np.ndarray:
         """Return ``<x|y>`` from the stored entry or the conjugate of its mirror."""
         if x == y:
             return 1.0 + 0.0j
@@ -155,6 +164,23 @@ class OverlapTable:
         """All labels appearing in stored entries, in canonical (name, starred) order."""
         seen = {label for pair in self._entries for label in pair}
         return tuple(sorted(seen))
+
+
+def _grid_entry(x: CmLabel, y: CmLabel, raw: np.ndarray) -> np.ndarray:
+    """Read-only complex copy of an array entry, range-checked at every grid point."""
+    value = np.array(raw, dtype=complex)
+    if not np.isfinite(value).all():
+        raise ValueError(f"non-finite overlap for <{x}|{y}> on the grid")
+    magnitude = np.abs(value)
+    if (magnitude > 1.0 + 1e-12).any():
+        raise ValueError(f"|<{x}|{y}>| = {magnitude.max()} exceeds 1")
+    value.flags.writeable = False
+    return value
+
+
+def _everywhere(test) -> bool:
+    """A comparison's verdict for a single value or for every point of a grid."""
+    return bool(test.all()) if isinstance(test, np.ndarray) else test
 
 
 class Term(NamedTuple):
@@ -259,6 +285,8 @@ def validate_gram(
     table: OverlapTable, labels: Sequence[CmLabel] | None = None
 ) -> GramReport:
     """Check whether the labels' Gram matrix is realizable as unit vectors.
+
+    Takes a single-point table, not a grid table.
 
     Defaults to the labels that appear in a bare entry of the table (both
     sides unstarred); labels known only through recoil entries have no bare

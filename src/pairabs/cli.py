@@ -4,6 +4,11 @@ and self-verification against the formal-expansion cross-check.
 All numeric CSV fields use the shortest decimal representation that round-trips
 to the same double, so fixed inputs (and a fixed seed for ``verify``) produce
 byte-identical output.
+
+The grid subcommands (``rate``, ``sweep``, ``figures``, ``exclusion-scan``)
+build one grid table per ``c`` grid and evaluate it once per weights and
+statistics pair; the output is byte-identical to evaluating every point on
+its own table.
 """
 
 from __future__ import annotations
@@ -57,10 +62,18 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _grid(lo: float, hi: float, steps: int) -> list[float]:
-    if steps == 1:
-        return [lo]
-    return [float(v) for v in np.linspace(lo, hi, steps)]
+def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
+    return np.linspace(lo, hi, steps)  # one step gives [lo]
+
+
+def _column(values: np.ndarray) -> list[str]:
+    """CSV text of each value of a grid array, as :func:`_fmt` writes it."""
+    return [repr(v) for v in values.tolist()]
+
+
+def _flags(mask: np.ndarray) -> list[str]:
+    """CSV text of each flag of a grid mask."""
+    return ["1" if v else "0" for v in mask.tolist()]
 
 
 def _stats_list(name: str) -> list[Statistics]:
@@ -81,29 +94,34 @@ def sweep_rows(
     grid: Sequence[float],
     alpha0: float,
 ) -> list[list[str]]:
-    """CSV rows ordered by (case index, statistics, c ascending)."""
-    points = [(c, table_for(c)) for c in grid]
+    """CSV rows ordered by (case index, statistics, c ascending).
+
+    ``table_for`` maps an array of ``c`` values to one grid table.
+    """
+    grid = np.asarray(grid, dtype=float)
+    table = table_for(grid)
+    c_column = _column(grid)
+    alpha0_text = _fmt(alpha0)
     rows = []
     for coeffs in cases:
+        weights = [_fmt(coeffs.a.real), _fmt(coeffs.a.imag),
+                   _fmt(coeffs.b.real), _fmt(coeffs.b.imag)]
         for stat in stats:
-            for c, table in points:
-                res = rates.relative_rate(coeffs, table, stat)
-                rows.append([
-                    scenario_name,
-                    stat.name.lower(),
-                    _fmt(coeffs.a.real), _fmt(coeffs.a.imag),
-                    _fmt(coeffs.b.real), _fmt(coeffs.b.imag),
-                    _fmt(c), _fmt(alpha0),
-                    _fmt(res.n0), _fmt(res.nf),
-                    _fmt(res.m.real), _fmt(res.m.imag),
-                    _fmt(res.r),
-                    "1" if res.excluded else "0",
-                ])
+            res = rates.relative_rate_grid(coeffs, table, stat)
+            rows.extend(
+                [scenario_name, stat.name.lower(), *weights, c, alpha0_text, *fields]
+                for c, *fields in zip(
+                    c_column,
+                    _column(res.n0), _column(res.nf),
+                    _column(res.m.real), _column(res.m.imag),
+                    _column(res.r), _flags(res.excluded),
+                )
+            )
     return rows
 
 
 def _scenario_table_builder(args, model: RecoilModel):
-    """Returns (scenario name, c -> OverlapTable) from --choice/--family flags."""
+    """Returns (scenario name, c grid -> grid OverlapTable) from --choice/--family flags."""
     if getattr(args, "family", False):
         return "family", lambda c: build_family_table(ExclusionFamily.equal_weight(c), model)
     choice = args.choice or "i"
@@ -146,7 +164,7 @@ def _cmd_rate(args) -> int:
     _check_c_range(args.c, args.c)
     name, table_for = _scenario_table_builder(args, model)
     rows = sweep_rows(name, table_for, [_coefficients(args)],
-                      _stats_list(args.statistics), [args.c], args.alpha0)
+                      _stats_list(args.statistics), _grid(args.c, args.c, 1), args.alpha0)
     with _open_out(args.out) as out:
         _write_csv(out, SWEEP_HEADER, rows)
     return 0
@@ -180,17 +198,14 @@ def _choice_builder(name: str, model: RecoilModel):
 
 def _log_choice_ii_flatness(grid, model: RecoilModel, log: TextIO) -> None:
     """Per-case spans showing that for fermions only the final normalization moves R."""
-    table_for = _choice_builder("ii", model)
-    points = [(c, table_for(c)) for c in grid]
+    table = _choice_builder("ii", model)(grid)
     for coeffs in FIG2_CASES:
-        n0s, brackets, nf_sqs, rs = [], [], [], []
-        for _, table in points:
-            n0s.append(rates.initial_norm_sq(coeffs, table, Statistics.FERMION))
-            brackets.append(abs(rates.bracket_sum(coeffs, table, Statistics.FERMION)))
-            nf_sqs.append(rates.final_norm_sq(coeffs, table, Statistics.FERMION))
-            res = rates.relative_rate(coeffs, table, Statistics.FERMION)
-            if not res.excluded:
-                rs.append(res.r)
+        n0s = rates.initial_norm_sq(coeffs, table, Statistics.FERMION).tolist()
+        bracket = rates.bracket_sum(coeffs, table, Statistics.FERMION)
+        brackets = np.hypot(bracket.real, bracket.imag).tolist()  # abs() per point
+        nf_sqs = rates.final_norm_sq(coeffs, table, Statistics.FERMION).tolist()
+        res = rates.relative_rate_grid(coeffs, table, Statistics.FERMION)
+        rs = res.r[~res.excluded].tolist()
         r_span = (max(rs) - min(rs)) / min(rs)
         print(
             f"choice ii fermion a={coeffs.a.real:g} b={coeffs.b.real:g}: "
@@ -204,24 +219,23 @@ def _log_choice_ii_flatness(grid, model: RecoilModel, log: TextIO) -> None:
 
 def _coincidence_rows(grid, model: RecoilModel):
     """Fermion curves of choice iii for normalized weights, against the a=1 curve."""
-    table_for = _choice_builder("iii", model)
-    points = [(c, table_for(c)) for c in grid]
-    reference = [rates.relative_rate(Coefficients(1.0, 0.0), table, Statistics.FERMION)
-                 for _, table in points]
+    table = _choice_builder("iii", model)(grid)
+    ref = rates.relative_rate_grid(Coefficients(1.0, 0.0), table, Statistics.FERMION)
+    c_column, ref_r, ref_flags = _column(grid), _column(ref.r), _flags(ref.excluded)
     rows = []
     max_dev = 0.0
     for coeffs in _normalized_cases((0.8, 0.5)):
-        for (c, table), ref in zip(points, reference):
-            res = rates.relative_rate(coeffs, table, Statistics.FERMION)
-            if res.excluded or ref.excluded:
-                dev = float("nan")
-            else:
-                dev = abs(res.r - ref.r) / ref.r
-                max_dev = max(max_dev, dev)
-            rows.append([
-                _fmt(c), _fmt(coeffs.a.real), _fmt(res.r), _fmt(ref.r), _fmt(dev),
-                "1" if res.excluded else "0", "1" if ref.excluded else "0",
-            ])
+        res = rates.relative_rate_grid(coeffs, table, Statistics.FERMION)
+        either = res.excluded | ref.excluded
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dev = np.where(either, np.nan, np.abs(res.r - ref.r) / ref.r)
+        max_dev = max([max_dev, *dev[~either].tolist()])
+        a_text = _fmt(coeffs.a.real)
+        rows.extend(
+            [c, a_text, *fields]
+            for c, *fields in zip(c_column, _column(res.r), ref_r, _column(dev),
+                                  _flags(res.excluded), ref_flags)
+        )
     return rows, max_dev
 
 
@@ -292,24 +306,28 @@ def exclusion_scan_rows(
 ) -> tuple[list[list[str]], int]:
     """Rows (a, c, |coefficient|, excluded_by_norm, excluded_by_formula) plus the
     number of rows where the two detection paths disagree."""
-    rows: list[list[str]] = []
-    disagreements = 0
     for a in a_grid:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"a values must lie in [0, 1], got {a}")
+    c_grid = np.asarray(c_grid, dtype=float)
+    fam = ExclusionFamily.equal_weight(c_grid)
+    table = build_family_table(fam, model)
+    c_column = _column(c_grid)
+    rows: list[list[str]] = []
+    disagreements = 0
+    for a in a_grid:
         coeffs = Coefficients(a, math.sqrt(max(0.0, 1.0 - a * a)))
-        for c in c_grid:
-            fam = ExclusionFamily.equal_weight(c)
-            table = build_family_table(fam, model)
-            by_norm = rates.exclusion_check(coeffs, table, Statistics.FERMION)
-            magnitude = abs(family_exclusion_coefficient(coeffs, fam))
-            by_formula = magnitude < rates.EXCLUSION_EPS
-            if by_norm != by_formula:
-                disagreements += 1
-            rows.append([
-                _fmt(a), _fmt(c), _fmt(magnitude),
-                "1" if by_norm else "0", "1" if by_formula else "0",
-            ])
+        by_norm = rates.exclusion_mask(coeffs, table, Statistics.FERMION)
+        coefficient = family_exclusion_coefficient(coeffs, fam)
+        magnitude = np.broadcast_to(np.hypot(np.real(coefficient), np.imag(coefficient)),
+                                    c_grid.shape)  # abs() per point
+        by_formula = magnitude < rates.EXCLUSION_EPS
+        disagreements += int(np.count_nonzero(by_norm != by_formula))
+        a_text = _fmt(a)
+        rows.extend(
+            [a_text, *fields]
+            for fields in zip(c_column, _column(magnitude), _flags(by_norm), _flags(by_formula))
+        )
     return rows, disagreements
 
 

@@ -11,12 +11,24 @@ the normalized amplitude a 0/0 form.  They are detected with a scale-free
 threshold and surface either as :class:`ExcludedStateError` or as a flagged
 :class:`RateResult` with NaN in the undefined fields, never as round-off
 garbage.
+
+The three closed forms are elementwise, so on a grid table (one whose entries
+are arrays over a sweep grid) they return arrays over the grid.
+:func:`relative_rate_grid` and :func:`exclusion_mask` finish the evaluation
+there in one pass.  Where the overlaps are real, as in every preset and the
+exclusion family, each point equals bit for bit what the single-point
+functions give on that point's own table; with complex overlaps values may
+differ by a few ulp, because numpy's vectorized complex multiply rounds on
+its own.  The
+grid subcommands of :mod:`pairabs.cli` evaluate one such table per grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebra import CHI, ETA, MU, PHI, PSI, VARPHI, CmLabel, OverlapTable, Statistics
 from .scenarios import Coefficients
@@ -28,11 +40,13 @@ __all__ = [
     "Statistics",
     "bracket_sum",
     "exclusion_check",
+    "exclusion_mask",
     "final_norm_sq",
     "initial_norm_sq",
     "matrix_element",
     "matrix_element_product",
     "relative_rate",
+    "relative_rate_grid",
 ]
 
 #: Null-state floor, relative to the natural norm scale 2(|a|^2 + |b|^2).
@@ -55,7 +69,8 @@ class RateResult:
     final superpositions, ``m`` the absorption amplitude and ``m_pro`` the
     product-state reference (both in units of the dipole constant), ``r``
     the relative rate ``|m|^2 / |m_pro|^2``.  On excluded points ``r``,
-    ``n0`` and ``m`` are NaN.
+    ``n0`` and ``m`` are NaN.  From :func:`relative_rate_grid` every field
+    but ``m_pro`` is an array over the grid.
     """
 
     n0: float
@@ -64,6 +79,31 @@ class RateResult:
     m_pro: complex
     r: float
     excluded: bool
+
+
+def _abs_sq(z: complex | np.ndarray) -> float | np.ndarray:
+    """``abs(z) ** 2``, elementwise on arrays with the same C library calls.
+
+    numpy's own ``abs`` of a complex array and its ``** 2`` (a multiply)
+    each differ from CPython's ``hypot`` and ``pow`` by an ulp on some
+    inputs; ``hypot`` and ``float_power`` do not.
+    """
+    if isinstance(z, np.ndarray):
+        return np.float_power(np.hypot(z.real, z.imag), 2.0)
+    return abs(z) ** 2
+
+
+def _complex_over_real(z: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Elementwise ``z / d`` for complex ``z`` and real ``d``, rounded as CPython does.
+
+    CPython (up to 3.13) divides by ``complex(d, 0)`` with Smith's ratio 0,
+    which gives exactly these two quotients, signed zeros included.  numpy's
+    complex / float multiplies by ``1 / d`` and can differ by an ulp.
+    """
+    out = np.empty(np.broadcast_shapes(np.shape(z), np.shape(d)), dtype=complex)
+    out.real = (z.real + z.imag * 0.0) / d
+    out.imag = (z.imag - z.real * 0.0) / d
+    return out
 
 
 def initial_norm_sq(
@@ -83,8 +123,8 @@ def initial_norm_sq(
     ov = table.overlap
     cross = a.conjugate() * b
     return (
-        2.0 * abs(a) ** 2 * (1.0 + s * abs(ov(PSI, PHI)) ** 2)
-        + 2.0 * abs(b) ** 2 * (1.0 + s * abs(ov(VARPHI, CHI)) ** 2)
+        2.0 * abs(a) ** 2 * (1.0 + s * _abs_sq(ov(PSI, PHI)))
+        + 2.0 * abs(b) ** 2 * (1.0 + s * _abs_sq(ov(VARPHI, CHI)))
         + 4.0 * (cross * ov(PSI, VARPHI) * ov(PHI, CHI)).real
         + 4.0 * s * (cross * ov(PSI, CHI) * ov(PHI, VARPHI)).real
     )
@@ -150,11 +190,25 @@ def bracket_sum(
     return direct + s * exchange
 
 
+def _null_floors(coeffs: Coefficients) -> tuple[float, float]:
+    """Floors below which the initial and the final squared norm count as null."""
+    weight_sq = coeffs.weight_sq
+    return EXCLUSION_EPS * 2.0 * weight_sq, EXCLUSION_EPS * 4.0 * weight_sq
+
+
+def exclusion_mask(
+    coeffs: Coefficients, table: OverlapTable, statistics: Statistics
+) -> bool | np.ndarray:
+    """Where the initial state is null up to round-off: a bool array on a grid table."""
+    n0_floor, _ = _null_floors(coeffs)
+    return initial_norm_sq(coeffs, table, statistics) < n0_floor
+
+
 def exclusion_check(
     coeffs: Coefficients, table: OverlapTable, statistics: Statistics
 ) -> bool:
-    """True when the initial state is null up to round-off."""
-    return initial_norm_sq(coeffs, table, statistics) < EXCLUSION_EPS * 2.0 * coeffs.weight_sq
+    """True when the initial state is null up to round-off (one point)."""
+    return bool(exclusion_mask(coeffs, table, statistics))
 
 
 def matrix_element(
@@ -165,13 +219,14 @@ def matrix_element(
     Raises :class:`ExcludedStateError` when the initial (or, pathologically,
     the final) superposition is null and no normalized amplitude exists.
     """
+    n0_floor, nf_floor = _null_floors(coeffs)
     n0_sq = initial_norm_sq(coeffs, table, statistics)
-    if n0_sq < EXCLUSION_EPS * 2.0 * coeffs.weight_sq:
+    if n0_sq < n0_floor:
         raise ExcludedStateError(
             "initial state is null (excluded); the normalized amplitude is a 0/0 form"
         )
     nf_sq = final_norm_sq(coeffs, table, statistics)
-    if nf_sq < EXCLUSION_EPS * 4.0 * coeffs.weight_sq:
+    if nf_sq < nf_floor:
         raise ExcludedStateError(
             "final superposition is null; the normalized amplitude is a 0/0 form"
         )
@@ -195,8 +250,9 @@ def relative_rate(
     m_pro = matrix_element_product(ETA, MU, table)
     n0_sq = initial_norm_sq(coeffs, table, statistics)
     nf_sq = final_norm_sq(coeffs, table, statistics)
-    n0_null = n0_sq < EXCLUSION_EPS * 2.0 * coeffs.weight_sq
-    nf_null = nf_sq < EXCLUSION_EPS * 4.0 * coeffs.weight_sq
+    n0_floor, nf_floor = _null_floors(coeffs)
+    n0_null = n0_sq < n0_floor
+    nf_null = nf_sq < nf_floor
     if n0_null or nf_null:
         nf = _NAN if nf_null else 1.0 / math.sqrt(nf_sq)
         return RateResult(_NAN, nf, _NAN_COMPLEX, m_pro, _NAN, True)
@@ -208,4 +264,39 @@ def relative_rate(
         m_pro=m_pro,
         r=abs(m) ** 2 / abs(m_pro) ** 2,
         excluded=False,
+    )
+
+
+def relative_rate_grid(
+    coeffs: Coefficients, table: OverlapTable, statistics: Statistics
+) -> RateResult:
+    """:func:`relative_rate` at every point of a grid table, in one pass.
+
+    The closed forms run elementwise on the table's arrays and only this
+    final step differs: square roots, division and the NaN masking of
+    excluded points are array operations.  Every field but ``m_pro``
+    (constant over the grid) is an array, ``excluded`` a bool array, and on
+    real overlaps each point equals the single-point result bit for bit.
+    """
+    m_pro = matrix_element_product(ETA, MU, table)
+    n0_sq = initial_norm_sq(coeffs, table, statistics)
+    nf_sq = final_norm_sq(coeffs, table, statistics)
+    n0_floor, nf_floor = _null_floors(coeffs)
+    nf_null = nf_sq < nf_floor
+    excluded = (n0_sq < n0_floor) | nf_null
+    twice = 2.0 * bracket_sum(coeffs, table, statistics)
+    # Excluded points may take square roots of negatives or divide by zero;
+    # they are masked below, so those results are never used.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = _complex_over_real(twice, np.sqrt(n0_sq * nf_sq))
+        m[excluded] = _NAN_COMPLEX
+        n0 = np.where(excluded, _NAN, 1.0 / np.sqrt(n0_sq))
+        nf = np.where(nf_null, _NAN, 1.0 / np.sqrt(nf_sq))
+    return RateResult(
+        n0=n0,
+        nf=nf,
+        m=m,
+        m_pro=m_pro,
+        r=_abs_sq(m) / abs(m_pro) ** 2,
+        excluded=excluded,
     )

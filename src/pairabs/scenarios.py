@@ -1,5 +1,12 @@
 """Overlap-table construction: swept presets, the exclusion family, recoil entries.
 
+:func:`build_table`, :func:`build_choice_table` and :func:`build_family_table`
+(with :meth:`ExclusionFamily.equal_weight`) also take 1-D numpy arrays of
+sweep values in place of one value and return one grid table (see
+:class:`pairabs.algebra.OverlapTable`) whose entries are arrays over the grid.
+The rules below are elementwise, so each grid point holds exactly the values
+a single-point build would give.
+
 Tables are built from the six bare pairwise overlaps among {psi, phi, varphi,
 chi} and then completed with the recoil entries:
 
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -62,9 +70,21 @@ class RecoilModel:
     def __post_init__(self):
         if not 0.0 < self.alpha0 <= 1.0:
             raise ValueError(f"alpha0 must lie in (0, 1], got {self.alpha0}")
+        if 2.0 * self.alpha0**2 < sys.float_info.min:
+            raise ValueError(
+                f"alpha0 = {self.alpha0} is too small: the product-state reference "
+                f"|m_pro|^2 = 2 alpha0^2 underflows"
+            )
 
 
-def alpha_pair(model: RecoilModel, base_overlap: complex) -> float:
+def _overlap_value(value) -> complex | np.ndarray:
+    """One overlap as a Python complex, or a grid of them as a complex array."""
+    if isinstance(value, np.ndarray):
+        return value.astype(complex)
+    return complex(value)
+
+
+def alpha_pair(model: RecoilModel, base_overlap: complex | np.ndarray) -> float | np.ndarray:
     """Two-recoil shrink coefficient for a pair with the given bare overlap.
 
     Equal to ``alpha0 + (1 - alpha0) * Re<x|y>`` but written as
@@ -72,9 +92,10 @@ def alpha_pair(model: RecoilModel, base_overlap: complex) -> float:
     a unit overlap maps to exactly 1 (two recoils must not break
     ``<x*|y*> = 1`` when the states coincide) and a vanishing overlap to
     exactly ``alpha0``.  Only the real part enters; tables may hold complex
-    overlaps, but the shrink coefficient is defined from Re.
+    overlaps, but the shrink coefficient is defined from Re.  Elementwise on
+    a grid of overlaps.
     """
-    re = complex(base_overlap).real
+    re = _overlap_value(base_overlap).real
     return re + model.alpha0 * (1.0 - re)
 
 
@@ -121,7 +142,6 @@ class ScenarioSpec:
 
     choice: str
     fixed_overlaps: Mapping[tuple[CmLabel, CmLabel], complex] = field(default_factory=dict)
-    sweep_parameter_name: str = "c"
 
     @classmethod
     def for_choice(cls, name: str) -> "ScenarioSpec":
@@ -132,21 +152,22 @@ class ScenarioSpec:
 
 
 def build_table(
-    overlaps: Mapping[tuple[CmLabel, CmLabel], complex],
+    overlaps: Mapping[tuple[CmLabel, CmLabel], complex | np.ndarray],
     model: RecoilModel = RecoilModel(),
 ) -> OverlapTable:
     """Complete table from the six bare pairwise overlaps among the canonical labels.
 
     Adds every one- and two-recoil entry plus the product-reference entries
     ``<eta*|eta> = <mu*|mu> = alpha0`` used by the rate normalization.
-    Either orientation of each bare pair is accepted.
+    Either orientation of each bare pair is accepted.  Array overlaps give a
+    grid table.
     """
-    bare: dict[tuple[CmLabel, CmLabel], complex] = {}
+    bare: dict[tuple[CmLabel, CmLabel], complex | np.ndarray] = {}
     for x, y in ALL_PAIRS:
         if (x, y) in overlaps:
-            value = complex(overlaps[(x, y)])
+            value = _overlap_value(overlaps[(x, y)])
         elif (y, x) in overlaps:
-            value = complex(overlaps[(y, x)]).conjugate()
+            value = _overlap_value(overlaps[(y, x)]).conjugate()
         else:
             raise ValueError(f"missing bare overlap for <{x}|{y}>")
         bare[(x, y)] = value
@@ -154,7 +175,7 @@ def build_table(
     for label in _LABELS:
         bare[(label, label)] = 1.0 + 0.0j
 
-    entries: dict[tuple[CmLabel, CmLabel], complex] = {
+    entries: dict[tuple[CmLabel, CmLabel], complex | np.ndarray] = {
         pair: bare[pair] for pair in ALL_PAIRS
     }
     alpha0 = model.alpha0
@@ -171,18 +192,18 @@ def build_table(
 
 
 def build_choice_table(
-    spec: ScenarioSpec, c: float, model: RecoilModel = RecoilModel()
+    spec: ScenarioSpec, c: float | np.ndarray, model: RecoilModel = RecoilModel()
 ) -> OverlapTable:
-    """Full table for a swept configuration at sweep value ``c``.
+    """Full table for a swept configuration at sweep value ``c`` (or a grid of them).
 
     The three dependent overlaps follow the chain rules
     ``<psi|chi> = <psi|varphi><varphi|chi>``,
     ``<phi|varphi> = <phi|psi><psi|varphi>`` and
     ``<phi|chi> = <phi|varphi><varphi|chi>``.
     """
-    if not 0.0 <= c <= 1.0:
+    if not np.all((0.0 <= c) & (c <= 1.0)):
         raise ValueError(f"sweep value must lie in [0, 1], got {c}")
-    base = {pair: complex(spec.fixed_overlaps.get(pair, c)) for pair in BASE_PAIRS}
+    base = {pair: _overlap_value(spec.fixed_overlaps.get(pair, c)) for pair in BASE_PAIRS}
     psi_phi = base[(PSI, PHI)]
     psi_varphi = base[(PSI, VARPHI)]
     varphi_chi = base[(VARPHI, CHI)]
@@ -205,7 +226,8 @@ class ExclusionFamily:
     """Expansion coefficients of phi, varphi, chi over the orthonormal pair {psi, zeta}.
 
     ``phi = c psi + d zeta``, ``varphi = e psi + f zeta``,
-    ``chi = g psi + h zeta``; each coefficient pair is normalized.
+    ``chi = g psi + h zeta``; each coefficient pair is normalized.  Fields
+    may be arrays, one family member per grid point.
     """
 
     c: complex
@@ -216,24 +238,27 @@ class ExclusionFamily:
     h: complex
 
     def __post_init__(self):
+        for attr in "cdefgh":
+            object.__setattr__(self, attr, _overlap_value(getattr(self, attr)))
         for name, (u, v) in (
             ("(c, d)", (self.c, self.d)),
             ("(e, f)", (self.e, self.f)),
             ("(g, h)", (self.g, self.h)),
         ):
-            u, v = complex(u), complex(v)
-            if not (cmath.isfinite(u) and cmath.isfinite(v)):
+            if not (np.isfinite(u).all() and np.isfinite(v).all()):
                 raise ValueError(f"family coefficients {name} must be finite")
-            if abs(abs(u) ** 2 + abs(v) ** 2 - 1.0) > 1e-12:
+            norm = np.atleast_1d(abs(u) ** 2 + abs(v) ** 2)
+            off = np.abs(norm - 1.0) > 1e-12
+            if off.any():
                 raise ValueError(
                     f"family coefficients {name} violate |u|^2 + |v|^2 = 1: "
-                    f"got {abs(u) ** 2 + abs(v) ** 2}"
+                    f"got {norm[off][0]}"
                 )
-        for attr in "cdefgh":
-            object.__setattr__(self, attr, complex(getattr(self, attr)))
 
     @classmethod
-    def equal_weight(cls, c: float, d: float | None = None) -> "ExclusionFamily":
+    def equal_weight(
+        cls, c: float | np.ndarray, d: float | np.ndarray | None = None
+    ) -> "ExclusionFamily":
         """Family with ``varphi = (psi + zeta)/sqrt(2)`` and chi tilted by ``(c, d)``.
 
         ``chi = c varphi + d varphi_perp`` with
@@ -242,7 +267,7 @@ class ExclusionFamily:
         branch ``sqrt(1 - c^2)``.
         """
         if d is None:
-            d = math.sqrt(max(0.0, 1.0 - c * c))
+            d = np.sqrt(np.maximum(0.0, 1.0 - c * c))
         inv = 1.0 / math.sqrt(2.0)
         return cls(c=c, d=d, e=inv, f=inv, g=(c + d) * inv, h=(c - d) * inv)
 
@@ -269,7 +294,8 @@ def family_exclusion_coefficient(coeffs: Coefficients, fam: ExclusionFamily) -> 
 
     The antisymmetrized initial state built from the family collapses to this
     single coefficient times ``|psi>_1|zeta>_2 - |zeta>_1|psi>_2``, so the
-    state is null exactly when the value vanishes.  Linear in ``(a, b)``.
+    state is null exactly when the value vanishes.  Linear in ``(a, b)``;
+    an array over the grid for a family with array fields.
     """
     return coeffs.a * fam.d + coeffs.b * (fam.e * fam.h - fam.f * fam.g)
 

@@ -96,6 +96,27 @@ class TestOverlapTable:
         with pytest.raises(ValueError, match="diagonal"):
             OverlapTable({(PSI, PSI): 0.9})
 
+    @pytest.mark.parametrize("entries, message", [
+        ({(PSI, PHI): np.array([0.5, 1.2])}, "exceeds 1"),
+        ({(PSI, PHI): np.array([0.5, np.inf])}, "non-finite"),
+        ({(PSI, PSI): np.array([1.0, 0.9])}, "diagonal"),
+        ({(PSI, PHI): np.array([0.3, 0.3 + 0.4j]), (PHI, PSI): np.array([0.3, 0.3 + 0.4j])},
+         "not conjugates"),
+    ])
+    def test_grid_entries_checked_at_every_point(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            OverlapTable(entries)
+
+    def test_grid_entries_are_read_only_copies(self):
+        values = np.array([0.2, 0.4])
+        table = OverlapTable({(PSI, PHI): values, (PSI, CHI): 0.1})
+        values[0] = 0.9
+        assert table.overlap(PSI, PHI).tolist() == [0.2, 0.4]
+        assert table.overlap(PHI, PSI).tolist() == [0.2, 0.4]
+        assert table.overlap(CHI, PSI) == 0.1  # scalar entries are constant over the grid
+        with pytest.raises(ValueError):
+            table.overlap(PSI, PHI)[0] = 0.0
+
     def test_contains_and_labels(self):
         table = OverlapTable({(PSI, PHI): 0.5})
         assert (PSI, PHI) in table and (PHI, PSI) in table

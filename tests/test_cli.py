@@ -4,10 +4,21 @@ import csv
 import io
 import math
 
+import numpy as np
 import pytest
 
 from pairabs import cli, rates
+from pairabs.algebra import Statistics
 from pairabs.cli import SCAN_HEADER, SWEEP_HEADER
+from pairabs.scenarios import (
+    Coefficients,
+    ExclusionFamily,
+    RecoilModel,
+    ScenarioSpec,
+    build_choice_table,
+    build_family_table,
+    family_exclusion_coefficient,
+)
 
 ROOT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -193,6 +204,93 @@ class TestExclusionScan:
         ])
         assert code == 2
         assert "disagree" in capsys.readouterr().err
+
+
+def reference_sweep_rows(name, table_for, cases, stats, grid, alpha0):
+    """The per-point loop: one table and one relative_rate call per c."""
+    fmt = cli._fmt
+    rows = []
+    for coeffs in cases:
+        for stat in stats:
+            for c in grid:
+                res = rates.relative_rate(coeffs, table_for(c), stat)
+                rows.append([
+                    name, stat.name.lower(),
+                    fmt(coeffs.a.real), fmt(coeffs.a.imag),
+                    fmt(coeffs.b.real), fmt(coeffs.b.imag),
+                    fmt(c), fmt(alpha0), fmt(res.n0), fmt(res.nf),
+                    fmt(res.m.real), fmt(res.m.imag), fmt(res.r),
+                    "1" if res.excluded else "0",
+                ])
+    return rows
+
+
+def reference_scan_rows(a_grid, c_grid):
+    """The per-point loop: one family table, exclusion_check and coefficient per (a, c)."""
+    fmt = cli._fmt
+    rows, disagreements = [], 0
+    for a in a_grid:
+        coeffs = Coefficients(a, math.sqrt(max(0.0, 1.0 - a * a)))
+        for c in c_grid:
+            fam = ExclusionFamily.equal_weight(c)
+            by_norm = rates.exclusion_check(coeffs, build_family_table(fam), Statistics.FERMION)
+            magnitude = abs(family_exclusion_coefficient(coeffs, fam))
+            by_formula = magnitude < rates.EXCLUSION_EPS
+            disagreements += by_norm != by_formula
+            rows.append([fmt(a), fmt(c), fmt(magnitude),
+                         "1" if by_norm else "0", "1" if by_formula else "0"])
+    return rows, disagreements
+
+
+class TestGridEqualsPointLoop:
+    @pytest.mark.parametrize("name", ["i", "ii", "iii", "iv", "family"])
+    def test_sweep_rows(self, name):
+        model = RecoilModel(0.6)
+        if name == "family":
+            table_for = lambda c: build_family_table(ExclusionFamily.equal_weight(c), model)
+        else:
+            spec = ScenarioSpec.for_choice(name)
+            table_for = lambda c: build_choice_table(spec, c, model)
+        cases = [Coefficients(1.0, 0.0), Coefficients(0.8, 0.6),
+                 Coefficients(0.3 + 0.4j, -0.5 + 0.2j),
+                 Coefficients(ROOT2_INV, ROOT2_INV)]
+        stats = [Statistics.BOSON, Statistics.FERMION]
+        grid = [float(c) for c in np.linspace(0.0, 1.0, 41)]
+        assert cli.sweep_rows(name, table_for, cases, stats, grid, 0.6) == (
+            reference_sweep_rows(name, table_for, cases, stats, grid, 0.6)
+        )
+
+    @pytest.mark.parametrize("a_grid, c_grid", [
+        (np.linspace(0.0, 1.0, 51).tolist(), np.linspace(0.0, 1.0, 51).tolist()),
+        # norm floor and formula floor disagree here (different scales); the grid
+        # scan must keep the loop's verdicts, disagreement included
+        ([0.0], [0.99999999999]),
+    ])
+    def test_exclusion_scan_rows(self, a_grid, c_grid):
+        assert cli.exclusion_scan_rows(a_grid, c_grid) == reference_scan_rows(a_grid, c_grid)
+
+
+class TestTinyAlpha0:
+    @pytest.mark.parametrize("argv", [
+        ["rate"],
+        ["sweep", "--steps", "3"],
+        ["figures", "fig2", "--steps", "3"],
+        ["exclusion-scan", "--a-steps", "2", "--steps", "2"],
+    ])
+    def test_underflowing_reference_exits_1(self, argv, tmp_path, capsys):
+        argv = argv + ["--alpha0", "1e-300", "--out", str(tmp_path / "out")]
+        assert exit_code(argv) == 1
+        assert "alpha0" in capsys.readouterr().err
+
+
+class TestQuietStderr:
+    @pytest.mark.parametrize("argv", [
+        ["figures", "fig4"],  # its balanced column is excluded at every c
+        ["exclusion-scan"],
+    ])
+    def test_excluded_points_write_nothing_to_stderr(self, argv, tmp_path, capsys):
+        assert exit_code(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestVerify:

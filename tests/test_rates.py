@@ -8,12 +8,15 @@ import pytest
 from pairabs.algebra import CHI, ETA, MU, PHI, PSI, VARPHI, Statistics
 from pairabs.rates import (
     ExcludedStateError,
+    _complex_over_real,
     exclusion_check,
+    exclusion_mask,
     final_norm_sq,
     initial_norm_sq,
     matrix_element,
     matrix_element_product,
     relative_rate,
+    relative_rate_grid,
 )
 from pairabs.scenarios import (
     ALL_PAIRS,
@@ -27,6 +30,7 @@ from pairabs.scenarios import (
     build_table,
     family_exclusion_coefficient,
 )
+from pairabs.scenarios import CHOICES
 
 BOSON = Statistics.BOSON
 FERMION = Statistics.FERMION
@@ -232,3 +236,83 @@ class TestExclusionCheck:
                 by_norm = exclusion_check(coeffs, table, FERMION)
                 by_formula = abs(family_exclusion_coefficient(coeffs, fam)) < 1e-10
                 assert by_norm == by_formula, (a, c)
+
+
+GRID_101 = np.linspace(0.0, 1.0, 101)
+GRID_WEIGHTS = (
+    A_ONLY,
+    Coefficients(0.8, 0.6),
+    Coefficients(0.3 + 0.4j, -0.5 + 0.2j),
+    Coefficients(1.0 / ROOT2, 1.0 / ROOT2),
+)
+
+
+def scenario_table(name, c, model=RecoilModel()):
+    if name == "family":
+        return build_family_table(ExclusionFamily.equal_weight(c), model)
+    return choice_table(name, c, model)
+
+
+def assert_same_doubles(got, want):
+    """Equal bit for bit, sign of zero included; any NaN matches any NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    for g, w in ((got.real, want.real), (got.imag, want.imag)):
+        nan = np.isnan(w)
+        np.testing.assert_array_equal(np.isnan(g), nan)
+        np.testing.assert_array_equal(g[~nan].view(np.uint64), w[~nan].view(np.uint64))
+
+
+class TestRelativeRateGrid:
+    """The grid evaluation against the per-point loop it replaces."""
+
+    @pytest.mark.parametrize("statistics", [BOSON, FERMION])
+    @pytest.mark.parametrize("name", CHOICES + ("family",))
+    def test_equals_per_point_relative_rate(self, name, statistics):
+        for model in (RecoilModel(), RecoilModel(0.37)):
+            grid_table = scenario_table(name, GRID_101, model)
+            tables = [scenario_table(name, float(c), model) for c in GRID_101]
+            for coeffs in GRID_WEIGHTS:
+                grid = relative_rate_grid(coeffs, grid_table, statistics)
+                points = [relative_rate(coeffs, t, statistics) for t in tables]
+                for field in ("n0", "nf", "m", "r"):
+                    assert_same_doubles(getattr(grid, field), [getattr(p, field) for p in points])
+                assert grid.excluded.tolist() == [p.excluded for p in points]
+                assert all(p.m_pro == grid.m_pro for p in points)
+                mask = exclusion_mask(coeffs, grid_table, statistics)
+                assert mask.tolist() == [exclusion_check(coeffs, t, statistics) for t in tables]
+
+    @pytest.mark.parametrize("z", [
+        complex(re, im) for re in (-0.0, 0.0, -1.5, 2.0) for im in (-0.0, 0.0, -3.0, 0.7)
+    ])
+    def test_division_rounds_as_cpython(self, z):
+        divisors = [1.0, 3.0, 0.1, 7e-3]
+        got = _complex_over_real(np.full(len(divisors), z), np.array(divisors))
+        assert_same_doubles(got, [z / d for d in divisors])
+
+    def test_excluded_points_are_masked_without_warnings(self):
+        coeffs = Coefficients(1.0 / ROOT2, 1.0 / ROOT2)  # the family's null direction
+        res = relative_rate_grid(coeffs, scenario_table("family", GRID_101), FERMION)
+        assert res.excluded.all()
+        assert np.isnan(res.r).all() and np.isnan(res.n0).all() and np.isnan(res.m).all()
+
+    def test_complex_overlaps_agree_to_rounding(self):
+        # numpy's vectorized complex multiply may round differently from
+        # CPython's, so complex grid overlaps agree to a few ulp, not bit for bit.
+        rng = np.random.default_rng(3)
+        phases = {pair: np.exp(1j * rng.uniform(0, 2 * np.pi)) for pair in ALL_PAIRS}
+        grid = np.linspace(0.0, 0.6, 31)
+        grid_table = build_table({pair: grid * phases[pair] for pair in ALL_PAIRS})
+        coeffs = Coefficients(0.3 + 0.4j, -0.5 + 0.2j)
+        for statistics in (BOSON, FERMION):
+            res = relative_rate_grid(coeffs, grid_table, statistics)
+            for i, c in enumerate(grid.tolist()):
+                point = relative_rate(
+                    coeffs, build_table({pair: c * phases[pair] for pair in ALL_PAIRS}),
+                    statistics,
+                )
+                assert not point.excluded and not res.excluded[i]
+                for field in ("n0", "nf", "m", "r"):
+                    assert getattr(res, field)[i] == pytest.approx(
+                        getattr(point, field), rel=64 * np.finfo(float).eps
+                    )

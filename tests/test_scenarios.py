@@ -1,6 +1,7 @@
 """Tests for table builders, the recoil rules, and the exclusion family."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,10 +29,14 @@ class TestRecoilModel:
     def test_default(self):
         assert RecoilModel().alpha0 == 0.9
 
-    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5])
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5, 1e-300, 1.05e-154])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError, match="alpha0"):
             RecoilModel(bad)
+
+    def test_smallest_alpha0_keeps_reference_normal(self):
+        model = RecoilModel(1.06e-154)
+        assert 2.0 * model.alpha0**2 >= sys.float_info.min
 
 
 class TestAlphaPair:
@@ -132,7 +137,7 @@ class TestChoiceTables:
         report = validate_gram(table, (PSI, PHI, VARPHI, CHI))
         assert report.realizable
 
-    @pytest.mark.parametrize("c", [-0.1, 1.1])
+    @pytest.mark.parametrize("c", [-0.1, 1.1, np.array([0.5, 1.1]), np.array([0.2, np.nan])])
     def test_rejects_sweep_out_of_range(self, c):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             build_choice_table(ScenarioSpec.for_choice("i"), c)
@@ -187,6 +192,27 @@ class TestExclusionFamily:
     def test_rejects_unnormalized_coefficients(self):
         with pytest.raises(ValueError, match="violate"):
             ExclusionFamily(c=0.9, d=0.9, e=1.0, f=0.0, g=1.0, h=0.0)
+        with pytest.raises(ValueError, match="violate.*got 1.62"):
+            ExclusionFamily(c=np.array([0.6, 0.9]), d=np.array([0.8, 0.9]),
+                            e=1.0, f=0.0, g=1.0, h=0.0)
+
+    def test_grid_family_holds_each_member(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        fam = ExclusionFamily.equal_weight(grid)
+        table = build_family_table(fam)
+        coeffs = Coefficients(0.6, 0.8)
+        for i, c in enumerate(grid.tolist()):
+            point = ExclusionFamily.equal_weight(c)
+            assert (fam.d[i], fam.g[i], fam.h[i]) == (point.d, point.g, point.h)
+            assert family_exclusion_coefficient(coeffs, fam)[i] == (
+                family_exclusion_coefficient(coeffs, point)
+            )
+            point_table = build_family_table(point)
+            for x, y in ALL_PAIRS:
+                for pair in ((x, y), (x.star(), y), (x.star(), y.star())):
+                    # <psi|varphi> = e is the same for every member, so a scalar entry
+                    entry = np.broadcast_to(table.overlap(*pair), grid.shape)
+                    assert entry[i] == point_table.overlap(*pair)
 
     def test_equal_weight_closure(self):
         c = 0.28
