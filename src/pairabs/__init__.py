@@ -46,6 +46,7 @@ from .oracle import (
     build_initial,
     formal_final_norm_sq,
     formal_initial_norm_sq,
+    formal_quantities,
     oracle_matrix_element,
 )
 from .rates import (
@@ -123,6 +124,7 @@ __all__ = [
     "final_norm_sq",
     "formal_final_norm_sq",
     "formal_initial_norm_sq",
+    "formal_quantities",
     "initial_norm_sq",
     "inner_product",
     "matrix_element",

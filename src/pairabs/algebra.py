@@ -8,6 +8,11 @@ inner product reduces to table lookups and Kronecker deltas.  No vector
 embedding is assumed anywhere: the table is the single source of truth,
 which is what lets recoiled (starred) labels carry overlap rules that no
 linear map on the originals could reproduce.
+
+Lookups are the hot path of the formal expansion.  Labels are tuples, so
+they hash and compare in C, and a table stores both orientations of every
+pair from construction on, so each lookup is one dict access.  Neither
+changes any value or the order in which inner products are summed.
 """
 
 from __future__ import annotations
@@ -56,12 +61,13 @@ class Statistics(Enum):
         return self.value
 
 
-@dataclass(frozen=True, order=True, repr=False)
-class CmLabel:
+class CmLabel(NamedTuple):
     """Label of a center-of-mass one-particle state.
 
     ``starred`` marks the post-recoil version of the state; it is a distinct
     label with its own row in the overlap table, not a transformed vector.
+    Labels hash, compare and sort as ``(name, starred)`` tuples, so a table
+    lookup keyed by a pair of labels runs no Python-level code.
     """
 
     name: str
@@ -111,15 +117,18 @@ class MissingOverlapError(LookupError):
 class OverlapTable:
     """Hermitian map from ordered CM-label pairs to inner products.
 
-    Storing one orientation per pair is enough; the mirror orientation is
-    derived by complex conjugation.  Diagonal entries are identically 1:
-    every labeled state, recoiled ones included, is normalized.
+    Storing one orientation per pair is enough: at construction the mirror
+    orientation of every entry is derived once by complex conjugation and
+    stored beside it, so a lookup is a single dict access.  Diagonal entries
+    are identically 1: every labeled state, recoiled ones included, is
+    normalized.
 
     An entry may also be a numpy array, one value per point of a sweep grid.
-    Such a grid table holds many tables at once: array entries are stored as
-    read-only complex copies, scalar entries are constant over the grid, and
-    every check applies to each point.  Lookups of array entries return
-    arrays, so elementwise formulas evaluate the whole grid in one pass.
+    Such a grid table holds many tables at once: array entries and their
+    mirrors are stored as read-only complex arrays, scalar entries are
+    constant over the grid, and every check applies to each point.  Lookups
+    of array entries return arrays, so elementwise formulas evaluate the
+    whole grid in one pass.
     """
 
     def __init__(self, entries: Mapping[tuple[CmLabel, CmLabel], complex | np.ndarray]):
@@ -141,29 +150,37 @@ class OverlapTable:
             if mirror is not None and not _everywhere(mirror == value.conjugate()):
                 raise ValueError(f"entries for <{x}|{y}> and <{y}|{x}> are not conjugates")
             store[(x, y)] = value
-        self._entries = store
+        # A given entry wins over the conjugate of its mirror (they may differ
+        # in the sign of a zero).
+        mirrors = {(y, x): _conjugate(value) for (x, y), value in store.items()}
+        self._entries = mirrors | store
 
     def overlap(self, x: CmLabel, y: CmLabel) -> complex | np.ndarray:
-        """Return ``<x|y>`` from the stored entry or the conjugate of its mirror."""
-        if x == y:
-            return 1.0 + 0.0j
+        """Return ``<x|y>``: the stored entry, or 1 on the diagonal."""
         value = self._entries.get((x, y))
-        if value is not None:
-            return value
-        mirror = self._entries.get((y, x))
-        if mirror is not None:
-            return mirror.conjugate()
-        raise MissingOverlapError(x, y)
+        if value is None:
+            if x == y:
+                return 1.0 + 0.0j
+            raise MissingOverlapError(x, y)
+        return value
 
     def __contains__(self, pair: tuple[CmLabel, CmLabel]) -> bool:
         x, y = pair
-        return x == y or (x, y) in self._entries or (y, x) in self._entries
+        return x == y or (x, y) in self._entries
 
     @property
     def labels(self) -> tuple[CmLabel, ...]:
         """All labels appearing in stored entries, in canonical (name, starred) order."""
         seen = {label for pair in self._entries for label in pair}
         return tuple(sorted(seen))
+
+
+def _conjugate(value: complex | np.ndarray) -> complex | np.ndarray:
+    """The mirror entry of a value; a grid mirror is read-only like the entry itself."""
+    mirror = value.conjugate()
+    if isinstance(mirror, np.ndarray):
+        mirror.flags.writeable = False
+    return mirror
 
 
 def _grid_entry(x: CmLabel, y: CmLabel, raw: np.ndarray) -> np.ndarray:
@@ -205,11 +222,15 @@ class FormalState:
     terms: tuple[Term, ...] = ()
 
     def __post_init__(self):
-        coerced = tuple(Term(complex(t[0]), t[1], t[2], t[3], t[4]) for t in self.terms)
-        for term in coerced:
+        terms = self.terms
+        if type(terms) is not tuple or not all(
+            type(t) is Term and type(t.weight) is complex for t in terms
+        ):
+            terms = tuple(Term(complex(t[0]), t[1], t[2], t[3], t[4]) for t in terms)
+            object.__setattr__(self, "terms", terms)
+        for term in terms:
             if not cmath.isfinite(term.weight):
                 raise ValueError(f"non-finite term weight {term.weight!r}")
-        object.__setattr__(self, "terms", coerced)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -225,8 +246,8 @@ def symmetrize(
     """Unnormalized (anti)symmetrized product ``|a>_1|b>_2 +/- |b>_1|a>_2``."""
     return FormalState(
         (
-            Term(1.0, cm_a, int_a, cm_b, int_b),
-            Term(float(statistics.sign), cm_b, int_b, cm_a, int_a),
+            Term(1.0 + 0.0j, cm_a, int_a, cm_b, int_b),
+            Term(complex(statistics.sign), cm_b, int_b, cm_a, int_a),
         )
     )
 
@@ -244,20 +265,21 @@ def inner_product(bra: FormalState, ket: FormalState, table: OverlapTable) -> co
     """``<bra|ket>`` evaluated term pair by term pair through the table.
 
     Internal brackets are Kronecker deltas, so a term pair with mismatched
-    internal labels contributes nothing and its CM overlaps are never looked
-    up.  Weights of the bra enter conjugated.
+    internal labels contributes nothing: ket terms are grouped by their
+    internal labels and each bra term meets only its own group, whose CM
+    overlaps are the only ones looked up.  The surviving pairs are summed in
+    bra-major term order, as a plain double loop would.  Weights of the bra
+    enter conjugated.
     """
+    groups: dict[tuple[Internal, Internal], list[Term]] = {}
+    for tk in ket.terms:
+        groups.setdefault((tk.int1, tk.int2), []).append(tk)
+    overlap = table.overlap
     total = 0.0 + 0.0j
     for tb in bra.terms:
-        for tk in ket.terms:
-            if tb.int1 is not tk.int1 or tb.int2 is not tk.int2:
-                continue
-            total += (
-                tb.weight.conjugate()
-                * tk.weight
-                * table.overlap(tb.cm1, tk.cm1)
-                * table.overlap(tb.cm2, tk.cm2)
-            )
+        weight = tb.weight.conjugate()
+        for tk in groups.get((tb.int1, tb.int2), ()):
+            total += weight * tk.weight * overlap(tb.cm1, tk.cm1) * overlap(tb.cm2, tk.cm2)
     return total
 
 

@@ -9,7 +9,11 @@ entirely by the starred labels of the final-state monomials.
 
 Agreement of :func:`oracle_matrix_element` with
 :func:`pairabs.rates.matrix_element` over randomized configurations is the
-central anti-regression property of the library.
+central anti-regression property of the library.  ``pairabs verify`` checks
+it through :func:`formal_quantities`, which builds each formal state once and
+returns both formal norms and the bracket.  Every inner product sums its term
+pairs in bra-major order (see :func:`pairabs.algebra.inner_product`), so each
+value is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -41,8 +45,12 @@ __all__ = [
     "build_initial",
     "formal_final_norm_sq",
     "formal_initial_norm_sq",
+    "formal_quantities",
     "oracle_matrix_element",
 ]
+
+#: Recoiled psi, phi, varphi and chi.
+_PSI_S, _PHI_S, _VARPHI_S, _CHI_S = (label.star() for label in (PSI, PHI, VARPHI, CHI))
 
 
 def build_initial(coeffs: Coefficients, statistics: Statistics) -> FormalState:
@@ -64,14 +72,14 @@ def build_final(coeffs: Coefficients, statistics: Statistics) -> FormalState:
     s = float(statistics.sign)
     a, b = coeffs.a, coeffs.b
     monomials = (
-        (a, PSI.star(), E, PHI, G),
-        (a * s, PHI, G, PSI.star(), E),
-        (a, PSI, G, PHI.star(), E),
-        (a * s, PHI.star(), E, PSI, G),
-        (b, VARPHI.star(), E, CHI, G),
-        (b * s, CHI, G, VARPHI.star(), E),
-        (b, VARPHI, G, CHI.star(), E),
-        (b * s, CHI.star(), E, VARPHI, G),
+        (a, _PSI_S, E, PHI, G),
+        (a * s, PHI, G, _PSI_S, E),
+        (a, PSI, G, _PHI_S, E),
+        (a * s, _PHI_S, E, PSI, G),
+        (b, _VARPHI_S, E, CHI, G),
+        (b * s, CHI, G, _VARPHI_S, E),
+        (b, VARPHI, G, _CHI_S, E),
+        (b * s, _CHI_S, E, VARPHI, G),
     )
     return FormalState(tuple(Term(*m) for m in monomials if m[0] != 0))
 
@@ -108,6 +116,37 @@ def formal_final_norm_sq(
     return inner_product(state, state, table).real
 
 
+def _check_not_null(coeffs: Coefficients, n0_sq: float, nf_sq: float) -> None:
+    """Raise :class:`ExcludedStateError` when either squared norm is null."""
+    if n0_sq < rates.EXCLUSION_EPS * 2.0 * coeffs.weight_sq:
+        raise ExcludedStateError(
+            "initial state is null (excluded); the normalized amplitude is a 0/0 form"
+        )
+    if nf_sq < rates.EXCLUSION_EPS * 4.0 * coeffs.weight_sq:
+        raise ExcludedStateError(
+            "final superposition is null; the normalized amplitude is a 0/0 form"
+        )
+
+
+def formal_quantities(
+    coeffs: Coefficients, table: OverlapTable, statistics: Statistics
+) -> tuple[float, float, complex]:
+    """Initial norm², final norm² and unnormalized absorption bracket, all formal.
+
+    Builds the initial and the final state once each and evaluates the
+    three inner products term by term, with the same values as
+    :func:`formal_initial_norm_sq`, :func:`formal_final_norm_sq` and the
+    bracket of :func:`oracle_matrix_element`.  Raises
+    :class:`ExcludedStateError` when either norm is null.
+    """
+    initial = build_initial(coeffs, statistics)
+    final = build_final(coeffs, statistics)
+    n0_sq = inner_product(initial, initial, table).real
+    nf_sq = inner_product(final, final, table).real
+    _check_not_null(coeffs, n0_sq, nf_sq)
+    return n0_sq, nf_sq, inner_product(final, apply_absorption(initial), table)
+
+
 def oracle_matrix_element(
     coeffs: Coefficients,
     table: OverlapTable,
@@ -118,26 +157,18 @@ def oracle_matrix_element(
 
     By default the normalizations reuse the closed forms so the comparison
     with :func:`pairabs.rates.matrix_element` isolates the bracket sum; with
-    ``formal_norms=True`` both norms come from formal inner products as well,
-    cross-checking those expressions too.
+    ``formal_norms=True`` both norms come from formal inner products as well
+    (see :func:`formal_quantities`), cross-checking those expressions too.
     """
     if formal_norms:
-        n0_sq = formal_initial_norm_sq(coeffs, table, statistics)
-        nf_sq = formal_final_norm_sq(coeffs, table, statistics)
+        n0_sq, nf_sq, bracket = formal_quantities(coeffs, table, statistics)
     else:
         n0_sq = rates.initial_norm_sq(coeffs, table, statistics)
         nf_sq = rates.final_norm_sq(coeffs, table, statistics)
-    if n0_sq < rates.EXCLUSION_EPS * 2.0 * coeffs.weight_sq:
-        raise ExcludedStateError(
-            "initial state is null (excluded); the normalized amplitude is a 0/0 form"
+        _check_not_null(coeffs, n0_sq, nf_sq)
+        bracket = inner_product(
+            build_final(coeffs, statistics),
+            apply_absorption(build_initial(coeffs, statistics)),
+            table,
         )
-    if nf_sq < rates.EXCLUSION_EPS * 4.0 * coeffs.weight_sq:
-        raise ExcludedStateError(
-            "final superposition is null; the normalized amplitude is a 0/0 form"
-        )
-    bracket = inner_product(
-        build_final(coeffs, statistics),
-        apply_absorption(build_initial(coeffs, statistics)),
-        table,
-    )
     return bracket / math.sqrt(n0_sq * nf_sq)

@@ -53,6 +53,9 @@ __all__ = [
 #: Scale-free and far above double-precision noise from the bracket sums.
 EXCLUSION_EPS = 1e-10
 
+#: Recoiled psi, phi, varphi and chi.
+_STARRED = tuple(label.star() for label in (PSI, PHI, VARPHI, CHI))
+
 _NAN = float("nan")
 _NAN_COMPLEX = complex(_NAN, _NAN)
 
@@ -141,7 +144,7 @@ def final_norm_sq(
     s = statistics.sign
     a, b = coeffs.a, coeffs.b
     ov = table.overlap
-    ps, phs, vs, cs = PSI.star(), PHI.star(), VARPHI.star(), CHI.star()
+    ps, phs, vs, cs = _STARRED
     cross = a.conjugate() * b
     return (
         4.0 * (abs(a) ** 2 + abs(b) ** 2)
@@ -166,7 +169,7 @@ def bracket_sum(
     s = statistics.sign
     a, b = coeffs.a, coeffs.b
     ov = table.overlap
-    ps, phs, vs, cs = PSI.star(), PHI.star(), VARPHI.star(), CHI.star()
+    ps, phs, vs, cs = _STARRED
     aa = abs(a) ** 2
     bb = abs(b) ** 2
     ab = a.conjugate() * b

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _LABELS = (PSI, PHI, VARPHI, CHI)
+_STARRED = tuple(label.star() for label in _LABELS)
 
 #: The three independent overlaps each preset fixes or sweeps.
 BASE_PAIRS = ((PSI, PHI), (PSI, VARPHI), (VARPHI, CHI))
@@ -179,13 +180,13 @@ def build_table(
         pair: bare[pair] for pair in ALL_PAIRS
     }
     alpha0 = model.alpha0
-    for x in _LABELS:
+    for x, xs in zip(_LABELS, _STARRED):
         for y in _LABELS:
-            entries[(x.star(), y)] = alpha0 * bare[(x, y)]
-    for i, x in enumerate(_LABELS):
-        for y in _LABELS[i + 1 :]:
+            entries[(xs, y)] = alpha0 * bare[(x, y)]
+    for i, (x, xs) in enumerate(zip(_LABELS, _STARRED)):
+        for y, ys in zip(_LABELS[i + 1 :], _STARRED[i + 1 :]):
             alpha = alpha_pair(model, bare[(x, y)])
-            entries[(x.star(), y.star())] = alpha * alpha * bare[(x, y)]
+            entries[(xs, ys)] = alpha * alpha * bare[(x, y)]
     entries[(ETA.star(), ETA)] = complex(alpha0)
     entries[(MU.star(), MU)] = complex(alpha0)
     return OverlapTable(entries)
@@ -310,9 +311,8 @@ def random_realizable_table(
     """
     vecs = rng.normal(size=(4, 4))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    gram = vecs @ vecs.T
-    overlaps = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            overlaps[(_LABELS[i], _LABELS[j])] = float(np.clip(gram[i, j], -1.0, 1.0))
+    gram = np.clip(vecs @ vecs.T, -1.0, 1.0).tolist()
+    overlaps = {
+        (_LABELS[i], _LABELS[j]): gram[i][j] for i in range(4) for j in range(i + 1, 4)
+    }
     return build_table(overlaps, model)

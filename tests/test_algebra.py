@@ -1,5 +1,7 @@
 """Tests for the formal state algebra and overlap tables."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,13 @@ class TestCmLabel:
     def test_ordering_is_by_name_then_star(self):
         assert sorted([PSI.star(), PSI, CHI]) == [CHI, PSI, PSI.star()]
 
+    def test_hash_equality_and_repr(self):
+        assert CmLabel("psi") == PSI and hash(CmLabel("psi")) == hash(PSI)
+        assert PSI != PSI.star() and PSI.star().star() == PSI.star()
+        assert {PSI: 1, PSI.star(): 2}[CmLabel("psi", True)] == 2
+        assert repr(PSI.star()) == "psi*" and repr([PSI, CHI]) == "[psi, chi]"
+        assert (PSI.name, PSI.starred) == ("psi", False)
+
 
 class TestOverlapTable:
     def test_unit_diagonal_for_any_label(self):
@@ -116,6 +125,18 @@ class TestOverlapTable:
         assert table.overlap(CHI, PSI) == 0.1  # scalar entries are constant over the grid
         with pytest.raises(ValueError):
             table.overlap(PSI, PHI)[0] = 0.0
+        with pytest.raises(ValueError):
+            table.overlap(PHI, PSI)[0] = 0.0  # the stored mirror is shared by every lookup
+        assert table.overlap(PHI, PSI).tolist() == [0.2, 0.4]
+
+    def test_given_entry_wins_over_conjugated_mirror(self):
+        # 0.5+0j and its conjugate 0.5-0j are equal, but only the given
+        # orientation keeps the sign of the zero
+        table = OverlapTable({(PSI, PHI): 0.5 + 0.0j, (PHI, PSI): 0.5 + 0.0j})
+        assert math.copysign(1.0, table.overlap(PHI, PSI).imag) == 1.0
+        assert math.copysign(1.0, table.overlap(PSI, PHI).imag) == 1.0
+        mirrored = OverlapTable({(PSI, PHI): 0.5 + 0.0j})
+        assert math.copysign(1.0, mirrored.overlap(PHI, PSI).imag) == -1.0
 
     def test_contains_and_labels(self):
         table = OverlapTable({(PSI, PHI): 0.5})
@@ -133,7 +154,52 @@ class TestOverlapTable:
                     assert table.overlap(x, y) == table.overlap(y, x).conjugate()
 
 
+class CountingTable(OverlapTable):
+    """Counts lookups, as the benchmark tracer does by wrapping ``overlap``."""
+
+    calls = 0
+
+    def overlap(self, x, y):
+        self.calls += 1
+        return super().overlap(x, y)
+
+
+def double_loop_inner_product(bra, ket, table):
+    """Every term pair in bra-major order, mismatched internal labels skipped."""
+    total = 0.0 + 0.0j
+    for tb in bra.terms:
+        for tk in ket.terms:
+            if tb.int1 is not tk.int1 or tb.int2 is not tk.int2:
+                continue
+            total += (
+                tb.weight.conjugate()
+                * tk.weight
+                * table.overlap(tb.cm1, tk.cm1)
+                * table.overlap(tb.cm2, tk.cm2)
+            )
+    return total
+
+
 class TestInnerProduct:
+    def test_double_loop_reference_bitwise_and_every_lookup_through_the_table(self):
+        assert "overlap" in OverlapTable.__dict__  # the tracer patches it there
+        rng = np.random.default_rng(19)
+        labels = LABELS + (PSI.star(), CHI.star())
+        for _ in range(100):
+            table = random_table(rng, labels)
+            counting = CountingTable(
+                {(x, y): table.overlap(x, y) for x in labels for y in labels if x != y}
+            )
+            bra = random_state(rng, labels, max_terms=6)
+            ket = random_state(rng, labels, max_terms=6)
+            value = inner_product(bra, ket, counting)
+            assert value == double_loop_inner_product(bra, ket, table)
+            matching = sum(
+                tb.int1 is tk.int1 and tb.int2 is tk.int2
+                for tb in bra.terms for tk in ket.terms
+            )
+            assert counting.calls == 2 * matching
+
     def test_normalized_product_term(self):
         table = OverlapTable({(PSI, PHI): 0.0})
         state = FormalState((Term(1.0, PSI, G, PHI, G),))
@@ -240,6 +306,14 @@ class TestFormalState:
     def test_rejects_non_finite_weight(self):
         with pytest.raises(ValueError, match="non-finite"):
             FormalState((Term(float("inf"), PSI, G, PHI, G),))
+        with pytest.raises(ValueError, match="non-finite"):
+            FormalState((Term(complex("nan"), PSI, G, PHI, G),))  # already a Term
+
+    def test_terms_become_a_tuple_of_complex_weighted_terms(self):
+        state = FormalState([(1.0, PSI, G, PHI, G), Term(2, PHI, E, PSI, G)])
+        assert type(state.terms) is tuple
+        assert all(type(t) is Term and type(t.weight) is complex for t in state.terms)
+        assert state.terms == (Term(1.0, PSI, G, PHI, G), Term(2.0, PHI, E, PSI, G))
 
     def test_len(self):
         assert len(symmetrize(PSI, G, PHI, G, Statistics.BOSON)) == 2

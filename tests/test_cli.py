@@ -317,6 +317,40 @@ class TestVerify:
         assert exit_code(["verify", "--seed", "3", "--trials", "5"]) == 2
         assert "FAIL" in capsys.readouterr().out
 
+    def test_nan_deviation_fails(self, monkeypatch, capsys):
+        # max(0.0, nan) keeps 0.0 and nan > worst is false: a NaN must still count
+        monkeypatch.setattr(rates, "matrix_element", lambda *a, **k: complex("nan"))
+        assert exit_code(["verify", "--seed", "3", "--trials", "5"]) == 2
+        out = capsys.readouterr().out
+        assert "max |matrix element closed - formal| = nan\n" in out
+        assert "FAIL: deviation nan in matrix element (boson) at trial 0;" in out
+        assert "PASS" not in out
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-10"])
+    def test_tolerance_flag_must_be_positive_and_finite(self, tolerance, capsys):
+        assert exit_code(["verify", "--trials", "1", f"--tolerance={tolerance}"]) == 1
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-10"])
+    def test_tolerance_from_config_must_be_positive_and_finite(self, tolerance, tmp_path, capsys):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text(f"tolerance = {tolerance}\n")
+        assert exit_code(["verify", "--trials", "1", "--config", str(cfg)]) == 1
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+
+    def test_report_bytes_are_pinned(self, tmp_path):
+        # Every value is computed with fixed operations in a fixed order, so
+        # any change to the arithmetic of the closed forms or the oracle shows.
+        out = tmp_path / "verify.txt"
+        assert exit_code(["verify", "--seed", "7", "--trials", "150", "--out", str(out)]) == 0
+        assert out.read_bytes() == (  # sha256 c32e5a89...b92c1cd
+            b"verify: seed=7 trials=150 tolerance=1e-10\n"
+            b"max |matrix element closed - formal| = 1.5543130264169664e-15\n"
+            b"max |initial norm^2 closed - formal| = 1.7763568394002505e-15\n"
+            b"max |final norm^2 closed - formal| = 5.329070518200751e-15\n"
+            b"PASS\n"
+        )
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, tmp_path):

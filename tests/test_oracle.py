@@ -25,6 +25,7 @@ from pairabs.oracle import (
     build_initial,
     formal_final_norm_sq,
     formal_initial_norm_sq,
+    formal_quantities,
     oracle_matrix_element,
 )
 from pairabs.rates import ExcludedStateError
@@ -155,6 +156,26 @@ class TestOracleMatrixElement:
         table = choice_table("i", 1.0)
         with pytest.raises(ExcludedStateError):
             oracle_matrix_element(A_ONLY, table, FERMION)
+        with pytest.raises(ExcludedStateError, match="initial state is null"):
+            formal_quantities(A_ONLY, table, FERMION)
+
+    def test_formal_quantities_equal_the_separate_expansions(self):
+        rng = np.random.default_rng(113)
+        for _ in range(50):
+            coeffs = random_coefficients(rng)
+            table = random_realizable_table(rng)
+            for statistics in (BOSON, FERMION):
+                n0_sq, nf_sq, bracket = formal_quantities(coeffs, table, statistics)
+                assert n0_sq == formal_initial_norm_sq(coeffs, table, statistics)
+                assert nf_sq == formal_final_norm_sq(coeffs, table, statistics)
+                assert bracket == inner_product(
+                    build_final(coeffs, statistics),
+                    apply_absorption(build_initial(coeffs, statistics)),
+                    table,
+                )
+                assert bracket / math.sqrt(n0_sq * nf_sq) == oracle_matrix_element(
+                    coeffs, table, statistics, formal_norms=True
+                )
 
     def test_equivalence_over_random_configurations(self):
         rng = np.random.default_rng(101)
