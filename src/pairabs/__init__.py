@@ -13,127 +13,21 @@ The package has four layers:
 * :mod:`pairabs.oracle`: an independent brute-force expansion of the same
   amplitude used to cross-check the closed forms.
 
-The ``pairabs`` command line (see :mod:`pairabs.cli`) exposes sweeps, figure
+The package exports exactly the names in the four layers' ``__all__``.  The
+``pairabs`` command line (see :mod:`pairabs.cli`) exposes sweeps, figure
 datasets, exclusion scans, and the randomized self-verification.
 """
 
-from .algebra import (
-    CHI,
-    E,
-    ETA,
-    G,
-    GramReport,
-    CmLabel,
-    FormalState,
-    Internal,
-    MU,
-    MissingOverlapError,
-    OverlapTable,
-    PHI,
-    PSI,
-    Statistics,
-    Term,
-    VARPHI,
-    ZETA,
-    combine,
-    inner_product,
-    symmetrize,
-    validate_gram,
-)
-from .oracle import (
-    apply_absorption,
-    build_final,
-    build_initial,
-    formal_final_norm_sq,
-    formal_initial_norm_sq,
-    formal_quantities,
-    oracle_matrix_element,
-)
-from .rates import (
-    EXCLUSION_EPS,
-    ExcludedStateError,
-    RateResult,
-    bracket_sum,
-    exclusion_check,
-    exclusion_mask,
-    final_norm_sq,
-    initial_norm_sq,
-    matrix_element,
-    matrix_element_product,
-    relative_rate,
-    relative_rate_grid,
-)
-from .scenarios import (
-    ALL_PAIRS,
-    BASE_PAIRS,
-    CHOICES,
-    Coefficients,
-    ExclusionFamily,
-    RecoilModel,
-    ScenarioSpec,
-    alpha_pair,
-    build_choice_table,
-    build_family_table,
-    build_table,
-    family_exclusion_coefficient,
-    random_realizable_table,
-)
+from . import algebra, oracle, rates, scenarios
+from .algebra import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .rates import *  # noqa: F403
+from .scenarios import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_PAIRS",
-    "BASE_PAIRS",
-    "CHI",
-    "CHOICES",
-    "E",
-    "ETA",
-    "EXCLUSION_EPS",
-    "Coefficients",
-    "CmLabel",
-    "ExcludedStateError",
-    "ExclusionFamily",
-    "FormalState",
-    "G",
-    "GramReport",
-    "Internal",
-    "MU",
-    "MissingOverlapError",
-    "OverlapTable",
-    "PHI",
-    "PSI",
-    "RateResult",
-    "RecoilModel",
-    "ScenarioSpec",
-    "Statistics",
-    "Term",
-    "VARPHI",
-    "ZETA",
-    "alpha_pair",
-    "apply_absorption",
-    "bracket_sum",
-    "build_choice_table",
-    "build_family_table",
-    "build_final",
-    "build_initial",
-    "build_table",
-    "combine",
-    "exclusion_check",
-    "exclusion_mask",
-    "family_exclusion_coefficient",
-    "final_norm_sq",
-    "formal_final_norm_sq",
-    "formal_initial_norm_sq",
-    "formal_quantities",
-    "initial_norm_sq",
-    "inner_product",
-    "matrix_element",
-    "matrix_element_product",
-    "oracle_matrix_element",
-    "random_realizable_table",
-    "relative_rate",
-    "relative_rate_grid",
-    "symmetrize",
-    "validate_gram",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += algebra.__all__
+__all__ += scenarios.__all__
+__all__ += rates.__all__
+__all__ += oracle.__all__

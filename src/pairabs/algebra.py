@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "CHI",
-    "ETA",
     "E",
     "G",
     "GRAM_EIGENVALUE_FLOOR",
@@ -34,7 +33,6 @@ __all__ = [
     "CmLabel",
     "FormalState",
     "Internal",
-    "MU",
     "MissingOverlapError",
     "OverlapTable",
     "PHI",
@@ -42,7 +40,6 @@ __all__ = [
     "Statistics",
     "Term",
     "VARPHI",
-    "ZETA",
     "combine",
     "inner_product",
     "symmetrize",
@@ -88,11 +85,6 @@ PSI = CmLabel("psi")
 PHI = CmLabel("phi")
 VARPHI = CmLabel("varphi")
 CHI = CmLabel("chi")
-#: Orthogonal complement of psi in the exclusion-family construction.
-ZETA = CmLabel("zeta")
-#: Reference labels for the product-state rate normalization.
-ETA = CmLabel("eta")
-MU = CmLabel("mu")
 
 
 class Internal(Enum):

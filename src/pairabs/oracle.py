@@ -7,13 +7,14 @@ state per output term (an already-excited atom is annihilated, keeping the
 calculation at first order) and never touches CM labels: recoil is carried
 entirely by the starred labels of the final-state monomials.
 
-Agreement of :func:`oracle_matrix_element` with
+There are two entry points.  :func:`formal_quantities` builds each formal
+state once and returns both formal norms and the bracket; ``pairabs verify``
+compares each of them with its closed form.  :func:`oracle_matrix_element`
+divides that bracket by the formal norms.  Agreement of the latter with
 :func:`pairabs.rates.matrix_element` over randomized configurations is the
-central anti-regression property of the library.  ``pairabs verify`` checks
-it through :func:`formal_quantities`, which builds each formal state once and
-returns both formal norms and the bracket.  Every inner product sums its term
-pairs in bra-major order (see :func:`pairabs.algebra.inner_product`), so each
-value is reproducible bit for bit.
+central anti-regression property of the library.  Every inner product sums
+its term pairs in bra-major order (see :func:`pairabs.algebra.inner_product`),
+so each value is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -36,15 +37,12 @@ from .algebra import (
     inner_product,
     symmetrize,
 )
-from .rates import ExcludedStateError
 from .scenarios import Coefficients
 
 __all__ = [
     "apply_absorption",
     "build_final",
     "build_initial",
-    "formal_final_norm_sq",
-    "formal_initial_norm_sq",
     "formal_quantities",
     "oracle_matrix_element",
 ]
@@ -100,75 +98,27 @@ def apply_absorption(state: FormalState) -> FormalState:
     return FormalState(tuple(out))
 
 
-def formal_initial_norm_sq(
-    coeffs: Coefficients, table: OverlapTable, statistics: Statistics
-) -> float:
-    """Initial squared norm from the raw expansion; cross-checks the closed form."""
-    state = build_initial(coeffs, statistics)
-    return inner_product(state, state, table).real
-
-
-def formal_final_norm_sq(
-    coeffs: Coefficients, table: OverlapTable, statistics: Statistics
-) -> float:
-    """Final squared norm from the raw expansion; cross-checks the closed form."""
-    state = build_final(coeffs, statistics)
-    return inner_product(state, state, table).real
-
-
-def _check_not_null(coeffs: Coefficients, n0_sq: float, nf_sq: float) -> None:
-    """Raise :class:`ExcludedStateError` when either squared norm is null."""
-    if n0_sq < rates.EXCLUSION_EPS * 2.0 * coeffs.weight_sq:
-        raise ExcludedStateError(
-            "initial state is null (excluded); the normalized amplitude is a 0/0 form"
-        )
-    if nf_sq < rates.EXCLUSION_EPS * 4.0 * coeffs.weight_sq:
-        raise ExcludedStateError(
-            "final superposition is null; the normalized amplitude is a 0/0 form"
-        )
-
-
 def formal_quantities(
     coeffs: Coefficients, table: OverlapTable, statistics: Statistics
 ) -> tuple[float, float, complex]:
     """Initial norm², final norm² and unnormalized absorption bracket, all formal.
 
     Builds the initial and the final state once each and evaluates the
-    three inner products term by term, with the same values as
-    :func:`formal_initial_norm_sq`, :func:`formal_final_norm_sq` and the
-    bracket of :func:`oracle_matrix_element`.  Raises
-    :class:`ExcludedStateError` when either norm is null.
+    three inner products term by term.  Raises
+    :class:`~pairabs.rates.ExcludedStateError` when either norm is null, by
+    the same criterion as the closed forms (:func:`pairabs.rates.require_not_null`).
     """
     initial = build_initial(coeffs, statistics)
     final = build_final(coeffs, statistics)
     n0_sq = inner_product(initial, initial, table).real
     nf_sq = inner_product(final, final, table).real
-    _check_not_null(coeffs, n0_sq, nf_sq)
+    rates.require_not_null(coeffs, n0_sq, nf_sq)
     return n0_sq, nf_sq, inner_product(final, apply_absorption(initial), table)
 
 
 def oracle_matrix_element(
-    coeffs: Coefficients,
-    table: OverlapTable,
-    statistics: Statistics,
-    formal_norms: bool = False,
+    coeffs: Coefficients, table: OverlapTable, statistics: Statistics
 ) -> complex:
-    """Absorption amplitude from the raw expansion.
-
-    By default the normalizations reuse the closed forms so the comparison
-    with :func:`pairabs.rates.matrix_element` isolates the bracket sum; with
-    ``formal_norms=True`` both norms come from formal inner products as well
-    (see :func:`formal_quantities`), cross-checking those expressions too.
-    """
-    if formal_norms:
-        n0_sq, nf_sq, bracket = formal_quantities(coeffs, table, statistics)
-    else:
-        n0_sq = rates.initial_norm_sq(coeffs, table, statistics)
-        nf_sq = rates.final_norm_sq(coeffs, table, statistics)
-        _check_not_null(coeffs, n0_sq, nf_sq)
-        bracket = inner_product(
-            build_final(coeffs, statistics),
-            apply_absorption(build_initial(coeffs, statistics)),
-            table,
-        )
+    """Absorption amplitude from the raw expansion: the formal bracket over the formal norms."""
+    n0_sq, nf_sq, bracket = formal_quantities(coeffs, table, statistics)
     return bracket / math.sqrt(n0_sq * nf_sq)

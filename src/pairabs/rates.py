@@ -6,9 +6,15 @@ outcomes interfere coherently in a final superposition with weights ``a`` and
 ``b``.  Everything here is expressed through overlap-table lookups, with the
 dipole constant set to 1 (it cancels in the relative rate).
 
+The relative rate compares the amplitude with :func:`matrix_element_product`,
+the same atoms in the product state ``|psi>|phi>``.
+
 Null initial states (Pauli pairs, and the entanglement-induced family) make
-the normalized amplitude a 0/0 form.  They are detected with a scale-free
-threshold and surface either as :class:`ExcludedStateError` or as a flagged
+the normalized amplitude a 0/0 form.  One scale-free criterion detects them:
+a squared norm below its floor from ``_null_floors``.
+:func:`require_not_null` raises :class:`ExcludedStateError` on it,
+:func:`exclusion_mask` gives the verdict for one point or a grid, and
+:func:`relative_rate` and :func:`relative_rate_grid` flag it in a
 :class:`RateResult` with NaN in the undefined fields, never as round-off
 garbage.
 
@@ -30,16 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CHI, ETA, MU, PHI, PSI, VARPHI, CmLabel, OverlapTable, Statistics
+from .algebra import CHI, PHI, PSI, VARPHI, OverlapTable, Statistics
 from .scenarios import Coefficients
 
 __all__ = [
     "EXCLUSION_EPS",
     "ExcludedStateError",
     "RateResult",
-    "Statistics",
     "bracket_sum",
-    "exclusion_check",
     "exclusion_mask",
     "final_norm_sq",
     "initial_norm_sq",
@@ -47,6 +51,7 @@ __all__ = [
     "matrix_element_product",
     "relative_rate",
     "relative_rate_grid",
+    "require_not_null",
 ]
 
 #: Null-state floor, relative to the natural norm scale 2(|a|^2 + |b|^2).
@@ -207,11 +212,21 @@ def exclusion_mask(
     return initial_norm_sq(coeffs, table, statistics) < n0_floor
 
 
-def exclusion_check(
-    coeffs: Coefficients, table: OverlapTable, statistics: Statistics
-) -> bool:
-    """True when the initial state is null up to round-off (one point)."""
-    return bool(exclusion_mask(coeffs, table, statistics))
+def require_not_null(coeffs: Coefficients, n0_sq: float, nf_sq: float) -> None:
+    """Raise :class:`ExcludedStateError` when either squared norm is below its floor.
+
+    The one null criterion for every raising entry point: the closed-form
+    :func:`matrix_element`, the oracle and ``pairabs verify``.
+    """
+    n0_floor, nf_floor = _null_floors(coeffs)
+    if n0_sq < n0_floor:
+        raise ExcludedStateError(
+            "initial state is null (excluded); the normalized amplitude is a 0/0 form"
+        )
+    if nf_sq < nf_floor:
+        raise ExcludedStateError(
+            "final superposition is null; the normalized amplitude is a 0/0 form"
+        )
 
 
 def matrix_element(
@@ -222,35 +237,28 @@ def matrix_element(
     Raises :class:`ExcludedStateError` when the initial (or, pathologically,
     the final) superposition is null and no normalized amplitude exists.
     """
-    n0_floor, nf_floor = _null_floors(coeffs)
     n0_sq = initial_norm_sq(coeffs, table, statistics)
-    if n0_sq < n0_floor:
-        raise ExcludedStateError(
-            "initial state is null (excluded); the normalized amplitude is a 0/0 form"
-        )
     nf_sq = final_norm_sq(coeffs, table, statistics)
-    if nf_sq < nf_floor:
-        raise ExcludedStateError(
-            "final superposition is null; the normalized amplitude is a 0/0 form"
-        )
+    require_not_null(coeffs, n0_sq, nf_sq)
     return 2.0 * bracket_sum(coeffs, table, statistics) / math.sqrt(n0_sq * nf_sq)
 
 
-def matrix_element_product(eta: CmLabel, mu: CmLabel, table: OverlapTable) -> complex:
-    """Absorption amplitude for the same atoms in a bare product state.
+def matrix_element_product(table: OverlapTable) -> complex:
+    """Absorption amplitude for the same atoms in the product state ``|psi>|phi>``.
 
-    ``(<eta*|eta> + <mu*|mu>) / sqrt(2)``; under the recoil model both
+    ``(<psi*|psi> + <phi*|phi>) / sqrt(2)``; under the recoil model both
     one-recoil diagonals equal ``alpha0``, so the value is
     ``sqrt(2) alpha0``.
     """
-    return (table.overlap(eta.star(), eta) + table.overlap(mu.star(), mu)) / math.sqrt(2.0)
+    ps, phs, _, _ = _STARRED
+    return (table.overlap(ps, PSI) + table.overlap(phs, PHI)) / math.sqrt(2.0)
 
 
 def relative_rate(
     coeffs: Coefficients, table: OverlapTable, statistics: Statistics
 ) -> RateResult:
     """Evaluate one configuration; exclusion is encoded in the result, not raised."""
-    m_pro = matrix_element_product(ETA, MU, table)
+    m_pro = matrix_element_product(table)
     n0_sq = initial_norm_sq(coeffs, table, statistics)
     nf_sq = final_norm_sq(coeffs, table, statistics)
     n0_floor, nf_floor = _null_floors(coeffs)
@@ -281,7 +289,7 @@ def relative_rate_grid(
     (constant over the grid) is an array, ``excluded`` a bool array, and on
     real overlaps each point equals the single-point result bit for bit.
     """
-    m_pro = matrix_element_product(ETA, MU, table)
+    m_pro = matrix_element_product(table)
     n0_sq = initial_norm_sq(coeffs, table, statistics)
     nf_sq = final_norm_sq(coeffs, table, statistics)
     n0_floor, nf_floor = _null_floors(coeffs)

@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import CHI, ETA, MU, PHI, PSI, VARPHI, CmLabel, OverlapTable
+from .algebra import CHI, PHI, PSI, VARPHI, CmLabel, OverlapTable
 
 __all__ = [
     "ALL_PAIRS",
@@ -100,9 +100,21 @@ def alpha_pair(model: RecoilModel, base_overlap: complex | np.ndarray) -> float 
     return re + model.alpha0 * (1.0 - re)
 
 
+#: Accepted range of ``sqrt(|a|^2 + |b|^2)``.  Wherever the initial state is
+#: not excluded, ``n0^2 nf^2`` lies within a factor [1e-20, 1e3] of
+#: ``(|a|^2 + |b|^2)^2``: the null floors bound it below, and ``|n0^2| <= 8``
+#: and ``|nf^2| <= 16`` times ``|a|^2 + |b|^2`` above.  Inside this range it
+#: is a normal double, so the rate does not depend on the scale of the weights.
+_WEIGHT_NORM_RANGE = ((sys.float_info.min / 1e-20) ** 0.25, (sys.float_info.max / 1e3) ** 0.25)
+
+
 @dataclass(frozen=True)
 class Coefficients:
-    """Weights of the two product components of the initial superposition."""
+    """Weights of the two product components of the initial superposition.
+
+    ``sqrt(|a|^2 + |b|^2)`` must lie in ``_WEIGHT_NORM_RANGE``, about
+    ``[1.22e-72, 2.06e76]``.
+    """
 
     a: complex
     b: complex = 0.0
@@ -113,6 +125,13 @@ class Coefficients:
             raise ValueError("superposition coefficients must be finite")
         if a == 0 and b == 0:
             raise ValueError("superposition coefficients must not both vanish")
+        norm = math.hypot(a.real, a.imag, b.real, b.imag)  # scaled: overflows only to inf
+        low, high = _WEIGHT_NORM_RANGE
+        if not low <= norm <= high:
+            raise ValueError(
+                f"superposition coefficients with sqrt(|a|^2 + |b|^2) = {norm:g} lie outside "
+                f"[{low:.3g}, {high:.3g}]: the squared norms would leave the double range"
+            )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -158,8 +177,9 @@ def build_table(
 ) -> OverlapTable:
     """Complete table from the six bare pairwise overlaps among the canonical labels.
 
-    Adds every one- and two-recoil entry plus the product-reference entries
-    ``<eta*|eta> = <mu*|mu> = alpha0`` used by the rate normalization.
+    Adds every one- and two-recoil entry.  The table holds only psi, phi,
+    varphi, chi and their starred forms; the product-state reference of the
+    rate needs nothing more, since ``<psi*|psi> = <phi*|phi> = alpha0``.
     Either orientation of each bare pair is accepted.  Array overlaps give a
     grid table.
     """
@@ -187,8 +207,6 @@ def build_table(
         for y, ys in zip(_LABELS[i + 1 :], _STARRED[i + 1 :]):
             alpha = alpha_pair(model, bare[(x, y)])
             entries[(xs, ys)] = alpha * alpha * bare[(x, y)]
-    entries[(ETA.star(), ETA)] = complex(alpha0)
-    entries[(MU.star(), MU)] = complex(alpha0)
     return OverlapTable(entries)
 
 

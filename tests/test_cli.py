@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -226,14 +227,14 @@ def reference_sweep_rows(name, table_for, cases, stats, grid, alpha0):
 
 
 def reference_scan_rows(a_grid, c_grid):
-    """The per-point loop: one family table, exclusion_check and coefficient per (a, c)."""
+    """The per-point loop: one family table, exclusion_mask and coefficient per (a, c)."""
     fmt = cli._fmt
     rows, disagreements = [], 0
     for a in a_grid:
         coeffs = Coefficients(a, math.sqrt(max(0.0, 1.0 - a * a)))
         for c in c_grid:
             fam = ExclusionFamily.equal_weight(c)
-            by_norm = rates.exclusion_check(coeffs, build_family_table(fam), Statistics.FERMION)
+            by_norm = rates.exclusion_mask(coeffs, build_family_table(fam), Statistics.FERMION)
             magnitude = abs(family_exclusion_coefficient(coeffs, fam))
             by_formula = magnitude < rates.EXCLUSION_EPS
             disagreements += by_norm != by_formula
@@ -283,6 +284,25 @@ class TestTinyAlpha0:
         assert "alpha0" in capsys.readouterr().err
 
 
+class TestWeightRange:
+    @pytest.mark.parametrize("weights", [
+        ["--a-re", "1e200"],
+        ["--a-re", "1e80", "--b-re", "1e80"],
+        ["--a-re", "1e-80", "--b-re", "1e-80"],
+        ["--a-re", "1e-100", "--b-re", "1e-100"],
+        ["--a-re", "0", "--b-im", "1e-200"],
+    ])
+    @pytest.mark.parametrize("command", [
+        ["rate", "--choice", "ii", "--c", "0.3"],
+        ["sweep", "--family", "--steps", "3"],
+    ])
+    def test_out_of_range_weights_exit_1(self, command, weights, capsys):
+        assert exit_code(command + weights + ["--statistics", "fermion"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sqrt(|a|^2 + |b|^2)" in captured.err
+
+
 class TestQuietStderr:
     @pytest.mark.parametrize("argv", [
         ["figures", "fig4"],  # its balanced column is excluded at every c
@@ -310,16 +330,16 @@ class TestVerify:
         assert first.read_bytes() == second.read_bytes()
 
     def test_corrupted_amplitude_is_caught(self, monkeypatch, capsys):
-        true_matrix_element = rates.matrix_element
+        true_bracket_sum = rates.bracket_sum
         monkeypatch.setattr(
-            rates, "matrix_element", lambda *a, **k: -true_matrix_element(*a, **k)
+            rates, "bracket_sum", lambda *a, **k: -true_bracket_sum(*a, **k)
         )
         assert exit_code(["verify", "--seed", "3", "--trials", "5"]) == 2
         assert "FAIL" in capsys.readouterr().out
 
     def test_nan_deviation_fails(self, monkeypatch, capsys):
         # max(0.0, nan) keeps 0.0 and nan > worst is false: a NaN must still count
-        monkeypatch.setattr(rates, "matrix_element", lambda *a, **k: complex("nan"))
+        monkeypatch.setattr(rates, "bracket_sum", lambda *a, **k: complex("nan"))
         assert exit_code(["verify", "--seed", "3", "--trials", "5"]) == 2
         out = capsys.readouterr().out
         assert "max |matrix element closed - formal| = nan\n" in out
@@ -337,6 +357,26 @@ class TestVerify:
         cfg.write_text(f"tolerance = {tolerance}\n")
         assert exit_code(["verify", "--trials", "1", "--config", str(cfg)]) == 1
         assert "tolerance must be positive and finite" in capsys.readouterr().err
+
+    def test_each_closed_form_runs_once_per_trial_and_statistics(self, monkeypatch):
+        calls = Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("initial_norm_sq", "final_norm_sq", "bracket_sum"):
+            count(rates, name)
+        count(cli, "random_realizable_table")  # one per draw, redraws included
+        assert exit_code(["verify", "--seed", "3", "--trials", "5", "--out", "-"]) == 0
+        assert calls["final_norm_sq"] == calls["bracket_sum"] == 10
+        assert calls["random_realizable_table"] >= 5
+        assert calls["initial_norm_sq"] == 2 * calls["random_realizable_table"]
 
     def test_report_bytes_are_pinned(self, tmp_path):
         # Every value is computed with fixed operations in a fixed order, so

@@ -23,8 +23,6 @@ from pairabs.oracle import (
     apply_absorption,
     build_final,
     build_initial,
-    formal_final_norm_sq,
-    formal_initial_norm_sq,
     formal_quantities,
     oracle_matrix_element,
 )
@@ -166,15 +164,13 @@ class TestOracleMatrixElement:
             table = random_realizable_table(rng)
             for statistics in (BOSON, FERMION):
                 n0_sq, nf_sq, bracket = formal_quantities(coeffs, table, statistics)
-                assert n0_sq == formal_initial_norm_sq(coeffs, table, statistics)
-                assert nf_sq == formal_final_norm_sq(coeffs, table, statistics)
-                assert bracket == inner_product(
-                    build_final(coeffs, statistics),
-                    apply_absorption(build_initial(coeffs, statistics)),
-                    table,
-                )
+                initial = build_initial(coeffs, statistics)
+                final = build_final(coeffs, statistics)
+                assert n0_sq == inner_product(initial, initial, table).real
+                assert nf_sq == inner_product(final, final, table).real
+                assert bracket == inner_product(final, apply_absorption(initial), table)
                 assert bracket / math.sqrt(n0_sq * nf_sq) == oracle_matrix_element(
-                    coeffs, table, statistics, formal_norms=True
+                    coeffs, table, statistics
                 )
 
     def test_equivalence_over_random_configurations(self):
@@ -227,10 +223,11 @@ class TestOracleMatrixElement:
             coeffs = random_coefficients(rng)
             table = random_realizable_table(rng)
             for statistics in (BOSON, FERMION):
-                assert formal_initial_norm_sq(coeffs, table, statistics) == pytest.approx(
+                n0_sq, nf_sq, _ = formal_quantities(coeffs, table, statistics)
+                assert n0_sq == pytest.approx(
                     rates.initial_norm_sq(coeffs, table, statistics), abs=1e-10
                 )
-                assert formal_final_norm_sq(coeffs, table, statistics) == pytest.approx(
+                assert nf_sq == pytest.approx(
                     rates.final_norm_sq(coeffs, table, statistics), abs=1e-10
                 )
 
@@ -238,9 +235,9 @@ class TestOracleMatrixElement:
         table = choice_table("iv", 0.6)
         coeffs = Coefficients(0.8, 0.6)
         for statistics in (BOSON, FERMION):
-            assert oracle_matrix_element(
-                coeffs, table, statistics, formal_norms=True
-            ) == pytest.approx(rates.matrix_element(coeffs, table, statistics), abs=1e-10)
+            assert oracle_matrix_element(coeffs, table, statistics) == pytest.approx(
+                rates.matrix_element(coeffs, table, statistics), abs=1e-10
+            )
 
     def test_exchange_slot_swap_leaves_amplitude_unchanged(self):
         def swap(state):

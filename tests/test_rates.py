@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from pairabs.algebra import CHI, ETA, MU, PHI, PSI, VARPHI, Statistics
+from pairabs.algebra import CHI, PHI, PSI, VARPHI, Statistics
 from pairabs.rates import (
     ExcludedStateError,
     _complex_over_real,
-    exclusion_check,
     exclusion_mask,
     final_norm_sq,
     initial_norm_sq,
@@ -17,6 +16,7 @@ from pairabs.rates import (
     matrix_element_product,
     relative_rate,
     relative_rate_grid,
+    require_not_null,
 )
 from pairabs.scenarios import (
     ALL_PAIRS,
@@ -125,6 +125,21 @@ class TestMatrixElement:
             )
 
 
+class TestRequireNotNull:
+    def test_floors_scale_with_the_weights(self):
+        for coeffs, scale in ((A_ONLY, 1.0), (Coefficients(0.0, 4.0j), 16.0)):
+            n0_floor, nf_floor = 2e-10 * scale, 4e-10 * scale
+            require_not_null(coeffs, n0_floor, nf_floor)
+            with pytest.raises(ExcludedStateError, match="initial state is null"):
+                require_not_null(coeffs, math.nextafter(n0_floor, 0.0), nf_floor)
+            with pytest.raises(ExcludedStateError, match="final superposition is null"):
+                require_not_null(coeffs, n0_floor, math.nextafter(nf_floor, 0.0))
+
+    def test_initial_verdict_comes_first(self):
+        with pytest.raises(ExcludedStateError, match="initial state is null"):
+            require_not_null(A_ONLY, 0.0, 0.0)
+
+
 class TestMatrixElementProduct:
     @pytest.mark.parametrize(
         "alpha0, expected",
@@ -132,13 +147,13 @@ class TestMatrixElementProduct:
     )
     def test_reference_amplitude(self, alpha0, expected):
         table = orthogonal_table(RecoilModel(alpha0))
-        assert matrix_element_product(ETA, MU, table) == pytest.approx(expected, abs=1e-12)
+        assert matrix_element_product(table) == pytest.approx(expected, abs=1e-12)
 
     def test_missing_reference_entries_raise(self):
         from pairabs.algebra import MissingOverlapError, OverlapTable
 
         with pytest.raises(MissingOverlapError):
-            matrix_element_product(ETA, MU, OverlapTable({}))
+            matrix_element_product(OverlapTable({}))
 
 
 class TestRelativeRate:
@@ -217,14 +232,14 @@ class TestRelativeRate:
 class TestExclusionCheck:
     def test_pauli_pair(self):
         table = choice_table("i", 1.0)
-        assert exclusion_check(A_ONLY, table, FERMION)
-        assert not exclusion_check(A_ONLY, table, BOSON)
+        assert exclusion_mask(A_ONLY, table, FERMION)
+        assert not exclusion_mask(A_ONLY, table, BOSON)
 
     def test_family_equal_weights(self):
         fam = ExclusionFamily.equal_weight(0.5)
         table = build_family_table(fam)
         coeffs = Coefficients(1.0 / ROOT2, 1.0 / ROOT2)
-        assert exclusion_check(coeffs, table, FERMION)
+        assert exclusion_mask(coeffs, table, FERMION)
 
     def test_biconditional_against_formula_on_grid(self):
         for a in np.linspace(0.0, 1.0, 11):
@@ -233,7 +248,7 @@ class TestExclusionCheck:
             for c in np.linspace(0.0, 1.0, 11):
                 fam = ExclusionFamily.equal_weight(float(c))
                 table = build_family_table(fam)
-                by_norm = exclusion_check(coeffs, table, FERMION)
+                by_norm = exclusion_mask(coeffs, table, FERMION)
                 by_formula = abs(family_exclusion_coefficient(coeffs, fam)) < 1e-10
                 assert by_norm == by_formula, (a, c)
 
@@ -280,7 +295,7 @@ class TestRelativeRateGrid:
                 assert grid.excluded.tolist() == [p.excluded for p in points]
                 assert all(p.m_pro == grid.m_pro for p in points)
                 mask = exclusion_mask(coeffs, grid_table, statistics)
-                assert mask.tolist() == [exclusion_check(coeffs, t, statistics) for t in tables]
+                assert mask.tolist() == [exclusion_mask(coeffs, t, statistics) for t in tables]
 
     @pytest.mark.parametrize("z", [
         complex(re, im) for re in (-0.0, 0.0, -1.5, 2.0) for im in (-0.0, 0.0, -3.0, 0.7)
@@ -289,6 +304,26 @@ class TestRelativeRateGrid:
         divisors = [1.0, 3.0, 0.1, 7e-3]
         got = _complex_over_real(np.full(len(divisors), z), np.array(divisors))
         assert_same_doubles(got, [z / d for d in divisors])
+
+    @pytest.mark.parametrize("exponent", [-237, -100, 100, 252])
+    def test_rate_does_not_depend_on_the_scale_of_the_weights(self, exponent):
+        # 2**-237 and 2**252 lie near both ends of the accepted weight range
+        # (see Coefficients); a power of two scales every quantity exactly
+        scale = 2.0**exponent
+        point_table = choice_table("ii", 0.3)
+        for coeffs in GRID_WEIGHTS:
+            scaled = Coefficients(scale * coeffs.a, scale * coeffs.b)
+            for statistics in (BOSON, FERMION):
+                for name in ("ii", "family"):
+                    table = scenario_table(name, GRID_101)
+                    unit = relative_rate_grid(coeffs, table, statistics)
+                    res = relative_rate_grid(scaled, table, statistics)
+                    assert res.excluded.tolist() == unit.excluded.tolist()
+                    assert_same_doubles(res.r, unit.r)
+                    assert_same_doubles(res.m, unit.m)
+                point = relative_rate(scaled, point_table, statistics)
+                unit_point = relative_rate(coeffs, point_table, statistics)
+                assert (point.r, point.m) == (unit_point.r, unit_point.m)
 
     def test_excluded_points_are_masked_without_warnings(self):
         coeffs = Coefficients(1.0 / ROOT2, 1.0 / ROOT2)  # the family's null direction

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from pairabs.algebra import CHI, ETA, MU, PHI, PSI, VARPHI, validate_gram
+from pairabs.algebra import CHI, PHI, PSI, VARPHI, validate_gram
 from pairabs.scenarios import (
     ALL_PAIRS,
     CHOICES,
@@ -67,6 +67,21 @@ class TestCoefficients:
     def test_weight_sq(self):
         assert Coefficients(0.6, 0.8j).weight_sq == pytest.approx(1.0, abs=1e-15)
 
+    # sqrt(|a|^2 + |b|^2) must lie in [1.22e-72, 2.06e76]
+    @pytest.mark.parametrize("a, b", [
+        (1.3e-72, 0.0), (1e-72, 1e-72j), (1e-60, 0.0), (1.4e76, 1.4e76), (0.0, -2e76j),
+    ])
+    def test_accepts_weights_inside_the_range(self, a, b):
+        Coefficients(a, b).weight_sq  # no overflow either
+
+    @pytest.mark.parametrize("a, b", [
+        (1e-72, 0.0), (8e-73, 8e-73), (1e-100, 1e-100), (1e-200, 0.0), (5e-324, 0.0),
+        (1.5e76, 1.5e76), (0.0, 3e76j), (1e80, 0.0), (1e200, 0.0), (1e308, 1e308j),
+    ])
+    def test_rejects_weights_outside_the_range(self, a, b):
+        with pytest.raises(ValueError, match=r"sqrt\(\|a\|\^2 \+ \|b\|\^2\) = .* lie outside"):
+            Coefficients(a, b)
+
 
 class TestChoiceTables:
     def test_choice_i_at_zero_sweep(self):
@@ -103,9 +118,12 @@ class TestChoiceTables:
         assert table.overlap(PSI.star(), PSI.star()) == 1.0
 
     def test_product_reference_entries(self):
+        # the product reference |psi>|phi> needs no labels of its own
         table = build_choice_table(ScenarioSpec.for_choice("iv"), 0.2, RecoilModel(0.7))
-        assert table.overlap(ETA.star(), ETA) == 0.7
-        assert table.overlap(MU.star(), MU) == 0.7
+        assert table.overlap(PSI.star(), PSI) == 0.7
+        assert table.overlap(PHI.star(), PHI) == 0.7
+        bare = (PSI, PHI, VARPHI, CHI)
+        assert sorted(table.labels) == sorted(bare + tuple(x.star() for x in bare))
 
     @pytest.mark.parametrize("name", CHOICES)
     def test_chain_relations_hold(self, name):
