@@ -42,6 +42,7 @@ __all__ = [
     "VARPHI",
     "combine",
     "inner_product",
+    "matching_term_pairs",
     "symmetrize",
     "validate_gram",
 ]
@@ -253,25 +254,37 @@ def combine(weighted: Iterable[tuple[complex, FormalState]]) -> FormalState:
     return FormalState(tuple(terms))
 
 
-def inner_product(bra: FormalState, ket: FormalState, table: OverlapTable) -> complex:
-    """``<bra|ket>`` evaluated term pair by term pair through the table.
+def matching_term_pairs(bra: FormalState, ket: FormalState) -> list[tuple[int, int]]:
+    """Index pairs ``(i, j)`` of the bra and ket terms that can overlap, bra-major.
 
     Internal brackets are Kronecker deltas, so a term pair with mismatched
     internal labels contributes nothing: ket terms are grouped by their
-    internal labels and each bra term meets only its own group, whose CM
-    overlaps are the only ones looked up.  The surviving pairs are summed in
-    bra-major term order, as a plain double loop would.  Weights of the bra
-    enter conjugated.
+    internal labels and each bra term meets only its own group.  The pairs
+    come in the order a plain double loop over bra and ket terms meets them.
     """
-    groups: dict[tuple[Internal, Internal], list[Term]] = {}
-    for tk in ket.terms:
-        groups.setdefault((tk.int1, tk.int2), []).append(tk)
+    groups: dict[tuple[Internal, Internal], list[int]] = {}
+    for j, tk in enumerate(ket.terms):
+        groups.setdefault((tk.int1, tk.int2), []).append(j)
+    return [
+        (i, j)
+        for i, tb in enumerate(bra.terms)
+        for j in groups.get((tb.int1, tb.int2), ())
+    ]
+
+
+def inner_product(bra: FormalState, ket: FormalState, table: OverlapTable) -> complex:
+    """``<bra|ket>`` evaluated term pair by term pair through the table.
+
+    Only the pairs of :func:`matching_term_pairs` are evaluated, so only
+    their CM overlaps are looked up, and they are summed in that bra-major
+    order.  Weights of the bra enter conjugated.
+    """
     overlap = table.overlap
     total = 0.0 + 0.0j
-    for tb in bra.terms:
-        weight = tb.weight.conjugate()
-        for tk in groups.get((tb.int1, tb.int2), ()):
-            total += weight * tk.weight * overlap(tb.cm1, tk.cm1) * overlap(tb.cm2, tk.cm2)
+    for i, j in matching_term_pairs(bra, ket):
+        tb, tk = bra.terms[i], ket.terms[j]
+        weight = tb.weight.conjugate() * tk.weight
+        total += weight * overlap(tb.cm1, tk.cm1) * overlap(tb.cm2, tk.cm2)
     return total
 
 

@@ -88,7 +88,7 @@ def _normalized_cases(a_values: Iterable[float]) -> list[Coefficients]:
 
 def sweep_rows(
     scenario_name: str,
-    table_for,
+    table: OverlapTable,
     cases: Sequence[Coefficients],
     stats: Sequence[Statistics],
     grid: Sequence[float],
@@ -96,11 +96,9 @@ def sweep_rows(
 ) -> list[list[str]]:
     """CSV rows ordered by (case index, statistics, c ascending).
 
-    ``table_for`` maps an array of ``c`` values to one grid table.
+    ``table`` is the grid table over the ``c`` values of ``grid``.
     """
-    grid = np.asarray(grid, dtype=float)
-    table = table_for(grid)
-    c_column = _column(grid)
+    c_column = _column(np.asarray(grid, dtype=float))
     alpha0_text = _fmt(alpha0)
     rows = []
     for coeffs in cases:
@@ -163,8 +161,9 @@ def _cmd_rate(args) -> int:
     model = RecoilModel(args.alpha0)
     _check_c_range(args.c, args.c)
     name, table_for = _scenario_table_builder(args, model)
-    rows = sweep_rows(name, table_for, [_coefficients(args)],
-                      _stats_list(args.statistics), _grid(args.c, args.c, 1), args.alpha0)
+    grid = _grid(args.c, args.c, 1)
+    rows = sweep_rows(name, table_for(grid), [_coefficients(args)],
+                      _stats_list(args.statistics), grid, args.alpha0)
     with _open_out(args.out) as out:
         _write_csv(out, SWEEP_HEADER, rows)
     return 0
@@ -175,7 +174,7 @@ def _cmd_sweep(args) -> int:
     _check_c_range(args.c_min, args.c_max)
     name, table_for = _scenario_table_builder(args, model)
     grid = _grid(args.c_min, args.c_max, args.steps)
-    rows = sweep_rows(name, table_for, [_coefficients(args)],
+    rows = sweep_rows(name, table_for(grid), [_coefficients(args)],
                       _stats_list(args.statistics), grid, args.alpha0)
     with _open_out(args.out) as out:
         _write_csv(out, SWEEP_HEADER, rows)
@@ -191,20 +190,22 @@ BOTH_STATISTICS = (Statistics.BOSON, Statistics.FERMION)
 COINCIDENCE_HEADER = ["c", "a", "r", "r_ref", "rel_dev", "excluded", "excluded_ref"]
 
 
-def _choice_builder(name: str, model: RecoilModel):
-    spec = ScenarioSpec.for_choice(name)
-    return lambda c: build_choice_table(spec, c, model)
+def _choice_table(name: str, grid: np.ndarray, model: RecoilModel) -> OverlapTable:
+    return build_choice_table(ScenarioSpec.for_choice(name), grid, model)
 
 
-def _log_choice_ii_flatness(grid, model: RecoilModel, log: TextIO) -> None:
-    """Per-case spans showing that for fermions only the final normalization moves R."""
-    table = _choice_builder("ii", model)(grid)
+def _log_choice_ii_flatness(table: OverlapTable, log: TextIO) -> None:
+    """Per-case spans showing that for fermions only the final normalization moves R.
+
+    ``table`` is the choice-ii grid table of the fig2 sweep.
+    """
     for coeffs in FIG2_CASES:
-        n0s = rates.initial_norm_sq(coeffs, table, Statistics.FERMION).tolist()
+        n0_sq = rates.initial_norm_sq(coeffs, table, Statistics.FERMION)
         bracket = rates.bracket_sum(coeffs, table, Statistics.FERMION)
+        nf_sq = rates.final_norm_sq(coeffs, table, Statistics.FERMION)
+        res = rates._finish_grid(coeffs, table, n0_sq, nf_sq, bracket)
+        n0s, nf_sqs = n0_sq.tolist(), nf_sq.tolist()
         brackets = np.hypot(bracket.real, bracket.imag).tolist()  # abs() per point
-        nf_sqs = rates.final_norm_sq(coeffs, table, Statistics.FERMION).tolist()
-        res = rates.relative_rate_grid(coeffs, table, Statistics.FERMION)
         rs = res.r[~res.excluded].tolist()
         r_span = (max(rs) - min(rs)) / min(rs)
         print(
@@ -219,7 +220,7 @@ def _log_choice_ii_flatness(grid, model: RecoilModel, log: TextIO) -> None:
 
 def _coincidence_rows(grid, model: RecoilModel):
     """Fermion curves of choice iii for normalized weights, against the a=1 curve."""
-    table = _choice_builder("iii", model)(grid)
+    table = _choice_table("iii", grid, model)
     ref = rates.relative_rate_grid(Coefficients(1.0, 0.0), table, Statistics.FERMION)
     c_column, ref_r, ref_flags = _column(grid), _column(ref.r), _flags(ref.excluded)
     rows = []
@@ -261,17 +262,17 @@ def run_figures(
         written.append(path)
 
     if target == "fig2":
-        for name in ("i", "ii"):
-            rows = sweep_rows(name, _choice_builder(name, model),
-                              FIG2_CASES, BOTH_STATISTICS, grid, alpha0)
-            emit(f"fig2_{name}.csv", SWEEP_HEADER, rows)
-        _log_choice_ii_flatness(grid, model, log)
+        tables = {name: _choice_table(name, grid, model) for name in ("i", "ii")}
+        for name, table in tables.items():
+            emit(f"fig2_{name}.csv", SWEEP_HEADER,
+                 sweep_rows(name, table, FIG2_CASES, BOTH_STATISTICS, grid, alpha0))
+        _log_choice_ii_flatness(tables["ii"], log)
     elif target == "fig3":
         emit("fig3_iii.csv", SWEEP_HEADER,
-             sweep_rows("iii", _choice_builder("iii", model),
+             sweep_rows("iii", _choice_table("iii", grid, model),
                         FIG3_III_CASES, BOTH_STATISTICS, grid, alpha0))
         emit("fig3_iv.csv", SWEEP_HEADER,
-             sweep_rows("iv", _choice_builder("iv", model),
+             sweep_rows("iv", _choice_table("iv", grid, model),
                         FIG3_IV_CASES, BOTH_STATISTICS, grid, alpha0))
         rows, max_dev = _coincidence_rows(grid, model)
         emit("fig3_iii_fermion_coincidence.csv", COINCIDENCE_HEADER, rows)
@@ -281,10 +282,9 @@ def run_figures(
             file=log,
         )
     elif target == "fig4":
-        table_for = lambda c: build_family_table(ExclusionFamily.equal_weight(c), model)
+        table = build_family_table(ExclusionFamily.equal_weight(grid), model)
         emit("fig4.csv", SWEEP_HEADER,
-             sweep_rows("family", table_for, FIG4_CASES,
-                        (Statistics.FERMION,), grid, alpha0))
+             sweep_rows("family", table, FIG4_CASES, (Statistics.FERMION,), grid, alpha0))
     else:
         raise ValueError(f"unknown figure target {target!r}")
     return written
@@ -384,14 +384,22 @@ def _exceeds(dev: float, worst: float) -> bool:
     return dev > worst or (math.isnan(dev) and not math.isnan(worst))
 
 
+#: Trials drawn before the oracle evaluates them together.  Each trial holds
+#: its table until its block is done (about 15 kB), so blocks stay small.
+_VERIFY_BLOCK = 32
+
+
 def run_verify(
     seed: int, trials: int, tolerance: float, out: TextIO | None = None
 ) -> int:
     """Compare closed-form and formal-expansion results over random configurations.
 
-    Each closed form and each formal state is evaluated once per trial and
-    statistics, in a fixed order, so the report is byte-stable for a seed.
-    A NaN deviation counts as a failure.
+    Trials are drawn one at a time and handed to the oracle in blocks of
+    ``_VERIFY_BLOCK`` (:func:`pairabs.oracle.formal_quantities_batch`), whose
+    values equal the per-trial formal expansion bit for bit.  Each closed
+    form is evaluated once per trial and statistics and the deviations are
+    taken in trial order, so the report is byte-stable for a seed.  A NaN
+    deviation counts as a failure.
     """
     out = sys.stdout if out is None else out
     if trials < 1:
@@ -401,24 +409,30 @@ def run_verify(
     rng = np.random.default_rng(seed)
     max_dev = {"matrix element": 0.0, "initial norm^2": 0.0, "final norm^2": 0.0}
     worst = (0.0, 0, "", "")
-    for index in range(trials):
-        coeffs, table, n0_sqs = _draw_verification_config(rng)
-        for stat, n0_sq in zip(BOTH_STATISTICS, n0_sqs):
-            nf_sq = rates.final_norm_sq(coeffs, table, stat)
-            rates.require_not_null(coeffs, n0_sq, nf_sq)
-            root = math.sqrt(n0_sq * nf_sq)
-            m = 2.0 * rates.bracket_sum(coeffs, table, stat) / root  # as rates.matrix_element
-            formal_n0_sq, formal_nf_sq, bracket = oracle.formal_quantities(coeffs, table, stat)
-            devs = {
-                "matrix element": abs(m - bracket / root),
-                "initial norm^2": abs(n0_sq - formal_n0_sq),
-                "final norm^2": abs(nf_sq - formal_nf_sq),
-            }
-            for kind, dev in devs.items():
-                if _exceeds(dev, max_dev[kind]):
-                    max_dev[kind] = dev
-                if _exceeds(dev, worst[0]):
-                    worst = (dev, index, kind, stat.name.lower())
+    for first in range(0, trials, _VERIFY_BLOCK):
+        block = [_draw_verification_config(rng)
+                 for _ in range(min(_VERIFY_BLOCK, trials - first))]
+        coeffs_seq = [coeffs for coeffs, _, _ in block]
+        tables = [table for _, table, _ in block]
+        formal = [oracle.formal_quantities_batch(coeffs_seq, tables, stat)
+                  for stat in BOTH_STATISTICS]
+        for offset, (coeffs, table, n0_sqs) in enumerate(block):
+            for stat, n0_sq, by_trial in zip(BOTH_STATISTICS, n0_sqs, formal):
+                nf_sq = rates.final_norm_sq(coeffs, table, stat)
+                rates.require_not_null(coeffs, n0_sq, nf_sq)
+                root = math.sqrt(n0_sq * nf_sq)
+                m = 2.0 * rates.bracket_sum(coeffs, table, stat) / root  # as rates.matrix_element
+                formal_n0_sq, formal_nf_sq, bracket = by_trial[offset]
+                devs = {
+                    "matrix element": abs(m - bracket / root),
+                    "initial norm^2": abs(n0_sq - formal_n0_sq),
+                    "final norm^2": abs(nf_sq - formal_nf_sq),
+                }
+                for kind, dev in devs.items():
+                    if _exceeds(dev, max_dev[kind]):
+                        max_dev[kind] = dev
+                    if _exceeds(dev, worst[0]):
+                        worst = (dev, first + offset, kind, stat.name.lower())
     print(f"verify: seed={seed} trials={trials} tolerance={_fmt(tolerance)}", file=out)
     for kind, dev in max_dev.items():
         print(f"max |{kind} closed - formal| = {_fmt(dev)}", file=out)

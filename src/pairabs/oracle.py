@@ -7,19 +7,31 @@ state per output term (an already-excited atom is annihilated, keeping the
 calculation at first order) and never touches CM labels: recoil is carried
 entirely by the starred labels of the final-state monomials.
 
-There are two entry points.  :func:`formal_quantities` builds each formal
-state once and returns both formal norms and the bracket; ``pairabs verify``
-compares each of them with its closed form.  :func:`oracle_matrix_element`
-divides that bracket by the formal norms.  Agreement of the latter with
-:func:`pairabs.rates.matrix_element` over randomized configurations is the
-central anti-regression property of the library.  Every inner product sums
-its term pairs in bra-major order (see :func:`pairabs.algebra.inner_product`),
-so each value is reproducible bit for bit.
+:func:`formal_quantities_batch` returns both formal norms and the bracket
+for many (weights, table) trials at once; ``pairabs verify`` compares each
+of them with its closed form.  :func:`formal_quantities` is a batch of one
+and :func:`oracle_matrix_element` divides its bracket by the formal norms.
+Agreement of the latter with :func:`pairabs.rates.matrix_element` over
+randomized configurations is the central anti-regression property of the
+library.
+
+Which term pairs survive, in which order, and which overlaps they need
+depend only on the shape ``(statistics, a != 0, b != 0)``.  One plan per
+shape is read, on first use, off :func:`build_initial`, :func:`build_final`,
+:func:`apply_absorption` and :func:`pairabs.algebra.matching_term_pairs`.
+A batch then looks up each trial's overlaps through its table and evaluates
+the pairs as numpy arrays over the trials, with CPython's complex rounding
+and each sum in bra-major pair order.  So every value equals
+:func:`pairabs.algebra.inner_product` of the built states bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from . import rates
 from .algebra import (
@@ -29,12 +41,13 @@ from .algebra import (
     PHI,
     PSI,
     VARPHI,
+    CmLabel,
     FormalState,
     OverlapTable,
     Statistics,
     Term,
     combine,
-    inner_product,
+    matching_term_pairs,
     symmetrize,
 )
 from .scenarios import Coefficients
@@ -44,6 +57,7 @@ __all__ = [
     "build_final",
     "build_initial",
     "formal_quantities",
+    "formal_quantities_batch",
     "oracle_matrix_element",
 ]
 
@@ -98,22 +112,167 @@ def apply_absorption(state: FormalState) -> FormalState:
     return FormalState(tuple(out))
 
 
+class _Plan(NamedTuple):
+    """What one state shape ``(statistics, a != 0, b != 0)`` fixes.
+
+    The three states (initial, final, absorbed initial) are stacked on one
+    term axis, each term's weight as ``alpha a + beta b``.  The surviving
+    term pairs of the three inner products are stacked on one pair axis, in
+    bra-major order per product; ``spans`` delimits the products and
+    ``first``/``second`` index each pair's two CM overlaps in ``labels``.
+    """
+
+    alpha: tuple[np.ndarray, np.ndarray]
+    beta: tuple[np.ndarray, np.ndarray]
+    bra: np.ndarray
+    ket: np.ndarray
+    labels: tuple[tuple[CmLabel, CmLabel], ...]
+    first: np.ndarray
+    second: np.ndarray
+    spans: tuple[tuple[int, int], ...]
+
+
+def _frozen(values: list, dtype=float) -> np.ndarray:
+    """A read-only array: plans are shared by every call."""
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+def _columns(values: list[complex]) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts as column arrays, one row per term."""
+    return _frozen([[v.real] for v in values]), _frozen([[v.imag] for v in values])
+
+
+@functools.cache  # six shapes at most; a plan is immutable
+def _plan(statistics: Statistics, has_a: bool, has_b: bool) -> _Plan:
+    """Read one shape's plan off the formal builders, on its first use.
+
+    The weights are linear in ``(a, b)``, so two probe builds of the same
+    shape, with ``b`` of opposite sign, give each term's ``alpha`` and
+    ``beta`` exactly.  The pairs are those of :func:`matching_term_pairs`.
+    """
+    builds = []
+    for sign in (1.0, -1.0):
+        probe = Coefficients(float(has_a), sign * float(has_b))
+        initial = build_initial(probe, statistics)
+        builds.append((initial, build_final(probe, statistics), apply_absorption(initial)))
+    states = builds[0]
+    plus = [t.weight for state in states for t in state.terms]
+    minus = [t.weight for state in builds[1] for t in state.terms]
+    offsets = (0, len(states[0]), len(states[0]) + len(states[1]))
+    bra, ket, labels, first, second, spans = [], [], {}, [], [], []
+    for b, k in ((0, 0), (1, 1), (1, 2)):  # <initial|initial>, <final|final>, <final|absorbed>
+        start = len(bra)
+        for i, j in matching_term_pairs(states[b], states[k]):
+            tb, tk = states[b].terms[i], states[k].terms[j]
+            bra.append(offsets[b] + i)
+            ket.append(offsets[k] + j)
+            first.append(labels.setdefault((tb.cm1, tk.cm1), len(labels)))
+            second.append(labels.setdefault((tb.cm2, tk.cm2), len(labels)))
+        spans.append((start, len(bra)))
+    return _Plan(
+        alpha=_columns([0.5 * (p + m) for p, m in zip(plus, minus)]),
+        beta=_columns([0.5 * (p - m) for p, m in zip(plus, minus)]),
+        bra=_frozen(bra, np.intp),
+        ket=_frozen(ket, np.intp),
+        labels=tuple(labels),
+        first=_frozen(first, np.intp),
+        second=_frozen(second, np.intp),
+        spans=tuple(spans),
+    )
+
+
+def _cmul(xr, xi, yr, yi):
+    """Complex product on real and imaginary parts, rounded as CPython rounds ``x * y``.
+
+    numpy's own complex multiply may use SIMD or FMA and then rounds
+    differently on some inputs; these four products and two sums do not.
+    A float factor ``s`` enters CPython (up to 3.13) as ``complex(s, 0)``.
+    """
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def _evaluate(
+    plan: _Plan, coeffs_seq: Sequence[Coefficients], tables: Sequence[OverlapTable]
+) -> list[tuple[float, float, complex]]:
+    """The three formal inner products for trials of one shape, as arrays over the trials."""
+    a = np.array([c.a for c in coeffs_seq])
+    b = np.array([c.b for c in coeffs_seq])
+    with np.errstate(invalid="ignore"):  # a non-finite weight is reported below
+        ar, ai = _cmul(a.real, a.imag, *plan.alpha)
+        br, bi = _cmul(b.real, b.imag, *plan.beta)
+    wr, wi = ar + br, ai + bi  # (terms, trials); the zero part adds nothing
+    finite = np.isfinite(wr) & np.isfinite(wi)
+    if not finite.all():
+        k, t = np.argwhere(~finite.T)[0]
+        raise ValueError(f"non-finite term weight {complex(wr[t, k], wi[t, k])!r}")
+    lookups = [table.overlap for table in tables]
+    ov = np.array([[overlap(x, y) for overlap in lookups] for x, y in plan.labels])
+    pr, pi = _cmul(wr[plan.bra], -wi[plan.bra], wr[plan.ket], wi[plan.ket])
+    for index in (plan.first, plan.second):
+        pr, pi = _cmul(pr, pi, ov.real[index], ov.imag[index])
+    # Sequential sums over each product's pairs, in the pairs' order; adding
+    # 0.0 gives the +0.0 that a sum started at 0.0 gives where every term is 0.
+    (n0_sq, _), (nf_sq, _), (m_re, m_im) = [
+        (np.cumsum(pr[lo:hi], axis=0)[-1] + 0.0, np.cumsum(pi[lo:hi], axis=0)[-1] + 0.0)
+        for lo, hi in plan.spans
+    ]
+    return [
+        (n0, nf, complex(r, i))
+        for n0, nf, r, i in zip(n0_sq.tolist(), nf_sq.tolist(), m_re.tolist(), m_im.tolist())
+    ]
+
+
+def formal_quantities_batch(
+    coeffs_seq: Sequence[Coefficients],
+    tables: Sequence[OverlapTable],
+    statistics: Statistics,
+) -> list[tuple[float, float, complex]]:
+    """:func:`formal_quantities` for many trials, one ``(coeffs, table)`` pair each.
+
+    Trials of one shape ``(a != 0, b != 0)`` are evaluated together as
+    arrays, through a plan read once per shape off :func:`build_initial`,
+    :func:`build_final` and :func:`apply_absorption`.  Each value equals
+    bit for bit the inner products of those states: the products are
+    written out as CPython computes them and every sum runs over the pairs
+    in bra-major order.  Weights that differ only in the sign of a zero
+    part cannot change a nonzero product or a sum started at ``+0.0``.
+    Every table is a single-point table.  Raises ``ValueError`` on a
+    non-finite term weight and, at the first trial in order with a null
+    formal norm, :class:`~pairabs.rates.ExcludedStateError`.
+    """
+    if len(coeffs_seq) != len(tables):
+        raise ValueError(f"{len(coeffs_seq)} coefficient sets for {len(tables)} tables")
+    shapes: dict[tuple[bool, bool], list[int]] = {}
+    for k, coeffs in enumerate(coeffs_seq):
+        shapes.setdefault((coeffs.a != 0, coeffs.b != 0), []).append(k)
+    results: list = [None] * len(coeffs_seq)
+    for (has_a, has_b), members in shapes.items():
+        values = _evaluate(
+            _plan(statistics, has_a, has_b),
+            [coeffs_seq[k] for k in members],
+            [tables[k] for k in members],
+        )
+        for k, value in zip(members, values):
+            results[k] = value
+    for coeffs, (n0_sq, nf_sq, _) in zip(coeffs_seq, results):
+        rates.require_not_null(coeffs, n0_sq, nf_sq)
+    return results
+
+
 def formal_quantities(
     coeffs: Coefficients, table: OverlapTable, statistics: Statistics
 ) -> tuple[float, float, complex]:
     """Initial norm², final norm² and unnormalized absorption bracket, all formal.
 
-    Builds the initial and the final state once each and evaluates the
-    three inner products term by term.  Raises
-    :class:`~pairabs.rates.ExcludedStateError` when either norm is null, by
-    the same criterion as the closed forms (:func:`pairabs.rates.require_not_null`).
+    The three inner products of the initial, the final and the absorbed
+    initial state, as a batch of one (:func:`formal_quantities_batch`).
+    Raises :class:`~pairabs.rates.ExcludedStateError` when either norm is
+    null, by the same criterion as the closed forms
+    (:func:`pairabs.rates.require_not_null`).
     """
-    initial = build_initial(coeffs, statistics)
-    final = build_final(coeffs, statistics)
-    n0_sq = inner_product(initial, initial, table).real
-    nf_sq = inner_product(final, final, table).real
-    rates.require_not_null(coeffs, n0_sq, nf_sq)
-    return n0_sq, nf_sq, inner_product(final, apply_absorption(initial), table)
+    return formal_quantities_batch([coeffs], [table], statistics)[0]
 
 
 def oracle_matrix_element(

@@ -289,13 +289,28 @@ def relative_rate_grid(
     (constant over the grid) is an array, ``excluded`` a bool array, and on
     real overlaps each point equals the single-point result bit for bit.
     """
+    return _finish_grid(
+        coeffs,
+        table,
+        initial_norm_sq(coeffs, table, statistics),
+        final_norm_sq(coeffs, table, statistics),
+        bracket_sum(coeffs, table, statistics),
+    )
+
+
+def _finish_grid(
+    coeffs: Coefficients,
+    table: OverlapTable,
+    n0_sq: np.ndarray,
+    nf_sq: np.ndarray,
+    bracket: np.ndarray,
+) -> RateResult:
+    """:func:`relative_rate_grid` from the three closed forms already evaluated on ``table``."""
     m_pro = matrix_element_product(table)
-    n0_sq = initial_norm_sq(coeffs, table, statistics)
-    nf_sq = final_norm_sq(coeffs, table, statistics)
     n0_floor, nf_floor = _null_floors(coeffs)
     nf_null = nf_sq < nf_floor
     excluded = (n0_sq < n0_floor) | nf_null
-    twice = 2.0 * bracket_sum(coeffs, table, statistics)
+    twice = 2.0 * bracket
     # Excluded points may take square roots of negatives or divide by zero;
     # they are masked below, so those results are never used.
     with np.errstate(divide="ignore", invalid="ignore"):

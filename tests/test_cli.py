@@ -1,6 +1,7 @@
 """Tests for the command-line interface: CSV schemas, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import math
 from collections import Counter
@@ -155,6 +156,28 @@ class TestFigures:
         log = capsys.readouterr().out
         assert log.count("choice ii fermion") == 3
 
+    def test_fig2_reuses_the_sweep_table_for_the_flatness_log(self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(cli, "build_choice_table")
+        for name in ("initial_norm_sq", "final_norm_sq", "bracket_sum", "relative_rate_grid"):
+            count(rates, name)
+        assert exit_code(["figures", "fig2", "--steps", "11", "--out", str(tmp_path)]) == 0
+        # two tables (i, ii); 3 cases x 2 statistics x 2 choices for the CSVs,
+        # and one evaluation per fermion case for the log
+        assert calls["build_choice_table"] == 2
+        assert calls["relative_rate_grid"] == 12
+        assert calls["initial_norm_sq"] == calls["final_norm_sq"] == calls["bracket_sum"] == 15
+
     def test_unwritable_output_location_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
@@ -257,7 +280,7 @@ class TestGridEqualsPointLoop:
                  Coefficients(ROOT2_INV, ROOT2_INV)]
         stats = [Statistics.BOSON, Statistics.FERMION]
         grid = [float(c) for c in np.linspace(0.0, 1.0, 41)]
-        assert cli.sweep_rows(name, table_for, cases, stats, grid, 0.6) == (
+        assert cli.sweep_rows(name, table_for(np.array(grid)), cases, stats, grid, 0.6) == (
             reference_sweep_rows(name, table_for, cases, stats, grid, 0.6)
         )
 
@@ -389,6 +412,64 @@ class TestVerify:
             b"max |initial norm^2 closed - formal| = 1.7763568394002505e-15\n"
             b"max |final norm^2 closed - formal| = 5.329070518200751e-15\n"
             b"PASS\n"
+        )
+
+    def test_long_run_report_is_pinned(self, tmp_path):
+        out = tmp_path / "verify.txt"
+        assert exit_code(["verify", "--seed", "20250809", "--trials", "1000",
+                          "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "8c5f713de7b3c6873476a0a1543bc1614a624f8b2a9d6a34af3cf0f203b17515"
+
+    def test_failing_report_names_the_global_trial_index(self, tmp_path):
+        out = tmp_path / "verify.txt"
+        argv = ["verify", "--seed", "5", "--trials", "1000", "--tolerance", "1e-17"]
+        assert exit_code(argv + ["--out", str(out)]) == 2
+        assert out.read_text() == (
+            "verify: seed=5 trials=1000 tolerance=1e-17\n"
+            "max |matrix element closed - formal| = 4.4408960166126565e-15\n"
+            "max |initial norm^2 closed - formal| = 2.220446049250313e-15\n"
+            "max |final norm^2 closed - formal| = 4.440892098500626e-15\n"
+            "FAIL: deviation 4.4408960166126565e-15 in matrix element (fermion) at trial 614;"
+            " reproduce with seed=5\n"
+        )
+
+    # Reports of the per-trial oracle at 1, K-1, K, K+1 and 2K+1 trials for the
+    # block size K = 32.  The worst deviation lies at trial 31 for seed 98 (the
+    # last of the first block), at trial 32 for seed 129 and at trial 64 for
+    # seed 178 (the first of the second and of the third block).  Each entry:
+    # (seed, trials, matrix element, initial norm^2, final norm^2, worst
+    # quantity and statistics, worst trial).
+    BLOCK_EDGE_REPORTS = [
+        (98, 1, "3.330669342422209e-16", "4.440892098500626e-16", "1.7763568394002505e-15",
+         "1.7763568394002505e-15 in final norm^2 (boson)", 0),
+        (98, 31, "1.7763568904113615e-15", "8.881784197001252e-16", "3.552713678800501e-15",
+         "3.552713678800501e-15 in final norm^2 (boson)", 30),
+        (98, 32, "1.7763568904113615e-15", "8.881784197001252e-16", "4.440892098500626e-15",
+         "4.440892098500626e-15 in final norm^2 (boson)", 31),
+        (129, 32, "1.110223105442885e-15", "8.881784197001252e-16", "2.6645352591003757e-15",
+         "2.6645352591003757e-15 in final norm^2 (boson)", 13),
+        (129, 33, "1.776356962807719e-15", "8.881784197001252e-16", "4.440892098500626e-15",
+         "4.440892098500626e-15 in final norm^2 (boson)", 32),
+        (178, 64, "1.4433164932005093e-15", "1.3322676295501878e-15", "2.6645352591003757e-15",
+         "2.6645352591003757e-15 in final norm^2 (boson)", 26),
+        (178, 65, "1.4433164932005093e-15", "1.3322676295501878e-15", "4.440892098500626e-15",
+         "4.440892098500626e-15 in final norm^2 (boson)", 64),
+    ]
+
+    @pytest.mark.parametrize("seed, trials, matrix, initial, final, worst, index",
+                             BLOCK_EDGE_REPORTS,
+                             ids=[f"seed{r[0]}-trials{r[1]}" for r in BLOCK_EDGE_REPORTS])
+    def test_reports_at_block_edges(self, seed, trials, matrix, initial, final, worst, index):
+        assert cli._VERIFY_BLOCK == 32  # the trial counts above are chosen for it
+        out = io.StringIO()
+        assert cli.run_verify(seed, trials, 1e-17, out) == 2
+        assert out.getvalue() == (
+            f"verify: seed={seed} trials={trials} tolerance=1e-17\n"
+            f"max |matrix element closed - formal| = {matrix}\n"
+            f"max |initial norm^2 closed - formal| = {initial}\n"
+            f"max |final norm^2 closed - formal| = {final}\n"
+            f"FAIL: deviation {worst} at trial {index}; reproduce with seed={seed}\n"
         )
 
 

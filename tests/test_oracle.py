@@ -19,11 +19,13 @@ from pairabs.algebra import (
     combine,
     inner_product,
 )
+from pairabs import oracle
 from pairabs.oracle import (
     apply_absorption,
     build_final,
     build_initial,
     formal_quantities,
+    formal_quantities_batch,
     oracle_matrix_element,
 )
 from pairabs.rates import ExcludedStateError
@@ -49,6 +51,35 @@ def random_coefficients(rng):
     scale = math.sqrt(float(np.dot(parts, parts)))
     return Coefficients(complex(parts[0], parts[1]) / scale,
                         complex(parts[2], parts[3]) / scale)
+
+
+def complex_table(rng):
+    from pairabs.scenarios import ALL_PAIRS, build_table
+
+    overlaps = {
+        pair: complex(rng.uniform(-0.55, 0.55), rng.uniform(-0.4, 0.4)) for pair in ALL_PAIRS
+    }
+    return build_table(overlaps, RecoilModel(float(rng.uniform(0.5, 1.0))))
+
+
+def expansion(coeffs, table, statistics):
+    """The formal quantities from the states themselves, pair by pair."""
+    initial = build_initial(coeffs, statistics)
+    final = build_final(coeffs, statistics)
+    return (
+        inner_product(initial, initial, table).real,
+        inner_product(final, final, table).real,
+        inner_product(final, apply_absorption(initial), table),
+    )
+
+
+def shaped(coeffs, shape):
+    """The weights with the component(s) ``shape`` names; the other one zero."""
+    return {
+        "a": Coefficients(coeffs.a, 0.0),
+        "b": Coefficients(0.0, coeffs.b),
+        "ab": coeffs,
+    }[shape]
 
 
 class TestBuildInitial:
@@ -173,6 +204,60 @@ class TestOracleMatrixElement:
                     coeffs, table, statistics
                 )
 
+    @pytest.mark.parametrize("statistics", [BOSON, FERMION])
+    @pytest.mark.parametrize("shape", ["a", "b", "ab", "mixed"])
+    @pytest.mark.parametrize("table_kind", ["realizable", "complex"])
+    def test_batch_equals_the_expansion_bit_for_bit(self, statistics, shape, table_kind):
+        rng = np.random.default_rng(131)
+        coeffs_seq, tables = [], []
+        while len(coeffs_seq) < 150:
+            each = shape if shape != "mixed" else ("a", "b", "ab")[len(coeffs_seq) % 3]
+            coeffs = shaped(random_coefficients(rng), each)
+            table = random_realizable_table(rng) if table_kind == "realizable" else (
+                complex_table(rng)
+            )
+            if rates.initial_norm_sq(coeffs, table, statistics) > 1e-6:
+                coeffs_seq.append(coeffs)
+                tables.append(table)
+        batch = formal_quantities_batch(coeffs_seq, tables, statistics)
+        expected = [expansion(c, t, statistics) for c, t in zip(coeffs_seq, tables)]
+        assert [repr(v) for v in batch] == [repr(v) for v in expected]
+        for coeffs, table, values in zip(coeffs_seq[:20], tables, batch):
+            assert repr(formal_quantities(coeffs, table, statistics)) == repr(values)
+
+    def test_signed_zero_weights_keep_the_expansion_bits(self):
+        table = choice_table("ii", 0.3)
+        for coeffs in (Coefficients(complex(-0.0, -0.8), complex(0.6, -0.0)),
+                       Coefficients(complex(0.8, -0.0), 0.0),
+                       Coefficients(0.0, complex(-0.0, 1.0))):
+            for statistics in (BOSON, FERMION):
+                assert repr(formal_quantities(coeffs, table, statistics)) == repr(
+                    expansion(coeffs, table, statistics)
+                )
+
+    def test_null_configuration_inside_a_batch_raises(self):
+        rng = np.random.default_rng(137)
+        coeffs_seq = [random_coefficients(rng) for _ in range(5)]
+        tables = [random_realizable_table(rng) for _ in range(5)]
+        coeffs_seq[2], tables[2] = A_ONLY, choice_table("i", 1.0)  # Pauli pair
+        assert len(formal_quantities_batch(coeffs_seq, tables, BOSON)) == 5
+        with pytest.raises(ExcludedStateError, match="^initial state is null \\(excluded\\); "
+                           "the normalized amplitude is a 0/0 form$"):
+            formal_quantities_batch(coeffs_seq, tables, FERMION)
+
+    def test_batch_rejects_unpaired_inputs(self):
+        with pytest.raises(ValueError, match="2 coefficient sets for 1 tables"):
+            formal_quantities_batch([A_ONLY, A_ONLY], [choice_table("i", 0.5)], BOSON)
+        assert formal_quantities_batch([], [], BOSON) == []
+
+    def test_non_finite_weight_is_rejected(self):
+        coeffs = Coefficients(1.0, 0.0)
+        object.__setattr__(coeffs, "a", complex("inf"))  # past the Coefficients check
+        with pytest.raises(ValueError, match="non-finite term weight"):
+            build_initial(coeffs, BOSON)
+        with pytest.raises(ValueError, match="non-finite term weight"):
+            formal_quantities(coeffs, choice_table("i", 0.5), BOSON)
+
     def test_equivalence_over_random_configurations(self):
         rng = np.random.default_rng(101)
         checked = 0
@@ -257,3 +342,48 @@ class TestOracleMatrixElement:
                     swap(final), apply_absorption(swap(initial)), table
                 )
                 assert swapped == pytest.approx(plain, abs=1e-12)
+
+
+class TestComplexProductRounding:
+    """The batch relies on its written-out product rounding as CPython's ``*``.
+
+    CPython (up to 3.13) multiplies complex numbers as
+    ``(ar*br - ai*bi, ar*bi + ai*br)`` and a complex by a float ``s`` as by
+    ``complex(s, 0)``; the batch writes both out on numpy arrays.  Python
+    3.14's mixed-mode arithmetic (``complex * float`` scales each part) or a
+    build that fuses the multiply-add (FMA) would round differently, and
+    this test would fail before the batch silently drifts from the formal
+    expansion.
+    """
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+               1.0, -1.0, 0.5, -3.0, 1e-150, -1e150]
+
+    def pairs(self):
+        rng = np.random.default_rng(139)
+        parts = rng.normal(size=(10_000, 4)) * 10.0 ** rng.uniform(-8, 8, size=(10_000, 4))
+        values = [complex(r, i) for r in self.SPECIAL for i in self.SPECIAL]
+        xs = [complex(p[0], p[1]) for p in parts.tolist()] + values
+        ys = [complex(p[2], p[3]) for p in parts.tolist()] + values[::-1]
+        return xs, ys
+
+    @staticmethod
+    def bits(values):
+        return np.array(values, dtype=float).view(np.uint64).tolist()
+
+    def test_complex_times_complex(self):
+        xs, ys = self.pairs()
+        x, y = np.array(xs), np.array(ys)
+        real, imag = oracle._cmul(x.real, x.imag, y.real, y.imag)
+        products = [a * b for a, b in zip(xs, ys)]
+        assert self.bits(real) == self.bits([p.real for p in products])
+        assert self.bits(imag) == self.bits([p.imag for p in products])
+
+    @pytest.mark.parametrize("factor", [1.0, -1.0])
+    def test_complex_times_unit_float(self, factor):
+        xs, _ = self.pairs()
+        x = np.array(xs)
+        real, imag = oracle._cmul(x.real, x.imag, factor, 0.0)
+        products = [a * factor for a in xs]
+        assert self.bits(real) == self.bits([p.real for p in products])
+        assert self.bits(imag) == self.bits([p.imag for p in products])
