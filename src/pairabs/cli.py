@@ -5,10 +5,10 @@ All numeric CSV fields use the shortest decimal representation that round-trips
 to the same double, so fixed inputs (and a fixed seed for ``verify``) produce
 byte-identical output.
 
-The grid subcommands (``rate``, ``sweep``, ``figures``, ``exclusion-scan``)
-build one grid table per ``c`` grid and evaluate it once per weights and
-statistics pair; the output is byte-identical to evaluating every point on
-its own table.
+The grid subcommands (``sweep``, ``figures``, ``exclusion-scan``) build one
+grid table per ``c`` grid and evaluate it once per weights and statistics
+pair; the output is byte-identical to evaluating every point on its own
+table.  ``rate`` is ``sweep`` on the one-point grid ``[--c]``.
 """
 
 from __future__ import annotations
@@ -118,13 +118,13 @@ def sweep_rows(
     return rows
 
 
-def _scenario_table_builder(args, model: RecoilModel):
-    """Returns (scenario name, c grid -> grid OverlapTable) from --choice/--family flags."""
-    if getattr(args, "family", False):
-        return "family", lambda c: build_family_table(ExclusionFamily.equal_weight(c), model)
-    choice = args.choice or "i"
-    spec = ScenarioSpec.for_choice(choice)
-    return choice, lambda c: build_choice_table(spec, c, model)
+def _scenario_table(
+    name: str, grid: np.ndarray, model: RecoilModel
+) -> tuple[str, OverlapTable]:
+    """``(name, grid table over grid)`` for a preset choice or ``"family"``."""
+    if name == "family":
+        return name, build_family_table(ExclusionFamily.equal_weight(grid), model)
+    return name, build_choice_table(ScenarioSpec.for_choice(name), grid, model)
 
 
 def _coefficients(args) -> Coefficients:
@@ -157,25 +157,16 @@ def _check_c_range(c_min: float, c_max: float) -> None:
 # subcommand implementations
 
 
-def _cmd_rate(args) -> int:
-    model = RecoilModel(args.alpha0)
-    _check_c_range(args.c, args.c)
-    name, table_for = _scenario_table_builder(args, model)
-    grid = _grid(args.c, args.c, 1)
-    rows = sweep_rows(name, table_for(grid), [_coefficients(args)],
-                      _stats_list(args.statistics), grid, args.alpha0)
-    with _open_out(args.out) as out:
-        _write_csv(out, SWEEP_HEADER, rows)
-    return 0
-
-
 def _cmd_sweep(args) -> int:
+    """``sweep``, and ``rate`` as a sweep of the one point ``--c``."""
     model = RecoilModel(args.alpha0)
-    _check_c_range(args.c_min, args.c_max)
-    name, table_for = _scenario_table_builder(args, model)
-    grid = _grid(args.c_min, args.c_max, args.steps)
-    rows = sweep_rows(name, table_for(grid), [_coefficients(args)],
-                      _stats_list(args.statistics), grid, args.alpha0)
+    c_min, c_max, steps = ((args.c, args.c, 1) if args.command == "rate"
+                           else (args.c_min, args.c_max, args.steps))
+    _check_c_range(c_min, c_max)
+    grid = _grid(c_min, c_max, steps)
+    scenario = _scenario_table("family" if args.family else args.choice or "i", grid, model)
+    rows = sweep_rows(*scenario, [_coefficients(args)], _stats_list(args.statistics),
+                      grid, args.alpha0)
     with _open_out(args.out) as out:
         _write_csv(out, SWEEP_HEADER, rows)
     return 0
@@ -188,10 +179,6 @@ FIG4_CASES = _normalized_cases((0.64, 0.67, _ROOT2_INV))
 BOTH_STATISTICS = (Statistics.BOSON, Statistics.FERMION)
 
 COINCIDENCE_HEADER = ["c", "a", "r", "r_ref", "rel_dev", "excluded", "excluded_ref"]
-
-
-def _choice_table(name: str, grid: np.ndarray, model: RecoilModel) -> OverlapTable:
-    return build_choice_table(ScenarioSpec.for_choice(name), grid, model)
 
 
 def _log_choice_ii_flatness(table: OverlapTable, log: TextIO) -> None:
@@ -218,9 +205,11 @@ def _log_choice_ii_flatness(table: OverlapTable, log: TextIO) -> None:
         )
 
 
-def _coincidence_rows(grid, model: RecoilModel):
-    """Fermion curves of choice iii for normalized weights, against the a=1 curve."""
-    table = _choice_table("iii", grid, model)
+def _coincidence_rows(table: OverlapTable, grid: np.ndarray):
+    """Fermion curves of choice iii for normalized weights, against the a=1 curve.
+
+    ``table`` is the choice-iii grid table of the fig3 sweep.
+    """
     ref = rates.relative_rate_grid(Coefficients(1.0, 0.0), table, Statistics.FERMION)
     c_column, ref_r, ref_flags = _column(grid), _column(ref.r), _flags(ref.excluded)
     rows = []
@@ -262,19 +251,19 @@ def run_figures(
         written.append(path)
 
     if target == "fig2":
-        tables = {name: _choice_table(name, grid, model) for name in ("i", "ii")}
+        tables = dict(_scenario_table(name, grid, model) for name in ("i", "ii"))
         for name, table in tables.items():
             emit(f"fig2_{name}.csv", SWEEP_HEADER,
                  sweep_rows(name, table, FIG2_CASES, BOTH_STATISTICS, grid, alpha0))
         _log_choice_ii_flatness(tables["ii"], log)
     elif target == "fig3":
+        name, iii = _scenario_table("iii", grid, model)
         emit("fig3_iii.csv", SWEEP_HEADER,
-             sweep_rows("iii", _choice_table("iii", grid, model),
-                        FIG3_III_CASES, BOTH_STATISTICS, grid, alpha0))
+             sweep_rows(name, iii, FIG3_III_CASES, BOTH_STATISTICS, grid, alpha0))
         emit("fig3_iv.csv", SWEEP_HEADER,
-             sweep_rows("iv", _choice_table("iv", grid, model),
+             sweep_rows(*_scenario_table("iv", grid, model),
                         FIG3_IV_CASES, BOTH_STATISTICS, grid, alpha0))
-        rows, max_dev = _coincidence_rows(grid, model)
+        rows, max_dev = _coincidence_rows(iii, grid)
         emit("fig3_iii_fermion_coincidence.csv", COINCIDENCE_HEADER, rows)
         print(
             "choice iii fermion, normalized weights: max relative deviation "
@@ -282,9 +271,9 @@ def run_figures(
             file=log,
         )
     elif target == "fig4":
-        table = build_family_table(ExclusionFamily.equal_weight(grid), model)
         emit("fig4.csv", SWEEP_HEADER,
-             sweep_rows("family", table, FIG4_CASES, (Statistics.FERMION,), grid, alpha0))
+             sweep_rows(*_scenario_table("family", grid, model),
+                        FIG4_CASES, (Statistics.FERMION,), grid, alpha0))
     else:
         raise ValueError(f"unknown figure target {target!r}")
     return written
@@ -515,7 +504,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_coefficients(rate)
     rate.add_argument("--c", type=float, default=0.0, help="sweep value (default 0)")
     _add_common(rate)
-    rate.set_defaults(func=_cmd_rate)
+    rate.set_defaults(func=_cmd_sweep)
     commands["rate"] = rate
 
     sweep = sub.add_parser("sweep", help="sweep the overlap parameter, emit CSV")

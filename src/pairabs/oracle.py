@@ -9,11 +9,11 @@ entirely by the starred labels of the final-state monomials.
 
 :func:`formal_quantities_batch` returns both formal norms and the bracket
 for many (weights, table) trials at once; ``pairabs verify`` compares each
-of them with its closed form.  :func:`formal_quantities` is a batch of one
-and :func:`oracle_matrix_element` divides its bracket by the formal norms.
-Agreement of the latter with :func:`pairabs.rates.matrix_element` over
-randomized configurations is the central anti-regression property of the
-library.
+of them with its closed form.  :func:`formal_quantities` is a batch of one.
+Its bracket divided by the square root of the product of its norms is the
+normalized amplitude; its agreement with :func:`pairabs.rates.matrix_element`
+over randomized configurations is the central anti-regression property of
+the library.
 
 Which term pairs survive, in which order, and which overlaps they need
 depend only on the shape ``(statistics, a != 0, b != 0)``.  One plan per
@@ -21,14 +21,13 @@ shape is read, on first use, off :func:`build_initial`, :func:`build_final`,
 :func:`apply_absorption` and :func:`pairabs.algebra.matching_term_pairs`.
 A batch then looks up each trial's overlaps through its table and evaluates
 the pairs as numpy arrays over the trials, with CPython's complex rounding
-and each sum in bra-major pair order.  So every value equals
-:func:`pairabs.algebra.inner_product` of the built states bit for bit.
+(``rates._cmul``) and each sum in bra-major pair order.  So every value
+equals :func:`pairabs.algebra.inner_product` of the built states bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -58,7 +57,6 @@ __all__ = [
     "build_initial",
     "formal_quantities",
     "formal_quantities_batch",
-    "oracle_matrix_element",
 ]
 
 #: Recoiled psi, phi, varphi and chi.
@@ -183,16 +181,6 @@ def _plan(statistics: Statistics, has_a: bool, has_b: bool) -> _Plan:
     )
 
 
-def _cmul(xr, xi, yr, yi):
-    """Complex product on real and imaginary parts, rounded as CPython rounds ``x * y``.
-
-    numpy's own complex multiply may use SIMD or FMA and then rounds
-    differently on some inputs; these four products and two sums do not.
-    A float factor ``s`` enters CPython (up to 3.13) as ``complex(s, 0)``.
-    """
-    return xr * yr - xi * yi, xr * yi + xi * yr
-
-
 def _evaluate(
     plan: _Plan, coeffs_seq: Sequence[Coefficients], tables: Sequence[OverlapTable]
 ) -> list[tuple[float, float, complex]]:
@@ -200,8 +188,8 @@ def _evaluate(
     a = np.array([c.a for c in coeffs_seq])
     b = np.array([c.b for c in coeffs_seq])
     with np.errstate(invalid="ignore"):  # a non-finite weight is reported below
-        ar, ai = _cmul(a.real, a.imag, *plan.alpha)
-        br, bi = _cmul(b.real, b.imag, *plan.beta)
+        ar, ai = rates._cmul(a.real, a.imag, *plan.alpha)
+        br, bi = rates._cmul(b.real, b.imag, *plan.beta)
     wr, wi = ar + br, ai + bi  # (terms, trials); the zero part adds nothing
     finite = np.isfinite(wr) & np.isfinite(wi)
     if not finite.all():
@@ -209,9 +197,9 @@ def _evaluate(
         raise ValueError(f"non-finite term weight {complex(wr[t, k], wi[t, k])!r}")
     lookups = [table.overlap for table in tables]
     ov = np.array([[overlap(x, y) for overlap in lookups] for x, y in plan.labels])
-    pr, pi = _cmul(wr[plan.bra], -wi[plan.bra], wr[plan.ket], wi[plan.ket])
+    pr, pi = rates._cmul(wr[plan.bra], -wi[plan.bra], wr[plan.ket], wi[plan.ket])
     for index in (plan.first, plan.second):
-        pr, pi = _cmul(pr, pi, ov.real[index], ov.imag[index])
+        pr, pi = rates._cmul(pr, pi, ov.real[index], ov.imag[index])
     # Sequential sums over each product's pairs, in the pairs' order; adding
     # 0.0 gives the +0.0 that a sum started at 0.0 gives where every term is 0.
     (n0_sq, _), (nf_sq, _), (m_re, m_im) = [
@@ -274,10 +262,3 @@ def formal_quantities(
     """
     return formal_quantities_batch([coeffs], [table], statistics)[0]
 
-
-def oracle_matrix_element(
-    coeffs: Coefficients, table: OverlapTable, statistics: Statistics
-) -> complex:
-    """Absorption amplitude from the raw expansion: the formal bracket over the formal norms."""
-    n0_sq, nf_sq, bracket = formal_quantities(coeffs, table, statistics)
-    return bracket / math.sqrt(n0_sq * nf_sq)

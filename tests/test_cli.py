@@ -1,10 +1,12 @@
 """Tests for the command-line interface: CSV schemas, exit codes, determinism."""
 
 import csv
+import gzip
 import hashlib
 import io
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from pairabs.scenarios import (
 )
 
 ROOT2_INV = 1.0 / math.sqrt(2.0)
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 
 def exit_code(argv):
@@ -41,6 +44,20 @@ def read_csv(path):
 def parse_stdout_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def count_calls(monkeypatch, calls, module, *names):
+    """Replace each ``module.<name>`` by a wrapper that counts its calls in ``calls``."""
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
 
 
 class TestSweep:
@@ -120,6 +137,40 @@ class TestRate:
         assert len(rows) == 1
         assert float(rows[0][12]) == pytest.approx(1.0198878123406425, abs=1e-10)
 
+    @pytest.mark.parametrize("c", ["0", "0.3", "1", "1.5"])
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--choice", "ii", "--statistics", "fermion"],
+        ["--choice", "iii", "--alpha0", "0.55", "--a-re", "0.8", "--b-re", "0.2"],
+        ["--family", "--a-re", "0.3", "--a-im", "0.4", "--b-re", "-0.5", "--b-im", "0.2"],
+    ])
+    def test_rate_is_a_one_point_sweep(self, flags, c, tmp_path, capsys):
+        rate, sweep = tmp_path / "rate.csv", tmp_path / "sweep.csv"
+        rate_code = exit_code(["rate", *flags, "--c", c, "--out", str(rate)])
+        rate_err = capsys.readouterr().err
+        sweep_code = exit_code(["sweep", *flags, "--c-min", c, "--c-max", c, "--steps", "1",
+                                "--out", str(sweep)])
+        assert (rate_code, rate_err) == (sweep_code, capsys.readouterr().err)
+        if c == "1.5":
+            assert rate_code == 1 and not rate.exists() and not sweep.exists()
+        else:
+            assert rate_code == 0 and rate.read_bytes() == sweep.read_bytes()
+
+    @pytest.mark.parametrize("c", ["0.3", "1.5"])
+    def test_rate_from_config_is_a_one_point_sweep(self, c, tmp_path, capsys):
+        cfg = tmp_path / "rate.cfg"
+        cfg.write_text(f"c = {c}\nchoice = iv\na-re = 0.8\nb-re = 0.6\n")
+        rate, sweep = tmp_path / "rate.csv", tmp_path / "sweep.csv"
+        rate_code = exit_code(["rate", "--config", str(cfg), "--out", str(rate)])
+        rate_err = capsys.readouterr().err
+        sweep_code = exit_code(["sweep", "--choice", "iv", "--a-re", "0.8", "--b-re", "0.6",
+                                "--c-min", c, "--c-max", c, "--steps", "1", "--out", str(sweep)])
+        assert (rate_code, rate_err) == (sweep_code, capsys.readouterr().err)
+        if c == "1.5":
+            assert rate_code == 1 and "c-min=1.5 c-max=1.5" in rate_err
+        else:
+            assert rate_code == 0 and rate.read_bytes() == sweep.read_bytes()
+
 
 class TestFigures:
     def test_fig2_files_and_ordering(self, tmp_path):
@@ -158,25 +209,25 @@ class TestFigures:
 
     def test_fig2_reuses_the_sweep_table_for_the_flatness_log(self, tmp_path, monkeypatch):
         calls = Counter()
-
-        def count(module, name):
-            original = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
-        count(cli, "build_choice_table")
-        for name in ("initial_norm_sq", "final_norm_sq", "bracket_sum", "relative_rate_grid"):
-            count(rates, name)
+        count_calls(monkeypatch, calls, cli, "build_choice_table")
+        count_calls(monkeypatch, calls, rates, "initial_norm_sq", "final_norm_sq", "bracket_sum",
+                    "relative_rate_grid")
         assert exit_code(["figures", "fig2", "--steps", "11", "--out", str(tmp_path)]) == 0
         # two tables (i, ii); 3 cases x 2 statistics x 2 choices for the CSVs,
         # and one evaluation per fermion case for the log
         assert calls["build_choice_table"] == 2
         assert calls["relative_rate_grid"] == 12
         assert calls["initial_norm_sq"] == calls["final_norm_sq"] == calls["bracket_sum"] == 15
+
+    def test_fig3_reuses_the_sweep_table_for_the_coincidence_rows(self, tmp_path, monkeypatch):
+        calls = Counter()
+        count_calls(monkeypatch, calls, cli, "build_choice_table")
+        count_calls(monkeypatch, calls, rates, "relative_rate_grid")
+        assert exit_code(["figures", "fig3", "--steps", "11", "--out", str(tmp_path)]) == 0
+        # two tables (iii, iv); 3 cases x 2 statistics x 2 choices for the CSVs,
+        # and the a=1 reference plus two normalized cases for the coincidence rows
+        assert calls["build_choice_table"] == 2
+        assert calls["relative_rate_grid"] == 15
 
     def test_unwritable_output_location_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -264,6 +315,32 @@ def reference_scan_rows(a_grid, c_grid):
             rows.append([fmt(a), fmt(c), fmt(magnitude),
                          "1" if by_norm else "0", "1" if by_formula else "0"])
     return rows, disagreements
+
+
+class TestBenchReference:
+    """The default figures and scan write the bytes of the benchmark's reference files."""
+
+    def test_the_reference_holds_seven_files(self):
+        assert sorted(path.name for path in REFERENCE.iterdir()) == [
+            "fig2_i.csv.gz", "fig2_ii.csv.gz", "fig3_iii.csv.gz",
+            "fig3_iii_fermion_coincidence.csv.gz", "fig3_iv.csv.gz", "fig4.csv.gz",
+            "scan.csv.gz",
+        ]
+
+    @pytest.mark.parametrize("argv, names", [
+        (["figures", "fig2"], ["fig2_i.csv", "fig2_ii.csv"]),
+        (["figures", "fig3"],
+         ["fig3_iii.csv", "fig3_iv.csv", "fig3_iii_fermion_coincidence.csv"]),
+        (["figures", "fig4"], ["fig4.csv"]),
+        (["exclusion-scan"], ["scan.csv"]),
+    ])
+    def test_default_outputs_equal_the_reference(self, argv, names, tmp_path):
+        out = tmp_path if argv[0] == "figures" else tmp_path / "scan.csv"
+        assert exit_code([*argv, "--out", str(out)]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)
+        for name in names:
+            reference = gzip.decompress((REFERENCE / f"{name}.gz").read_bytes())
+            assert (tmp_path / name).read_bytes() == reference, name
 
 
 class TestGridEqualsPointLoop:

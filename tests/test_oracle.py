@@ -19,14 +19,12 @@ from pairabs.algebra import (
     combine,
     inner_product,
 )
-from pairabs import oracle
 from pairabs.oracle import (
     apply_absorption,
     build_final,
     build_initial,
     formal_quantities,
     formal_quantities_batch,
-    oracle_matrix_element,
 )
 from pairabs.rates import ExcludedStateError
 from pairabs.scenarios import (
@@ -60,6 +58,12 @@ def complex_table(rng):
         pair: complex(rng.uniform(-0.55, 0.55), rng.uniform(-0.4, 0.4)) for pair in ALL_PAIRS
     }
     return build_table(overlaps, RecoilModel(float(rng.uniform(0.5, 1.0))))
+
+
+def formal_amplitude(coeffs, table, statistics):
+    """The normalized amplitude from the raw expansion: formal bracket over formal norms."""
+    n0_sq, nf_sq, bracket = formal_quantities(coeffs, table, statistics)
+    return bracket / math.sqrt(n0_sq * nf_sq)
 
 
 def expansion(coeffs, table, statistics):
@@ -170,13 +174,13 @@ class TestOracleMatrixElement:
         from pairabs.scenarios import ALL_PAIRS, build_table
 
         table = build_table({pair: 0.0 for pair in ALL_PAIRS})
-        value = oracle_matrix_element(A_ONLY, table, BOSON)
+        value = formal_amplitude(A_ONLY, table, BOSON)
         assert value == pytest.approx(math.sqrt(2.0) * 0.9, abs=1e-12)
 
     def test_matches_closed_form_at_choice_i_midpoint(self):
         table = choice_table("i", 0.5)
         closed = rates.matrix_element(A_ONLY, table, BOSON)
-        assert oracle_matrix_element(A_ONLY, table, BOSON) == pytest.approx(
+        assert formal_amplitude(A_ONLY, table, BOSON) == pytest.approx(
             closed, abs=1e-12
         )
         assert closed == pytest.approx(1.2853864228284975, abs=1e-12)
@@ -184,7 +188,7 @@ class TestOracleMatrixElement:
     def test_excluded_state_raises(self):
         table = choice_table("i", 1.0)
         with pytest.raises(ExcludedStateError):
-            oracle_matrix_element(A_ONLY, table, FERMION)
+            formal_amplitude(A_ONLY, table, FERMION)
         with pytest.raises(ExcludedStateError, match="initial state is null"):
             formal_quantities(A_ONLY, table, FERMION)
 
@@ -200,9 +204,6 @@ class TestOracleMatrixElement:
                 assert n0_sq == inner_product(initial, initial, table).real
                 assert nf_sq == inner_product(final, final, table).real
                 assert bracket == inner_product(final, apply_absorption(initial), table)
-                assert bracket / math.sqrt(n0_sq * nf_sq) == oracle_matrix_element(
-                    coeffs, table, statistics
-                )
 
     @pytest.mark.parametrize("statistics", [BOSON, FERMION])
     @pytest.mark.parametrize("shape", ["a", "b", "ab", "mixed"])
@@ -271,7 +272,7 @@ class TestOracleMatrixElement:
                 continue  # stay clear of the excluded manifold
             for statistics in (BOSON, FERMION):
                 closed = rates.matrix_element(coeffs, table, statistics)
-                formal = oracle_matrix_element(coeffs, table, statistics)
+                formal = formal_amplitude(coeffs, table, statistics)
                 max_dev = max(max_dev, abs(closed - formal))
             checked += 1
         assert max_dev < 1e-10
@@ -297,7 +298,7 @@ class TestOracleMatrixElement:
                     worst,
                     abs(
                         rates.matrix_element(coeffs, table, statistics)
-                        - oracle_matrix_element(coeffs, table, statistics)
+                        - formal_amplitude(coeffs, table, statistics)
                     ),
                 )
         assert worst < 1e-12
@@ -320,7 +321,7 @@ class TestOracleMatrixElement:
         table = choice_table("iv", 0.6)
         coeffs = Coefficients(0.8, 0.6)
         for statistics in (BOSON, FERMION):
-            assert oracle_matrix_element(coeffs, table, statistics) == pytest.approx(
+            assert formal_amplitude(coeffs, table, statistics) == pytest.approx(
                 rates.matrix_element(coeffs, table, statistics), abs=1e-10
             )
 
@@ -343,47 +344,3 @@ class TestOracleMatrixElement:
                 )
                 assert swapped == pytest.approx(plain, abs=1e-12)
 
-
-class TestComplexProductRounding:
-    """The batch relies on its written-out product rounding as CPython's ``*``.
-
-    CPython (up to 3.13) multiplies complex numbers as
-    ``(ar*br - ai*bi, ar*bi + ai*br)`` and a complex by a float ``s`` as by
-    ``complex(s, 0)``; the batch writes both out on numpy arrays.  Python
-    3.14's mixed-mode arithmetic (``complex * float`` scales each part) or a
-    build that fuses the multiply-add (FMA) would round differently, and
-    this test would fail before the batch silently drifts from the formal
-    expansion.
-    """
-
-    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
-               1.0, -1.0, 0.5, -3.0, 1e-150, -1e150]
-
-    def pairs(self):
-        rng = np.random.default_rng(139)
-        parts = rng.normal(size=(10_000, 4)) * 10.0 ** rng.uniform(-8, 8, size=(10_000, 4))
-        values = [complex(r, i) for r in self.SPECIAL for i in self.SPECIAL]
-        xs = [complex(p[0], p[1]) for p in parts.tolist()] + values
-        ys = [complex(p[2], p[3]) for p in parts.tolist()] + values[::-1]
-        return xs, ys
-
-    @staticmethod
-    def bits(values):
-        return np.array(values, dtype=float).view(np.uint64).tolist()
-
-    def test_complex_times_complex(self):
-        xs, ys = self.pairs()
-        x, y = np.array(xs), np.array(ys)
-        real, imag = oracle._cmul(x.real, x.imag, y.real, y.imag)
-        products = [a * b for a, b in zip(xs, ys)]
-        assert self.bits(real) == self.bits([p.real for p in products])
-        assert self.bits(imag) == self.bits([p.imag for p in products])
-
-    @pytest.mark.parametrize("factor", [1.0, -1.0])
-    def test_complex_times_unit_float(self, factor):
-        xs, _ = self.pairs()
-        x = np.array(xs)
-        real, imag = oracle._cmul(x.real, x.imag, factor, 0.0)
-        products = [a * factor for a in xs]
-        assert self.bits(real) == self.bits([p.real for p in products])
-        assert self.bits(imag) == self.bits([p.imag for p in products])

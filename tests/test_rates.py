@@ -1,5 +1,6 @@
 """Tests for the closed-form norms, matrix elements, and exclusion detection."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from pairabs.algebra import CHI, PHI, PSI, VARPHI, Statistics
 from pairabs.rates import (
     ExcludedStateError,
+    _cmul,
     _complex_over_real,
     exclusion_mask,
     final_norm_sq,
@@ -29,6 +31,7 @@ from pairabs.scenarios import (
     build_family_table,
     build_table,
     family_exclusion_coefficient,
+    random_realizable_table,
 )
 from pairabs.scenarios import CHOICES
 
@@ -333,7 +336,9 @@ class TestRelativeRateGrid:
 
     def test_complex_overlaps_agree_to_rounding(self):
         # numpy's vectorized complex multiply may round differently from
-        # CPython's, so complex grid overlaps agree to a few ulp, not bit for bit.
+        # CPython's, so complex grid overlaps agree to a few ulp, not bit for
+        # bit.  Products written out with _cmul would agree exactly, at more
+        # than twice the grid time (measured in the rates docstring).
         rng = np.random.default_rng(3)
         phases = {pair: np.exp(1j * rng.uniform(0, 2 * np.pi)) for pair in ALL_PAIRS}
         grid = np.linspace(0.0, 0.6, 31)
@@ -351,3 +356,94 @@ class TestRelativeRateGrid:
                     assert getattr(res, field)[i] == pytest.approx(
                         getattr(point, field), rel=64 * np.finfo(float).eps
                     )
+
+
+class TestComplexProductRounding:
+    """The batched oracle relies on ``_cmul`` rounding as CPython's ``*``.
+
+    CPython (up to 3.13) multiplies complex numbers as
+    ``(ar*br - ai*bi, ar*bi + ai*br)`` and a complex by a float ``s`` as by
+    ``complex(s, 0)``; the batch writes both out on numpy arrays.  Python
+    3.14's mixed-mode arithmetic (``complex * float`` scales each part) or a
+    build that fuses the multiply-add (FMA) would round differently, and
+    this test would fail before the batch silently drifts from the formal
+    expansion.
+    """
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+               1.0, -1.0, 0.5, -3.0, 1e-150, -1e150]
+
+    def pairs(self):
+        rng = np.random.default_rng(139)
+        parts = rng.normal(size=(10_000, 4)) * 10.0 ** rng.uniform(-8, 8, size=(10_000, 4))
+        values = [complex(r, i) for r in self.SPECIAL for i in self.SPECIAL]
+        xs = [complex(p[0], p[1]) for p in parts.tolist()] + values
+        ys = [complex(p[2], p[3]) for p in parts.tolist()] + values[::-1]
+        return xs, ys
+
+    @staticmethod
+    def bits(values):
+        return np.array(values, dtype=float).view(np.uint64).tolist()
+
+    def test_complex_times_complex(self):
+        xs, ys = self.pairs()
+        x, y = np.array(xs), np.array(ys)
+        real, imag = _cmul(x.real, x.imag, y.real, y.imag)
+        products = [a * b for a, b in zip(xs, ys)]
+        assert self.bits(real) == self.bits([p.real for p in products])
+        assert self.bits(imag) == self.bits([p.imag for p in products])
+
+    @pytest.mark.parametrize("factor", [1.0, -1.0])
+    def test_complex_times_unit_float(self, factor):
+        xs, _ = self.pairs()
+        x = np.array(xs)
+        real, imag = _cmul(x.real, x.imag, factor, 0.0)
+        products = [a * factor for a in xs]
+        assert self.bits(real) == self.bits([p.real for p in products])
+        assert self.bits(imag) == self.bits([p.imag for p in products])
+
+
+class TestRelativeRatePinned:
+    """``relative_rate`` on single-point tables, pinned value by value and type by type.
+
+    The digest covers ``repr`` and Python type of every field of 2400
+    evaluations: random weights on random complex and realizable tables, and
+    excluded points (the family's null direction, the Pauli pair) whose
+    ``n0``, ``m`` and ``r`` are NaN.  It was captured on the scalar
+    evaluation that ``relative_rate`` had before it ran the grid code.
+    """
+
+    DIGEST = "331a495c765e502635f598958204db775e5114c92d9a97ce5783e605a95e49c5"
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(151)
+        for k in range(300):
+            parts = rng.normal(size=4)
+            coeffs = Coefficients(complex(parts[0], parts[1]), complex(parts[2], parts[3]))
+            model = RecoilModel(float(rng.uniform(0.5, 1.0)))
+            if k % 2:
+                table = random_realizable_table(rng, model)
+            else:
+                table = build_table({pair: complex(rng.uniform(-0.55, 0.55),
+                                                   rng.uniform(-0.4, 0.4))
+                                     for pair in ALL_PAIRS}, model)
+            family = build_family_table(ExclusionFamily.equal_weight(float(rng.uniform())),
+                                        model)
+            for statistics in (BOSON, FERMION):
+                yield coeffs, table, statistics
+                yield Coefficients(coeffs.a, 0.0), table, statistics
+                yield Coefficients(1.0 / ROOT2, 1.0 / ROOT2), family, statistics
+                yield A_ONLY, choice_table("i", 1.0, model), statistics
+
+    def test_fields_and_types_are_pinned(self):
+        digest = hashlib.sha256()
+        excluded = 0
+        for coeffs, table, statistics in self.cases():
+            res = relative_rate(coeffs, table, statistics)
+            excluded += res.excluded
+            for field in ("n0", "nf", "m", "m_pro", "r", "excluded"):
+                value = getattr(res, field)
+                digest.update(f"{type(value).__name__} {value!r}\n".encode())
+        assert excluded == 600  # both null cases, fermions only
+        assert digest.hexdigest() == self.DIGEST
