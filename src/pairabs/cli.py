@@ -9,6 +9,10 @@ The grid subcommands (``sweep``, ``figures``, ``exclusion-scan``) build one
 grid table per ``c`` grid and evaluate it once per weights and statistics
 pair; the output is byte-identical to evaluating every point on its own
 table.  ``rate`` is ``sweep`` on the one-point grid ``[--c]``.
+
+The scenario of ``rate`` and ``sweep`` is one setting, ``choice``: a preset
+or ``family``.  ``--family`` is shorthand for ``--choice family``, a config
+file spells it ``choice = family``, and an explicit flag beats the file.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .scenarios import (
     Coefficients,
     ExclusionFamily,
     RecoilModel,
-    ScenarioSpec,
     build_choice_table,
     build_family_table,
     family_exclusion_coefficient,
@@ -118,13 +121,11 @@ def sweep_rows(
     return rows
 
 
-def _scenario_table(
-    name: str, grid: np.ndarray, model: RecoilModel
-) -> tuple[str, OverlapTable]:
-    """``(name, grid table over grid)`` for a preset choice or ``"family"``."""
+def _scenario_table(name: str, grid: np.ndarray, model: RecoilModel) -> OverlapTable:
+    """Grid table over ``grid`` for a preset choice or ``"family"``."""
     if name == "family":
-        return name, build_family_table(ExclusionFamily.equal_weight(grid), model)
-    return name, build_choice_table(ScenarioSpec.for_choice(name), grid, model)
+        return build_family_table(ExclusionFamily.equal_weight(grid), model)
+    return build_choice_table(name, grid, model)
 
 
 def _coefficients(args) -> Coefficients:
@@ -164,9 +165,9 @@ def _cmd_sweep(args) -> int:
                            else (args.c_min, args.c_max, args.steps))
     _check_c_range(c_min, c_max)
     grid = _grid(c_min, c_max, steps)
-    scenario = _scenario_table("family" if args.family else args.choice or "i", grid, model)
-    rows = sweep_rows(*scenario, [_coefficients(args)], _stats_list(args.statistics),
-                      grid, args.alpha0)
+    name = args.choice or "i"  # the one place the default scenario is set
+    rows = sweep_rows(name, _scenario_table(name, grid, model), [_coefficients(args)],
+                      _stats_list(args.statistics), grid, args.alpha0)
     with _open_out(args.out) as out:
         _write_csv(out, SWEEP_HEADER, rows)
     return 0
@@ -251,17 +252,17 @@ def run_figures(
         written.append(path)
 
     if target == "fig2":
-        tables = dict(_scenario_table(name, grid, model) for name in ("i", "ii"))
+        tables = {name: _scenario_table(name, grid, model) for name in ("i", "ii")}
         for name, table in tables.items():
             emit(f"fig2_{name}.csv", SWEEP_HEADER,
                  sweep_rows(name, table, FIG2_CASES, BOTH_STATISTICS, grid, alpha0))
         _log_choice_ii_flatness(tables["ii"], log)
     elif target == "fig3":
-        name, iii = _scenario_table("iii", grid, model)
+        iii = _scenario_table("iii", grid, model)
         emit("fig3_iii.csv", SWEEP_HEADER,
-             sweep_rows(name, iii, FIG3_III_CASES, BOTH_STATISTICS, grid, alpha0))
+             sweep_rows("iii", iii, FIG3_III_CASES, BOTH_STATISTICS, grid, alpha0))
         emit("fig3_iv.csv", SWEEP_HEADER,
-             sweep_rows(*_scenario_table("iv", grid, model),
+             sweep_rows("iv", _scenario_table("iv", grid, model),
                         FIG3_IV_CASES, BOTH_STATISTICS, grid, alpha0))
         rows, max_dev = _coincidence_rows(iii, grid)
         emit("fig3_iii_fermion_coincidence.csv", COINCIDENCE_HEADER, rows)
@@ -272,7 +273,7 @@ def run_figures(
         )
     elif target == "fig4":
         emit("fig4.csv", SWEEP_HEADER,
-             sweep_rows(*_scenario_table("family", grid, model),
+             sweep_rows("family", _scenario_table("family", grid, model),
                         FIG4_CASES, (Statistics.FERMION,), grid, alpha0))
     else:
         raise ValueError(f"unknown figure target {target!r}")
@@ -294,7 +295,13 @@ def exclusion_scan_rows(
     model: RecoilModel = RecoilModel(),
 ) -> tuple[list[list[str]], int]:
     """Rows (a, c, |coefficient|, excluded_by_norm, excluded_by_formula) plus the
-    number of rows where the two detection paths disagree."""
+    number of rows where the two detection paths disagree.
+
+    Both verdicts are :func:`pairabs.rates.exclusion_mask`, the one null
+    floor: ``excluded_by_norm`` on the closed-form initial norm², and
+    ``excluded_by_formula`` on ``2|coefficient|^2``, which is that norm² on
+    the family.
+    """
     for a in a_grid:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"a values must lie in [0, 1], got {a}")
@@ -306,11 +313,12 @@ def exclusion_scan_rows(
     disagreements = 0
     for a in a_grid:
         coeffs = Coefficients(a, math.sqrt(max(0.0, 1.0 - a * a)))
-        by_norm = rates.exclusion_mask(coeffs, table, Statistics.FERMION)
+        by_norm = rates.exclusion_mask(
+            coeffs, rates.initial_norm_sq(coeffs, table, Statistics.FERMION))
         coefficient = family_exclusion_coefficient(coeffs, fam)
         magnitude = np.broadcast_to(np.hypot(np.real(coefficient), np.imag(coefficient)),
                                     c_grid.shape)  # abs() per point
-        by_formula = magnitude < rates.EXCLUSION_EPS
+        by_formula = rates.exclusion_mask(coeffs, 2.0 * magnitude * magnitude)
         disagreements += int(np.count_nonzero(by_norm != by_formula))
         a_text = _fmt(a)
         rows.extend(
@@ -470,11 +478,13 @@ def _add_common(p) -> None:
 
 
 def _add_scenario(p) -> None:
+    # default None, not "i": argparse then still rejects --choice with --family
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--choice", choices=CHOICES,
-                       help="built-in overlap preset (default i)")
-    group.add_argument("--family", action="store_true",
-                       help="sweep the equal-weight exclusion family instead of a preset")
+    group.add_argument("--choice", choices=(*CHOICES, "family"),
+                       help="built-in overlap preset, or the equal-weight exclusion "
+                            "family (default i)")
+    group.add_argument("--family", action="store_const", dest="choice", const="family",
+                       help="shorthand for --choice family")
 
 
 def _add_coefficients(p) -> None:
@@ -570,21 +580,13 @@ def _read_config(path: str) -> dict[str, str]:
 
 def _apply_config_defaults(subparser: argparse.ArgumentParser,
                            values: dict[str, str]) -> None:
-    actions = {action.dest: action for action in subparser._actions}
+    # the first action of a dest wins: --choice, not its --family shorthand
+    actions = {action.dest: action for action in reversed(subparser._actions)}
     converted: dict[str, object] = {}
     for key, raw in values.items():
         action = actions.get(key)
         if action is None or key in ("config", "help", "func"):
             raise ValueError(f"unknown config key {key!r} for this command")
-        if isinstance(action.const, bool):
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                converted[key] = True
-            elif low in ("0", "false", "no", "off"):
-                converted[key] = False
-            else:
-                raise ValueError(f"config key {key!r}: expected a boolean, got {raw!r}")
-            continue
         value: object = action.type(raw) if action.type is not None else raw
         if action.choices is not None and value not in action.choices:
             raise ValueError(

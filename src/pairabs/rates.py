@@ -11,22 +11,23 @@ the same atoms in the product state ``|psi>|phi>``.
 
 Null initial states (Pauli pairs, and the entanglement-induced family) make
 the normalized amplitude a 0/0 form.  One scale-free criterion detects them:
-a squared norm below its floor from ``_null_floors``.
-:func:`require_not_null` raises :class:`ExcludedStateError` on it,
-:func:`exclusion_mask` gives the verdict for one point or a grid, and
+a squared norm below its floor from ``_null_floors``.  For the initial norm
+that comparison is :func:`exclusion_mask`, on one squared norm or an array of
+them; ``pairabs exclusion-scan`` applies it to both of its verdicts.
+:func:`require_not_null` raises :class:`ExcludedStateError` on it, and
 :func:`relative_rate` and :func:`relative_rate_grid` flag it in a
 :class:`RateResult` with NaN in the undefined fields, never as round-off
 garbage.
 
 The three closed forms are elementwise, so on a grid table (one whose entries
 are arrays over a sweep grid) they return arrays over the grid.
-:func:`relative_rate_grid` and :func:`exclusion_mask` finish the evaluation
-in one pass, and :func:`relative_rate` is the same code on a single-point
-table.  Where the overlaps are real, as in every preset and the exclusion
-family, each grid point equals bit for bit the value on that point's own
-table.  With complex overlaps it may differ by a few ulp, because numpy's
-vectorized complex multiply rounds on its own.  Writing every product out
-with :func:`_cmul` would remove that, but on a 2-vCPU Xeon it more than
+:func:`relative_rate_grid` finishes the evaluation in one pass, and
+:func:`relative_rate` is the same code on a single-point table.  Where the
+overlaps are real, as in every preset and the exclusion family, each grid
+point equals bit for bit the value on that point's own table.  With complex
+overlaps it may differ by a few ulp, because numpy's vectorized complex
+multiply rounds on its own.  Writing every product out with :func:`_cmul`
+would remove that, but on a 2-vCPU Xeon it more than
 doubles :func:`relative_rate_grid` on 101 points (about 105 to 235 us) and
 adds 14-19 % to an in-process ``figures`` job.
 
@@ -220,12 +221,13 @@ def _null_floors(coeffs: Coefficients) -> tuple[float, float]:
     return EXCLUSION_EPS * 2.0 * weight_sq, EXCLUSION_EPS * 4.0 * weight_sq
 
 
-def exclusion_mask(
-    coeffs: Coefficients, table: OverlapTable, statistics: Statistics
-) -> bool | np.ndarray:
-    """Where the initial state is null up to round-off: a bool array on a grid table."""
-    n0_floor, _ = _null_floors(coeffs)
-    return initial_norm_sq(coeffs, table, statistics) < n0_floor
+def exclusion_mask(coeffs: Coefficients, n0_sq: float | np.ndarray) -> bool | np.ndarray:
+    """Whether an initial squared norm ``n0_sq`` of ``coeffs`` is null up to round-off.
+
+    The one comparison against the initial-norm floor; elementwise on an
+    array of squared norms, such as :func:`initial_norm_sq` on a grid table.
+    """
+    return n0_sq < _null_floors(coeffs)[0]
 
 
 def require_not_null(coeffs: Coefficients, n0_sq: float, nf_sq: float) -> None:
@@ -234,12 +236,11 @@ def require_not_null(coeffs: Coefficients, n0_sq: float, nf_sq: float) -> None:
     The one null criterion for every raising entry point: the closed-form
     :func:`matrix_element`, the oracle and ``pairabs verify``.
     """
-    n0_floor, nf_floor = _null_floors(coeffs)
-    if n0_sq < n0_floor:
+    if exclusion_mask(coeffs, n0_sq):
         raise ExcludedStateError(
             "initial state is null (excluded); the normalized amplitude is a 0/0 form"
         )
-    if nf_sq < nf_floor:
+    if nf_sq < _null_floors(coeffs)[1]:
         raise ExcludedStateError(
             "final superposition is null; the normalized amplitude is a 0/0 form"
         )
@@ -318,9 +319,8 @@ def _finish_grid(
 ) -> RateResult:
     """:func:`relative_rate_grid` from the three closed forms already evaluated on ``table``."""
     m_pro = matrix_element_product(table)
-    n0_floor, nf_floor = _null_floors(coeffs)
-    nf_null = nf_sq < nf_floor
-    excluded = (n0_sq < n0_floor) | nf_null
+    nf_null = nf_sq < _null_floors(coeffs)[1]
+    excluded = exclusion_mask(coeffs, n0_sq) | nf_null
     twice = 2.0 * bracket
     # Excluded points may take square roots of negatives or divide by zero;
     # they are masked below, so those results are never used.

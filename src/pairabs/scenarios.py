@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -36,7 +36,6 @@ __all__ = [
     "Coefficients",
     "ExclusionFamily",
     "RecoilModel",
-    "ScenarioSpec",
     "alpha_pair",
     "build_choice_table",
     "build_family_table",
@@ -151,26 +150,6 @@ _CHOICE_FIXED: dict[str, dict[tuple[CmLabel, CmLabel], complex]] = {
 CHOICES = tuple(_CHOICE_FIXED)
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """A swept overlap configuration.
-
-    Base pairs present in ``fixed_overlaps`` are pinned; the remaining base
-    pairs take the sweep value.  The dependent pairs always follow the chain
-    rules (see :func:`build_choice_table`).
-    """
-
-    choice: str
-    fixed_overlaps: Mapping[tuple[CmLabel, CmLabel], complex] = field(default_factory=dict)
-
-    @classmethod
-    def for_choice(cls, name: str) -> "ScenarioSpec":
-        """One of the built-in presets i, ii, iii, iv."""
-        if name not in _CHOICE_FIXED:
-            raise ValueError(f"unknown choice {name!r}; expected one of {CHOICES}")
-        return cls(choice=name, fixed_overlaps=dict(_CHOICE_FIXED[name]))
-
-
 def build_table(
     overlaps: Mapping[tuple[CmLabel, CmLabel], complex | np.ndarray],
     model: RecoilModel = RecoilModel(),
@@ -211,18 +190,22 @@ def build_table(
 
 
 def build_choice_table(
-    spec: ScenarioSpec, c: float | np.ndarray, model: RecoilModel = RecoilModel()
+    name: str, c: float | np.ndarray, model: RecoilModel = RecoilModel()
 ) -> OverlapTable:
-    """Full table for a swept configuration at sweep value ``c`` (or a grid of them).
+    """Full table for the preset ``name`` (one of :data:`CHOICES`) at sweep value ``c``.
 
-    The three dependent overlaps follow the chain rules
+    ``c`` may also be a grid of sweep values.  The preset pins some base
+    pairs; the other base pairs take the sweep value.  The three dependent
+    overlaps follow the chain rules
     ``<psi|chi> = <psi|varphi><varphi|chi>``,
     ``<phi|varphi> = <phi|psi><psi|varphi>`` and
     ``<phi|chi> = <phi|varphi><varphi|chi>``.
     """
+    if name not in _CHOICE_FIXED:
+        raise ValueError(f"unknown choice {name!r}; expected one of {CHOICES}")
     if not np.all((0.0 <= c) & (c <= 1.0)):
         raise ValueError(f"sweep value must lie in [0, 1], got {c}")
-    base = {pair: _overlap_value(spec.fixed_overlaps.get(pair, c)) for pair in BASE_PAIRS}
+    base = {pair: _overlap_value(_CHOICE_FIXED[name].get(pair, c)) for pair in BASE_PAIRS}
     psi_phi = base[(PSI, PHI)]
     psi_varphi = base[(PSI, VARPHI)]
     varphi_chi = base[(VARPHI, CHI)]

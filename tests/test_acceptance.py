@@ -16,7 +16,6 @@ from pairabs.scenarios import (
     ALL_PAIRS,
     Coefficients,
     RecoilModel,
-    ScenarioSpec,
     build_choice_table,
     build_table,
 )
@@ -37,8 +36,7 @@ def _report(name, ok, detail=""):
 
 
 def _choice_tables(name, grid=GRID_101, model=RecoilModel()):
-    spec = ScenarioSpec.for_choice(name)
-    return [(c, build_choice_table(spec, c, model)) for c in grid]
+    return [(c, build_choice_table(name, c, model)) for c in grid]
 
 
 def test_criterion_1_oracle_equivalence():
@@ -94,7 +92,7 @@ def test_criterion_2_choice_i_closed_forms():
 
 
 def test_criterion_3_pauli_limit():
-    table = build_choice_table(ScenarioSpec.for_choice("i"), 1.0)
+    table = build_choice_table("i", 1.0)
     fermion = rates.relative_rate(A_ONLY, table, FERMION)
     boson = rates.relative_rate(A_ONLY, table, BOSON)
     _report(

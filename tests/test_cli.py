@@ -5,11 +5,16 @@ import gzip
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pairabs import cli, rates
 from pairabs.algebra import Statistics
@@ -18,7 +23,6 @@ from pairabs.scenarios import (
     Coefficients,
     ExclusionFamily,
     RecoilModel,
-    ScenarioSpec,
     build_choice_table,
     build_family_table,
     family_exclusion_coefficient,
@@ -26,6 +30,10 @@ from pairabs.scenarios import (
 
 ROOT2_INV = 1.0 / math.sqrt(2.0)
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
+SRC = Path(__file__).resolve().parents[1] / "src"
+# |coefficient| = 4.47e-06 at a = 0: between the amplitude floor 1e-10 and its root
+NEAR_NULL_SCAN = ["exclusion-scan", "--a-min", "0", "--a-max", "0", "--a-steps", "1",
+                  "--c-min", "0.99999999999", "--c-max", "0.99999999999", "--steps", "1"]
 
 
 def exit_code(argv):
@@ -102,6 +110,14 @@ class TestSweep:
         assert code == 0
         _, rows = parse_stdout_csv(capsys.readouterr().out)
         assert all(row[0] == "family" and row[13] == "1" for row in rows)
+
+    def test_choice_family_equals_the_family_shorthand(self, capsys):
+        argv = ["sweep", "--steps", "5", "--a-re", "0.8", "--b-re", "0.6"]
+        assert exit_code([*argv, "--choice", "family"]) == 0
+        spelled = capsys.readouterr().out
+        assert exit_code([*argv, "--family"]) == 0
+        assert capsys.readouterr().out == spelled
+        assert spelled.splitlines()[1].startswith("family,")
 
     def test_rows_ordered_by_statistics_then_c(self, capsys):
         assert exit_code(["sweep", "--steps", "3"]) == 0
@@ -271,6 +287,28 @@ class TestExclusionScan:
         assert float(rows[0][2]) == pytest.approx(0.1, abs=1e-12)
         assert rows[0][3] == "0" and rows[0][4] == "0"
 
+    def test_near_null_point_is_excluded_by_both_paths(self, capsys):
+        # 2|coefficient|^2 = 4e-11 is below the floor 2e-10; an amplitude-scale
+        # threshold (|coefficient| < 1e-10) would call the point not null
+        assert exit_code(NEAR_NULL_SCAN) == 0
+        captured = capsys.readouterr()
+        _, rows = parse_stdout_csv(captured.out)
+        assert rows == [["0.0", "0.99999999999", "4.472136140021288e-06", "1", "1"]]
+        assert captured.err == ""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        a=st.one_of(st.floats(0.0, 1.0), st.floats(ROOT2_INV - 1e-4, ROOT2_INV + 1e-4)),
+        c=st.one_of(st.floats(0.0, 1.0), st.floats(1.0 - 1e-9, 1.0)),
+    )
+    def test_both_paths_agree_near_the_null_manifold(self, a, c):
+        (row,), disagreements = cli.exclusion_scan_rows([a], [c])
+        coeffs = Coefficients(a, math.sqrt(max(0.0, 1.0 - a * a)))
+        floor = rates.EXCLUSION_EPS * 2.0 * coeffs.weight_sq
+        # within this band of the floor round-off may legitimately split them
+        assume(abs(2.0 * float(row[2]) ** 2 - floor) > 1e-4 * floor)
+        assert row[3] == row[4] and disagreements == 0, row
+
     def test_detection_disagreement_exits_2(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "family_exclusion_coefficient", lambda *a: 1.0)
         code = exit_code([
@@ -301,16 +339,18 @@ def reference_sweep_rows(name, table_for, cases, stats, grid, alpha0):
 
 
 def reference_scan_rows(a_grid, c_grid):
-    """The per-point loop: one family table, exclusion_mask and coefficient per (a, c)."""
+    """The per-point loop: one family table, coefficient and two exclusion_mask calls
+    per (a, c)."""
     fmt = cli._fmt
     rows, disagreements = [], 0
     for a in a_grid:
         coeffs = Coefficients(a, math.sqrt(max(0.0, 1.0 - a * a)))
         for c in c_grid:
             fam = ExclusionFamily.equal_weight(c)
-            by_norm = rates.exclusion_mask(coeffs, build_family_table(fam), Statistics.FERMION)
+            n0_sq = rates.initial_norm_sq(coeffs, build_family_table(fam), Statistics.FERMION)
+            by_norm = rates.exclusion_mask(coeffs, n0_sq)
             magnitude = abs(family_exclusion_coefficient(coeffs, fam))
-            by_formula = magnitude < rates.EXCLUSION_EPS
+            by_formula = rates.exclusion_mask(coeffs, 2.0 * magnitude * magnitude)
             disagreements += by_norm != by_formula
             rows.append([fmt(a), fmt(c), fmt(magnitude),
                          "1" if by_norm else "0", "1" if by_formula else "0"])
@@ -350,8 +390,7 @@ class TestGridEqualsPointLoop:
         if name == "family":
             table_for = lambda c: build_family_table(ExclusionFamily.equal_weight(c), model)
         else:
-            spec = ScenarioSpec.for_choice(name)
-            table_for = lambda c: build_choice_table(spec, c, model)
+            table_for = lambda c: build_choice_table(name, c, model)
         cases = [Coefficients(1.0, 0.0), Coefficients(0.8, 0.6),
                  Coefficients(0.3 + 0.4j, -0.5 + 0.2j),
                  Coefficients(ROOT2_INV, ROOT2_INV)]
@@ -363,8 +402,9 @@ class TestGridEqualsPointLoop:
 
     @pytest.mark.parametrize("a_grid, c_grid", [
         (np.linspace(0.0, 1.0, 51).tolist(), np.linspace(0.0, 1.0, 51).tolist()),
-        # norm floor and formula floor disagree here (different scales); the grid
-        # scan must keep the loop's verdicts, disagreement included
+        # |coefficient| = 4.47e-06 lies between the floor on the amplitude
+        # scale (1e-10) and on the squared scale (its square root, 1e-5): both
+        # verdicts must use the one squared-norm floor and say excluded
         ([0.0], [0.99999999999]),
     ])
     def test_exclusion_scan_rows(self, a_grid, c_grid):
@@ -582,6 +622,64 @@ class TestConfigFile:
 
     def test_missing_config_file_rejected(self, tmp_path):
         assert exit_code(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 1
+
+
+    @pytest.mark.parametrize("config, flags, scenario", [
+        ("choice = family", [], "family"),
+        ("choice = family", ["--choice", "ii"], "ii"),
+        ("choice = iii", ["--family"], "family"),
+        ("choice = iii", ["--choice", "family"], "family"),
+    ])
+    def test_explicit_scenario_flag_beats_the_config(self, config, flags, scenario,
+                                                      tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        assert exit_code(["rate", "--config", str(cfg), *flags]) == 0
+        _, rows = parse_stdout_csv(capsys.readouterr().out)
+        assert [row[0] for row in rows] == [scenario, scenario]
+
+    def test_unknown_choice_in_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("choice = v\n")
+        assert exit_code(["sweep", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "config key 'choice': 'v' is not one of" in err and "Traceback" not in err
+
+    def test_family_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("family = true\n")
+        assert exit_code(["sweep", "--config", str(cfg)]) == 1
+        assert "unknown config key 'family'" in capsys.readouterr().err
+
+
+class TestEntryPoint:
+    """``python -m pairabs`` runs ``cli.main`` and exits with its code."""
+
+    @staticmethod
+    def run_module(argv, cwd):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "pairabs", *argv], cwd=cwd, env=env,
+                              capture_output=True, timeout=60)
+
+    def test_exit_code_and_bytes_match_the_in_process_run(self, tmp_path, capsys):
+        assert exit_code(NEAR_NULL_SCAN) == 0
+        in_process = capsys.readouterr().out
+        proc = self.run_module(NEAR_NULL_SCAN, tmp_path)
+        assert proc.returncode == 0
+        assert proc.stdout == in_process.encode()
+        assert proc.stderr == b""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--choice", "v"],
+        ["sweep", "--c-max", "1.5"],
+        ["rate", "--a-re", "0", "--b-re", "0"],
+    ])
+    def test_bad_input_exits_1_without_a_traceback(self, argv, tmp_path):
+        proc = self.run_module(argv, tmp_path)
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr and b"Traceback" not in proc.stderr
 
 
 class TestInvalidInput:

@@ -30,7 +30,6 @@ from pairabs.rates import ExcludedStateError
 from pairabs.scenarios import (
     Coefficients,
     RecoilModel,
-    ScenarioSpec,
     build_choice_table,
     random_realizable_table,
 )
@@ -41,7 +40,7 @@ A_ONLY = Coefficients(1.0, 0.0)
 
 
 def choice_table(name, c, model=RecoilModel()):
-    return build_choice_table(ScenarioSpec.for_choice(name), c, model)
+    return build_choice_table(name, c, model)
 
 
 def random_coefficients(rng):

@@ -2,15 +2,18 @@
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from pairabs.algebra import CHI, PHI, PSI, VARPHI, Statistics
 from pairabs.rates import (
+    EXCLUSION_EPS,
     ExcludedStateError,
     _cmul,
     _complex_over_real,
+    _null_floors,
     exclusion_mask,
     final_norm_sq,
     initial_norm_sq,
@@ -25,7 +28,6 @@ from pairabs.scenarios import (
     Coefficients,
     ExclusionFamily,
     RecoilModel,
-    ScenarioSpec,
     alpha_pair,
     build_choice_table,
     build_family_table,
@@ -33,7 +35,7 @@ from pairabs.scenarios import (
     family_exclusion_coefficient,
     random_realizable_table,
 )
-from pairabs.scenarios import CHOICES
+from pairabs.scenarios import CHOICES, _WEIGHT_NORM_RANGE
 
 BOSON = Statistics.BOSON
 FERMION = Statistics.FERMION
@@ -46,7 +48,7 @@ def orthogonal_table(model=RecoilModel()):
 
 
 def choice_table(name, c, model=RecoilModel()):
-    return build_choice_table(ScenarioSpec.for_choice(name), c, model)
+    return build_choice_table(name, c, model)
 
 
 class TestInitialNormSq:
@@ -235,14 +237,14 @@ class TestRelativeRate:
 class TestExclusionCheck:
     def test_pauli_pair(self):
         table = choice_table("i", 1.0)
-        assert exclusion_mask(A_ONLY, table, FERMION)
-        assert not exclusion_mask(A_ONLY, table, BOSON)
+        assert exclusion_mask(A_ONLY, initial_norm_sq(A_ONLY, table, FERMION))
+        assert not exclusion_mask(A_ONLY, initial_norm_sq(A_ONLY, table, BOSON))
 
     def test_family_equal_weights(self):
         fam = ExclusionFamily.equal_weight(0.5)
         table = build_family_table(fam)
         coeffs = Coefficients(1.0 / ROOT2, 1.0 / ROOT2)
-        assert exclusion_mask(coeffs, table, FERMION)
+        assert exclusion_mask(coeffs, initial_norm_sq(coeffs, table, FERMION))
 
     def test_biconditional_against_formula_on_grid(self):
         for a in np.linspace(0.0, 1.0, 11):
@@ -251,9 +253,24 @@ class TestExclusionCheck:
             for c in np.linspace(0.0, 1.0, 11):
                 fam = ExclusionFamily.equal_weight(float(c))
                 table = build_family_table(fam)
-                by_norm = exclusion_mask(coeffs, table, FERMION)
-                by_formula = abs(family_exclusion_coefficient(coeffs, fam)) < 1e-10
+                by_norm = exclusion_mask(coeffs, initial_norm_sq(coeffs, table, FERMION))
+                coefficient = abs(family_exclusion_coefficient(coeffs, fam))
+                by_formula = exclusion_mask(coeffs, 2.0 * coefficient * coefficient)
                 assert by_norm == by_formula, (a, c)
+
+
+class TestNullFloors:
+    def test_floors_keep_the_bound_the_weight_range_assumes(self):
+        # _WEIGHT_NORM_RANGE assumes n0^2 nf^2 >= 1e-20 (|a|^2 + |b|^2)^2 wherever
+        # a point is not excluded; the floors made from EXCLUSION_EPS give that
+        assert (EXCLUSION_EPS * 2.0) * (EXCLUSION_EPS * 4.0) >= 1e-20
+        for coeffs in (A_ONLY, Coefficients(0.8, 0.6j), Coefficients(3e5, -2e5)):
+            n0_floor, nf_floor = _null_floors(coeffs)
+            assert n0_floor * nf_floor >= 1e-20 * coeffs.weight_sq**2
+
+    def test_floors_stay_normal_at_the_smallest_weights(self):
+        n0_floor, nf_floor = _null_floors(Coefficients(_WEIGHT_NORM_RANGE[0], 0.0))
+        assert n0_floor * nf_floor >= sys.float_info.min
 
 
 GRID_101 = np.linspace(0.0, 1.0, 101)
@@ -297,8 +314,10 @@ class TestRelativeRateGrid:
                     assert_same_doubles(getattr(grid, field), [getattr(p, field) for p in points])
                 assert grid.excluded.tolist() == [p.excluded for p in points]
                 assert all(p.m_pro == grid.m_pro for p in points)
-                mask = exclusion_mask(coeffs, grid_table, statistics)
-                assert mask.tolist() == [exclusion_mask(coeffs, t, statistics) for t in tables]
+                mask = exclusion_mask(coeffs, initial_norm_sq(coeffs, grid_table, statistics))
+                assert mask.tolist() == [
+                    exclusion_mask(coeffs, initial_norm_sq(coeffs, t, statistics)) for t in tables
+                ]
 
     @pytest.mark.parametrize("z", [
         complex(re, im) for re in (-0.0, 0.0, -1.5, 2.0) for im in (-0.0, 0.0, -3.0, 0.7)

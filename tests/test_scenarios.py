@@ -13,7 +13,6 @@ from pairabs.scenarios import (
     Coefficients,
     ExclusionFamily,
     RecoilModel,
-    ScenarioSpec,
     alpha_pair,
     build_choice_table,
     build_family_table,
@@ -85,7 +84,7 @@ class TestCoefficients:
 
 class TestChoiceTables:
     def test_choice_i_at_zero_sweep(self):
-        table = build_choice_table(ScenarioSpec.for_choice("i"), 0.0)
+        table = build_choice_table("i", 0.0)
         assert table.overlap(PSI, PHI) == 0.0
         assert table.overlap(PSI, CHI) == 0.0
         assert table.overlap(PHI, VARPHI) == 0.0
@@ -94,17 +93,17 @@ class TestChoiceTables:
 
     @pytest.mark.parametrize("c", [0.0, 0.25, 0.5, 1.0])
     def test_choice_ii_phi_chi_chain(self, c):
-        table = build_choice_table(ScenarioSpec.for_choice("ii"), c)
+        table = build_choice_table("ii", c)
         assert table.overlap(PHI, CHI) == pytest.approx(0.72 * c, rel=1e-12)
 
     def test_one_recoil_diagonal_is_alpha0(self):
         for name in CHOICES:
-            table = build_choice_table(ScenarioSpec.for_choice(name), 0.3)
+            table = build_choice_table(name, 0.3)
             assert table.overlap(PSI.star(), PSI) == 0.9
 
     def test_one_recoil_cross_entry(self):
         c = 0.4
-        table = build_choice_table(ScenarioSpec.for_choice("i"), c)
+        table = build_choice_table("i", c)
         assert table.overlap(PSI.star(), PHI) == pytest.approx(0.9 * c, abs=1e-15)
         # mirror orientation conjugates
         assert table.overlap(PHI, PSI.star()) == table.overlap(PSI.star(), PHI).conjugate()
@@ -112,14 +111,14 @@ class TestChoiceTables:
     def test_two_recoil_entry_and_unit_starred_diagonal(self):
         c = 0.4
         model = RecoilModel()
-        table = build_choice_table(ScenarioSpec.for_choice("i"), c, model)
+        table = build_choice_table("i", c, model)
         alpha = alpha_pair(model, c)
         assert table.overlap(PSI.star(), PHI.star()) == pytest.approx(alpha * alpha * c, abs=1e-15)
         assert table.overlap(PSI.star(), PSI.star()) == 1.0
 
     def test_product_reference_entries(self):
         # the product reference |psi>|phi> needs no labels of its own
-        table = build_choice_table(ScenarioSpec.for_choice("iv"), 0.2, RecoilModel(0.7))
+        table = build_choice_table("iv", 0.2, RecoilModel(0.7))
         assert table.overlap(PSI.star(), PSI) == 0.7
         assert table.overlap(PHI.star(), PHI) == 0.7
         bare = (PSI, PHI, VARPHI, CHI)
@@ -127,9 +126,8 @@ class TestChoiceTables:
 
     @pytest.mark.parametrize("name", CHOICES)
     def test_chain_relations_hold(self, name):
-        spec = ScenarioSpec.for_choice(name)
         for c in np.linspace(0.0, 1.0, 21):
-            table = build_choice_table(spec, float(c))
+            table = build_choice_table(name, float(c))
             assert abs(
                 table.overlap(PSI, CHI)
                 - table.overlap(PSI, VARPHI) * table.overlap(VARPHI, CHI)
@@ -145,31 +143,23 @@ class TestChoiceTables:
 
     @pytest.mark.parametrize("name", CHOICES)
     def test_gram_realizable_over_full_sweep(self, name):
-        spec = ScenarioSpec.for_choice(name)
         for c in np.linspace(0.0, 1.0, 21):
-            report = validate_gram(build_choice_table(spec, float(c)))
+            report = validate_gram(build_choice_table(name, float(c)))
             assert report.realizable, (name, c, report.min_eigenvalue)
 
     def test_choice_i_midpoint_gram_example(self):
-        table = build_choice_table(ScenarioSpec.for_choice("i"), 0.5)
+        table = build_choice_table("i", 0.5)
         report = validate_gram(table, (PSI, PHI, VARPHI, CHI))
         assert report.realizable
 
     @pytest.mark.parametrize("c", [-0.1, 1.1, np.array([0.5, 1.1]), np.array([0.2, np.nan])])
     def test_rejects_sweep_out_of_range(self, c):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            build_choice_table(ScenarioSpec.for_choice("i"), c)
+            build_choice_table("i", c)
 
     def test_unknown_choice(self):
         with pytest.raises(ValueError, match="unknown choice"):
-            ScenarioSpec.for_choice("v")
-
-    def test_custom_spec_sweeps_unpinned_pairs(self):
-        spec = ScenarioSpec(choice="custom", fixed_overlaps={(PSI, PHI): 0.3})
-        table = build_choice_table(spec, 0.6)
-        assert table.overlap(PSI, PHI) == 0.3
-        assert table.overlap(PSI, VARPHI) == 0.6
-        assert table.overlap(VARPHI, CHI) == 0.6
+            build_choice_table("v", 0.3)
 
     def test_build_table_requires_all_pairs(self):
         with pytest.raises(ValueError, match="missing bare overlap"):
