@@ -281,11 +281,7 @@ def run_figures(
 
 
 def _cmd_figures(args) -> int:
-    try:
-        run_figures(args.target, Path(args.out), args.steps, args.alpha0)
-    except OSError as exc:
-        print(f"pairabs figures: {exc}", file=sys.stderr)
-        return 1
+    run_figures(args.target, Path(args.out), args.steps, args.alpha0)
     return 0
 
 
@@ -311,8 +307,7 @@ def exclusion_scan_rows(
     c_column = _column(c_grid)
     rows: list[list[str]] = []
     disagreements = 0
-    for a in a_grid:
-        coeffs = Coefficients(a, math.sqrt(max(0.0, 1.0 - a * a)))
+    for a, coeffs in zip(a_grid, _normalized_cases(a_grid)):
         by_norm = rates.exclusion_mask(
             coeffs, rates.initial_norm_sq(coeffs, table, Statistics.FERMION))
         coefficient = family_exclusion_coefficient(coeffs, fam)

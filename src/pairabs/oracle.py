@@ -16,13 +16,17 @@ over randomized configurations is the central anti-regression property of
 the library.
 
 Which term pairs survive, in which order, and which overlaps they need
-depend only on the shape ``(statistics, a != 0, b != 0)``.  One plan per
-shape is read, on first use, off :func:`build_initial`, :func:`build_final`,
-:func:`apply_absorption` and :func:`pairabs.algebra.matching_term_pairs`.
-A batch then looks up each trial's overlaps through its table and evaluates
-the pairs as numpy arrays over the trials, with CPython's complex rounding
-(``rates._cmul``) and each sum in bra-major pair order.  So every value
-equals :func:`pairabs.algebra.inner_product` of the built states bit for bit.
+depend only on the statistics.  One plan per statistics is read, on first
+use, off :func:`build_initial`, :func:`build_final`, :func:`apply_absorption`
+and :func:`pairabs.algebra.matching_term_pairs` at weights with both parts
+nonzero.  A batch then looks up each trial's overlaps through its table and
+evaluates the pairs as numpy arrays over the trials, with CPython's complex
+rounding (``rates._cmul``) and each sum in bra-major pair order.  So every
+value equals :func:`pairabs.algebra.inner_product` of the built states bit
+for bit.  The builders drop the terms of a zero weight; the plan keeps them,
+but their products are exact signed zeros, which leave a nonzero partial sum
+unchanged, and the closing ``+ 0.0`` of each sum turns an all-zero sum into
+the ``+0.0`` that a sum started at ``0.0`` gives.
 """
 
 from __future__ import annotations
@@ -111,7 +115,7 @@ def apply_absorption(state: FormalState) -> FormalState:
 
 
 class _Plan(NamedTuple):
-    """What one state shape ``(statistics, a != 0, b != 0)`` fixes.
+    """What one statistics fixes for the three formal inner products.
 
     The three states (initial, final, absorbed initial) are stacked on one
     term axis, each term's weight as ``alpha a + beta b``.  The surviving
@@ -142,17 +146,20 @@ def _columns(values: list[complex]) -> tuple[np.ndarray, np.ndarray]:
     return _frozen([[v.real] for v in values]), _frozen([[v.imag] for v in values])
 
 
-@functools.cache  # six shapes at most; a plan is immutable
-def _plan(statistics: Statistics, has_a: bool, has_b: bool) -> _Plan:
-    """Read one shape's plan off the formal builders, on its first use.
+@functools.cache  # two statistics; a plan is immutable
+def _plan(statistics: Statistics) -> _Plan:
+    """Read the plan of one statistics off the formal builders, on its first use.
 
-    The weights are linear in ``(a, b)``, so two probe builds of the same
-    shape, with ``b`` of opposite sign, give each term's ``alpha`` and
-    ``beta`` exactly.  The pairs are those of :func:`matching_term_pairs`.
+    The weights are linear in ``(a, b)``, so the probe builds at
+    ``Coefficients(1, 1)`` and ``Coefficients(1, -1)`` give each term's
+    ``alpha`` and ``beta`` exactly.  Neither probe weight is zero, so every
+    term any weights can build is in the plan; a zero weight only turns its
+    terms' products into signed zeros.  The pairs are those of
+    :func:`matching_term_pairs`.
     """
     builds = []
     for sign in (1.0, -1.0):
-        probe = Coefficients(float(has_a), sign * float(has_b))
+        probe = Coefficients(1.0, sign)
         initial = build_initial(probe, statistics)
         builds.append((initial, build_final(probe, statistics), apply_absorption(initial)))
     states = builds[0]
@@ -181,10 +188,28 @@ def _plan(statistics: Statistics, has_a: bool, has_b: bool) -> _Plan:
     )
 
 
-def _evaluate(
-    plan: _Plan, coeffs_seq: Sequence[Coefficients], tables: Sequence[OverlapTable]
+def formal_quantities_batch(
+    coeffs_seq: Sequence[Coefficients],
+    tables: Sequence[OverlapTable],
+    statistics: Statistics,
 ) -> list[tuple[float, float, complex]]:
-    """The three formal inner products for trials of one shape, as arrays over the trials."""
+    """:func:`formal_quantities` for many trials, one ``(coeffs, table)`` pair each.
+
+    The trials are evaluated together as arrays, through the plan of the
+    statistics read once off :func:`build_initial`, :func:`build_final` and
+    :func:`apply_absorption`.  Each value equals bit for bit the inner
+    products of those states: the products are written out as CPython
+    computes them and every sum runs over the pairs in bra-major order.
+    The terms that a zero weight drops from the built states give signed
+    zeros here, and weights that differ only in the sign of a zero part
+    cannot change a nonzero product or a sum started at ``+0.0``.  Every
+    table is a single-point table.  Raises ``ValueError`` on a non-finite
+    term weight and, at the first trial in order with a null formal norm,
+    :class:`~pairabs.rates.ExcludedStateError`.
+    """
+    if len(coeffs_seq) != len(tables):
+        raise ValueError(f"{len(coeffs_seq)} coefficient sets for {len(tables)} tables")
+    plan = _plan(statistics)
     a = np.array([c.a for c in coeffs_seq])
     b = np.array([c.b for c in coeffs_seq])
     with np.errstate(invalid="ignore"):  # a non-finite weight is reported below
@@ -206,46 +231,12 @@ def _evaluate(
         (np.cumsum(pr[lo:hi], axis=0)[-1] + 0.0, np.cumsum(pi[lo:hi], axis=0)[-1] + 0.0)
         for lo, hi in plan.spans
     ]
-    return [
+    results = [
         (n0, nf, complex(r, i))
         for n0, nf, r, i in zip(n0_sq.tolist(), nf_sq.tolist(), m_re.tolist(), m_im.tolist())
     ]
-
-
-def formal_quantities_batch(
-    coeffs_seq: Sequence[Coefficients],
-    tables: Sequence[OverlapTable],
-    statistics: Statistics,
-) -> list[tuple[float, float, complex]]:
-    """:func:`formal_quantities` for many trials, one ``(coeffs, table)`` pair each.
-
-    Trials of one shape ``(a != 0, b != 0)`` are evaluated together as
-    arrays, through a plan read once per shape off :func:`build_initial`,
-    :func:`build_final` and :func:`apply_absorption`.  Each value equals
-    bit for bit the inner products of those states: the products are
-    written out as CPython computes them and every sum runs over the pairs
-    in bra-major order.  Weights that differ only in the sign of a zero
-    part cannot change a nonzero product or a sum started at ``+0.0``.
-    Every table is a single-point table.  Raises ``ValueError`` on a
-    non-finite term weight and, at the first trial in order with a null
-    formal norm, :class:`~pairabs.rates.ExcludedStateError`.
-    """
-    if len(coeffs_seq) != len(tables):
-        raise ValueError(f"{len(coeffs_seq)} coefficient sets for {len(tables)} tables")
-    shapes: dict[tuple[bool, bool], list[int]] = {}
-    for k, coeffs in enumerate(coeffs_seq):
-        shapes.setdefault((coeffs.a != 0, coeffs.b != 0), []).append(k)
-    results: list = [None] * len(coeffs_seq)
-    for (has_a, has_b), members in shapes.items():
-        values = _evaluate(
-            _plan(statistics, has_a, has_b),
-            [coeffs_seq[k] for k in members],
-            [tables[k] for k in members],
-        )
-        for k, value in zip(members, values):
-            results[k] = value
-    for coeffs, (n0_sq, nf_sq, _) in zip(coeffs_seq, results):
-        rates.require_not_null(coeffs, n0_sq, nf_sq)
+    for coeffs, (n0, nf, _) in zip(coeffs_seq, results):
+        rates.require_not_null(coeffs, n0, nf)
     return results
 
 

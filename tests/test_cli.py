@@ -250,7 +250,7 @@ class TestFigures:
         blocker.write_text("not a directory")
         code = exit_code(["figures", "fig2", "--out", str(blocker / "sub")])
         assert code == 1
-        assert capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("pairabs: error: ")
 
 
 class TestExclusionScan:

@@ -227,13 +227,16 @@ class TestOracleMatrixElement:
 
     def test_signed_zero_weights_keep_the_expansion_bits(self):
         table = choice_table("ii", 0.3)
-        for coeffs in (Coefficients(complex(-0.0, -0.8), complex(0.6, -0.0)),
-                       Coefficients(complex(0.8, -0.0), 0.0),
-                       Coefficients(0.0, complex(-0.0, 1.0))):
-            for statistics in (BOSON, FERMION):
-                assert repr(formal_quantities(coeffs, table, statistics)) == repr(
-                    expansion(coeffs, table, statistics)
-                )
+        signed_zeros = (Coefficients(complex(-0.0, -0.8), complex(0.6, -0.0)),
+                        Coefficients(complex(0.8, -0.0), 0.0),
+                        Coefficients(0.0, complex(-0.0, 1.0)))
+        mixed = [*signed_zeros, Coefficients(complex(0.6, -0.3), complex(-0.5, 0.4))]
+        for statistics in (BOSON, FERMION):
+            expected = [repr(expansion(coeffs, table, statistics)) for coeffs in mixed]
+            for coeffs, value in zip(signed_zeros, expected):
+                assert repr(formal_quantities(coeffs, table, statistics)) == value
+            batch = formal_quantities_batch(mixed, [table] * len(mixed), statistics)
+            assert [repr(v) for v in batch] == expected
 
     def test_null_configuration_inside_a_batch_raises(self):
         rng = np.random.default_rng(137)
