@@ -8,7 +8,9 @@ byte-identical output.
 The grid subcommands (``sweep``, ``figures``, ``exclusion-scan``) build one
 grid table per ``c`` grid and evaluate it once per weights and statistics
 pair; the output is byte-identical to evaluating every point on its own
-table.  ``rate`` is ``sweep`` on the one-point grid ``[--c]``.
+table.  ``rate`` is ``sweep`` on the one-point grid ``[--c]``.  A sweep keeps
+its results keyed by (weights, statistics), and ``figures`` reads its log
+lines and the a=1 coincidence curve from them, each curve evaluated once.
 
 The scenario of ``rate`` and ``sweep`` is one setting, ``choice``: a preset
 or ``family``.  ``--family`` is shorthand for ``--choice family``, a config
@@ -48,6 +50,7 @@ __all__ = [
     "main",
     "run_figures",
     "run_verify",
+    "sweep_results",
     "sweep_rows",
 ]
 
@@ -89,35 +92,39 @@ def _normalized_cases(a_values: Iterable[float]) -> list[Coefficients]:
     return [Coefficients(a, math.sqrt(max(0.0, 1.0 - a * a))) for a in a_values]
 
 
-def sweep_rows(
-    scenario_name: str,
-    table: OverlapTable,
-    cases: Sequence[Coefficients],
-    stats: Sequence[Statistics],
-    grid: Sequence[float],
-    alpha0: float,
-) -> list[list[str]]:
-    """CSV rows ordered by (case index, statistics, c ascending).
+SweepResults = dict[tuple[Coefficients, Statistics], rates.RateResult]
 
-    ``table`` is the grid table over the ``c`` values of ``grid``.
+
+def sweep_results(
+    table: OverlapTable, cases: Sequence[Coefficients], stats: Sequence[Statistics]
+) -> SweepResults:
+    """One :func:`pairabs.rates.relative_rate_grid` per (case, statistics), in that order."""
+    return {(coeffs, stat): rates.relative_rate_grid(coeffs, table, stat)
+            for coeffs in cases for stat in stats}
+
+
+def sweep_rows(
+    scenario_name: str, results: SweepResults, grid: Sequence[float], alpha0: float
+) -> list[list[str]]:
+    """CSV rows ordered as ``results`` (case, then statistics), c ascending.
+
+    ``results`` come from :func:`sweep_results` on the grid table over ``grid``.
     """
     c_column = _column(np.asarray(grid, dtype=float))
     alpha0_text = _fmt(alpha0)
     rows = []
-    for coeffs in cases:
-        weights = [_fmt(coeffs.a.real), _fmt(coeffs.a.imag),
-                   _fmt(coeffs.b.real), _fmt(coeffs.b.imag)]
-        for stat in stats:
-            res = rates.relative_rate_grid(coeffs, table, stat)
-            rows.extend(
-                [scenario_name, stat.name.lower(), *weights, c, alpha0_text, *fields]
-                for c, *fields in zip(
-                    c_column,
-                    _column(res.n0), _column(res.nf),
-                    _column(res.m.real), _column(res.m.imag),
-                    _column(res.r), _flags(res.excluded),
-                )
+    for (coeffs, stat), res in results.items():
+        head = [scenario_name, stat.name.lower(), _fmt(coeffs.a.real), _fmt(coeffs.a.imag),
+                _fmt(coeffs.b.real), _fmt(coeffs.b.imag)]
+        rows.extend(
+            [*head, c, alpha0_text, *fields]
+            for c, *fields in zip(
+                c_column,
+                _column(res.n0), _column(res.nf),
+                _column(res.m.real), _column(res.m.imag),
+                _column(res.r), _flags(res.excluded),
             )
+        )
     return rows
 
 
@@ -166,8 +173,9 @@ def _cmd_sweep(args) -> int:
     _check_c_range(c_min, c_max)
     grid = _grid(c_min, c_max, steps)
     name = args.choice or "i"  # the one place the default scenario is set
-    rows = sweep_rows(name, _scenario_table(name, grid, model), [_coefficients(args)],
-                      _stats_list(args.statistics), grid, args.alpha0)
+    results = sweep_results(_scenario_table(name, grid, model), [_coefficients(args)],
+                            _stats_list(args.statistics))
+    rows = sweep_rows(name, results, grid, args.alpha0)
     with _open_out(args.out) as out:
         _write_csv(out, SWEEP_HEADER, rows)
     return 0
@@ -182,18 +190,15 @@ BOTH_STATISTICS = (Statistics.BOSON, Statistics.FERMION)
 COINCIDENCE_HEADER = ["c", "a", "r", "r_ref", "rel_dev", "excluded", "excluded_ref"]
 
 
-def _log_choice_ii_flatness(table: OverlapTable, log: TextIO) -> None:
+def _log_choice_ii_flatness(results: SweepResults, log: TextIO) -> None:
     """Per-case spans showing that for fermions only the final normalization moves R.
 
-    ``table`` is the choice-ii grid table of the fig2 sweep.
+    ``results`` are those of the fig2 choice-ii sweep.
     """
     for coeffs in FIG2_CASES:
-        n0_sq = rates.initial_norm_sq(coeffs, table, Statistics.FERMION)
-        bracket = rates.bracket_sum(coeffs, table, Statistics.FERMION)
-        nf_sq = rates.final_norm_sq(coeffs, table, Statistics.FERMION)
-        res = rates._finish_grid(coeffs, table, n0_sq, nf_sq, bracket)
-        n0s, nf_sqs = n0_sq.tolist(), nf_sq.tolist()
-        brackets = np.hypot(bracket.real, bracket.imag).tolist()  # abs() per point
+        res = results[coeffs, Statistics.FERMION]
+        n0s, nf_sqs = res.n0_sq.tolist(), res.nf_sq.tolist()
+        brackets = np.hypot(res.bracket.real, res.bracket.imag).tolist()  # abs() per point
         rs = res.r[~res.excluded].tolist()
         r_span = (max(rs) - min(rs)) / min(rs)
         print(
@@ -206,17 +211,16 @@ def _log_choice_ii_flatness(table: OverlapTable, log: TextIO) -> None:
         )
 
 
-def _coincidence_rows(table: OverlapTable, grid: np.ndarray):
+def _coincidence_rows(ref: rates.RateResult, results: SweepResults, grid: np.ndarray):
     """Fermion curves of choice iii for normalized weights, against the a=1 curve.
 
-    ``table`` is the choice-iii grid table of the fig3 sweep.
+    ``ref`` is the a=1 fermion result of the fig3 choice-iii sweep and
+    ``results`` are the normalized-weight fermion results on its table.
     """
-    ref = rates.relative_rate_grid(Coefficients(1.0, 0.0), table, Statistics.FERMION)
     c_column, ref_r, ref_flags = _column(grid), _column(ref.r), _flags(ref.excluded)
     rows = []
     max_dev = 0.0
-    for coeffs in _normalized_cases((0.8, 0.5)):
-        res = rates.relative_rate_grid(coeffs, table, Statistics.FERMION)
+    for (coeffs, _), res in results.items():
         either = res.excluded | ref.excluded
         with np.errstate(divide="ignore", invalid="ignore"):
             dev = np.where(either, np.nan, np.abs(res.r - ref.r) / ref.r)
@@ -252,19 +256,24 @@ def run_figures(
         written.append(path)
 
     if target == "fig2":
-        tables = {name: _scenario_table(name, grid, model) for name in ("i", "ii")}
-        for name, table in tables.items():
-            emit(f"fig2_{name}.csv", SWEEP_HEADER,
-                 sweep_rows(name, table, FIG2_CASES, BOTH_STATISTICS, grid, alpha0))
-        _log_choice_ii_flatness(tables["ii"], log)
+        by_choice = {name: sweep_results(_scenario_table(name, grid, model),
+                                         FIG2_CASES, BOTH_STATISTICS)
+                     for name in ("i", "ii")}
+        for name, results in by_choice.items():
+            emit(f"fig2_{name}.csv", SWEEP_HEADER, sweep_rows(name, results, grid, alpha0))
+        _log_choice_ii_flatness(by_choice["ii"], log)
     elif target == "fig3":
         iii = _scenario_table("iii", grid, model)
-        emit("fig3_iii.csv", SWEEP_HEADER,
-             sweep_rows("iii", iii, FIG3_III_CASES, BOTH_STATISTICS, grid, alpha0))
-        emit("fig3_iv.csv", SWEEP_HEADER,
-             sweep_rows("iv", _scenario_table("iv", grid, model),
-                        FIG3_IV_CASES, BOTH_STATISTICS, grid, alpha0))
-        rows, max_dev = _coincidence_rows(iii, grid)
+        iii_results = sweep_results(iii, FIG3_III_CASES, BOTH_STATISTICS)
+        emit("fig3_iii.csv", SWEEP_HEADER, sweep_rows("iii", iii_results, grid, alpha0))
+        iv_results = sweep_results(_scenario_table("iv", grid, model),
+                                   FIG3_IV_CASES, BOTH_STATISTICS)
+        emit("fig3_iv.csv", SWEEP_HEADER, sweep_rows("iv", iv_results, grid, alpha0))
+        rows, max_dev = _coincidence_rows(
+            iii_results[Coefficients(1.0, 0.0), Statistics.FERMION],
+            sweep_results(iii, _normalized_cases((0.8, 0.5)), (Statistics.FERMION,)),
+            grid,
+        )
         emit("fig3_iii_fermion_coincidence.csv", COINCIDENCE_HEADER, rows)
         print(
             "choice iii fermion, normalized weights: max relative deviation "
@@ -272,9 +281,9 @@ def run_figures(
             file=log,
         )
     elif target == "fig4":
-        emit("fig4.csv", SWEEP_HEADER,
-             sweep_rows("family", _scenario_table("family", grid, model),
-                        FIG4_CASES, (Statistics.FERMION,), grid, alpha0))
+        results = sweep_results(_scenario_table("family", grid, model),
+                                FIG4_CASES, (Statistics.FERMION,))
+        emit("fig4.csv", SWEEP_HEADER, sweep_rows("family", results, grid, alpha0))
     else:
         raise ValueError(f"unknown figure target {target!r}")
     return written
@@ -412,8 +421,10 @@ def run_verify(
             for stat, n0_sq, by_trial in zip(BOTH_STATISTICS, n0_sqs, formal):
                 nf_sq = rates.final_norm_sq(coeffs, table, stat)
                 rates.require_not_null(coeffs, n0_sq, nf_sq)
+                # rates.matrix_element's finish on CPython scalars, equal bit for
+                # bit and off the per-call numpy overhead of its grid path
                 root = math.sqrt(n0_sq * nf_sq)
-                m = 2.0 * rates.bracket_sum(coeffs, table, stat) / root  # as rates.matrix_element
+                m = 2.0 * rates.bracket_sum(coeffs, table, stat) / root
                 formal_n0_sq, formal_nf_sq, bracket = by_trial[offset]
                 devs = {
                     "matrix element": abs(m - bracket / root),

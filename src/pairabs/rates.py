@@ -21,13 +21,14 @@ garbage.
 
 The three closed forms are elementwise, so on a grid table (one whose entries
 are arrays over a sweep grid) they return arrays over the grid.
-:func:`relative_rate_grid` finishes the evaluation in one pass, and
-:func:`relative_rate` is the same code on a single-point table.  Where the
-overlaps are real, as in every preset and the exclusion family, each grid
-point equals bit for bit the value on that point's own table.  With complex
-overlaps it may differ by a few ulp, because numpy's vectorized complex
-multiply rounds on its own.  Writing every product out with :func:`_cmul`
-would remove that, but on a 2-vCPU Xeon it more than
+:func:`relative_rate_grid` is the one finish: it evaluates each form once and
+keeps all three in its result.  :func:`relative_rate` is the same code on a
+single-point table, and :func:`matrix_element` is :func:`relative_rate` plus
+the null raise.  Where the overlaps are real, as in every preset and the
+exclusion family, each grid point equals bit for bit the value on that
+point's own table.  With complex overlaps it may differ by a few ulp, because
+numpy's vectorized complex multiply rounds on its own.  Writing every product
+out with :func:`_cmul` would remove that, but on a 2-vCPU Xeon it more than
 doubles :func:`relative_rate_grid` on 101 points (about 105 to 235 us) and
 adds 14-19 % to an in-process ``figures`` job.
 
@@ -39,7 +40,7 @@ which the batched oracle uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -84,8 +85,11 @@ class RateResult:
     final superpositions, ``m`` the absorption amplitude and ``m_pro`` the
     product-state reference (both in units of the dipole constant), ``r``
     the relative rate ``|m|^2 / |m_pro|^2``.  On excluded points ``r``,
-    ``n0`` and ``m`` are NaN.  From :func:`relative_rate_grid` every field
-    but ``m_pro`` is an array over the grid.
+    ``n0`` and ``m`` are NaN.  ``n0_sq``, ``nf_sq`` and ``bracket`` are the
+    three closed forms the rest is computed from (:func:`initial_norm_sq`,
+    :func:`final_norm_sq` and :func:`bracket_sum`), raw on excluded points
+    too.  From :func:`relative_rate_grid` every field but ``m_pro`` is an
+    array over the grid.
     """
 
     n0: float
@@ -94,6 +98,9 @@ class RateResult:
     m_pro: complex
     r: float
     excluded: bool
+    n0_sq: float
+    nf_sq: float
+    bracket: complex
 
 
 def _abs_sq(z: complex | np.ndarray) -> float | np.ndarray:
@@ -251,13 +258,13 @@ def matrix_element(
 ) -> complex:
     """Normalized absorption amplitude, in units of the dipole constant.
 
-    Raises :class:`ExcludedStateError` when the initial (or, pathologically,
-    the final) superposition is null and no normalized amplitude exists.
+    :func:`relative_rate` followed by :func:`require_not_null`: raises
+    :class:`ExcludedStateError` when the initial (or, pathologically, the
+    final) superposition is null and no normalized amplitude exists.
     """
-    n0_sq = initial_norm_sq(coeffs, table, statistics)
-    nf_sq = final_norm_sq(coeffs, table, statistics)
-    require_not_null(coeffs, n0_sq, nf_sq)
-    return 2.0 * bracket_sum(coeffs, table, statistics) / math.sqrt(n0_sq * nf_sq)
+    res = relative_rate(coeffs, table, statistics)
+    require_not_null(coeffs, res.n0_sq, res.nf_sq)
+    return res.m
 
 
 def matrix_element_product(table: OverlapTable) -> complex:
@@ -278,17 +285,11 @@ def relative_rate(
 
     A single-point table is a grid of one: this is :func:`relative_rate_grid`
     on it, with each field turned into a Python ``float``, ``complex`` or
-    ``bool``.
+    ``bool`` by ``.item()``.
     """
     res = relative_rate_grid(coeffs, table, statistics)
-    return RateResult(
-        n0=float(res.n0),
-        nf=float(res.nf),
-        m=complex(res.m),
-        m_pro=complex(res.m_pro),
-        r=float(res.r),
-        excluded=bool(res.excluded),
-    )
+    return RateResult(**{field.name: np.asarray(getattr(res, field.name)).item()
+                         for field in fields(RateResult)})
 
 
 def relative_rate_grid(
@@ -296,44 +297,24 @@ def relative_rate_grid(
 ) -> RateResult:
     """All absorption quantities at every point of a grid table, in one pass.
 
-    The closed forms run elementwise on the table's arrays; square roots,
-    division and the NaN masking of excluded points are array operations.
-    Every field but ``m_pro`` (constant over the grid) is an array,
-    ``excluded`` a bool array; on a single-point table each holds one value.
+    The three closed forms run once, elementwise on the table's arrays, and
+    are kept in the result; square roots, division and the NaN masking of
+    excluded points are array operations.  Every field but ``m_pro``
+    (constant over the grid) is an array, ``excluded`` a bool array; on a
+    single-point table each holds one value.
     """
-    return _finish_grid(
-        coeffs,
-        table,
-        initial_norm_sq(coeffs, table, statistics),
-        final_norm_sq(coeffs, table, statistics),
-        bracket_sum(coeffs, table, statistics),
-    )
-
-
-def _finish_grid(
-    coeffs: Coefficients,
-    table: OverlapTable,
-    n0_sq: np.ndarray,
-    nf_sq: np.ndarray,
-    bracket: np.ndarray,
-) -> RateResult:
-    """:func:`relative_rate_grid` from the three closed forms already evaluated on ``table``."""
+    n0_sq = initial_norm_sq(coeffs, table, statistics)
+    nf_sq = final_norm_sq(coeffs, table, statistics)
+    bracket = bracket_sum(coeffs, table, statistics)
     m_pro = matrix_element_product(table)
     nf_null = nf_sq < _null_floors(coeffs)[1]
     excluded = exclusion_mask(coeffs, n0_sq) | nf_null
-    twice = 2.0 * bracket
     # Excluded points may take square roots of negatives or divide by zero;
     # they are masked below, so those results are never used.
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = _complex_over_real(twice, np.sqrt(n0_sq * nf_sq))
+        m = _complex_over_real(2.0 * bracket, np.sqrt(n0_sq * nf_sq))
         m[excluded] = _NAN_COMPLEX
         n0 = np.where(excluded, _NAN, 1.0 / np.sqrt(n0_sq))
         nf = np.where(nf_null, _NAN, 1.0 / np.sqrt(nf_sq))
-    return RateResult(
-        n0=n0,
-        nf=nf,
-        m=m,
-        m_pro=m_pro,
-        r=_abs_sq(m) / abs(m_pro) ** 2,
-        excluded=excluded,
-    )
+    r = _abs_sq(m) / abs(m_pro) ** 2
+    return RateResult(n0, nf, m, m_pro, r, excluded, n0_sq, nf_sq, bracket)

@@ -223,6 +223,33 @@ class TestFigures:
         log = capsys.readouterr().out
         assert log.count("choice ii fermion") == 3
 
+    # stdout of the default fig2 and fig3 jobs, byte for byte: a changed digit
+    # in any span or deviation fails
+    DEFAULT_LOGS = {
+        "fig2": (
+            "choice ii fermion a=1 b=0: initial-norm^2 span 0.000e+00, bracket-sum span "
+            "0.000e+00, relative R span 0.0000%; final-norm^-2 span 0.000e+00 carries all "
+            "of it\n"
+            "choice ii fermion a=0.8 b=0.6: initial-norm^2 span 5.551e-16, bracket-sum span "
+            "1.554e-15, relative R span 0.4615%; final-norm^-2 span 5.922e-03 carries all "
+            "of it\n"
+            "choice ii fermion a=0.707107 b=0.707107: initial-norm^2 span 4.441e-16, "
+            "bracket-sum span 1.332e-15, relative R span 0.5215%; final-norm^-2 span "
+            "6.169e-03 carries all of it\n"
+        ),
+        "fig3": (
+            "choice iii fermion, normalized weights: max relative deviation from the a=1 "
+            "curve 0.6101%\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("target", ["fig2", "fig3"])
+    def test_default_log_is_pinned(self, target, tmp_path, capsys):
+        assert exit_code(["figures", target, "--out", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == self.DEFAULT_LOGS[target]
+        assert captured.err == ""
+
     def test_fig2_reuses_the_sweep_table_for_the_flatness_log(self, tmp_path, monkeypatch):
         calls = Counter()
         count_calls(monkeypatch, calls, cli, "build_choice_table")
@@ -230,10 +257,10 @@ class TestFigures:
                     "relative_rate_grid")
         assert exit_code(["figures", "fig2", "--steps", "11", "--out", str(tmp_path)]) == 0
         # two tables (i, ii); 3 cases x 2 statistics x 2 choices for the CSVs,
-        # and one evaluation per fermion case for the log
+        # and the log reads the choice-ii fermion results of that sweep
         assert calls["build_choice_table"] == 2
         assert calls["relative_rate_grid"] == 12
-        assert calls["initial_norm_sq"] == calls["final_norm_sq"] == calls["bracket_sum"] == 15
+        assert calls["initial_norm_sq"] == calls["final_norm_sq"] == calls["bracket_sum"] == 12
 
     def test_fig3_reuses_the_sweep_table_for_the_coincidence_rows(self, tmp_path, monkeypatch):
         calls = Counter()
@@ -241,9 +268,10 @@ class TestFigures:
         count_calls(monkeypatch, calls, rates, "relative_rate_grid")
         assert exit_code(["figures", "fig3", "--steps", "11", "--out", str(tmp_path)]) == 0
         # two tables (iii, iv); 3 cases x 2 statistics x 2 choices for the CSVs,
-        # and the a=1 reference plus two normalized cases for the coincidence rows
+        # and two normalized cases for the coincidence rows, whose a=1
+        # reference is the sweep's
         assert calls["build_choice_table"] == 2
-        assert calls["relative_rate_grid"] == 15
+        assert calls["relative_rate_grid"] == 14
 
     def test_unwritable_output_location_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -396,7 +424,8 @@ class TestGridEqualsPointLoop:
                  Coefficients(ROOT2_INV, ROOT2_INV)]
         stats = [Statistics.BOSON, Statistics.FERMION]
         grid = [float(c) for c in np.linspace(0.0, 1.0, 41)]
-        assert cli.sweep_rows(name, table_for(np.array(grid)), cases, stats, grid, 0.6) == (
+        results = cli.sweep_results(table_for(np.array(grid)), cases, stats)
+        assert cli.sweep_rows(name, results, grid, 0.6) == (
             reference_sweep_rows(name, table_for, cases, stats, grid, 0.6)
         )
 

@@ -14,6 +14,7 @@ from pairabs.rates import (
     _cmul,
     _complex_over_real,
     _null_floors,
+    bracket_sum,
     exclusion_mask,
     final_norm_sq,
     initial_norm_sq,
@@ -464,5 +465,17 @@ class TestRelativeRatePinned:
             for field in ("n0", "nf", "m", "m_pro", "r", "excluded"):
                 value = getattr(res, field)
                 digest.update(f"{type(value).__name__} {value!r}\n".encode())
+            # the closed forms the result carries, raw on excluded points too
+            for field, closed_form, kind in (("n0_sq", initial_norm_sq, float),
+                                             ("nf_sq", final_norm_sq, float),
+                                             ("bracket", bracket_sum, complex)):
+                value = getattr(res, field)
+                assert type(value) is kind
+                assert repr(value) == repr(closed_form(coeffs, table, statistics))
+            if res.excluded:
+                with pytest.raises(ExcludedStateError):
+                    matrix_element(coeffs, table, statistics)
+            else:
+                assert repr(matrix_element(coeffs, table, statistics)) == repr(res.m)
         assert excluded == 600  # both null cases, fermions only
         assert digest.hexdigest() == self.DIGEST
