@@ -6,11 +6,13 @@ to the same double, so fixed inputs (and a fixed seed for ``verify``) produce
 byte-identical output.
 
 The grid subcommands (``sweep``, ``figures``, ``exclusion-scan``) build one
-grid table per ``c`` grid and evaluate it once per weights and statistics
-pair; the output is byte-identical to evaluating every point on its own
-table.  ``rate`` is ``sweep`` on the one-point grid ``[--c]``.  A sweep keeps
-its results keyed by (weights, statistics), and ``figures`` reads its log
-lines and the a=1 coincidence curve from them, each curve evaluated once.
+grid table per ``c`` grid.  ``sweep`` and ``figures`` evaluate it once per
+weights and statistics pair, ``exclusion-scan`` once for its whole (a, c)
+grid with array weights, and ``verify`` each block of trials as one
+trial-axis grid; every output is byte-identical to evaluating each point on
+its own.  ``rate`` is ``sweep`` on the one-point grid ``[--c]``.  A sweep
+keeps its results keyed by (weights, statistics), and ``figures`` reads its
+log lines and the a=1 coincidence curve from them.
 
 The scenario of ``rate`` and ``sweep`` is one setting, ``choice``: a preset
 or ``family``.  ``--family`` is shorthand for ``--choice family``, a config
@@ -32,14 +34,16 @@ import numpy as np
 from . import oracle, rates
 from .algebra import OverlapTable, Statistics
 from .scenarios import (
+    ALL_PAIRS,
     CHOICES,
     Coefficients,
     ExclusionFamily,
     RecoilModel,
     build_choice_table,
     build_family_table,
+    build_table,
     family_exclusion_coefficient,
-    random_realizable_table,
+    random_realizable_overlaps,
 )
 
 __all__ = [
@@ -88,8 +92,9 @@ def _stats_list(name: str) -> list[Statistics]:
     return [Statistics[name.upper()]]
 
 
-def _normalized_cases(a_values: Iterable[float]) -> list[Coefficients]:
-    return [Coefficients(a, math.sqrt(max(0.0, 1.0 - a * a))) for a in a_values]
+def _normalized(a: float | np.ndarray) -> Coefficients:
+    """Weights ``(a, sqrt(1 - a^2))``; one pair per value of an array ``a``."""
+    return Coefficients(a, np.sqrt(np.maximum(0.0, 1.0 - a * a)))
 
 
 SweepResults = dict[tuple[Coefficients, Statistics], rates.RateResult]
@@ -181,10 +186,10 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-FIG2_CASES = _normalized_cases((1.0, 0.8, _ROOT2_INV))
+FIG2_CASES = tuple(map(_normalized, (1.0, 0.8, _ROOT2_INV)))
 FIG3_III_CASES = (Coefficients(1.0, 0.0), Coefficients(0.8, 0.2), Coefficients(0.5, 0.5))
-FIG3_IV_CASES = _normalized_cases((1.0, 0.8, 0.5))
-FIG4_CASES = _normalized_cases((0.64, 0.67, _ROOT2_INV))
+FIG3_IV_CASES = tuple(map(_normalized, (1.0, 0.8, 0.5)))
+FIG4_CASES = tuple(map(_normalized, (0.64, 0.67, _ROOT2_INV)))
 BOTH_STATISTICS = (Statistics.BOSON, Statistics.FERMION)
 
 COINCIDENCE_HEADER = ["c", "a", "r", "r_ref", "rel_dev", "excluded", "excluded_ref"]
@@ -271,7 +276,7 @@ def run_figures(
         emit("fig3_iv.csv", SWEEP_HEADER, sweep_rows("iv", iv_results, grid, alpha0))
         rows, max_dev = _coincidence_rows(
             iii_results[Coefficients(1.0, 0.0), Statistics.FERMION],
-            sweep_results(iii, _normalized_cases((0.8, 0.5)), (Statistics.FERMION,)),
+            sweep_results(iii, tuple(map(_normalized, (0.8, 0.5))), (Statistics.FERMION,)),
             grid,
         )
         emit("fig3_iii_fermion_coincidence.csv", COINCIDENCE_HEADER, rows)
@@ -305,31 +310,28 @@ def exclusion_scan_rows(
     Both verdicts are :func:`pairabs.rates.exclusion_mask`, the one null
     floor: ``excluded_by_norm`` on the closed-form initial norm², and
     ``excluded_by_formula`` on ``2|coefficient|^2``, which is that norm² on
-    the family.
+    the family.  Each is one evaluation over the whole grid: weights
+    ``a[:, None]`` against the family's grid table over ``c``.
     """
     for a in a_grid:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"a values must lie in [0, 1], got {a}")
     c_grid = np.asarray(c_grid, dtype=float)
     fam = ExclusionFamily.equal_weight(c_grid)
-    table = build_family_table(fam, model)
+    coeffs = _normalized(np.asarray(a_grid, dtype=float)[:, None])  # (a, c) grid
+    by_norm = rates.exclusion_mask(
+        coeffs, rates.initial_norm_sq(coeffs, build_family_table(fam, model), Statistics.FERMION))
+    coefficient = family_exclusion_coefficient(coeffs, fam)
+    magnitude = np.broadcast_to(np.hypot(np.real(coefficient), np.imag(coefficient)),
+                                by_norm.shape)  # abs() per point
+    by_formula = rates.exclusion_mask(coeffs, 2.0 * magnitude * magnitude)
     c_column = _column(c_grid)
     rows: list[list[str]] = []
-    disagreements = 0
-    for a, coeffs in zip(a_grid, _normalized_cases(a_grid)):
-        by_norm = rates.exclusion_mask(
-            coeffs, rates.initial_norm_sq(coeffs, table, Statistics.FERMION))
-        coefficient = family_exclusion_coefficient(coeffs, fam)
-        magnitude = np.broadcast_to(np.hypot(np.real(coefficient), np.imag(coefficient)),
-                                    c_grid.shape)  # abs() per point
-        by_formula = rates.exclusion_mask(coeffs, 2.0 * magnitude * magnitude)
-        disagreements += int(np.count_nonzero(by_norm != by_formula))
+    for a, magnitudes, norm_flags, formula_flags in zip(a_grid, magnitude, by_norm, by_formula):
         a_text = _fmt(a)
-        rows.extend(
-            [a_text, *fields]
-            for fields in zip(c_column, _column(magnitude), _flags(by_norm), _flags(by_formula))
-        )
-    return rows, disagreements
+        rows.extend([a_text, *fields] for fields in zip(
+            c_column, _column(magnitudes), _flags(norm_flags), _flags(formula_flags)))
+    return rows, int(np.count_nonzero(by_norm != by_formula))
 
 
 def _cmd_exclusion_scan(args) -> int:
@@ -354,53 +356,59 @@ def _cmd_exclusion_scan(args) -> int:
     return 0
 
 
-def _draw_verification_config(
-    rng: np.random.Generator,
-) -> tuple[Coefficients, OverlapTable, list[float]]:
-    """Random unit-sphere weights plus a realizable random table.
-
-    Configurations too close to the excluded manifold are redrawn: there the
-    normalized amplitude amplifies round-off in both evaluation routes and a
-    fixed absolute tolerance would measure conditioning, not agreement.  The
-    closed-form initial norms² that decide this come back too, one per
-    statistics in ``BOTH_STATISTICS`` order.
-    """
+def _draw_candidate(rng: np.random.Generator) -> tuple[complex, complex, float, dict]:
+    """Random unit-sphere weights ``a``, ``b``, an ``alpha0`` and realizable bare overlaps."""
     while True:
         parts = rng.normal(size=4)
         scale = math.sqrt(float(np.dot(parts, parts)))
-        if scale < 1e-6:
-            continue
-        coeffs = Coefficients(
-            complex(parts[0], parts[1]) / scale, complex(parts[2], parts[3]) / scale
-        )
-        model = RecoilModel(float(rng.uniform(0.5, 1.0)))
-        table = random_realizable_table(rng, model)
-        n0_sqs = [rates.initial_norm_sq(coeffs, table, stat) for stat in BOTH_STATISTICS]
-        if all(n0_sq > 2e-3 for n0_sq in n0_sqs):
-            return coeffs, table, n0_sqs
+        if scale >= 1e-6:
+            return (complex(parts[0], parts[1]) / scale, complex(parts[2], parts[3]) / scale,
+                    float(rng.uniform(0.5, 1.0)), random_realizable_overlaps(rng))
 
 
-def _exceeds(dev: float, worst: float) -> bool:
-    """Whether ``dev`` replaces ``worst``: it is larger, or the first NaN."""
-    return dev > worst or (math.isnan(dev) and not math.isnan(worst))
+def _verification_block(
+    rng: np.random.Generator, size: int
+) -> tuple[Coefficients, OverlapTable, dict[Statistics, rates.RateResult]]:
+    """``size`` random trials as array weights, a trial-axis grid table and its results.
+
+    Candidates too close to the excluded manifold are redrawn: there the
+    normalized amplitude amplifies round-off in both routes and a fixed
+    absolute tolerance would measure conditioning, not agreement.  Each is
+    judged on its own initial norms² and redraws join the end, so the block
+    holds the trials of a one-at-a-time draw.
+    """
+    trials: list[tuple[complex, complex, float, dict]] = []
+    while True:
+        trials += [_draw_candidate(rng) for _ in range(size - len(trials))]
+        a, b, alpha0, overlaps = zip(*trials)
+        coeffs = Coefficients(np.array(a), np.array(b))
+        table = build_table({pair: np.array([bare[pair] for bare in overlaps])
+                             for pair in ALL_PAIRS}, RecoilModel(np.array(alpha0)))
+        results = {stat: rates.relative_rate_grid(coeffs, table, stat)
+                   for stat in BOTH_STATISTICS}
+        keep = np.logical_and.reduce([res.n0_sq > 2e-3 for res in results.values()])
+        if keep.all():
+            return coeffs, table, results
+        trials = [trial for trial, kept in zip(trials, keep.tolist()) if kept]
 
 
-#: Trials drawn before the oracle evaluates them together.  Each trial holds
-#: its table until its block is done (about 15 kB), so blocks stay small.
+#: Trials evaluated together as one trial-axis grid.  Each block holds its
+#: grid table until it is done (about 15 kB a trial), so blocks stay small.
 _VERIFY_BLOCK = 32
 
+_VERIFY_QUANTITIES = ("matrix element", "initial norm^2", "final norm^2")
 
-def run_verify(
-    seed: int, trials: int, tolerance: float, out: TextIO | None = None
-) -> int:
+
+def run_verify(seed: int, trials: int, tolerance: float, out: TextIO | None = None) -> int:
     """Compare closed-form and formal-expansion results over random configurations.
 
-    Trials are drawn one at a time and handed to the oracle in blocks of
-    ``_VERIFY_BLOCK`` (:func:`pairabs.oracle.formal_quantities_batch`), whose
-    values equal the per-trial formal expansion bit for bit.  Each closed
-    form is evaluated once per trial and statistics and the deviations are
-    taken in trial order, so the report is byte-stable for a seed.  A NaN
-    deviation counts as a failure.
+    Each block of ``_VERIFY_BLOCK`` trials is one trial-axis grid, on which
+    the closed forms (:func:`pairabs.rates.relative_rate_grid`) and the
+    oracle (:func:`pairabs.oracle.formal_quantities`) run once per
+    statistics, every point equal bit for bit to its trial on its own.  The
+    worst deviation is the first NaN, else the first maximum, in (trial,
+    statistics, quantity) order, so the report is byte-stable for a seed.
+    A NaN deviation counts as a failure.
     """
     out = sys.stdout if out is None else out
     if trials < 1:
@@ -408,41 +416,23 @@ def run_verify(
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     rng = np.random.default_rng(seed)
-    max_dev = {"matrix element": 0.0, "initial norm^2": 0.0, "final norm^2": 0.0}
-    worst = (0.0, 0, "", "")
+    blocks = []
     for first in range(0, trials, _VERIFY_BLOCK):
-        block = [_draw_verification_config(rng)
-                 for _ in range(min(_VERIFY_BLOCK, trials - first))]
-        coeffs_seq = [coeffs for coeffs, _, _ in block]
-        tables = [table for _, table, _ in block]
-        formal = [oracle.formal_quantities_batch(coeffs_seq, tables, stat)
-                  for stat in BOTH_STATISTICS]
-        for offset, (coeffs, table, n0_sqs) in enumerate(block):
-            for stat, n0_sq, by_trial in zip(BOTH_STATISTICS, n0_sqs, formal):
-                nf_sq = rates.final_norm_sq(coeffs, table, stat)
-                rates.require_not_null(coeffs, n0_sq, nf_sq)
-                # rates.matrix_element's finish on CPython scalars, equal bit for
-                # bit and off the per-call numpy overhead of its grid path
-                root = math.sqrt(n0_sq * nf_sq)
-                m = 2.0 * rates.bracket_sum(coeffs, table, stat) / root
-                formal_n0_sq, formal_nf_sq, bracket = by_trial[offset]
-                devs = {
-                    "matrix element": abs(m - bracket / root),
-                    "initial norm^2": abs(n0_sq - formal_n0_sq),
-                    "final norm^2": abs(nf_sq - formal_nf_sq),
-                }
-                for kind, dev in devs.items():
-                    if _exceeds(dev, max_dev[kind]):
-                        max_dev[kind] = dev
-                    if _exceeds(dev, worst[0]):
-                        worst = (dev, first + offset, kind, stat.name.lower())
+        coeffs, table, results = _verification_block(rng, min(_VERIFY_BLOCK, trials - first))
+        for res in results.values():
+            rates.require_not_null(coeffs, res.n0_sq, res.nf_sq)
+        blocks.append([oracle.closed_form_deviations(res, oracle.formal_quantities(
+            coeffs, table, stat)) for stat, res in results.items()])
+    devs = np.moveaxis(np.concatenate(blocks, axis=-1), -1, 0)  # (trial, statistics, quantity)
+    trial, stat, kind = np.unravel_index(int(np.argmax(devs)), devs.shape)  # first NaN, else max
+    worst = float(devs[trial, stat, kind])
     print(f"verify: seed={seed} trials={trials} tolerance={_fmt(tolerance)}", file=out)
-    for kind, dev in max_dev.items():
-        print(f"max |{kind} closed - formal| = {_fmt(dev)}", file=out)
-    if not worst[0] < tolerance:
+    for name, dev in zip(_VERIFY_QUANTITIES, np.max(devs, axis=(0, 1)).tolist()):
+        print(f"max |{name} closed - formal| = {_fmt(dev)}", file=out)
+    if not worst < tolerance:
         print(
-            f"FAIL: deviation {_fmt(worst[0])} in {worst[2]} ({worst[3]}) at trial "
-            f"{worst[1]}; reproduce with seed={seed}",
+            f"FAIL: deviation {_fmt(worst)} in {_VERIFY_QUANTITIES[kind]} "
+            f"({BOTH_STATISTICS[stat].name.lower()}) at trial {trial}; reproduce with seed={seed}",
             file=out,
         )
         return 2
@@ -471,6 +461,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
     return value
 
 
@@ -558,7 +555,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     verify = sub.add_parser("verify",
                             help="randomized closed-form vs formal-expansion check")
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_nonnegative_int, default=0)
     verify.add_argument("--trials", type=_positive_int, default=1000)
     verify.add_argument("--tolerance", type=float, default=1e-10)
     verify.add_argument("--out", default=None, metavar="PATH")

@@ -7,23 +7,23 @@ state per output term (an already-excited atom is annihilated, keeping the
 calculation at first order) and never touches CM labels: recoil is carried
 entirely by the starred labels of the final-state monomials.
 
-:func:`formal_quantities_batch` returns both formal norms and the bracket
-for many (weights, table) trials at once; ``pairabs verify`` compares each
-of them with its closed form.  :func:`formal_quantities` is a batch of one.
-Its bracket divided by the square root of the product of its norms is the
-normalized amplitude; its agreement with :func:`pairabs.rates.matrix_element`
-over randomized configurations is the central anti-regression property of
-the library.
+:func:`formal_quantities` returns both formal norms and the bracket, for
+one point or for a whole grid of (weights, table) points at once;
+``pairabs verify`` compares each of them with its closed form through
+:func:`closed_form_deviations`.  The bracket divided by the square root of
+the product of the norms is the normalized amplitude; its agreement with
+:func:`pairabs.rates.matrix_element` over randomized configurations is the
+central anti-regression property of the library.
 
 Which term pairs survive, in which order, and which overlaps they need
 depend only on the statistics.  One plan per statistics is read, on first
 use, off :func:`build_initial`, :func:`build_final`, :func:`apply_absorption`
 and :func:`pairabs.algebra.matching_term_pairs` at weights with both parts
-nonzero.  A batch then looks up each trial's overlaps through its table and
-evaluates the pairs as numpy arrays over the trials, with CPython's complex
-rounding (``rates._cmul``) and each sum in bra-major pair order.  So every
-value equals :func:`pairabs.algebra.inner_product` of the built states bit
-for bit.  The builders drop the terms of a zero weight; the plan keeps them,
+nonzero.  An evaluation looks up the plan's overlaps in the table once and
+evaluates the pairs as numpy arrays over the grid points, with CPython's
+complex rounding (``rates._cmul``) and each sum in bra-major pair order.  So
+every value equals :func:`pairabs.algebra.inner_product` of the built states
+bit for bit.  The builders drop the terms of a zero weight; the plan keeps them,
 but their products are exact signed zeros, which leave a nonzero partial sum
 unchanged, and the closing ``+ 0.0`` of each sum turns an all-zero sum into
 the ``+0.0`` that a sum started at ``0.0`` gives.
@@ -32,7 +32,7 @@ the ``+0.0`` that a sum started at ``0.0`` gives.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,8 @@ __all__ = [
     "apply_absorption",
     "build_final",
     "build_initial",
+    "closed_form_deviations",
     "formal_quantities",
-    "formal_quantities_batch",
 ]
 
 #: Recoiled psi, phi, varphi and chi.
@@ -188,68 +188,57 @@ def _plan(statistics: Statistics) -> _Plan:
     )
 
 
-def formal_quantities_batch(
-    coeffs_seq: Sequence[Coefficients],
-    tables: Sequence[OverlapTable],
-    statistics: Statistics,
-) -> list[tuple[float, float, complex]]:
-    """:func:`formal_quantities` for many trials, one ``(coeffs, table)`` pair each.
-
-    The trials are evaluated together as arrays, through the plan of the
-    statistics read once off :func:`build_initial`, :func:`build_final` and
-    :func:`apply_absorption`.  Each value equals bit for bit the inner
-    products of those states: the products are written out as CPython
-    computes them and every sum runs over the pairs in bra-major order.
-    The terms that a zero weight drops from the built states give signed
-    zeros here, and weights that differ only in the sign of a zero part
-    cannot change a nonzero product or a sum started at ``+0.0``.  Every
-    table is a single-point table.  Raises ``ValueError`` on a non-finite
-    term weight and, at the first trial in order with a null formal norm,
-    :class:`~pairabs.rates.ExcludedStateError`.
-    """
-    if len(coeffs_seq) != len(tables):
-        raise ValueError(f"{len(coeffs_seq)} coefficient sets for {len(tables)} tables")
-    plan = _plan(statistics)
-    a = np.array([c.a for c in coeffs_seq])
-    b = np.array([c.b for c in coeffs_seq])
-    with np.errstate(invalid="ignore"):  # a non-finite weight is reported below
-        ar, ai = rates._cmul(a.real, a.imag, *plan.alpha)
-        br, bi = rates._cmul(b.real, b.imag, *plan.beta)
-    wr, wi = ar + br, ai + bi  # (terms, trials); the zero part adds nothing
-    finite = np.isfinite(wr) & np.isfinite(wi)
-    if not finite.all():
-        k, t = np.argwhere(~finite.T)[0]
-        raise ValueError(f"non-finite term weight {complex(wr[t, k], wi[t, k])!r}")
-    lookups = [table.overlap for table in tables]
-    ov = np.array([[overlap(x, y) for overlap in lookups] for x, y in plan.labels])
-    pr, pi = rates._cmul(wr[plan.bra], -wi[plan.bra], wr[plan.ket], wi[plan.ket])
-    for index in (plan.first, plan.second):
-        pr, pi = rates._cmul(pr, pi, ov.real[index], ov.imag[index])
-    # Sequential sums over each product's pairs, in the pairs' order; adding
-    # 0.0 gives the +0.0 that a sum started at 0.0 gives where every term is 0.
-    (n0_sq, _), (nf_sq, _), (m_re, m_im) = [
-        (np.cumsum(pr[lo:hi], axis=0)[-1] + 0.0, np.cumsum(pi[lo:hi], axis=0)[-1] + 0.0)
-        for lo, hi in plan.spans
-    ]
-    results = [
-        (n0, nf, complex(r, i))
-        for n0, nf, r, i in zip(n0_sq.tolist(), nf_sq.tolist(), m_re.tolist(), m_im.tolist())
-    ]
-    for coeffs, (n0, nf, _) in zip(coeffs_seq, results):
-        rates.require_not_null(coeffs, n0, nf)
-    return results
-
-
 def formal_quantities(
     coeffs: Coefficients, table: OverlapTable, statistics: Statistics
 ) -> tuple[float, float, complex]:
     """Initial norm², final norm² and unnormalized absorption bracket, all formal.
 
-    The three inner products of the initial, the final and the absorbed
-    initial state, as a batch of one (:func:`formal_quantities_batch`).
-    Raises :class:`~pairabs.rates.ExcludedStateError` when either norm is
-    null, by the same criterion as the closed forms
+    The inner products of the initial, the final and the absorbed initial
+    state (:func:`build_initial`, :func:`build_final`,
+    :func:`apply_absorption`), bit for bit, through the plan of the
+    statistics.  On a single point they are a Python ``float``, ``float``
+    and ``complex``; on a grid (array weights, a grid table or both,
+    broadcast together) arrays over it.  Raises ``ValueError`` on a
+    non-finite term weight and :class:`~pairabs.rates.ExcludedStateError`
+    when either norm is null anywhere, by the criterion of the closed forms
     (:func:`pairabs.rates.require_not_null`).
     """
-    return formal_quantities_batch([coeffs], [table], statistics)[0]
+    plan = _plan(statistics)
+    values = [coeffs.a, coeffs.b, *(table.overlap(x, y) for x, y in plan.labels)]
+    shape = np.broadcast_shapes(*map(np.shape, values))
+    a, b, *overlaps = (np.broadcast_to(v, shape).ravel() for v in values)  # one flat grid axis
+    with np.errstate(invalid="ignore"):  # a non-finite weight is reported below
+        ar, ai = rates._cmul(a.real, a.imag, *plan.alpha)
+        br, bi = rates._cmul(b.real, b.imag, *plan.beta)
+    wr, wi = ar + br, ai + bi  # (terms, points); the zero part adds nothing
+    finite = np.isfinite(wr) & np.isfinite(wi)
+    if not finite.all():
+        k, t = np.argwhere(~finite.T)[0]
+        raise ValueError(f"non-finite term weight {complex(wr[t, k], wi[t, k])!r}")
+    ov = np.array(overlaps)
+    pr, pi = rates._cmul(wr[plan.bra], -wi[plan.bra], wr[plan.ket], wi[plan.ket])
+    for index in (plan.first, plan.second):
+        pr, pi = rates._cmul(pr, pi, ov.real[index], ov.imag[index])
+    # Sequential sums over each product's pairs, in the pairs' order; adding
+    # 0.0 gives the +0.0 that a sum started at 0.0 gives where every term is 0.
+    n0_sq, _, nf_sq, _, m_re, m_im = [(np.cumsum(parts[lo:hi], axis=0)[-1] + 0.0).reshape(shape)
+                                       for lo, hi in plan.spans for parts in (pr, pi)]
+    rates.require_not_null(coeffs, n0_sq, nf_sq)
+    values = n0_sq, nf_sq, rates._complex(m_re, m_im)
+    return tuple(v.item() for v in values) if shape == () else values
 
+
+def closed_form_deviations(
+    closed: rates.RateResult, formal: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``|closed - formal|`` of the normalized amplitude, the initial and the final norm².
+
+    ``closed`` and ``formal`` are :func:`pairabs.rates.relative_rate_grid`
+    and :func:`formal_quantities` on the same points.  The formal amplitude
+    is the formal bracket over the closed-form ``sqrt(n0^2 nf^2)``; division
+    and ``abs`` round as CPython's.
+    """
+    n0_sq, nf_sq, bracket = formal
+    gap = closed.m - rates._complex_over_real(bracket, np.sqrt(closed.n0_sq * closed.nf_sq))
+    return (np.hypot(gap.real, gap.imag), np.abs(closed.n0_sq - n0_sq),
+            np.abs(closed.nf_sq - nf_sq))

@@ -19,22 +19,23 @@ them; ``pairabs exclusion-scan`` applies it to both of its verdicts.
 :class:`RateResult` with NaN in the undefined fields, never as round-off
 garbage.
 
-The three closed forms are elementwise, so on a grid table (one whose entries
-are arrays over a sweep grid) they return arrays over the grid.
+The three closed forms are elementwise, so on a grid (a grid table, array
+weights, or both) they return arrays over the grid.
 :func:`relative_rate_grid` is the one finish: it evaluates each form once and
 keeps all three in its result.  :func:`relative_rate` is the same code on a
-single-point table, and :func:`matrix_element` is :func:`relative_rate` plus
-the null raise.  Where the overlaps are real, as in every preset and the
-exclusion family, each grid point equals bit for bit the value on that
-point's own table.  With complex overlaps it may differ by a few ulp, because
-numpy's vectorized complex multiply rounds on its own.  Writing every product
-out with :func:`_cmul` would remove that, but on a 2-vCPU Xeon it more than
+single point, and :func:`matrix_element` is :func:`relative_rate` plus the
+null raise.  Where the overlaps are real, as in every preset, the exclusion
+family and ``pairabs verify``, each grid point equals bit for bit its value
+on its own, because the weight products ``|a|^2`` and ``conj(a) b`` round as
+CPython's.  With complex overlaps it may differ by a few ulp, because numpy's
+vectorized complex multiply rounds on its own.  Writing every product out
+with :func:`_cmul` would remove that, but on a 2-vCPU Xeon it more than
 doubles :func:`relative_rate_grid` on 101 points (about 105 to 235 us) and
 adds 14-19 % to an in-process ``figures`` job.
 
 This is the one module that reproduces CPython's (up to 3.13) rounding on
-numpy arrays: :func:`_abs_sq`, :func:`_complex_over_real` and :func:`_cmul`,
-which the batched oracle uses.
+numpy arrays (:func:`_abs_sq`, :func:`_complex_over_real`, :func:`_cmul`,
+:func:`_conj_mul`); the oracle uses them too.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ class RateResult:
     ``n0`` and ``m`` are NaN.  ``n0_sq``, ``nf_sq`` and ``bracket`` are the
     three closed forms the rest is computed from (:func:`initial_norm_sq`,
     :func:`final_norm_sq` and :func:`bracket_sum`), raw on excluded points
-    too.  From :func:`relative_rate_grid` every field but ``m_pro`` is an
-    array over the grid.
+    too.  From :func:`relative_rate_grid` every field is an array over the
+    grid, ``m_pro`` only where ``alpha0`` is one.
     """
 
     n0: float
@@ -122,9 +123,13 @@ def _complex_over_real(z: np.ndarray, d: np.ndarray) -> np.ndarray:
     which gives exactly these two quotients, signed zeros included.  numpy's
     complex / float multiplies by ``1 / d`` and can differ by an ulp.
     """
-    out = np.empty(np.broadcast_shapes(np.shape(z), np.shape(d)), dtype=complex)
-    out.real = (z.real + z.imag * 0.0) / d
-    out.imag = (z.imag - z.real * 0.0) / d
+    return _complex((z.real + z.imag * 0.0) / d, (z.imag - z.real * 0.0) / d)
+
+
+def _complex(re, im) -> np.ndarray:
+    """The complex array with real parts ``re`` and imaginary parts ``im``, bit for bit."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real, out.imag = re, im
     return out
 
 
@@ -136,6 +141,13 @@ def _cmul(xr, xi, yr, yi):
     A float factor ``s`` enters CPython (up to 3.13) as ``complex(s, 0)``.
     """
     return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def _conj_mul(x: complex | np.ndarray, y: complex | np.ndarray) -> complex | np.ndarray:
+    """``x.conjugate() * y``, elementwise on arrays with CPython's rounding (:func:`_cmul`)."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return _complex(*_cmul(x.real, -x.imag, y.real, y.imag))
+    return x.conjugate() * y
 
 
 def initial_norm_sq(
@@ -153,10 +165,10 @@ def initial_norm_sq(
     s = statistics.sign
     a, b = coeffs.a, coeffs.b
     ov = table.overlap
-    cross = a.conjugate() * b
+    cross = _conj_mul(a, b)
     return (
-        2.0 * abs(a) ** 2 * (1.0 + s * _abs_sq(ov(PSI, PHI)))
-        + 2.0 * abs(b) ** 2 * (1.0 + s * _abs_sq(ov(VARPHI, CHI)))
+        2.0 * _abs_sq(a) * (1.0 + s * _abs_sq(ov(PSI, PHI)))
+        + 2.0 * _abs_sq(b) * (1.0 + s * _abs_sq(ov(VARPHI, CHI)))
         + 4.0 * (cross * ov(PSI, VARPHI) * ov(PHI, CHI)).real
         + 4.0 * s * (cross * ov(PSI, CHI) * ov(PHI, VARPHI)).real
     )
@@ -174,15 +186,15 @@ def final_norm_sq(
     a, b = coeffs.a, coeffs.b
     ov = table.overlap
     ps, phs, vs, cs = _STARRED
-    cross = a.conjugate() * b
+    cross = _conj_mul(a, b)
     return (
-        4.0 * (abs(a) ** 2 + abs(b) ** 2)
+        4.0 * (_abs_sq(a) + _abs_sq(b))
         + 4.0 * (cross * ov(ps, vs) * ov(PHI, CHI)).real
         + 4.0 * (cross.conjugate() * ov(cs, phs) * ov(VARPHI, PSI)).real
-        + 4.0 * s * abs(a) ** 2 * (ov(ps, phs) * ov(PHI, PSI)).real
+        + 4.0 * s * _abs_sq(a) * (ov(ps, phs) * ov(PHI, PSI)).real
         + 4.0 * s * (cross * ov(ps, cs) * ov(PHI, VARPHI)).real
         + 4.0 * s * (cross.conjugate() * ov(vs, phs) * ov(CHI, PSI)).real
-        + 4.0 * s * abs(b) ** 2 * (ov(vs, cs) * ov(CHI, VARPHI)).real
+        + 4.0 * s * _abs_sq(b) * (ov(vs, cs) * ov(CHI, VARPHI)).real
     )
 
 
@@ -199,9 +211,9 @@ def bracket_sum(
     a, b = coeffs.a, coeffs.b
     ov = table.overlap
     ps, phs, vs, cs = _STARRED
-    aa = abs(a) ** 2
-    bb = abs(b) ** 2
-    ab = a.conjugate() * b
+    aa = _abs_sq(a)
+    bb = _abs_sq(b)
+    ab = _conj_mul(a, b)
     ba = ab.conjugate()
     direct = (
         aa * (ov(ps, PSI) + ov(phs, PHI))
@@ -224,7 +236,7 @@ def bracket_sum(
 
 def _null_floors(coeffs: Coefficients) -> tuple[float, float]:
     """Floors below which the initial and the final squared norm count as null."""
-    weight_sq = coeffs.weight_sq
+    weight_sq = _abs_sq(coeffs.a) + _abs_sq(coeffs.b)
     return EXCLUSION_EPS * 2.0 * weight_sq, EXCLUSION_EPS * 4.0 * weight_sq
 
 
@@ -241,13 +253,14 @@ def require_not_null(coeffs: Coefficients, n0_sq: float, nf_sq: float) -> None:
     """Raise :class:`ExcludedStateError` when either squared norm is below its floor.
 
     The one null criterion for every raising entry point: the closed-form
-    :func:`matrix_element`, the oracle and ``pairabs verify``.
+    :func:`matrix_element`, the oracle and ``pairabs verify``.  On a grid it
+    raises when any point is null, a null initial state anywhere first.
     """
-    if exclusion_mask(coeffs, n0_sq):
+    if np.any(exclusion_mask(coeffs, n0_sq)):
         raise ExcludedStateError(
             "initial state is null (excluded); the normalized amplitude is a 0/0 form"
         )
-    if nf_sq < _null_floors(coeffs)[1]:
+    if np.any(nf_sq < _null_floors(coeffs)[1]):
         raise ExcludedStateError(
             "final superposition is null; the normalized amplitude is a 0/0 form"
         )
@@ -272,10 +285,13 @@ def matrix_element_product(table: OverlapTable) -> complex:
 
     ``(<psi*|psi> + <phi*|phi>) / sqrt(2)``; under the recoil model both
     one-recoil diagonals equal ``alpha0``, so the value is
-    ``sqrt(2) alpha0``.
+    ``sqrt(2) alpha0``, an array where ``alpha0`` is one.
     """
     ps, phs, _, _ = _STARRED
-    return (table.overlap(ps, PSI) + table.overlap(phs, PHI)) / math.sqrt(2.0)
+    total = table.overlap(ps, PSI) + table.overlap(phs, PHI)
+    if isinstance(total, np.ndarray):
+        return _complex_over_real(total, math.sqrt(2.0))
+    return total / math.sqrt(2.0)
 
 
 def relative_rate(
@@ -283,8 +299,8 @@ def relative_rate(
 ) -> RateResult:
     """Evaluate one configuration; exclusion is encoded in the result, not raised.
 
-    A single-point table is a grid of one: this is :func:`relative_rate_grid`
-    on it, with each field turned into a Python ``float``, ``complex`` or
+    A single point is a grid of one: this is :func:`relative_rate_grid` on
+    it, with each field turned into a Python ``float``, ``complex`` or
     ``bool`` by ``.item()``.
     """
     res = relative_rate_grid(coeffs, table, statistics)
@@ -295,13 +311,14 @@ def relative_rate(
 def relative_rate_grid(
     coeffs: Coefficients, table: OverlapTable, statistics: Statistics
 ) -> RateResult:
-    """All absorption quantities at every point of a grid table, in one pass.
+    """All absorption quantities at every point of a grid, in one pass.
 
-    The three closed forms run once, elementwise on the table's arrays, and
-    are kept in the result; square roots, division and the NaN masking of
-    excluded points are array operations.  Every field but ``m_pro``
-    (constant over the grid) is an array, ``excluded`` a bool array; on a
-    single-point table each holds one value.
+    The grid is that of the table, the weights or both.  The three closed
+    forms run once, elementwise, and are kept in the result; square roots,
+    division and the NaN masking of excluded points are array operations.
+    Every field but ``m_pro`` (constant over the grid unless ``alpha0``
+    varies) is an array, ``excluded`` a bool array; on a single point each
+    holds one value.
     """
     n0_sq = initial_norm_sq(coeffs, table, statistics)
     nf_sq = final_norm_sq(coeffs, table, statistics)
@@ -316,5 +333,5 @@ def relative_rate_grid(
         m[excluded] = _NAN_COMPLEX
         n0 = np.where(excluded, _NAN, 1.0 / np.sqrt(n0_sq))
         nf = np.where(nf_null, _NAN, 1.0 / np.sqrt(nf_sq))
-    r = _abs_sq(m) / abs(m_pro) ** 2
+    r = _abs_sq(m) / _abs_sq(m_pro)
     return RateResult(n0, nf, m, m_pro, r, excluded, n0_sq, nf_sq, bracket)

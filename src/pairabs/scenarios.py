@@ -2,10 +2,10 @@
 
 :func:`build_table`, :func:`build_choice_table` and :func:`build_family_table`
 (with :meth:`ExclusionFamily.equal_weight`) also take 1-D numpy arrays of
-sweep values in place of one value and return one grid table (see
-:class:`pairabs.algebra.OverlapTable`) whose entries are arrays over the grid.
-The rules below are elementwise, so each grid point holds exactly the values
-a single-point build would give.
+sweep values, bare overlaps or ``alpha0`` and return one grid table (see
+:class:`pairabs.algebra.OverlapTable`) whose entries are arrays over the
+grid; :class:`Coefficients` takes arrays of weights.  The rules below are
+elementwise, so each grid point holds exactly the values of a single point.
 
 Tables are built from the six bare pairwise overlaps among {psi, phi, varphi,
 chi} and then completed with the recoil entries:
@@ -19,7 +19,6 @@ chi} and then completed with the recoil entries:
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ __all__ = [
     "build_family_table",
     "build_table",
     "family_exclusion_coefficient",
-    "random_realizable_table",
+    "random_realizable_overlaps",
 ]
 
 _LABELS = (PSI, PHI, VARPHI, CHI)
@@ -61,27 +60,38 @@ ALL_PAIRS = (
 )
 
 
+def _grid_value(value, kind: type = complex) -> complex | float | np.ndarray:
+    """One value as a Python ``kind``, or a grid of them as a read-only array of it."""
+    if isinstance(value, np.ndarray):
+        value = value.astype(kind)
+        value.flags.writeable = False
+        return value
+    return kind(value)
+
+
+def _require(values, ok, message: str) -> None:
+    """Raise ``ValueError(message.format(v))`` for the first ``v`` of ``values`` where not ``ok``."""
+    failed = np.atleast_1d(values)[~np.atleast_1d(ok)]
+    if failed.size:
+        raise ValueError(message.format(failed[0]))
+
+
 @dataclass(frozen=True)
 class RecoilModel:
-    """Single-absorption recoil strength; ``alpha0`` scales every one-recoil bracket."""
+    """Single-absorption recoil strength; ``alpha0`` scales every one-recoil bracket.
 
-    alpha0: float = 0.9
+    ``alpha0`` may be an array, one checked value per grid point.
+    """
+
+    alpha0: float | np.ndarray = 0.9
 
     def __post_init__(self):
-        if not 0.0 < self.alpha0 <= 1.0:
-            raise ValueError(f"alpha0 must lie in (0, 1], got {self.alpha0}")
-        if 2.0 * self.alpha0**2 < sys.float_info.min:
-            raise ValueError(
-                f"alpha0 = {self.alpha0} is too small: the product-state reference "
-                f"|m_pro|^2 = 2 alpha0^2 underflows"
-            )
-
-
-def _overlap_value(value) -> complex | np.ndarray:
-    """One overlap as a Python complex, or a grid of them as a complex array."""
-    if isinstance(value, np.ndarray):
-        return value.astype(complex)
-    return complex(value)
+        alpha0 = _grid_value(self.alpha0, float)
+        _require(alpha0, (0.0 < alpha0) & (alpha0 <= 1.0), "alpha0 must lie in (0, 1], got {}")
+        _require(alpha0, 2.0 * alpha0**2 >= sys.float_info.min,
+                 "alpha0 = {} is too small: the product-state reference "
+                 "|m_pro|^2 = 2 alpha0^2 underflows")
+        object.__setattr__(self, "alpha0", alpha0)
 
 
 def alpha_pair(model: RecoilModel, base_overlap: complex | np.ndarray) -> float | np.ndarray:
@@ -95,7 +105,7 @@ def alpha_pair(model: RecoilModel, base_overlap: complex | np.ndarray) -> float 
     overlaps, but the shrink coefficient is defined from Re.  Elementwise on
     a grid of overlaps.
     """
-    re = _overlap_value(base_overlap).real
+    re = _grid_value(base_overlap).real
     return re + model.alpha0 * (1.0 - re)
 
 
@@ -112,32 +122,27 @@ class Coefficients:
     """Weights of the two product components of the initial superposition.
 
     ``sqrt(|a|^2 + |b|^2)`` must lie in ``_WEIGHT_NORM_RANGE``, about
-    ``[1.22e-72, 2.06e76]``.
+    ``[1.22e-72, 2.06e76]``.  ``a`` and ``b`` may be arrays that broadcast
+    to a grid, one checked pair of weights per grid point.
     """
 
-    a: complex
-    b: complex = 0.0
+    a: complex | np.ndarray
+    b: complex | np.ndarray = 0.0
 
     def __post_init__(self):
-        a, b = complex(self.a), complex(self.b)
-        if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        a, b = _grid_value(self.a), _grid_value(self.b)
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("superposition coefficients must be finite")
-        if a == 0 and b == 0:
+        if np.any((a == 0) & (b == 0)):
             raise ValueError("superposition coefficients must not both vanish")
-        norm = math.hypot(a.real, a.imag, b.real, b.imag)  # scaled: overflows only to inf
+        # scaled: overflows only to inf
+        norm = np.vectorize(math.hypot, otypes=[float])(a.real, a.imag, b.real, b.imag)
         low, high = _WEIGHT_NORM_RANGE
-        if not low <= norm <= high:
-            raise ValueError(
-                f"superposition coefficients with sqrt(|a|^2 + |b|^2) = {norm:g} lie outside "
-                f"[{low:.3g}, {high:.3g}]: the squared norms would leave the double range"
-            )
+        _require(norm, (low <= norm) & (norm <= high),
+                 f"superposition coefficients with sqrt(|a|^2 + |b|^2) = {{:g}} lie outside "
+                 f"[{low:.3g}, {high:.3g}]: the squared norms would leave the double range")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    @property
-    def weight_sq(self) -> float:
-        """``|a|^2 + |b|^2``, the natural scale for null-state thresholds."""
-        return abs(self.a) ** 2 + abs(self.b) ** 2
 
 
 _CHOICE_FIXED: dict[str, dict[tuple[CmLabel, CmLabel], complex]] = {
@@ -165,9 +170,9 @@ def build_table(
     bare: dict[tuple[CmLabel, CmLabel], complex | np.ndarray] = {}
     for x, y in ALL_PAIRS:
         if (x, y) in overlaps:
-            value = _overlap_value(overlaps[(x, y)])
+            value = _grid_value(overlaps[(x, y)])
         elif (y, x) in overlaps:
-            value = _overlap_value(overlaps[(y, x)]).conjugate()
+            value = _grid_value(overlaps[(y, x)]).conjugate()
         else:
             raise ValueError(f"missing bare overlap for <{x}|{y}>")
         bare[(x, y)] = value
@@ -205,7 +210,7 @@ def build_choice_table(
         raise ValueError(f"unknown choice {name!r}; expected one of {CHOICES}")
     if not np.all((0.0 <= c) & (c <= 1.0)):
         raise ValueError(f"sweep value must lie in [0, 1], got {c}")
-    base = {pair: _overlap_value(_CHOICE_FIXED[name].get(pair, c)) for pair in BASE_PAIRS}
+    base = {pair: _grid_value(_CHOICE_FIXED[name].get(pair, c)) for pair in BASE_PAIRS}
     psi_phi = base[(PSI, PHI)]
     psi_varphi = base[(PSI, VARPHI)]
     varphi_chi = base[(VARPHI, CHI)]
@@ -241,7 +246,7 @@ class ExclusionFamily:
 
     def __post_init__(self):
         for attr in "cdefgh":
-            object.__setattr__(self, attr, _overlap_value(getattr(self, attr)))
+            object.__setattr__(self, attr, _grid_value(getattr(self, attr)))
         for name, (u, v) in (
             ("(c, d)", (self.c, self.d)),
             ("(e, f)", (self.e, self.f)),
@@ -249,13 +254,9 @@ class ExclusionFamily:
         ):
             if not (np.isfinite(u).all() and np.isfinite(v).all()):
                 raise ValueError(f"family coefficients {name} must be finite")
-            norm = np.atleast_1d(abs(u) ** 2 + abs(v) ** 2)
-            off = np.abs(norm - 1.0) > 1e-12
-            if off.any():
-                raise ValueError(
-                    f"family coefficients {name} violate |u|^2 + |v|^2 = 1: "
-                    f"got {norm[off][0]}"
-                )
+            norm = abs(u) ** 2 + abs(v) ** 2
+            _require(norm, np.abs(norm - 1.0) <= 1e-12,
+                     f"family coefficients {name} violate |u|^2 + |v|^2 = 1: got {{}}")
 
     @classmethod
     def equal_weight(
@@ -302,18 +303,13 @@ def family_exclusion_coefficient(coeffs: Coefficients, fam: ExclusionFamily) -> 
     return coeffs.a * fam.d + coeffs.b * (fam.e * fam.h - fam.f * fam.g)
 
 
-def random_realizable_table(
-    rng: np.random.Generator, model: RecoilModel = RecoilModel()
-) -> OverlapTable:
-    """Table whose bare overlaps are the Gram matrix of four random real unit vectors.
+def random_realizable_overlaps(rng: np.random.Generator) -> dict[tuple[CmLabel, CmLabel], float]:
+    """The six bare overlaps, keyed as :data:`ALL_PAIRS`, of four random real unit vectors.
 
-    Realizable by construction, so it is safe input for randomized
-    equivalence sweeps.
+    The Gram matrix of the vectors, so every table built from them is
+    realizable: safe input for randomized equivalence sweeps.
     """
     vecs = rng.normal(size=(4, 4))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     gram = np.clip(vecs @ vecs.T, -1.0, 1.0).tolist()
-    overlaps = {
-        (_LABELS[i], _LABELS[j]): gram[i][j] for i in range(4) for j in range(i + 1, 4)
-    }
-    return build_table(overlaps, model)
+    return {(_LABELS[i], _LABELS[j]): gram[i][j] for i in range(4) for j in range(i + 1, 4)}

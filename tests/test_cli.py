@@ -16,21 +16,28 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pairabs import cli, rates
-from pairabs.algebra import Statistics
+from pairabs import cli, oracle, rates
+from pairabs.algebra import CHI, PHI, PSI, VARPHI, Statistics
 from pairabs.cli import SCAN_HEADER, SWEEP_HEADER
 from pairabs.scenarios import (
+    ALL_PAIRS,
     Coefficients,
     ExclusionFamily,
     RecoilModel,
     build_choice_table,
     build_family_table,
+    build_table,
     family_exclusion_coefficient,
+    random_realizable_overlaps,
 )
 
 ROOT2_INV = 1.0 / math.sqrt(2.0)
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 SRC = Path(__file__).resolve().parents[1] / "src"
+#: Every bare pair and some one- and two-recoil entries.
+PAIRS_WITH_RECOIL = ALL_PAIRS + tuple(
+    (x.star(), y) for x, y in ((PSI, PSI), (PHI, VARPHI), (CHI, PSI))
+) + tuple((x.star(), y.star()) for x, y in ((PSI, PHI), (VARPHI, CHI)))
 # |coefficient| = 4.47e-06 at a = 0: between the amplitude floor 1e-10 and its root
 NEAR_NULL_SCAN = ["exclusion-scan", "--a-min", "0", "--a-max", "0", "--a-steps", "1",
                   "--c-min", "0.99999999999", "--c-max", "0.99999999999", "--steps", "1"]
@@ -332,7 +339,7 @@ class TestExclusionScan:
     def test_both_paths_agree_near_the_null_manifold(self, a, c):
         (row,), disagreements = cli.exclusion_scan_rows([a], [c])
         coeffs = Coefficients(a, math.sqrt(max(0.0, 1.0 - a * a)))
-        floor = rates.EXCLUSION_EPS * 2.0 * coeffs.weight_sq
+        floor = rates.EXCLUSION_EPS * 2.0 * (abs(coeffs.a) ** 2 + abs(coeffs.b) ** 2)
         # within this band of the floor round-off may legitimately split them
         assume(abs(2.0 * float(row[2]) ** 2 - floor) > 1e-4 * floor)
         assert row[3] == row[4] and disagreements == 0, row
@@ -515,6 +522,23 @@ class TestVerify:
         assert "FAIL: deviation nan in matrix element (boson) at trial 0;" in out
         assert "PASS" not in out
 
+    def test_negative_seed_flag_is_rejected(self, capsys):
+        assert exit_code(["verify", "--trials", "1", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "argument --seed: must be a non-negative integer" in err
+        assert "Traceback" not in err
+
+    def test_negative_seed_from_config_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("seed = -1\n")
+        assert exit_code(["verify", "--trials", "1", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "pairabs: config error: must be a non-negative integer\n")
+
+    def test_seed_zero_is_accepted(self, capsys):
+        assert exit_code(["verify", "--trials", "1", "--seed", "0"]) == 0
+        assert "seed=0" in capsys.readouterr().out
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-10"])
     def test_tolerance_flag_must_be_positive_and_finite(self, tolerance, capsys):
         assert exit_code(["verify", "--trials", "1", f"--tolerance={tolerance}"]) == 1
@@ -527,25 +551,59 @@ class TestVerify:
         assert exit_code(["verify", "--trials", "1", "--config", str(cfg)]) == 1
         assert "tolerance must be positive and finite" in capsys.readouterr().err
 
-    def test_each_closed_form_runs_once_per_trial_and_statistics(self, monkeypatch):
+    def test_each_closed_form_runs_once_per_block_and_statistics(self, monkeypatch):
         calls = Counter()
+        count_calls(monkeypatch, calls, rates, "initial_norm_sq", "final_norm_sq", "bracket_sum")
+        count_calls(monkeypatch, calls, oracle, "formal_quantities")
+        count_calls(monkeypatch, calls, cli, "random_realizable_overlaps")  # one per candidate
+        assert exit_code(["verify", "--seed", "3", "--trials", "40", "--out", "-"]) == 0
+        assert cli._VERIFY_BLOCK == 32  # 40 trials are two blocks
+        assert calls == {"initial_norm_sq": 4, "final_norm_sq": 4, "bracket_sum": 4,
+                         "formal_quantities": 4, "random_realizable_overlaps": 40}
 
-        def count(module, name):
-            original = getattr(module, name)
+    def test_a_redrawn_candidate_leaves_the_block_of_a_one_at_a_time_draw(self, monkeypatch):
+        # No seed is known to redraw, so the first candidate's overlaps become
+        # all ones: a Pauli pair for fermions, null at any weights.
+        def first_all_ones(draws):
+            def draw(rng):
+                overlaps = random_realizable_overlaps(rng)
+                draws.append(overlaps)
+                return {pair: 1.0 for pair in overlaps} if len(draws) == 1 else overlaps
+            return draw
 
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
+        def one_at_a_time(rng, size, draw):
+            trials = []
+            while len(trials) < size:
+                parts = rng.normal(size=4)
+                scale = math.sqrt(float(np.dot(parts, parts)))
+                if scale < 1e-6:
+                    continue
+                coeffs = Coefficients(complex(parts[0], parts[1]) / scale,
+                                      complex(parts[2], parts[3]) / scale)
+                alpha0 = float(rng.uniform(0.5, 1.0))
+                table = build_table(draw(rng), RecoilModel(alpha0))
+                if all(rates.initial_norm_sq(coeffs, table, stat) > 2e-3
+                       for stat in cli.BOTH_STATISTICS):
+                    trials.append((coeffs, table))
+            return trials
 
-            monkeypatch.setattr(module, name, counted)
+        expected_draws = []
+        rng = np.random.default_rng(11)
+        expected = one_at_a_time(rng, 32, first_all_ones(expected_draws))
+        after = rng.normal(size=3).tolist()
 
-        for name in ("initial_norm_sq", "final_norm_sq", "bracket_sum"):
-            count(rates, name)
-        count(cli, "random_realizable_table")  # one per draw, redraws included
-        assert exit_code(["verify", "--seed", "3", "--trials", "5", "--out", "-"]) == 0
-        assert calls["final_norm_sq"] == calls["bracket_sum"] == 10
-        assert calls["random_realizable_table"] >= 5
-        assert calls["initial_norm_sq"] == 2 * calls["random_realizable_table"]
+        draws = []
+        monkeypatch.setattr(cli, "random_realizable_overlaps", first_all_ones(draws))
+        rng = np.random.default_rng(11)
+        coeffs, table, results = cli._verification_block(rng, 32)
+        assert len(draws) == len(expected_draws) == 33  # the first candidate was redrawn
+        assert rng.normal(size=3).tolist() == after
+        assert coeffs.a.tolist() == [c.a for c, _ in expected]
+        assert coeffs.b.tolist() == [c.b for c, _ in expected]
+        for x, y in PAIRS_WITH_RECOIL:
+            assert table.overlap(x, y).tolist() == [t.overlap(x, y) for _, t in expected]
+        for stat, res in results.items():
+            assert res.n0_sq.tolist() == [rates.initial_norm_sq(c, t, stat) for c, t in expected]
 
     def test_report_bytes_are_pinned(self, tmp_path):
         # Every value is computed with fixed operations in a fixed order, so

@@ -23,15 +23,17 @@ from pairabs.oracle import (
     apply_absorption,
     build_final,
     build_initial,
+    closed_form_deviations,
     formal_quantities,
-    formal_quantities_batch,
 )
 from pairabs.rates import ExcludedStateError
 from pairabs.scenarios import (
+    ALL_PAIRS,
     Coefficients,
     RecoilModel,
     build_choice_table,
-    random_realizable_table,
+    build_table,
+    random_realizable_overlaps,
 )
 
 BOSON = Statistics.BOSON
@@ -50,13 +52,25 @@ def random_coefficients(rng):
                         complex(parts[2], parts[3]) / scale)
 
 
-def complex_table(rng):
-    from pairabs.scenarios import ALL_PAIRS, build_table
-
+def complex_overlaps(rng):
+    """Random complex bare overlaps and a random ``alpha0``."""
     overlaps = {
         pair: complex(rng.uniform(-0.55, 0.55), rng.uniform(-0.4, 0.4)) for pair in ALL_PAIRS
     }
-    return build_table(overlaps, RecoilModel(float(rng.uniform(0.5, 1.0))))
+    return overlaps, float(rng.uniform(0.5, 1.0))
+
+
+def trial_axis(coeffs_seq, overlaps_seq, alpha0s):
+    """Array weights and one grid table whose points are the given trials."""
+    coeffs = Coefficients(np.array([c.a for c in coeffs_seq]), np.array([c.b for c in coeffs_seq]))
+    table = build_table({pair: np.array([o[pair] for o in overlaps_seq]) for pair in ALL_PAIRS},
+                        RecoilModel(np.array(alpha0s)))
+    return coeffs, table
+
+
+def per_point(values):
+    """The formal quantities of a grid, one Python ``(float, float, complex)`` per point."""
+    return list(zip(*(v.tolist() for v in values)))
 
 
 def formal_amplitude(coeffs, table, statistics):
@@ -195,7 +209,7 @@ class TestOracleMatrixElement:
         rng = np.random.default_rng(113)
         for _ in range(50):
             coeffs = random_coefficients(rng)
-            table = random_realizable_table(rng)
+            table = build_table(random_realizable_overlaps(rng))
             for statistics in (BOSON, FERMION):
                 n0_sq, nf_sq, bracket = formal_quantities(coeffs, table, statistics)
                 initial = build_initial(coeffs, statistics)
@@ -207,22 +221,24 @@ class TestOracleMatrixElement:
     @pytest.mark.parametrize("statistics", [BOSON, FERMION])
     @pytest.mark.parametrize("shape", ["a", "b", "ab", "mixed"])
     @pytest.mark.parametrize("table_kind", ["realizable", "complex"])
-    def test_batch_equals_the_expansion_bit_for_bit(self, statistics, shape, table_kind):
+    def test_grid_equals_the_expansion_bit_for_bit(self, statistics, shape, table_kind):
         rng = np.random.default_rng(131)
-        coeffs_seq, tables = [], []
+        coeffs_seq, overlaps_seq, alpha0s, tables = [], [], [], []
         while len(coeffs_seq) < 150:
             each = shape if shape != "mixed" else ("a", "b", "ab")[len(coeffs_seq) % 3]
             coeffs = shaped(random_coefficients(rng), each)
-            table = random_realizable_table(rng) if table_kind == "realizable" else (
-                complex_table(rng)
-            )
+            overlaps, alpha0 = ((random_realizable_overlaps(rng), 0.9)
+                                if table_kind == "realizable" else complex_overlaps(rng))
+            table = build_table(overlaps, RecoilModel(alpha0))
             if rates.initial_norm_sq(coeffs, table, statistics) > 1e-6:
                 coeffs_seq.append(coeffs)
+                overlaps_seq.append(overlaps)
+                alpha0s.append(alpha0)
                 tables.append(table)
-        batch = formal_quantities_batch(coeffs_seq, tables, statistics)
+        grid = formal_quantities(*trial_axis(coeffs_seq, overlaps_seq, alpha0s), statistics)
         expected = [expansion(c, t, statistics) for c, t in zip(coeffs_seq, tables)]
-        assert [repr(v) for v in batch] == [repr(v) for v in expected]
-        for coeffs, table, values in zip(coeffs_seq[:20], tables, batch):
+        assert [repr(v) for v in per_point(grid)] == [repr(v) for v in expected]
+        for coeffs, table, values in zip(coeffs_seq[:20], tables, expected):
             assert repr(formal_quantities(coeffs, table, statistics)) == repr(values)
 
     def test_signed_zero_weights_keep_the_expansion_bits(self):
@@ -231,27 +247,60 @@ class TestOracleMatrixElement:
                         Coefficients(complex(0.8, -0.0), 0.0),
                         Coefficients(0.0, complex(-0.0, 1.0)))
         mixed = [*signed_zeros, Coefficients(complex(0.6, -0.3), complex(-0.5, 0.4))]
+        weights = Coefficients(np.array([c.a for c in mixed]), np.array([c.b for c in mixed]))
         for statistics in (BOSON, FERMION):
             expected = [repr(expansion(coeffs, table, statistics)) for coeffs in mixed]
             for coeffs, value in zip(signed_zeros, expected):
                 assert repr(formal_quantities(coeffs, table, statistics)) == value
-            batch = formal_quantities_batch(mixed, [table] * len(mixed), statistics)
-            assert [repr(v) for v in batch] == expected
+            grid = formal_quantities(weights, table, statistics)
+            assert [repr(v) for v in per_point(grid)] == expected
 
-    def test_null_configuration_inside_a_batch_raises(self):
+    def test_weights_and_table_broadcast_to_one_grid(self):
+        c_grid = np.linspace(0.1, 0.9, 5)
+        coeffs = Coefficients(np.array([[0.8], [0.6j], [-0.3]]), np.array([[0.6], [0.8], [0.2]]))
+        for statistics in (BOSON, FERMION):
+            grid = formal_quantities(coeffs, choice_table("iv", c_grid), statistics)
+            assert all(v.shape == (3, 5) for v in grid)
+            for i, a in enumerate((0.8, 0.6j, -0.3)):
+                point = Coefficients(a, (0.6, 0.8, 0.2)[i])
+                for j, c in enumerate(c_grid.tolist()):
+                    assert repr(tuple(v[i, j].item() for v in grid)) == repr(
+                        expansion(point, choice_table("iv", c), statistics))
+
+    def test_null_configuration_inside_a_grid_raises(self):
         rng = np.random.default_rng(137)
         coeffs_seq = [random_coefficients(rng) for _ in range(5)]
-        tables = [random_realizable_table(rng) for _ in range(5)]
-        coeffs_seq[2], tables[2] = A_ONLY, choice_table("i", 1.0)  # Pauli pair
-        assert len(formal_quantities_batch(coeffs_seq, tables, BOSON)) == 5
+        overlaps_seq = [random_realizable_overlaps(rng) for _ in range(5)]
+        coeffs_seq[2] = A_ONLY  # with all-ones overlaps: the Pauli pair
+        overlaps_seq[2] = {pair: 1.0 for pair in ALL_PAIRS}
+        coeffs, table = trial_axis(coeffs_seq, overlaps_seq, [0.9] * 5)
+        assert formal_quantities(coeffs, table, BOSON)[0].shape == (5,)
         with pytest.raises(ExcludedStateError, match="^initial state is null \\(excluded\\); "
                            "the normalized amplitude is a 0/0 form$"):
-            formal_quantities_batch(coeffs_seq, tables, FERMION)
+            formal_quantities(coeffs, table, FERMION)
 
-    def test_batch_rejects_unpaired_inputs(self):
-        with pytest.raises(ValueError, match="2 coefficient sets for 1 tables"):
-            formal_quantities_batch([A_ONLY, A_ONLY], [choice_table("i", 0.5)], BOSON)
-        assert formal_quantities_batch([], [], BOSON) == []
+    def test_weights_that_do_not_fit_the_grid_are_rejected(self):
+        coeffs = Coefficients(np.full(3, 0.8), np.full(3, 0.6))
+        table = choice_table("ii", np.linspace(0.0, 1.0, 4))
+        with pytest.raises(ValueError, match="shape"):
+            formal_quantities(coeffs, table, BOSON)
+
+    def test_deviations_of_a_result_from_its_own_expansion(self):
+        rng = np.random.default_rng(149)
+        coeffs_seq = [random_coefficients(rng) for _ in range(40)]
+        overlaps_seq = [random_realizable_overlaps(rng) for _ in range(40)]
+        coeffs, table = trial_axis(coeffs_seq, overlaps_seq, rng.uniform(0.5, 1.0, 40))
+        for statistics in (BOSON, FERMION):
+            closed = rates.relative_rate_grid(coeffs, table, statistics)
+            formal = formal_quantities(coeffs, table, statistics)
+            matrix, initial, final = closed_form_deviations(closed, formal)
+            root = np.sqrt(closed.n0_sq * closed.nf_sq)
+            for i in range(40):
+                formal_m = formal[2][i].item() / root[i].item()
+                assert repr(matrix[i].item()) == repr(abs(closed.m[i].item() - formal_m))
+                assert initial[i] == abs(closed.n0_sq[i] - formal[0][i])
+                assert final[i] == abs(closed.nf_sq[i] - formal[1][i])
+            assert max(matrix.max(), initial.max(), final.max()) < 1e-12
 
     def test_non_finite_weight_is_rejected(self):
         coeffs = Coefficients(1.0, 0.0)
@@ -268,7 +317,7 @@ class TestOracleMatrixElement:
         while checked < 1000:
             coeffs = random_coefficients(rng)
             model = RecoilModel(float(rng.uniform(0.5, 1.0)))
-            table = random_realizable_table(rng, model)
+            table = build_table(random_realizable_overlaps(rng), model)
             norms = [rates.initial_norm_sq(coeffs, table, s) for s in (BOSON, FERMION)]
             if min(norms) <= 2e-3:
                 continue  # stay clear of the excluded manifold
@@ -309,7 +358,7 @@ class TestOracleMatrixElement:
         rng = np.random.default_rng(103)
         for _ in range(200):
             coeffs = random_coefficients(rng)
-            table = random_realizable_table(rng)
+            table = build_table(random_realizable_overlaps(rng))
             for statistics in (BOSON, FERMION):
                 n0_sq, nf_sq, _ = formal_quantities(coeffs, table, statistics)
                 assert n0_sq == pytest.approx(
@@ -336,7 +385,7 @@ class TestOracleMatrixElement:
         rng = np.random.default_rng(107)
         for _ in range(50):
             coeffs = random_coefficients(rng)
-            table = random_realizable_table(rng)
+            table = build_table(random_realizable_overlaps(rng))
             for statistics in (BOSON, FERMION):
                 initial = build_initial(coeffs, statistics)
                 final = build_final(coeffs, statistics)

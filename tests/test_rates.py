@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pairabs.algebra import CHI, PHI, PSI, VARPHI, Statistics
 from pairabs.rates import (
     EXCLUSION_EPS,
     ExcludedStateError,
+    RateResult,
     _cmul,
     _complex_over_real,
     _null_floors,
@@ -34,7 +36,7 @@ from pairabs.scenarios import (
     build_family_table,
     build_table,
     family_exclusion_coefficient,
-    random_realizable_table,
+    random_realizable_overlaps,
 )
 from pairabs.scenarios import CHOICES, _WEIGHT_NORM_RANGE
 
@@ -267,7 +269,8 @@ class TestNullFloors:
         assert (EXCLUSION_EPS * 2.0) * (EXCLUSION_EPS * 4.0) >= 1e-20
         for coeffs in (A_ONLY, Coefficients(0.8, 0.6j), Coefficients(3e5, -2e5)):
             n0_floor, nf_floor = _null_floors(coeffs)
-            assert n0_floor * nf_floor >= 1e-20 * coeffs.weight_sq**2
+            weight_sq = abs(coeffs.a) ** 2 + abs(coeffs.b) ** 2
+            assert n0_floor * nf_floor >= 1e-20 * weight_sq**2
 
     def test_floors_stay_normal_at_the_smallest_weights(self):
         n0_floor, nf_floor = _null_floors(Coefficients(_WEIGHT_NORM_RANGE[0], 0.0))
@@ -378,15 +381,101 @@ class TestRelativeRateGrid:
                     )
 
 
+def random_weight(rng, kind):
+    """One weight: complex, real-valued, with a signed-zero part, or zero."""
+    re, im = rng.normal(size=2).tolist()
+    return {
+        "complex": complex(re, im),
+        "real": complex(re, 0.0),
+        "imaginary": complex(-0.0, im),
+        "negative zero imaginary": complex(re, -0.0),
+        "zero": complex(0.0, -0.0) if re < 0 else 0j,
+    }[kind]
+
+
+WEIGHT_KINDS = ("complex", "real", "imaginary", "negative zero imaginary", "zero")
+
+
+def trial_axis_case(seed, trials=400):
+    """Per-trial weights and tables, and the same trials as array weights and one grid table."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < trials:
+        kinds = rng.choice(WEIGHT_KINDS, size=2).tolist()
+        a, b = (random_weight(rng, kind) for kind in kinds)
+        if a == 0 and b == 0:
+            continue
+        points.append((a, b, float(rng.uniform(0.5, 1.0)), random_realizable_overlaps(rng)))
+    a, b, alpha0, overlaps = zip(*points)
+    coeffs = Coefficients(np.array(a), np.array(b))
+    table = build_table({pair: np.array([o[pair] for o in overlaps]) for pair in ALL_PAIRS},
+                        RecoilModel(np.array(alpha0)))
+    singles = [(Coefficients(p[0], p[1]), build_table(p[3], RecoilModel(p[2]))) for p in points]
+    return coeffs, table, singles
+
+
+class TestArrayWeights:
+    """Array weights on a trial-axis table against each trial evaluated on its own.
+
+    On real overlaps every point equals its single-point value by ``repr``,
+    which needs ``|a|^2`` from ``_abs_sq`` and ``conj(a) b`` from
+    ``_conj_mul``: numpy's own ``abs`` and complex ``*`` round differently
+    on some of these weights.
+    """
+
+    @pytest.mark.parametrize("statistics", [BOSON, FERMION])
+    def test_closed_forms_equal_each_point(self, statistics):
+        coeffs, table, singles = trial_axis_case(157)
+        for closed_form in (initial_norm_sq, final_norm_sq, bracket_sum):
+            grid = closed_form(coeffs, table, statistics)
+            assert grid.shape == (len(singles),)
+            assert [repr(v) for v in grid.tolist()] == [
+                repr(closed_form(c, t, statistics)) for c, t in singles
+            ], closed_form.__name__
+
+    @pytest.mark.parametrize("statistics", [BOSON, FERMION])
+    def test_relative_rate_grid_equals_each_point(self, statistics):
+        coeffs, table, singles = trial_axis_case(163)
+        grid = relative_rate_grid(coeffs, table, statistics)
+        points = [relative_rate(c, t, statistics) for c, t in singles]
+        for field in fields(RateResult):
+            values = getattr(grid, field.name).tolist()
+            assert [repr(v) for v in values] == [repr(getattr(p, field.name)) for p in points], (
+                field.name)
+
+    def test_floors_equal_each_point(self):
+        coeffs, _, singles = trial_axis_case(167, trials=200)
+        for grid, floor in zip(_null_floors(coeffs), zip(*(_null_floors(c) for c, _ in singles))):
+            assert [repr(v) for v in grid.tolist()] == [repr(v) for v in floor]
+
+    def test_null_points_are_flagged_and_raise(self):
+        coeffs = Coefficients(np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+        table = build_table({pair: np.array([0.3, 1.0, 0.2]) for pair in ALL_PAIRS})
+        res = relative_rate_grid(coeffs, table, FERMION)
+        assert res.excluded.tolist() == [False, True, False]
+        kept = [0, 2]
+        require_not_null(Coefficients(coeffs.a[kept], coeffs.b[kept]), res.n0_sq[kept],
+                         res.nf_sq[kept])
+        with pytest.raises(ExcludedStateError, match="initial state is null"):
+            require_not_null(coeffs, res.n0_sq, res.nf_sq)
+
+    @pytest.mark.parametrize("closed_form", [initial_norm_sq, final_norm_sq, bracket_sum,
+                                             relative_rate_grid])
+    def test_weights_that_do_not_fit_the_grid_are_rejected(self, closed_form):
+        coeffs = Coefficients(np.full(3, 0.8), np.full(3, 0.6))
+        with pytest.raises(ValueError, match="shape"):
+            closed_form(coeffs, choice_table("ii", np.linspace(0.0, 1.0, 4)), BOSON)
+
+
 class TestComplexProductRounding:
-    """The batched oracle relies on ``_cmul`` rounding as CPython's ``*``.
+    """The oracle and ``_conj_mul`` rely on ``_cmul`` rounding as CPython's ``*``.
 
     CPython (up to 3.13) multiplies complex numbers as
     ``(ar*br - ai*bi, ar*bi + ai*br)`` and a complex by a float ``s`` as by
-    ``complex(s, 0)``; the batch writes both out on numpy arrays.  Python
+    ``complex(s, 0)``; the oracle writes both out on numpy arrays.  Python
     3.14's mixed-mode arithmetic (``complex * float`` scales each part) or a
     build that fuses the multiply-add (FMA) would round differently, and
-    this test would fail before the batch silently drifts from the formal
+    this test would fail before the oracle silently drifts from the formal
     expansion.
     """
 
@@ -443,7 +532,7 @@ class TestRelativeRatePinned:
             coeffs = Coefficients(complex(parts[0], parts[1]), complex(parts[2], parts[3]))
             model = RecoilModel(float(rng.uniform(0.5, 1.0)))
             if k % 2:
-                table = random_realizable_table(rng, model)
+                table = build_table(random_realizable_overlaps(rng), model)
             else:
                 table = build_table({pair: complex(rng.uniform(-0.55, 0.55),
                                                    rng.uniform(-0.4, 0.4))

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from pairabs.rates import EXCLUSION_EPS, _null_floors
+
 from pairabs.algebra import CHI, PHI, PSI, VARPHI, validate_gram
 from pairabs.scenarios import (
     ALL_PAIRS,
@@ -18,7 +20,7 @@ from pairabs.scenarios import (
     build_family_table,
     build_table,
     family_exclusion_coefficient,
-    random_realizable_table,
+    random_realizable_overlaps,
 )
 
 ROOT2_INV = 1.0 / math.sqrt(2.0)
@@ -36,6 +38,27 @@ class TestRecoilModel:
     def test_smallest_alpha0_keeps_reference_normal(self):
         model = RecoilModel(1.06e-154)
         assert 2.0 * model.alpha0**2 >= sys.float_info.min
+
+    def test_array_is_checked_at_every_point(self):
+        alpha0 = np.array([0.5, 1.0, 1.06e-154])
+        model = RecoilModel(alpha0)
+        assert model.alpha0.tolist() == alpha0.tolist()
+        assert model.alpha0 is not alpha0 and not model.alpha0.flags.writeable
+        with pytest.raises(ValueError, match=r"^alpha0 must lie in \(0, 1\], got 1.5$"):
+            RecoilModel(np.array([0.5, 1.5, 0.9]))
+        with pytest.raises(ValueError, match=r"^alpha0 must lie in \(0, 1\], got nan$"):
+            RecoilModel(np.array([0.5, 0.9, np.nan]))
+        with pytest.raises(ValueError, match=r"^alpha0 = 1e-300 is too small: "):
+            RecoilModel(np.array([0.5, 1e-300]))
+
+    @pytest.mark.parametrize("bad, message", [
+        (1.5, r"^alpha0 must lie in \(0, 1\], got 1.5$"),
+        (1e-300, r"^alpha0 = 1e-300 is too small: the product-state reference "
+                 r"\|m_pro\|\^2 = 2 alpha0\^2 underflows$"),
+    ])
+    def test_messages_name_the_value(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            RecoilModel(bad)
 
 
 class TestAlphaPair:
@@ -63,15 +86,45 @@ class TestCoefficients:
         with pytest.raises(ValueError, match="finite"):
             Coefficients(float("inf"), 0.0)
 
-    def test_weight_sq(self):
-        assert Coefficients(0.6, 0.8j).weight_sq == pytest.approx(1.0, abs=1e-15)
+    def test_null_floor_scale(self):
+        assert _null_floors(Coefficients(0.6, 0.8j))[0] == pytest.approx(
+            2.0 * EXCLUSION_EPS, rel=1e-15)
 
     # sqrt(|a|^2 + |b|^2) must lie in [1.22e-72, 2.06e76]
     @pytest.mark.parametrize("a, b", [
         (1.3e-72, 0.0), (1e-72, 1e-72j), (1e-60, 0.0), (1.4e76, 1.4e76), (0.0, -2e76j),
     ])
     def test_accepts_weights_inside_the_range(self, a, b):
-        Coefficients(a, b).weight_sq  # no overflow either
+        floors = _null_floors(Coefficients(a, b))  # no overflow either
+        assert all(0.0 < f < math.inf for f in floors)
+
+    def test_arrays_hold_one_pair_per_point(self):
+        a = np.array([0.6, 1.0])
+        coeffs = Coefficients(a, np.array([0.8j, 0.0]))
+        assert coeffs.a.dtype == coeffs.b.dtype == complex
+        assert coeffs.b.tolist() == [0.8j, 0.0]
+        a[0] = 0.0  # the weights are a read-only copy, checked once
+        assert coeffs.a.tolist() == [0.6, 1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs.b[1] = 0.0
+        assert Coefficients(np.array([[0.6], [1.0]]), 0.8).a.shape == (2, 1)
+
+    @pytest.mark.parametrize("a, b, message", [
+        ([0.6, np.inf, 0.8], [0.8, 0.0, 0.6], r"^superposition coefficients must be finite$"),
+        ([0.6, 0.6, 0.8], [0.8, np.nan, 0.6], r"^superposition coefficients must be finite$"),
+        ([0.6, 0.0, 0.8], [0.8, -0.0, 0.6],
+         r"^superposition coefficients must not both vanish$"),
+        ([0.6, 1e-100, 3e76], [0.8, 0.0, 0.0],
+         r"^superposition coefficients with sqrt\(\|a\|\^2 \+ \|b\|\^2\) = 1e-100 "
+         r"lie outside \[1\.22e-72, 2\.06e\+76\]: the squared norms would leave the "
+         r"double range$"),
+    ])
+    def test_array_with_one_bad_pair_is_rejected(self, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            Coefficients(np.array(a), np.array(b))
+        i = 1  # the same message for that pair alone
+        with pytest.raises(ValueError, match=message):
+            Coefficients(a[i], b[i])
 
     @pytest.mark.parametrize("a, b", [
         (1e-72, 0.0), (8e-73, 8e-73), (1e-100, 1e-100), (1e-200, 0.0), (5e-324, 0.0),
@@ -173,6 +226,13 @@ class TestChoiceTables:
 
 
 class TestExclusionFamily:
+    def test_array_fields_are_read_only(self):
+        fam = ExclusionFamily.equal_weight(np.array([0.2, 0.6]))
+        assert all(not getattr(fam, attr).flags.writeable for attr in "cdgh")
+        with pytest.raises(ValueError, match=r"^family coefficients \(c, d\) violate "
+                           r"\|u\|\^2 \+ \|v\|\^2 = 1: got 1.25$"):
+            ExclusionFamily.equal_weight(np.array([0.6, 0.5]), np.array([0.8, 1.0]))
+
     def test_phi_equals_psi_when_c_is_one(self):
         fam = ExclusionFamily(c=1.0, d=0.0, e=1.0, f=0.0, g=0.0, h=1.0)
         table = build_family_table(fam)
@@ -266,15 +326,23 @@ class TestFamilyExclusionCoefficient:
         assert f(2.5 * a1, 2.5 * b1) == pytest.approx(2.5 * f(a1, b1), abs=1e-14)
 
 
-class TestRandomRealizableTable:
+class TestRandomRealizableOverlaps:
+    def test_six_bare_overlaps_from_one_draw(self):
+        rng, again = np.random.default_rng(7), np.random.default_rng(7)
+        overlaps = random_realizable_overlaps(rng)
+        assert list(overlaps) == list(ALL_PAIRS)
+        assert all(type(v) is float for v in overlaps.values())
+        again.normal(size=(4, 4))
+        assert rng.normal() == again.normal()  # one normal(4, 4) draw and nothing more
+
     def test_tables_pass_gram_check(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
-            table = random_realizable_table(rng)
+            table = build_table(random_realizable_overlaps(rng))
             assert validate_gram(table).realizable
 
     def test_entries_within_unit_disk(self):
         rng = np.random.default_rng(5)
-        table = random_realizable_table(rng)
+        table = build_table(random_realizable_overlaps(rng))
         for x, y in ALL_PAIRS:
             assert abs(table.overlap(x, y)) <= 1.0
