@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,6 @@ __all__ = [
     "CHI",
     "E",
     "G",
-    "GRAM_EIGENVALUE_FLOOR",
-    "GramReport",
     "CmLabel",
     "FormalState",
     "Internal",
@@ -44,7 +42,6 @@ __all__ = [
     "inner_product",
     "matching_term_pairs",
     "symmetrize",
-    "validate_gram",
 ]
 
 
@@ -156,16 +153,6 @@ class OverlapTable:
                 return 1.0 + 0.0j
             raise MissingOverlapError(x, y)
         return value
-
-    def __contains__(self, pair: tuple[CmLabel, CmLabel]) -> bool:
-        x, y = pair
-        return x == y or (x, y) in self._entries
-
-    @property
-    def labels(self) -> tuple[CmLabel, ...]:
-        """All labels appearing in stored entries, in canonical (name, starred) order."""
-        seen = {label for pair in self._entries for label in pair}
-        return tuple(sorted(seen))
 
 
 def _conjugate(value: complex | np.ndarray) -> complex | np.ndarray:
@@ -287,59 +274,3 @@ def inner_product(bra: FormalState, ket: FormalState, table: OverlapTable) -> co
         total += weight * overlap(tb.cm1, tk.cm1) * overlap(tb.cm2, tk.cm2)
     return total
 
-
-#: Smallest Gram eigenvalue still accepted as "positive semidefinite up to round-off".
-GRAM_EIGENVALUE_FLOOR = -1e-12
-
-
-@dataclass(frozen=True)
-class GramReport:
-    """Outcome of the realizability test for a set of labels.
-
-    The label set is realizable as actual unit vectors exactly when its Gram
-    matrix is positive semidefinite.  Starred labels follow recoil rules that
-    need not come from any vector embedding, so a failure on a set including
-    starred labels is advisory rather than an inconsistency.
-    """
-
-    labels: tuple[CmLabel, ...]
-    min_eigenvalue: float
-    realizable: bool
-    includes_starred: bool
-
-
-def validate_gram(
-    table: OverlapTable, labels: Sequence[CmLabel] | None = None
-) -> GramReport:
-    """Check whether the labels' Gram matrix is realizable as unit vectors.
-
-    Takes a single-point table, not a grid table.
-
-    Defaults to the labels that appear in a bare entry of the table (both
-    sides unstarred); labels known only through recoil entries have no bare
-    relations to check.  All pairwise entries among ``labels`` must be
-    resolvable.
-    """
-    if labels is None:
-        labels = tuple(
-            label
-            for label in table.labels
-            if not label.starred and any(
-                not other.starred and (label, other) in table
-                for other in table.labels
-                if other != label
-            )
-        )
-    labels = tuple(labels)
-    n = len(labels)
-    gram = np.empty((n, n), dtype=complex)
-    for i, x in enumerate(labels):
-        for j, y in enumerate(labels):
-            gram[i, j] = table.overlap(x, y)
-    min_eig = float(np.linalg.eigvalsh(gram).min()) if n else 0.0
-    return GramReport(
-        labels=labels,
-        min_eigenvalue=min_eig,
-        realizable=min_eig >= GRAM_EIGENVALUE_FLOOR,
-        includes_starred=any(label.starred for label in labels),
-    )

@@ -11,8 +11,8 @@ weights and statistics pair, ``exclusion-scan`` once for its whole (a, c)
 grid with array weights, and ``verify`` each block of trials as one
 trial-axis grid; every output is byte-identical to evaluating each point on
 its own.  ``rate`` is ``sweep`` on the one-point grid ``[--c]``.  A sweep
-keeps its results keyed by (weights, statistics), and ``figures`` reads its
-log lines and the a=1 coincidence curve from them.
+keeps its results as a list in (weights, statistics) order, and ``figures``
+reads its log lines and the a=1 coincidence curve from them by position.
 
 The scenario of ``rate`` and ``sweep`` is one setting, ``choice``: a preset
 or ``family``.  ``--family`` is shorthand for ``--choice family``, a config
@@ -97,15 +97,16 @@ def _normalized(a: float | np.ndarray) -> Coefficients:
     return Coefficients(a, np.sqrt(np.maximum(0.0, 1.0 - a * a)))
 
 
-SweepResults = dict[tuple[Coefficients, Statistics], rates.RateResult]
+SweepResults = list[tuple[Coefficients, Statistics, rates.RateResult]]
 
 
 def sweep_results(
     table: OverlapTable, cases: Sequence[Coefficients], stats: Sequence[Statistics]
 ) -> SweepResults:
-    """One :func:`pairabs.rates.relative_rate_grid` per (case, statistics), in that order."""
-    return {(coeffs, stat): rates.relative_rate_grid(coeffs, table, stat)
-            for coeffs in cases for stat in stats}
+    """``(case, statistics, result)`` of one :func:`pairabs.rates.relative_rate_grid`
+    per (case, statistics), in that order; equal cases keep a result each."""
+    return [(coeffs, stat, rates.relative_rate_grid(coeffs, table, stat))
+            for coeffs in cases for stat in stats]
 
 
 def sweep_rows(
@@ -118,7 +119,7 @@ def sweep_rows(
     c_column = _column(np.asarray(grid, dtype=float))
     alpha0_text = _fmt(alpha0)
     rows = []
-    for (coeffs, stat), res in results.items():
+    for coeffs, stat, res in results:
         head = [scenario_name, stat.name.lower(), _fmt(coeffs.a.real), _fmt(coeffs.a.imag),
                 _fmt(coeffs.b.real), _fmt(coeffs.b.imag)]
         rows.extend(
@@ -200,8 +201,7 @@ def _log_choice_ii_flatness(results: SweepResults, log: TextIO) -> None:
 
     ``results`` are those of the fig2 choice-ii sweep.
     """
-    for coeffs in FIG2_CASES:
-        res = results[coeffs, Statistics.FERMION]
+    for coeffs, _, res in results[1::2]:  # the fermion results: BOTH_STATISTICS[1]
         n0s, nf_sqs = res.n0_sq.tolist(), res.nf_sq.tolist()
         brackets = np.hypot(res.bracket.real, res.bracket.imag).tolist()  # abs() per point
         rs = res.r[~res.excluded].tolist()
@@ -225,7 +225,7 @@ def _coincidence_rows(ref: rates.RateResult, results: SweepResults, grid: np.nda
     c_column, ref_r, ref_flags = _column(grid), _column(ref.r), _flags(ref.excluded)
     rows = []
     max_dev = 0.0
-    for (coeffs, _), res in results.items():
+    for coeffs, _, res in results:
         either = res.excluded | ref.excluded
         with np.errstate(divide="ignore", invalid="ignore"):
             dev = np.where(either, np.nan, np.abs(res.r - ref.r) / ref.r)
@@ -274,8 +274,9 @@ def run_figures(
         iv_results = sweep_results(_scenario_table("iv", grid, model),
                                    FIG3_IV_CASES, BOTH_STATISTICS)
         emit("fig3_iv.csv", SWEEP_HEADER, sweep_rows("iv", iv_results, grid, alpha0))
+        _, _, a1_fermion = iii_results[1]  # FIG3_III_CASES[0] (a=1), BOTH_STATISTICS[1]
         rows, max_dev = _coincidence_rows(
-            iii_results[Coefficients(1.0, 0.0), Statistics.FERMION],
+            a1_fermion,
             sweep_results(iii, tuple(map(_normalized, (0.8, 0.5))), (Statistics.FERMION,)),
             grid,
         )

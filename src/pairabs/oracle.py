@@ -11,9 +11,9 @@ entirely by the starred labels of the final-state monomials.
 one point or for a whole grid of (weights, table) points at once;
 ``pairabs verify`` compares each of them with its closed form through
 :func:`closed_form_deviations`.  The bracket divided by the square root of
-the product of the norms is the normalized amplitude; its agreement with
-:func:`pairabs.rates.matrix_element` over randomized configurations is the
-central anti-regression property of the library.
+the product of the norms is the normalized amplitude; its agreement with the
+closed-form ``m`` of :func:`pairabs.rates.relative_rate_grid` over randomized
+configurations is the central anti-regression property of the library.
 
 Which term pairs survive, in which order, and which overlaps they need
 depend only on the statistics.  One plan per statistics is read, on first
@@ -204,9 +204,11 @@ def formal_quantities(
     (:func:`pairabs.rates.require_not_null`).
     """
     plan = _plan(statistics)
-    values = [coeffs.a, coeffs.b, *(table.overlap(x, y) for x, y in plan.labels)]
-    shape = np.broadcast_shapes(*map(np.shape, values))
-    a, b, *overlaps = (np.broadcast_to(v, shape).ravel() for v in values)  # one flat grid axis
+    values = np.broadcast_arrays(coeffs.a, coeffs.b,
+                                 *(table.overlap(x, y) for x, y in plan.labels))
+    shape = values[0].shape
+    flat = np.reshape(values, (len(values), -1))  # one flat grid axis
+    a, b, ov = flat[0], flat[1], flat[2:]
     with np.errstate(invalid="ignore"):  # a non-finite weight is reported below
         ar, ai = rates._cmul(a.real, a.imag, *plan.alpha)
         br, bi = rates._cmul(b.real, b.imag, *plan.beta)
@@ -215,7 +217,6 @@ def formal_quantities(
     if not finite.all():
         k, t = np.argwhere(~finite.T)[0]
         raise ValueError(f"non-finite term weight {complex(wr[t, k], wi[t, k])!r}")
-    ov = np.array(overlaps)
     pr, pi = rates._cmul(wr[plan.bra], -wi[plan.bra], wr[plan.ket], wi[plan.ket])
     for index in (plan.first, plan.second):
         pr, pi = rates._cmul(pr, pi, ov.real[index], ov.imag[index])

@@ -6,8 +6,8 @@ outcomes interfere coherently in a final superposition with weights ``a`` and
 ``b``.  Everything here is expressed through overlap-table lookups, with the
 dipole constant set to 1 (it cancels in the relative rate).
 
-The relative rate compares the amplitude with :func:`matrix_element_product`,
-the same atoms in the product state ``|psi>|phi>``.
+The relative rate compares the amplitude with ``m_pro``, that of the same
+atoms in the product state ``|psi>|phi>`` (:func:`_matrix_element_product`).
 
 Null initial states (Pauli pairs, and the entanglement-induced family) make
 the normalized amplitude a 0/0 form.  One scale-free criterion detects them:
@@ -23,8 +23,7 @@ The three closed forms are elementwise, so on a grid (a grid table, array
 weights, or both) they return arrays over the grid.
 :func:`relative_rate_grid` is the one finish: it evaluates each form once and
 keeps all three in its result.  :func:`relative_rate` is the same code on a
-single point, and :func:`matrix_element` is :func:`relative_rate` plus the
-null raise.  Where the overlaps are real, as in every preset, the exclusion
+single point.  Where the overlaps are real, as in every preset, the exclusion
 family and ``pairabs verify``, each grid point equals bit for bit its value
 on its own, because the weight products ``|a|^2`` and ``conj(a) b`` round as
 CPython's.  With complex overlaps it may differ by a few ulp, because numpy's
@@ -56,8 +55,6 @@ __all__ = [
     "exclusion_mask",
     "final_norm_sq",
     "initial_norm_sq",
-    "matrix_element",
-    "matrix_element_product",
     "relative_rate",
     "relative_rate_grid",
     "require_not_null",
@@ -252,9 +249,9 @@ def exclusion_mask(coeffs: Coefficients, n0_sq: float | np.ndarray) -> bool | np
 def require_not_null(coeffs: Coefficients, n0_sq: float, nf_sq: float) -> None:
     """Raise :class:`ExcludedStateError` when either squared norm is below its floor.
 
-    The one null criterion for every raising entry point: the closed-form
-    :func:`matrix_element`, the oracle and ``pairabs verify``.  On a grid it
-    raises when any point is null, a null initial state anywhere first.
+    The one null criterion for every raising entry point: the oracle and
+    ``pairabs verify``.  On a grid it raises when any point is null, a null
+    initial state anywhere first.
     """
     if np.any(exclusion_mask(coeffs, n0_sq)):
         raise ExcludedStateError(
@@ -266,21 +263,7 @@ def require_not_null(coeffs: Coefficients, n0_sq: float, nf_sq: float) -> None:
         )
 
 
-def matrix_element(
-    coeffs: Coefficients, table: OverlapTable, statistics: Statistics
-) -> complex:
-    """Normalized absorption amplitude, in units of the dipole constant.
-
-    :func:`relative_rate` followed by :func:`require_not_null`: raises
-    :class:`ExcludedStateError` when the initial (or, pathologically, the
-    final) superposition is null and no normalized amplitude exists.
-    """
-    res = relative_rate(coeffs, table, statistics)
-    require_not_null(coeffs, res.n0_sq, res.nf_sq)
-    return res.m
-
-
-def matrix_element_product(table: OverlapTable) -> complex:
+def _matrix_element_product(table: OverlapTable) -> complex:
     """Absorption amplitude for the same atoms in the product state ``|psi>|phi>``.
 
     ``(<psi*|psi> + <phi*|phi>) / sqrt(2)``; under the recoil model both
@@ -323,7 +306,7 @@ def relative_rate_grid(
     n0_sq = initial_norm_sq(coeffs, table, statistics)
     nf_sq = final_norm_sq(coeffs, table, statistics)
     bracket = bracket_sum(coeffs, table, statistics)
-    m_pro = matrix_element_product(table)
+    m_pro = _matrix_element_product(table)
     nf_null = nf_sq < _null_floors(coeffs)[1]
     excluded = exclusion_mask(coeffs, n0_sq) | nf_null
     # Excluded points may take square roots of negatives or divide by zero;

@@ -13,7 +13,7 @@ chi} and then completed with the recoil entries:
 * one recoil:  ``<x*|y> = alpha0 <x|y>`` for every ordered pair, diagonal
   included (``<x*|x> = alpha0``);
 * two recoils: ``<x*|y*> = alpha(x, y)^2 <x|y>`` with the per-pair
-  coefficient from :func:`alpha_pair`, while ``<x*|x*> = 1`` (recoiled
+  coefficient from :func:`_alpha_pair`, while ``<x*|x*> = 1`` (recoiled
   states stay normalized).
 """
 
@@ -30,12 +30,10 @@ from .algebra import CHI, PHI, PSI, VARPHI, CmLabel, OverlapTable
 
 __all__ = [
     "ALL_PAIRS",
-    "BASE_PAIRS",
     "CHOICES",
     "Coefficients",
     "ExclusionFamily",
     "RecoilModel",
-    "alpha_pair",
     "build_choice_table",
     "build_family_table",
     "build_table",
@@ -47,7 +45,7 @@ _LABELS = (PSI, PHI, VARPHI, CHI)
 _STARRED = tuple(label.star() for label in _LABELS)
 
 #: The three independent overlaps each preset fixes or sweeps.
-BASE_PAIRS = ((PSI, PHI), (PSI, VARPHI), (VARPHI, CHI))
+_BASE_PAIRS = ((PSI, PHI), (PSI, VARPHI), (VARPHI, CHI))
 
 #: All six bare pairs, canonical orientation.
 ALL_PAIRS = (
@@ -76,7 +74,7 @@ def _require(values, ok, message: str) -> None:
         raise ValueError(message.format(failed[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoilModel:
     """Single-absorption recoil strength; ``alpha0`` scales every one-recoil bracket.
 
@@ -94,7 +92,7 @@ class RecoilModel:
         object.__setattr__(self, "alpha0", alpha0)
 
 
-def alpha_pair(model: RecoilModel, base_overlap: complex | np.ndarray) -> float | np.ndarray:
+def _alpha_pair(model: RecoilModel, base_overlap: complex | np.ndarray) -> float | np.ndarray:
     """Two-recoil shrink coefficient for a pair with the given bare overlap.
 
     Equal to ``alpha0 + (1 - alpha0) * Re<x|y>`` but written as
@@ -117,13 +115,15 @@ def alpha_pair(model: RecoilModel, base_overlap: complex | np.ndarray) -> float 
 _WEIGHT_NORM_RANGE = ((sys.float_info.min / 1e-20) ** 0.25, (sys.float_info.max / 1e3) ** 0.25)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coefficients:
     """Weights of the two product components of the initial superposition.
 
     ``sqrt(|a|^2 + |b|^2)`` must lie in ``_WEIGHT_NORM_RANGE``, about
     ``[1.22e-72, 2.06e76]``.  ``a`` and ``b`` may be arrays that broadcast
-    to a grid, one checked pair of weights per grid point.
+    to a grid, one checked pair of weights per grid point.  Like the other
+    scenario classes, instances compare and hash by identity, since array
+    weights have no single truth value.
     """
 
     a: complex | np.ndarray
@@ -189,7 +189,7 @@ def build_table(
             entries[(xs, y)] = alpha0 * bare[(x, y)]
     for i, (x, xs) in enumerate(zip(_LABELS, _STARRED)):
         for y, ys in zip(_LABELS[i + 1 :], _STARRED[i + 1 :]):
-            alpha = alpha_pair(model, bare[(x, y)])
+            alpha = _alpha_pair(model, bare[(x, y)])
             entries[(xs, ys)] = alpha * alpha * bare[(x, y)]
     return OverlapTable(entries)
 
@@ -210,7 +210,7 @@ def build_choice_table(
         raise ValueError(f"unknown choice {name!r}; expected one of {CHOICES}")
     if not np.all((0.0 <= c) & (c <= 1.0)):
         raise ValueError(f"sweep value must lie in [0, 1], got {c}")
-    base = {pair: _grid_value(_CHOICE_FIXED[name].get(pair, c)) for pair in BASE_PAIRS}
+    base = {pair: _grid_value(_CHOICE_FIXED[name].get(pair, c)) for pair in _BASE_PAIRS}
     psi_phi = base[(PSI, PHI)]
     psi_varphi = base[(PSI, VARPHI)]
     varphi_chi = base[(VARPHI, CHI)]
@@ -228,7 +228,7 @@ def build_choice_table(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExclusionFamily:
     """Expansion coefficients of phi, varphi, chi over the orthonormal pair {psi, zeta}.
 

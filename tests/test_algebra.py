@@ -21,7 +21,6 @@ from pairabs.algebra import (
     combine,
     inner_product,
     symmetrize,
-    validate_gram,
 )
 
 LABELS = (PSI, PHI, VARPHI, CHI)
@@ -137,12 +136,6 @@ class TestOverlapTable:
         assert math.copysign(1.0, table.overlap(PSI, PHI).imag) == 1.0
         mirrored = OverlapTable({(PSI, PHI): 0.5 + 0.0j})
         assert math.copysign(1.0, mirrored.overlap(PHI, PSI).imag) == -1.0
-
-    def test_contains_and_labels(self):
-        table = OverlapTable({(PSI, PHI): 0.5})
-        assert (PSI, PHI) in table and (PHI, PSI) in table
-        assert (PSI, CHI) not in table
-        assert table.labels == (PHI, PSI)
 
     def test_hermiticity_exact_on_random_tables(self):
         rng = np.random.default_rng(7)
@@ -330,42 +323,3 @@ class TestFormalState:
         assert inner_product(padded, probe, table) == inner_product(stripped, probe, table)
         assert inner_product(probe, padded, table) == inner_product(probe, stripped, table)
 
-
-class TestValidateGram:
-    def test_two_labels_realizable(self):
-        table = OverlapTable({(PSI, PHI): 0.8})
-        report = validate_gram(table, (PSI, PHI))
-        assert report.realizable
-        assert not report.includes_starred
-
-    def test_three_labels_mutually_negative_not_realizable(self):
-        table = OverlapTable(
-            {(PSI, PHI): -0.9, (PSI, VARPHI): -0.9, (PHI, VARPHI): -0.9}
-        )
-        report = validate_gram(table, (PSI, PHI, VARPHI))
-        assert not report.realizable
-        assert report.min_eigenvalue == pytest.approx(-0.8, abs=1e-12)
-
-    def test_default_labels_are_unstarred(self):
-        table = OverlapTable({(PSI, PHI): 0.5, (PSI.star(), PSI): 0.9})
-        report = validate_gram(table)
-        assert report.labels == (PHI, PSI)
-        assert not report.includes_starred
-
-    def test_starred_set_is_flagged(self):
-        table = OverlapTable(
-            {(PSI, PHI): -0.95, (PSI.star(), PSI): 0.95, (PSI.star(), PHI): 0.95}
-        )
-        report = validate_gram(table, (PSI, PHI, PSI.star()))
-        assert report.includes_starred
-        assert not report.realizable
-        assert report.min_eigenvalue == pytest.approx(-0.9, abs=1e-12)
-
-    def test_missing_entry_raises(self):
-        table = OverlapTable({(PSI, PHI): 0.5})
-        with pytest.raises(MissingOverlapError):
-            validate_gram(table, (PSI, PHI, CHI))
-
-    def test_empty_label_set(self):
-        report = validate_gram(OverlapTable({}), ())
-        assert report.realizable

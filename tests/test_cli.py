@@ -94,6 +94,15 @@ class TestSweep:
         assert fermion[2][12] == "nan" and fermion[2][13] == "1"
         assert all(r[13] == "0" for r in boson)
 
+    def test_equal_cases_keep_a_row_block_each(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        cases = [Coefficients(1.0, 0.0), Coefficients(1.0, 0.0)]
+        results = cli.sweep_results(build_choice_table("i", grid), cases, [Statistics.FERMION])
+        rows = cli.sweep_rows("i", results, grid, 0.9)
+        assert len(rows) == 10 and rows[:5] == rows[5:]
+        assert [(coeffs, stat) for coeffs, stat, _ in results] == [
+            (cases[0], Statistics.FERMION), (cases[1], Statistics.FERMION)]
+
     def test_single_step_sweeps_at_c_min(self, capsys):
         assert exit_code(["sweep", "--steps", "1", "--c-min", "0.25"]) == 0
         header, rows = parse_stdout_csv(capsys.readouterr().out)

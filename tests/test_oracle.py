@@ -192,7 +192,7 @@ class TestOracleMatrixElement:
 
     def test_matches_closed_form_at_choice_i_midpoint(self):
         table = choice_table("i", 0.5)
-        closed = rates.matrix_element(A_ONLY, table, BOSON)
+        closed = rates.relative_rate(A_ONLY, table, BOSON).m
         assert formal_amplitude(A_ONLY, table, BOSON) == pytest.approx(
             closed, abs=1e-12
         )
@@ -322,7 +322,7 @@ class TestOracleMatrixElement:
             if min(norms) <= 2e-3:
                 continue  # stay clear of the excluded manifold
             for statistics in (BOSON, FERMION):
-                closed = rates.matrix_element(coeffs, table, statistics)
+                closed = rates.relative_rate(coeffs, table, statistics).m
                 formal = formal_amplitude(coeffs, table, statistics)
                 max_dev = max(max_dev, abs(closed - formal))
             checked += 1
@@ -348,7 +348,7 @@ class TestOracleMatrixElement:
                 worst = max(
                     worst,
                     abs(
-                        rates.matrix_element(coeffs, table, statistics)
+                        rates.relative_rate(coeffs, table, statistics).m
                         - formal_amplitude(coeffs, table, statistics)
                     ),
                 )
@@ -373,7 +373,7 @@ class TestOracleMatrixElement:
         coeffs = Coefficients(0.8, 0.6)
         for statistics in (BOSON, FERMION):
             assert formal_amplitude(coeffs, table, statistics) == pytest.approx(
-                rates.matrix_element(coeffs, table, statistics), abs=1e-10
+                rates.relative_rate(coeffs, table, statistics).m, abs=1e-10
             )
 
     def test_exchange_slot_swap_leaves_amplitude_unchanged(self):

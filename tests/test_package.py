@@ -1,6 +1,9 @@
 """Tests for the package's public surface."""
 
 import ast
+import contextlib
+import io
+import re
 from pathlib import Path
 
 import pytest
@@ -28,17 +31,16 @@ def test_package_exports_exactly_the_layer_names():
 def test_package_exports_are_pinned():
     # a name added to or dropped from a layer's __all__ changes the public API
     assert sorted(pairabs.__all__) == [
-        "ALL_PAIRS", "BASE_PAIRS", "CHI", "CHOICES", "CmLabel", "Coefficients", "E",
+        "ALL_PAIRS", "CHI", "CHOICES", "CmLabel", "Coefficients", "E",
         "EXCLUSION_EPS", "ExcludedStateError", "ExclusionFamily", "FormalState", "G",
-        "GRAM_EIGENVALUE_FLOOR", "GramReport", "Internal", "MissingOverlapError",
-        "OverlapTable", "PHI", "PSI", "RateResult", "RecoilModel", "Statistics", "Term",
-        "VARPHI", "__version__", "alpha_pair", "apply_absorption", "bracket_sum",
-        "build_choice_table", "build_family_table", "build_final", "build_initial",
-        "build_table", "closed_form_deviations", "combine", "exclusion_mask",
-        "family_exclusion_coefficient", "final_norm_sq", "formal_quantities",
-        "initial_norm_sq", "inner_product", "matching_term_pairs", "matrix_element",
-        "matrix_element_product", "random_realizable_overlaps", "relative_rate",
-        "relative_rate_grid", "require_not_null", "symmetrize", "validate_gram",
+        "Internal", "MissingOverlapError", "OverlapTable", "PHI", "PSI", "RateResult",
+        "RecoilModel", "Statistics", "Term", "VARPHI", "__version__", "apply_absorption",
+        "bracket_sum", "build_choice_table", "build_family_table", "build_final",
+        "build_initial", "build_table", "closed_form_deviations", "combine",
+        "exclusion_mask", "family_exclusion_coefficient", "final_norm_sq",
+        "formal_quantities", "initial_norm_sq", "inner_product", "matching_term_pairs",
+        "random_realizable_overlaps", "relative_rate", "relative_rate_grid",
+        "require_not_null", "symmetrize",
     ]
 
 
@@ -64,3 +66,32 @@ def test_cli_reads_no_private_name_of_another_module():
 def test_the_private_name_check_sees_both_forms():
     source = "from . import rates\nfrom .oracle import _plan\nrates._cmul(1, 2, 3, 4)\n"
     assert private_names_read_from_other_modules(source) == ["oracle._plan", "rates._cmul"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_examples() -> list[str]:
+    """The ```python blocks of README's Library section, in order."""
+    section = README.read_text(encoding="utf-8").split("\n## Library\n")[1].split("\n## ")[0]
+    return re.findall(r"```python\n(.*?)```", section, re.S)
+
+
+def test_readme_library_examples_print_their_comments():
+    # the blocks share one namespace, as in a session that runs them in turn
+    namespace: dict = {}
+    printed_per_block = []
+    for block in library_examples():
+        lines = block.splitlines()
+        printed = []
+        for statement in ast.parse(block).body:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                exec(compile(ast.Module([statement], []), str(README), "exec"), namespace)
+            if (isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Call)
+                    and getattr(statement.value.func, "id", None) == "print"):
+                code, _, comment = lines[statement.end_lineno - 1].rpartition("# ")
+                assert out.getvalue() == comment.strip() + "\n", code
+                printed.append(comment.strip())
+        printed_per_block.append(printed)
+    assert printed_per_block and all(printed_per_block), printed_per_block

@@ -15,13 +15,12 @@ from pairabs.rates import (
     RateResult,
     _cmul,
     _complex_over_real,
+    _matrix_element_product,
     _null_floors,
     bracket_sum,
     exclusion_mask,
     final_norm_sq,
     initial_norm_sq,
-    matrix_element,
-    matrix_element_product,
     relative_rate,
     relative_rate_grid,
     require_not_null,
@@ -31,7 +30,7 @@ from pairabs.scenarios import (
     Coefficients,
     ExclusionFamily,
     RecoilModel,
-    alpha_pair,
+    _alpha_pair,
     build_choice_table,
     build_family_table,
     build_table,
@@ -52,6 +51,13 @@ def orthogonal_table(model=RecoilModel()):
 
 def choice_table(name, c, model=RecoilModel()):
     return build_choice_table(name, c, model)
+
+
+def amplitude(coeffs, table, statistics):
+    """The normalized amplitude ``m``; raises :class:`ExcludedStateError` on a null state."""
+    res = relative_rate(coeffs, table, statistics)
+    require_not_null(coeffs, res.n0_sq, res.nf_sq)
+    return res.m
 
 
 class TestInitialNormSq:
@@ -78,7 +84,7 @@ class TestFinalNormSq:
     @pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
     def test_single_component_boson_with_recoil(self, c):
         table = choice_table("i", c)
-        alpha = alpha_pair(RecoilModel(), c)
+        alpha = _alpha_pair(RecoilModel(), c)
         assert final_norm_sq(A_ONLY, table, BOSON) == pytest.approx(
             4.0 * (1.0 + alpha * alpha * c * c), rel=1e-13
         )
@@ -92,11 +98,11 @@ class TestFinalNormSq:
 
 class TestMatrixElement:
     def test_orthogonal_states(self):
-        value = matrix_element(A_ONLY, orthogonal_table(), BOSON)
+        value = amplitude(A_ONLY, orthogonal_table(), BOSON)
         assert value == pytest.approx(ROOT2 * 0.9, abs=1e-12)
 
     def test_choice_i_boson_midpoint(self):
-        value = matrix_element(A_ONLY, choice_table("i", 0.5), BOSON)
+        value = amplitude(A_ONLY, choice_table("i", 0.5), BOSON)
         alpha = 0.9 + 0.1 * 0.5
         expected = ROOT2 * 0.9 * math.sqrt(1.25) / math.sqrt(1.0 + alpha * alpha * 0.25)
         assert value == pytest.approx(expected, abs=1e-12)
@@ -104,7 +110,7 @@ class TestMatrixElement:
 
     def test_pauli_pair_raises(self):
         with pytest.raises(ExcludedStateError):
-            matrix_element(A_ONLY, choice_table("i", 1.0), FERMION)
+            amplitude(A_ONLY, choice_table("i", 1.0), FERMION)
 
     def test_perturbing_unused_component_changes_nothing(self):
         # with b = 0 the second-component brackets must be exactly irrelevant
@@ -118,7 +124,7 @@ class TestMatrixElement:
             assert initial_norm_sq(A_ONLY, t0, statistics) == initial_norm_sq(
                 A_ONLY, t1, statistics
             )
-            assert matrix_element(A_ONLY, t0, statistics) == matrix_element(
+            assert amplitude(A_ONLY, t0, statistics) == amplitude(
                 A_ONLY, t1, statistics
             )
 
@@ -128,8 +134,8 @@ class TestMatrixElement:
         phase = complex(math.cos(0.7), math.sin(0.7))
         rotated = Coefficients(coeffs.a * phase, coeffs.b * phase)
         for statistics in (BOSON, FERMION):
-            assert abs(matrix_element(rotated, table, statistics)) == pytest.approx(
-                abs(matrix_element(coeffs, table, statistics)), abs=1e-12
+            assert abs(amplitude(rotated, table, statistics)) == pytest.approx(
+                abs(amplitude(coeffs, table, statistics)), abs=1e-12
             )
 
 
@@ -155,13 +161,13 @@ class TestMatrixElementProduct:
     )
     def test_reference_amplitude(self, alpha0, expected):
         table = orthogonal_table(RecoilModel(alpha0))
-        assert matrix_element_product(table) == pytest.approx(expected, abs=1e-12)
+        assert _matrix_element_product(table) == pytest.approx(expected, abs=1e-12)
 
     def test_missing_reference_entries_raise(self):
         from pairabs.algebra import MissingOverlapError, OverlapTable
 
         with pytest.raises(MissingOverlapError):
-            matrix_element_product(OverlapTable({}))
+            _matrix_element_product(OverlapTable({}))
 
 
 class TestRelativeRate:
@@ -563,8 +569,8 @@ class TestRelativeRatePinned:
                 assert repr(value) == repr(closed_form(coeffs, table, statistics))
             if res.excluded:
                 with pytest.raises(ExcludedStateError):
-                    matrix_element(coeffs, table, statistics)
+                    amplitude(coeffs, table, statistics)
             else:
-                assert repr(matrix_element(coeffs, table, statistics)) == repr(res.m)
+                assert repr(amplitude(coeffs, table, statistics)) == repr(res.m)
         assert excluded == 600  # both null cases, fermions only
         assert digest.hexdigest() == self.DIGEST
