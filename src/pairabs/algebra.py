@@ -84,6 +84,10 @@ PHI = CmLabel("phi")
 VARPHI = CmLabel("varphi")
 CHI = CmLabel("chi")
 
+#: The canonical labels in table order, and their recoiled (starred) forms.
+_LABELS = (PSI, PHI, VARPHI, CHI)
+_STARRED = tuple(label.star() for label in _LABELS)
+
 
 class Internal(Enum):
     """Electronic state of one atom; ``g`` and ``e`` are orthonormal."""
@@ -124,20 +128,18 @@ class OverlapTable:
     def __init__(self, entries: Mapping[tuple[CmLabel, CmLabel], complex | np.ndarray]):
         store: dict[tuple[CmLabel, CmLabel], complex | np.ndarray] = {}
         for (x, y), raw in entries.items():
-            if isinstance(raw, np.ndarray):
-                value = _grid_entry(x, y, raw)
-            else:
-                value = complex(raw)
-                if not cmath.isfinite(value):
-                    raise ValueError(f"non-finite overlap for <{x}|{y}>: {raw!r}")
-                if abs(value) > 1.0 + 1e-12:
-                    raise ValueError(f"|<{x}|{y}>| = {abs(value)} exceeds 1")
+            value = _grid_value(raw)
+            magnitude = np.abs(value)
+            if not (magnitude <= 1.0 + 1e-12).all():  # also where a value is not finite
+                if not np.isfinite(value).all():
+                    raise ValueError(f"non-finite overlap for <{x}|{y}>")
+                raise ValueError(f"|<{x}|{y}>| = {magnitude.max()} exceeds 1")
             if x == y:
-                if not _everywhere(value == 1.0):
+                if not np.equal(value, 1.0).all():
                     raise ValueError(f"diagonal entry <{x}|{x}> must equal 1, got {raw!r}")
                 continue
             mirror = store.get((y, x))
-            if mirror is not None and not _everywhere(mirror == value.conjugate()):
+            if mirror is not None and not np.equal(mirror, value.conjugate()).all():
                 raise ValueError(f"entries for <{x}|{y}> and <{y}|{x}> are not conjugates")
             store[(x, y)] = value
         # A given entry wins over the conjugate of its mirror (they may differ
@@ -155,29 +157,21 @@ class OverlapTable:
         return value
 
 
+def _grid_value(value, kind: type = complex) -> complex | float | np.ndarray:
+    """One value as a Python ``kind``, or a grid of them as a read-only array of it."""
+    if isinstance(value, np.ndarray):
+        value = value.astype(kind)
+        value.flags.writeable = False
+        return value
+    return kind(value)
+
+
 def _conjugate(value: complex | np.ndarray) -> complex | np.ndarray:
     """The mirror entry of a value; a grid mirror is read-only like the entry itself."""
     mirror = value.conjugate()
     if isinstance(mirror, np.ndarray):
         mirror.flags.writeable = False
     return mirror
-
-
-def _grid_entry(x: CmLabel, y: CmLabel, raw: np.ndarray) -> np.ndarray:
-    """Read-only complex copy of an array entry, range-checked at every grid point."""
-    value = np.array(raw, dtype=complex)
-    if not np.isfinite(value).all():
-        raise ValueError(f"non-finite overlap for <{x}|{y}> on the grid")
-    magnitude = np.abs(value)
-    if (magnitude > 1.0 + 1e-12).any():
-        raise ValueError(f"|<{x}|{y}>| = {magnitude.max()} exceeds 1")
-    value.flags.writeable = False
-    return value
-
-
-def _everywhere(test) -> bool:
-    """A comparison's verdict for a single value or for every point of a grid."""
-    return bool(test.all()) if isinstance(test, np.ndarray) else test
 
 
 class Term(NamedTuple):

@@ -12,7 +12,7 @@ grid with array weights, and ``verify`` each block of trials as one
 trial-axis grid; every output is byte-identical to evaluating each point on
 its own.  ``rate`` is ``sweep`` on the one-point grid ``[--c]``.  A sweep
 keeps its results as a list in (weights, statistics) order, and ``figures``
-reads its log lines and the a=1 coincidence curve from them by position.
+reads its log lines and the a=1 coincidence curve from them by scenario name.
 
 The scenario of ``rate`` and ``sweep`` is one setting, ``choice``: a preset
 or ``family``.  ``--family`` is shorthand for ``--choice family``, a config
@@ -72,10 +72,6 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _grid(lo: float, hi: float, steps: int) -> np.ndarray:
-    return np.linspace(lo, hi, steps)  # one step gives [lo]
-
-
 def _column(values: np.ndarray) -> list[str]:
     """CSV text of each value of a grid array, as :func:`_fmt` writes it."""
     return [repr(v) for v in values.tolist()]
@@ -84,12 +80,6 @@ def _column(values: np.ndarray) -> list[str]:
 def _flags(mask: np.ndarray) -> list[str]:
     """CSV text of each flag of a grid mask."""
     return ["1" if v else "0" for v in mask.tolist()]
-
-
-def _stats_list(name: str) -> list[Statistics]:
-    if name == "both":
-        return [Statistics.BOSON, Statistics.FERMION]
-    return [Statistics[name.upper()]]
 
 
 def _normalized(a: float | np.ndarray) -> Coefficients:
@@ -160,11 +150,11 @@ def _write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Sequence[str]]
     writer.writerows(rows)
 
 
-def _check_c_range(c_min: float, c_max: float) -> None:
-    if not (0.0 <= c_min <= c_max <= 1.0):
-        raise ValueError(
-            f"need 0 <= c-min <= c-max <= 1, got c-min={c_min} c-max={c_max}"
-        )
+def _check_range(name: str, lo: float, hi: float) -> None:
+    """Reject an axis ``[lo, hi]`` of ``name`` (``c`` or ``a``) that leaves ``[0, 1]``."""
+    if not (0.0 <= lo <= hi <= 1.0):
+        raise ValueError(f"need 0 <= {name}-min <= {name}-max <= 1, "
+                         f"got {name}-min={lo} {name}-max={hi}")
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +166,12 @@ def _cmd_sweep(args) -> int:
     model = RecoilModel(args.alpha0)
     c_min, c_max, steps = ((args.c, args.c, 1) if args.command == "rate"
                            else (args.c_min, args.c_max, args.steps))
-    _check_c_range(c_min, c_max)
-    grid = _grid(c_min, c_max, steps)
+    _check_range("c", c_min, c_max)
+    grid = np.linspace(c_min, c_max, steps)  # one step gives [c_min]
     name = args.choice or "i"  # the one place the default scenario is set
-    results = sweep_results(_scenario_table(name, grid, model), [_coefficients(args)],
-                            _stats_list(args.statistics))
+    stats = (BOTH_STATISTICS if args.statistics == "both"
+             else (Statistics[args.statistics.upper()],))
+    results = sweep_results(_scenario_table(name, grid, model), [_coefficients(args)], stats)
     rows = sweep_rows(name, results, grid, args.alpha0)
     with _open_out(args.out) as out:
         _write_csv(out, SWEEP_HEADER, rows)
@@ -194,6 +185,15 @@ FIG4_CASES = tuple(map(_normalized, (0.64, 0.67, _ROOT2_INV)))
 BOTH_STATISTICS = (Statistics.BOSON, Statistics.FERMION)
 
 COINCIDENCE_HEADER = ["c", "a", "r", "r_ref", "rel_dev", "excluded", "excluded_ref"]
+
+#: The sweep files of each figure target: ``file -> (scenario, cases, statistics)``.
+_FIGURES = {
+    "fig2": {"fig2_i.csv": ("i", FIG2_CASES, BOTH_STATISTICS),
+             "fig2_ii.csv": ("ii", FIG2_CASES, BOTH_STATISTICS)},
+    "fig3": {"fig3_iii.csv": ("iii", FIG3_III_CASES, BOTH_STATISTICS),
+             "fig3_iv.csv": ("iv", FIG3_IV_CASES, BOTH_STATISTICS)},
+    "fig4": {"fig4.csv": ("family", FIG4_CASES, (Statistics.FERMION,))},
+}
 
 
 def _log_choice_ii_flatness(results: SweepResults, log: TextIO) -> None:
@@ -247,11 +247,13 @@ def run_figures(
     log: TextIO | None = None,
 ) -> list[Path]:
     """Emit the CSV datasets for one figure target; returns the written paths."""
+    if target not in _FIGURES:
+        raise ValueError(f"unknown figure target {target!r}")
     log = sys.stdout if log is None else log
     model = RecoilModel(alpha0)
+    grid = np.linspace(0.0, 1.0, steps)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = _grid(0.0, 1.0, steps)
     written: list[Path] = []
 
     def emit(name: str, header, rows) -> None:
@@ -260,24 +262,20 @@ def run_figures(
             _write_csv(handle, header, rows)
         written.append(path)
 
+    tables: dict[str, OverlapTable] = {}
+    results: dict[str, SweepResults] = {}
+    for name, (scenario, cases, stats) in _FIGURES[target].items():
+        tables[scenario] = _scenario_table(scenario, grid, model)
+        results[scenario] = sweep_results(tables[scenario], cases, stats)
+        emit(name, SWEEP_HEADER, sweep_rows(scenario, results[scenario], grid, alpha0))
     if target == "fig2":
-        by_choice = {name: sweep_results(_scenario_table(name, grid, model),
-                                         FIG2_CASES, BOTH_STATISTICS)
-                     for name in ("i", "ii")}
-        for name, results in by_choice.items():
-            emit(f"fig2_{name}.csv", SWEEP_HEADER, sweep_rows(name, results, grid, alpha0))
-        _log_choice_ii_flatness(by_choice["ii"], log)
+        _log_choice_ii_flatness(results["ii"], log)
     elif target == "fig3":
-        iii = _scenario_table("iii", grid, model)
-        iii_results = sweep_results(iii, FIG3_III_CASES, BOTH_STATISTICS)
-        emit("fig3_iii.csv", SWEEP_HEADER, sweep_rows("iii", iii_results, grid, alpha0))
-        iv_results = sweep_results(_scenario_table("iv", grid, model),
-                                   FIG3_IV_CASES, BOTH_STATISTICS)
-        emit("fig3_iv.csv", SWEEP_HEADER, sweep_rows("iv", iv_results, grid, alpha0))
-        _, _, a1_fermion = iii_results[1]  # FIG3_III_CASES[0] (a=1), BOTH_STATISTICS[1]
+        _, _, a1_fermion = results["iii"][1]  # FIG3_III_CASES[0] (a=1), BOTH_STATISTICS[1]
         rows, max_dev = _coincidence_rows(
             a1_fermion,
-            sweep_results(iii, tuple(map(_normalized, (0.8, 0.5))), (Statistics.FERMION,)),
+            sweep_results(tables["iii"], tuple(map(_normalized, (0.8, 0.5))),
+                          (Statistics.FERMION,)),
             grid,
         )
         emit("fig3_iii_fermion_coincidence.csv", COINCIDENCE_HEADER, rows)
@@ -286,12 +284,6 @@ def run_figures(
             f"from the a=1 curve {max_dev:.4%}",
             file=log,
         )
-    elif target == "fig4":
-        results = sweep_results(_scenario_table("family", grid, model),
-                                FIG4_CASES, (Statistics.FERMION,))
-        emit("fig4.csv", SWEEP_HEADER, sweep_rows("family", results, grid, alpha0))
-    else:
-        raise ValueError(f"unknown figure target {target!r}")
     return written
 
 
@@ -337,13 +329,10 @@ def exclusion_scan_rows(
 
 def _cmd_exclusion_scan(args) -> int:
     model = RecoilModel(args.alpha0)
-    _check_c_range(args.c_min, args.c_max)
-    if not (0.0 <= args.a_min <= args.a_max <= 1.0):
-        raise ValueError(
-            f"need 0 <= a-min <= a-max <= 1, got a-min={args.a_min} a-max={args.a_max}"
-        )
-    a_grid = _grid(args.a_min, args.a_max, args.a_steps)
-    c_grid = _grid(args.c_min, args.c_max, args.steps)
+    _check_range("c", args.c_min, args.c_max)
+    _check_range("a", args.a_min, args.a_max)
+    a_grid = np.linspace(args.a_min, args.a_max, args.a_steps)
+    c_grid = np.linspace(args.c_min, args.c_max, args.steps)
     rows, disagreements = exclusion_scan_rows(a_grid, c_grid, model)
     with _open_out(args.out) as out:
         _write_csv(out, SCAN_HEADER, rows)
@@ -510,7 +499,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                     "two-atom superpositions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
 
     rate = sub.add_parser("rate", help="evaluate a single sweep point")
     _add_scenario(rate)
@@ -519,7 +507,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     rate.add_argument("--c", type=float, default=0.0, help="sweep value (default 0)")
     _add_common(rate)
     rate.set_defaults(func=_cmd_sweep)
-    commands["rate"] = rate
 
     sweep = sub.add_parser("sweep", help="sweep the overlap parameter, emit CSV")
     _add_scenario(sweep)
@@ -530,17 +517,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sweep.add_argument("--steps", type=_positive_int, default=101)
     _add_common(sweep)
     sweep.set_defaults(func=_cmd_sweep)
-    commands["sweep"] = sweep
 
     figures = sub.add_parser("figures", help="emit the built-in figure datasets")
-    figures.add_argument("target", choices=("fig2", "fig3", "fig4"))
+    figures.add_argument("target", choices=tuple(_FIGURES))
     figures.add_argument("--steps", type=_positive_int, default=101)
     figures.add_argument("--alpha0", type=float, default=0.9)
     figures.add_argument("--out", default=".", metavar="DIR",
                          help="output directory (default current directory)")
     figures.add_argument("--config", default=None, metavar="PATH")
     figures.set_defaults(func=_cmd_figures)
-    commands["figures"] = figures
 
     scan = sub.add_parser("exclusion-scan",
                           help="grid scan of the exclusion family, two detection paths")
@@ -552,7 +537,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     scan.add_argument("--steps", type=_positive_int, default=51)
     _add_common(scan)
     scan.set_defaults(func=_cmd_exclusion_scan)
-    commands["exclusion-scan"] = scan
 
     verify = sub.add_parser("verify",
                             help="randomized closed-form vs formal-expansion check")
@@ -562,9 +546,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     verify.add_argument("--out", default=None, metavar="PATH")
     verify.add_argument("--config", default=None, metavar="PATH")
     verify.set_defaults(func=_cmd_verify)
-    commands["verify"] = verify
 
-    return parser, commands
+    return parser, sub.choices
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -613,7 +596,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)  # explicit flags still win
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # ExcludedStateError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # ExcludedStateError is a ValueError
         print(f"pairabs: error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,7 +32,7 @@ the ``+0.0`` that a sum started at ``0.0`` gives.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,18 +63,24 @@ __all__ = [
     "formal_quantities",
 ]
 
-#: Recoiled psi, phi, varphi and chi.
-_PSI_S, _PHI_S, _VARPHI_S, _CHI_S = (label.star() for label in (PSI, PHI, VARPHI, CHI))
+
+def _superposition(
+    coeffs: Coefficients, outcomes: Callable[[CmLabel, CmLabel], list[FormalState]]
+) -> FormalState:
+    """``a`` times the states ``outcomes(psi, phi)`` plus ``b`` times ``outcomes(varphi, chi)``.
+
+    The terms of a zero weight are left out.
+    """
+    parts = []
+    for weight, x, y in ((coeffs.a, PSI, PHI), (coeffs.b, VARPHI, CHI)):
+        if weight != 0:
+            parts.extend((weight, state) for state in outcomes(x, y))
+    return combine(parts)
 
 
 def build_initial(coeffs: Coefficients, statistics: Statistics) -> FormalState:
     """Unnormalized initial state: a weighted pair of (anti)symmetrized ground products."""
-    parts = []
-    if coeffs.a != 0:
-        parts.append((coeffs.a, symmetrize(PSI, G, PHI, G, statistics)))
-    if coeffs.b != 0:
-        parts.append((coeffs.b, symmetrize(VARPHI, G, CHI, G, statistics)))
-    return combine(parts)
+    return _superposition(coeffs, lambda x, y: [symmetrize(x, G, y, G, statistics)])
 
 
 def build_final(coeffs: Coefficients, statistics: Statistics) -> FormalState:
@@ -83,19 +89,8 @@ def build_final(coeffs: Coefficients, statistics: Statistics) -> FormalState:
     Each outcome is itself (anti)symmetrized; the recoiled atom carries the
     starred CM label and the excited internal state.
     """
-    s = float(statistics.sign)
-    a, b = coeffs.a, coeffs.b
-    monomials = (
-        (a, _PSI_S, E, PHI, G),
-        (a * s, PHI, G, _PSI_S, E),
-        (a, PSI, G, _PHI_S, E),
-        (a * s, _PHI_S, E, PSI, G),
-        (b, _VARPHI_S, E, CHI, G),
-        (b * s, CHI, G, _VARPHI_S, E),
-        (b, VARPHI, G, _CHI_S, E),
-        (b * s, _CHI_S, E, VARPHI, G),
-    )
-    return FormalState(tuple(Term(*m) for m in monomials if m[0] != 0))
+    return _superposition(coeffs, lambda x, y: [symmetrize(x.star(), E, y, G, statistics),
+                                                symmetrize(x, G, y.star(), E, statistics)])
 
 
 def apply_absorption(state: FormalState) -> FormalState:

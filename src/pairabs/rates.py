@@ -44,7 +44,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algebra import CHI, PHI, PSI, VARPHI, OverlapTable, Statistics
+from .algebra import CHI, PHI, PSI, VARPHI, OverlapTable, Statistics, _STARRED
 from .scenarios import Coefficients
 
 __all__ = [
@@ -63,9 +63,6 @@ __all__ = [
 #: Null-state floor, relative to the natural norm scale 2(|a|^2 + |b|^2).
 #: Scale-free and far above double-precision noise from the bracket sums.
 EXCLUSION_EPS = 1e-10
-
-#: Recoiled psi, phi, varphi and chi.
-_STARRED = tuple(label.star() for label in (PSI, PHI, VARPHI, CHI))
 
 _NAN = float("nan")
 _NAN_COMPLEX = complex(_NAN, _NAN)

@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import CHI, PHI, PSI, VARPHI, CmLabel, OverlapTable
+from .algebra import CHI, PHI, PSI, VARPHI, CmLabel, OverlapTable, _LABELS, _STARRED, _grid_value
 
 __all__ = [
     "ALL_PAIRS",
@@ -41,9 +41,6 @@ __all__ = [
     "random_realizable_overlaps",
 ]
 
-_LABELS = (PSI, PHI, VARPHI, CHI)
-_STARRED = tuple(label.star() for label in _LABELS)
-
 #: The three independent overlaps each preset fixes or sweeps.
 _BASE_PAIRS = ((PSI, PHI), (PSI, VARPHI), (VARPHI, CHI))
 
@@ -56,15 +53,6 @@ ALL_PAIRS = (
     (PHI, CHI),
     (VARPHI, CHI),
 )
-
-
-def _grid_value(value, kind: type = complex) -> complex | float | np.ndarray:
-    """One value as a Python ``kind``, or a grid of them as a read-only array of it."""
-    if isinstance(value, np.ndarray):
-        value = value.astype(kind)
-        value.flags.writeable = False
-        return value
-    return kind(value)
 
 
 def _require(values, ok, message: str) -> None:

@@ -41,6 +41,9 @@ PAIRS_WITH_RECOIL = ALL_PAIRS + tuple(
 # |coefficient| = 4.47e-06 at a = 0: between the amplitude floor 1e-10 and its root
 NEAR_NULL_SCAN = ["exclusion-scan", "--a-min", "0", "--a-max", "0", "--a-steps", "1",
                   "--c-min", "0.99999999999", "--c-max", "0.99999999999", "--steps", "1"]
+# 1e17 grid points: 8e17 bytes of float64 exceed the user address space of any
+# 64-bit machine, so numpy refuses the grid without touching memory
+HUGE_STEPS = "100000000000000000"
 
 
 def exit_code(argv):
@@ -288,6 +291,11 @@ class TestFigures:
         # reference is the sweep's
         assert calls["build_choice_table"] == 2
         assert calls["relative_rate_grid"] == 14
+
+    def test_unknown_target_is_rejected_before_the_directory_is_made(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown figure target 'fig5'"):
+            cli.run_figures("fig5", tmp_path / "new")
+        assert not (tmp_path / "new").exists()
 
     def test_unwritable_output_location_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -777,6 +785,12 @@ class TestEntryPoint:
         assert proc.stdout == b""
         assert proc.stderr and b"Traceback" not in proc.stderr
 
+    def test_grid_too_large_to_allocate_exits_1_without_a_traceback(self, tmp_path):
+        proc = self.run_module(["exclusion-scan", "--steps", HUGE_STEPS], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"pairabs: error: ") and b"Traceback" not in proc.stderr
+
 
 class TestInvalidInput:
     def test_unknown_choice(self):
@@ -802,3 +816,15 @@ class TestInvalidInput:
 
     def test_missing_subcommand(self):
         assert exit_code([]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--steps", HUGE_STEPS],
+        ["figures", "fig2", "--steps", HUGE_STEPS, "--out", "new"],
+        ["exclusion-scan", "--steps", HUGE_STEPS],
+    ])
+    def test_grid_too_large_to_allocate_exits_1(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert exit_code(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pairabs: error: ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []  # figures makes no output directory

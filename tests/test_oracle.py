@@ -133,6 +133,34 @@ class TestBuildFinal:
         state = build_final(Coefficients(a, b), FERMION)
         assert [t.weight for t in state.terms] == [a, -a, a, -a, b, -b, b, -b]
 
+    @staticmethod
+    def written_out(coeffs, statistics):
+        """The eight final monomials with their signs written by hand; zero weights dropped."""
+        s = float(statistics.sign)
+        a, b = coeffs.a, coeffs.b
+        ps, phs, vs, cs = PSI.star(), PHI.star(), VARPHI.star(), CHI.star()
+        monomials = (
+            (a, ps, E, PHI, G),
+            (a * s, PHI, G, ps, E),
+            (a, PSI, G, phs, E),
+            (a * s, phs, E, PSI, G),
+            (b, vs, E, CHI, G),
+            (b * s, CHI, G, vs, E),
+            (b, VARPHI, G, cs, E),
+            (b * s, cs, E, VARPHI, G),
+        )
+        return tuple(Term(*m) for m in monomials if m[0] != 0)
+
+    @pytest.mark.parametrize("statistics", [BOSON, FERMION])
+    @pytest.mark.parametrize("a, b", [
+        (1, 1), (1, -1), (1, 0), (0, 1), (0.3 + 0.4j, -0.5 + 0.2j), (-0.7j, 2.5 - 1j),
+        (complex(1.5, -0.0), complex(-0.0, 0.6)), (complex(-0.0, -0.0), complex(-2.0, 0.0)),
+        (complex(0.0, -0.8), complex(-0.0, -0.0)),
+    ])
+    def test_terms_equal_the_written_out_monomials(self, a, b, statistics):
+        coeffs = Coefficients(a, b)
+        assert build_final(coeffs, statistics).terms == self.written_out(coeffs, statistics)
+
 
 class TestApplyAbsorption:
     def test_double_ground_term_flips_each_atom_once(self):

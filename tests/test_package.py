@@ -4,6 +4,7 @@ import ast
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -95,3 +96,18 @@ def test_readme_library_examples_print_their_comments():
                 printed.append(comment.strip())
         printed_per_block.append(printed)
     assert printed_per_block and all(printed_per_block), printed_per_block
+
+
+def command_line_examples() -> list[list[str]]:
+    """The ``pairabs`` lines of the first block of README's Command line section, as argvs."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n")[1].split("\n## ")[0]
+    block = re.findall(r"```\n(.*?)```", section, re.S)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("pairabs ")]
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the examples write sweep.csv, data/ and scan.csv
+    examples = command_line_examples()
+    assert {argv[0] for argv in examples} == {"rate", "sweep", "figures", "exclusion-scan",
+                                              "verify"}
+    assert [(argv, cli.main(argv)) for argv in examples] == [(argv, 0) for argv in examples]
