@@ -9,10 +9,11 @@ embedding is assumed anywhere: the table is the single source of truth,
 which is what lets recoiled (starred) labels carry overlap rules that no
 linear map on the originals could reproduce.
 
-Lookups are the hot path of the formal expansion.  Labels are tuples, so
-they hash and compare in C, and a table stores both orientations of every
-pair from construction on, so each lookup is one dict access.  Neither
-changes any value or the order in which inner products are summed.
+Labels are tuples, so they hash and compare in C as table keys.  A table
+stores both orientations of every pair from construction on, so a lookup is
+one dict access either way round and a grid entry is conjugated once, not
+on every lookup of its mirror.  Neither changes any value or the order in
+which inner products are summed.
 """
 
 from __future__ import annotations

@@ -243,7 +243,7 @@ def run_figures(
     target: str,
     out_dir: Path,
     steps: int = 101,
-    alpha0: float = 0.9,
+    alpha0: float = RecoilModel.alpha0,
     log: TextIO | None = None,
 ) -> list[Path]:
     """Emit the CSV datasets for one figure target; returns the written paths."""
@@ -462,15 +462,16 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _add_common(p) -> None:
-    p.add_argument("--alpha0", type=float, default=0.9,
-                   help="one-recoil overlap shrink factor (default 0.9)")
+    p.add_argument("--alpha0", type=float, default=RecoilModel.alpha0,
+                   help=f"one-recoil overlap shrink factor (default {RecoilModel.alpha0})")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="output path; default standard output")
     p.add_argument("--config", default=None, metavar="PATH",
                    help="key = value config file; command-line flags override it")
 
 
-def _add_scenario(p) -> None:
+def _add_case(p) -> None:
+    """The scenario, statistics and weights flags of ``rate`` and ``sweep``."""
     # default None, not "i": argparse then still rejects --choice with --family
     group = p.add_mutually_exclusive_group()
     group.add_argument("--choice", choices=(*CHOICES, "family"),
@@ -478,18 +479,11 @@ def _add_scenario(p) -> None:
                             "family (default i)")
     group.add_argument("--family", action="store_const", dest="choice", const="family",
                        help="shorthand for --choice family")
-
-
-def _add_coefficients(p) -> None:
+    p.add_argument("--statistics", choices=("boson", "fermion", "both"), default="both")
     p.add_argument("--a-re", type=float, default=1.0)
     p.add_argument("--a-im", type=float, default=0.0)
     p.add_argument("--b-re", type=float, default=0.0)
     p.add_argument("--b-im", type=float, default=0.0)
-
-
-def _add_statistics(p) -> None:
-    p.add_argument("--statistics", choices=("boson", "fermion", "both"),
-                   default="both")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -501,17 +495,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="command", required=True)
 
     rate = sub.add_parser("rate", help="evaluate a single sweep point")
-    _add_scenario(rate)
-    _add_statistics(rate)
-    _add_coefficients(rate)
+    _add_case(rate)
     rate.add_argument("--c", type=float, default=0.0, help="sweep value (default 0)")
     _add_common(rate)
     rate.set_defaults(func=_cmd_sweep)
 
     sweep = sub.add_parser("sweep", help="sweep the overlap parameter, emit CSV")
-    _add_scenario(sweep)
-    _add_statistics(sweep)
-    _add_coefficients(sweep)
+    _add_case(sweep)
     sweep.add_argument("--c-min", type=float, default=0.0)
     sweep.add_argument("--c-max", type=float, default=1.0)
     sweep.add_argument("--steps", type=_positive_int, default=101)
@@ -521,7 +511,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     figures = sub.add_parser("figures", help="emit the built-in figure datasets")
     figures.add_argument("target", choices=tuple(_FIGURES))
     figures.add_argument("--steps", type=_positive_int, default=101)
-    figures.add_argument("--alpha0", type=float, default=0.9)
+    figures.add_argument("--alpha0", type=float, default=RecoilModel.alpha0)
     figures.add_argument("--out", default=".", metavar="DIR",
                          help="output directory (default current directory)")
     figures.add_argument("--config", default=None, metavar="PATH")

@@ -220,8 +220,7 @@ def formal_quantities(
     n0_sq, _, nf_sq, _, m_re, m_im = [(np.cumsum(parts[lo:hi], axis=0)[-1] + 0.0).reshape(shape)
                                        for lo, hi in plan.spans for parts in (pr, pi)]
     rates.require_not_null(coeffs, n0_sq, nf_sq)
-    values = n0_sq, nf_sq, rates._complex(m_re, m_im)
-    return tuple(v.item() for v in values) if shape == () else values
+    return rates._python_on_point((n0_sq, nf_sq, rates._complex(m_re, m_im)))
 
 
 def closed_form_deviations(

@@ -15,22 +15,21 @@ a squared norm below its floor from ``_null_floors``.  For the initial norm
 that comparison is :func:`exclusion_mask`, on one squared norm or an array of
 them; ``pairabs exclusion-scan`` applies it to both of its verdicts.
 :func:`require_not_null` raises :class:`ExcludedStateError` on it, and
-:func:`relative_rate` and :func:`relative_rate_grid` flag it in a
-:class:`RateResult` with NaN in the undefined fields, never as round-off
-garbage.
+:func:`relative_rate_grid` flags it in a :class:`RateResult` with NaN in the
+undefined fields, never as round-off garbage.
 
 The three closed forms are elementwise, so on a grid (a grid table, array
 weights, or both) they return arrays over the grid.
-:func:`relative_rate_grid` is the one finish: it evaluates each form once and
-keeps all three in its result.  :func:`relative_rate` is the same code on a
-single point.  Where the overlaps are real, as in every preset, the exclusion
-family and ``pairabs verify``, each grid point equals bit for bit its value
-on its own, because the weight products ``|a|^2`` and ``conj(a) b`` round as
-CPython's.  With complex overlaps it may differ by a few ulp, because numpy's
-vectorized complex multiply rounds on its own.  Writing every product out
-with :func:`_cmul` would remove that, but on a 2-vCPU Xeon it more than
-doubles :func:`relative_rate_grid` on 101 points (about 105 to 235 us) and
-adds 14-19 % to an in-process ``figures`` job.
+:func:`relative_rate_grid` is the one finish, on a single point or a grid: it
+evaluates each form once and keeps all three in its result, Python numbers
+on a point and arrays on a grid.  Where the overlaps are real, as in every
+preset, the exclusion family and ``pairabs verify``, each grid point equals
+bit for bit its value on its own, because the weight products ``|a|^2`` and
+``conj(a) b`` round as CPython's.  With complex overlaps it may differ by a
+few ulp, because numpy's vectorized complex multiply rounds on its own.
+Writing every product out with :func:`_cmul` would remove that, but on a
+2-vCPU Xeon it more than doubles :func:`relative_rate_grid` on 101 points
+(about 105 to 235 us) and adds 14-19 % to an in-process ``figures`` job.
 
 This is the one module that reproduces CPython's (up to 3.13) rounding on
 numpy arrays (:func:`_abs_sq`, :func:`_complex_over_real`, :func:`_cmul`,
@@ -40,7 +39,7 @@ numpy arrays (:func:`_abs_sq`, :func:`_complex_over_real`, :func:`_cmul`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +54,6 @@ __all__ = [
     "exclusion_mask",
     "final_norm_sq",
     "initial_norm_sq",
-    "relative_rate",
     "relative_rate_grid",
     "require_not_null",
 ]
@@ -83,8 +81,9 @@ class RateResult:
     ``n0`` and ``m`` are NaN.  ``n0_sq``, ``nf_sq`` and ``bracket`` are the
     three closed forms the rest is computed from (:func:`initial_norm_sq`,
     :func:`final_norm_sq` and :func:`bracket_sum`), raw on excluded points
-    too.  From :func:`relative_rate_grid` every field is an array over the
-    grid, ``m_pro`` only where ``alpha0`` is one.
+    too.  On a single point every field is a Python ``float``, ``complex``
+    or ``bool``; on a grid an array over it, ``m_pro`` only where ``alpha0``
+    is one.
     """
 
     n0: float
@@ -260,6 +259,17 @@ def require_not_null(coeffs: Coefficients, n0_sq: float, nf_sq: float) -> None:
         )
 
 
+def _python_on_point(values: tuple) -> tuple:
+    """``values`` as Python ``float``, ``complex`` and ``bool`` when all are 0-d, else as given.
+
+    The one rule by which a single point gives Python numbers, in
+    :func:`relative_rate_grid` and :func:`pairabs.oracle.formal_quantities`.
+    """
+    if all(np.ndim(v) == 0 for v in values):
+        return tuple(np.asarray(v).item() for v in values)
+    return values
+
+
 def _matrix_element_product(table: OverlapTable) -> complex:
     """Absorption amplitude for the same atoms in the product state ``|psi>|phi>``.
 
@@ -274,20 +284,6 @@ def _matrix_element_product(table: OverlapTable) -> complex:
     return total / math.sqrt(2.0)
 
 
-def relative_rate(
-    coeffs: Coefficients, table: OverlapTable, statistics: Statistics
-) -> RateResult:
-    """Evaluate one configuration; exclusion is encoded in the result, not raised.
-
-    A single point is a grid of one: this is :func:`relative_rate_grid` on
-    it, with each field turned into a Python ``float``, ``complex`` or
-    ``bool`` by ``.item()``.
-    """
-    res = relative_rate_grid(coeffs, table, statistics)
-    return RateResult(**{field.name: np.asarray(getattr(res, field.name)).item()
-                         for field in fields(RateResult)})
-
-
 def relative_rate_grid(
     coeffs: Coefficients, table: OverlapTable, statistics: Statistics
 ) -> RateResult:
@@ -296,9 +292,9 @@ def relative_rate_grid(
     The grid is that of the table, the weights or both.  The three closed
     forms run once, elementwise, and are kept in the result; square roots,
     division and the NaN masking of excluded points are array operations.
-    Every field but ``m_pro`` (constant over the grid unless ``alpha0``
-    varies) is an array, ``excluded`` a bool array; on a single point each
-    holds one value.
+    On a grid every field but ``m_pro`` (constant over the grid unless
+    ``alpha0`` varies) is an array, ``excluded`` a bool array; on a single
+    point each is a Python number (:func:`_python_on_point`).
     """
     n0_sq = initial_norm_sq(coeffs, table, statistics)
     nf_sq = final_norm_sq(coeffs, table, statistics)
@@ -314,4 +310,4 @@ def relative_rate_grid(
         n0 = np.where(excluded, _NAN, 1.0 / np.sqrt(n0_sq))
         nf = np.where(nf_null, _NAN, 1.0 / np.sqrt(nf_sq))
     r = _abs_sq(m) / _abs_sq(m_pro)
-    return RateResult(n0, nf, m, m_pro, r, excluded, n0_sq, nf_sq, bracket)
+    return RateResult(*_python_on_point((n0, nf, m, m_pro, r, excluded, n0_sq, nf_sq, bracket)))

@@ -59,13 +59,13 @@ def test_criterion_2_choice_i_closed_forms():
     fermion_rates = []
     for c, table in _choice_tables("i"):
         alpha = 0.9 + 0.1 * c
-        boson = rates.relative_rate(A_ONLY, table, BOSON)
+        boson = rates.relative_rate_grid(A_ONLY, table, BOSON)
         boson_rates.append(boson.r)
         worst_boson = max(
             worst_boson,
             abs(boson.r - (1.0 + c * c) / (1.0 + alpha * alpha * c * c)),
         )
-        fermion = rates.relative_rate(A_ONLY, table, FERMION)
+        fermion = rates.relative_rate_grid(A_ONLY, table, FERMION)
         if c == 1.0:
             assert fermion.excluded
             continue
@@ -74,8 +74,8 @@ def test_criterion_2_choice_i_closed_forms():
             worst_fermion,
             abs(fermion.r - (1.0 - c * c) / (1.0 - alpha * alpha * c * c)),
         )
-    mid = rates.relative_rate(A_ONLY, _choice_tables("i", [0.5])[0][1], BOSON).r
-    mid_f = rates.relative_rate(A_ONLY, _choice_tables("i", [0.5])[0][1], FERMION).r
+    mid = rates.relative_rate_grid(A_ONLY, _choice_tables("i", [0.5])[0][1], BOSON).r
+    mid_f = rates.relative_rate_grid(A_ONLY, _choice_tables("i", [0.5])[0][1], FERMION).r
     spots_ok = abs(mid - 1.0199) < 5e-4 and abs(mid_f - 0.9685) < 5e-4
     shape_ok = (
         max(boson_rates) > 1.0
@@ -93,8 +93,8 @@ def test_criterion_2_choice_i_closed_forms():
 
 def test_criterion_3_pauli_limit():
     table = build_choice_table("i", 1.0)
-    fermion = rates.relative_rate(A_ONLY, table, FERMION)
-    boson = rates.relative_rate(A_ONLY, table, BOSON)
+    fermion = rates.relative_rate_grid(A_ONLY, table, FERMION)
+    boson = rates.relative_rate_grid(A_ONLY, table, BOSON)
     _report(
         "criterion 3: Pauli limit at unit overlap",
         fermion.excluded and abs(boson.r - 1.0) < 1e-9,
@@ -112,10 +112,10 @@ def test_criterion_4_zero_overlap_statistics_coincide():
     )
     worst = 0.0
     for coeffs in cases:
-        r_b = rates.relative_rate(coeffs, table, BOSON).r
-        r_f = rates.relative_rate(coeffs, table, FERMION).r
+        r_b = rates.relative_rate_grid(coeffs, table, BOSON).r
+        r_f = rates.relative_rate_grid(coeffs, table, FERMION).r
         worst = max(worst, abs(r_b - r_f))
-    b_zero = rates.relative_rate(A_ONLY, table, BOSON).r
+    b_zero = rates.relative_rate_grid(A_ONLY, table, BOSON).r
     _report(
         "criterion 4: boson and fermion rates coincide at zero overlap",
         worst < 1e-12 and abs(b_zero - 1.0) < 1e-12,
@@ -132,7 +132,7 @@ def test_criterion_5_choice_ii_fermion_flatness():
         norms = [rates.initial_norm_sq(coeffs, t, FERMION) for _, t in points]
         brackets = [abs(rates.bracket_sum(coeffs, t, FERMION)) for _, t in points]
         nf_sqs = [rates.final_norm_sq(coeffs, t, FERMION) for _, t in points]
-        rs = [rates.relative_rate(coeffs, t, FERMION).r for _, t in points]
+        rs = [rates.relative_rate_grid(coeffs, t, FERMION).r for _, t in points]
         norm_span = max(norms) - min(norms)
         bracket_span = max(brackets) - min(brackets)
         r_span = (max(rs) - min(rs)) / min(rs)
@@ -153,12 +153,12 @@ def test_criterion_5_choice_ii_fermion_flatness():
 
 def test_criterion_6_choice_iii_fermion_coincidence(tmp_path):
     points = _choice_tables("iii")
-    reference = [rates.relative_rate(A_ONLY, t, FERMION) for _, t in points]
+    reference = [rates.relative_rate_grid(A_ONLY, t, FERMION) for _, t in points]
     worst = 0.0
     for a in (0.8, 0.5, ROOT2_INV):
         coeffs = Coefficients(a, math.sqrt(1.0 - a * a))
         for (c, table), ref in zip(points, reference):
-            res = rates.relative_rate(coeffs, table, FERMION)
+            res = rates.relative_rate_grid(coeffs, table, FERMION)
             if res.excluded or ref.excluded:
                 assert res.excluded == ref.excluded, (a, c)
                 continue

@@ -372,13 +372,13 @@ class TestExclusionScan:
 
 
 def reference_sweep_rows(name, table_for, cases, stats, grid, alpha0):
-    """The per-point loop: one table and one relative_rate call per c."""
+    """The per-point loop: one single-point table and one rate call per c."""
     fmt = cli._fmt
     rows = []
     for coeffs in cases:
         for stat in stats:
             for c in grid:
-                res = rates.relative_rate(coeffs, table_for(c), stat)
+                res = rates.relative_rate_grid(coeffs, table_for(c), stat)
                 rows.append([
                     name, stat.name.lower(),
                     fmt(coeffs.a.real), fmt(coeffs.a.imag),

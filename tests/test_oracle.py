@@ -220,7 +220,7 @@ class TestOracleMatrixElement:
 
     def test_matches_closed_form_at_choice_i_midpoint(self):
         table = choice_table("i", 0.5)
-        closed = rates.relative_rate(A_ONLY, table, BOSON).m
+        closed = rates.relative_rate_grid(A_ONLY, table, BOSON).m
         assert formal_amplitude(A_ONLY, table, BOSON) == pytest.approx(
             closed, abs=1e-12
         )
@@ -350,7 +350,7 @@ class TestOracleMatrixElement:
             if min(norms) <= 2e-3:
                 continue  # stay clear of the excluded manifold
             for statistics in (BOSON, FERMION):
-                closed = rates.relative_rate(coeffs, table, statistics).m
+                closed = rates.relative_rate_grid(coeffs, table, statistics).m
                 formal = formal_amplitude(coeffs, table, statistics)
                 max_dev = max(max_dev, abs(closed - formal))
             checked += 1
@@ -376,7 +376,7 @@ class TestOracleMatrixElement:
                 worst = max(
                     worst,
                     abs(
-                        rates.relative_rate(coeffs, table, statistics).m
+                        rates.relative_rate_grid(coeffs, table, statistics).m
                         - formal_amplitude(coeffs, table, statistics)
                     ),
                 )
@@ -401,7 +401,7 @@ class TestOracleMatrixElement:
         coeffs = Coefficients(0.8, 0.6)
         for statistics in (BOSON, FERMION):
             assert formal_amplitude(coeffs, table, statistics) == pytest.approx(
-                rates.relative_rate(coeffs, table, statistics).m, abs=1e-10
+                rates.relative_rate_grid(coeffs, table, statistics).m, abs=1e-10
             )
 
     def test_exchange_slot_swap_leaves_amplitude_unchanged(self):

@@ -2,6 +2,8 @@
 
 import ast
 import contextlib
+import importlib
+import inspect
 import io
 import re
 import shlex
@@ -40,8 +42,8 @@ def test_package_exports_are_pinned():
         "build_initial", "build_table", "closed_form_deviations", "combine",
         "exclusion_mask", "family_exclusion_coefficient", "final_norm_sq",
         "formal_quantities", "initial_norm_sq", "inner_product", "matching_term_pairs",
-        "random_realizable_overlaps", "relative_rate", "relative_rate_grid",
-        "require_not_null", "symmetrize",
+        "random_realizable_overlaps", "relative_rate_grid", "require_not_null",
+        "symmetrize",
     ]
 
 
@@ -111,3 +113,57 @@ def test_readme_command_line_examples_run(tmp_path, monkeypatch):
     assert {argv[0] for argv in examples} == {"rate", "sweep", "figures", "exclusion-scan",
                                               "verify"}
     assert [(argv, cli.main(argv)) for argv in examples] == [(argv, 0) for argv in examples]
+
+
+#: A Sphinx cross-reference: its role and its target, ``~`` (short title) dropped.
+CROSS_REFERENCE = re.compile(r":(func|class|meth|data|mod):`~?([\w.]+)`")
+
+
+def docstring_cross_references() -> list[tuple[str, str, str]]:
+    """``(module, role, target)`` of every cross-reference in the package's docstrings."""
+    found = []
+    for path in sorted(Path(pairabs.__file__).parent.glob("*.py")):
+        module = "pairabs" if path.stem == "__init__" else f"pairabs.{path.stem}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                found += [(module, role, target)
+                          for role, target in CROSS_REFERENCE.findall(ast.get_docstring(node) or "")]
+    return found
+
+
+def resolve_cross_reference(module: str, target: str):
+    """The object ``target`` names, relative to ``module`` or as an absolute ``pairabs.`` path."""
+    root, *attrs = target.split(".")
+    obj = pairabs if root == "pairabs" else getattr(importlib.import_module(module), root)
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+_ROLE_KINDS = {"func": inspect.isfunction, "meth": inspect.isroutine, "class": inspect.isclass,
+               "mod": inspect.ismodule, "data": lambda obj: not callable(obj)}
+
+
+def test_every_docstring_cross_reference_resolves():
+    references = docstring_cross_references()
+    assert len(references) >= 50
+    unresolved = []
+    for module, role, target in references:
+        try:
+            obj = resolve_cross_reference(module, target)
+        except AttributeError:
+            obj = None
+        if obj is None or not _ROLE_KINDS[role](obj):
+            unresolved.append(f"{module}: :{role}:`{target}`")
+    assert unresolved == []
+
+
+def test_the_cross_reference_check_sees_a_stale_name():
+    text = "see :func:`matrix_element` and :class:`~pairabs.rates.RateResult`"
+    assert CROSS_REFERENCE.findall(text) == [("func", "matrix_element"),
+                                             ("class", "pairabs.rates.RateResult")]
+    with pytest.raises(AttributeError):
+        resolve_cross_reference("pairabs.rates", "matrix_element")
+    assert resolve_cross_reference("pairabs.rates", "pairabs.rates.RateResult") is rates.RateResult
+    assert (resolve_cross_reference("pairabs.cli", "ExclusionFamily.equal_weight")
+            == scenarios.ExclusionFamily.equal_weight)

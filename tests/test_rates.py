@@ -21,7 +21,6 @@ from pairabs.rates import (
     exclusion_mask,
     final_norm_sq,
     initial_norm_sq,
-    relative_rate,
     relative_rate_grid,
     require_not_null,
 )
@@ -55,7 +54,7 @@ def choice_table(name, c, model=RecoilModel()):
 
 def amplitude(coeffs, table, statistics):
     """The normalized amplitude ``m``; raises :class:`ExcludedStateError` on a null state."""
-    res = relative_rate(coeffs, table, statistics)
+    res = relative_rate_grid(coeffs, table, statistics)
     require_not_null(coeffs, res.n0_sq, res.nf_sq)
     return res.m
 
@@ -172,7 +171,7 @@ class TestMatrixElementProduct:
 
 class TestRelativeRate:
     def test_orthogonal_states_behave_as_product(self):
-        result = relative_rate(A_ONLY, orthogonal_table(), BOSON)
+        result = relative_rate_grid(A_ONLY, orthogonal_table(), BOSON)
         assert result.r == pytest.approx(1.0, abs=1e-12)
         assert not result.excluded
         assert result.n0 == pytest.approx(1.0 / ROOT2, abs=1e-15)
@@ -183,11 +182,11 @@ class TestRelativeRate:
             c = float(c)
             alpha = 0.9 + 0.1 * c
             table = choice_table("i", c)
-            boson = relative_rate(A_ONLY, table, BOSON)
+            boson = relative_rate_grid(A_ONLY, table, BOSON)
             assert boson.r == pytest.approx(
                 (1.0 + c * c) / (1.0 + alpha * alpha * c * c), abs=1e-12
             )
-            fermion = relative_rate(A_ONLY, table, FERMION)
+            fermion = relative_rate_grid(A_ONLY, table, FERMION)
             if c == 1.0:
                 assert fermion.excluded
             else:
@@ -197,11 +196,11 @@ class TestRelativeRate:
 
     def test_spot_values_at_midpoint(self):
         table = choice_table("i", 0.5)
-        assert relative_rate(A_ONLY, table, BOSON).r == pytest.approx(1.0199, abs=5e-4)
-        assert relative_rate(A_ONLY, table, FERMION).r == pytest.approx(0.9685, abs=5e-4)
+        assert relative_rate_grid(A_ONLY, table, BOSON).r == pytest.approx(1.0199, abs=5e-4)
+        assert relative_rate_grid(A_ONLY, table, FERMION).r == pytest.approx(0.9685, abs=5e-4)
 
     def test_excluded_result_fields(self):
-        result = relative_rate(A_ONLY, choice_table("i", 1.0), FERMION)
+        result = relative_rate_grid(A_ONLY, choice_table("i", 1.0), FERMION)
         assert result.excluded
         assert math.isnan(result.r) and math.isnan(result.n0)
         assert math.isnan(result.m.real)
@@ -212,7 +211,7 @@ class TestRelativeRate:
         table = choice_table("iii", 0.35)
         coeffs = Coefficients(0.8, 0.2 + 0.3j)
         for statistics in (BOSON, FERMION):
-            res = relative_rate(coeffs, table, statistics)
+            res = relative_rate_grid(coeffs, table, statistics)
             assert res.r == pytest.approx(
                 abs(res.m) ** 2 / abs(res.m_pro) ** 2, abs=1e-12
             )
@@ -220,15 +219,15 @@ class TestRelativeRate:
     def test_zero_overlap_statistics_coincide(self):
         table = orthogonal_table()
         for coeffs in (A_ONLY, Coefficients(0.8, 0.6), Coefficients(0.6j, 0.8)):
-            boson = relative_rate(coeffs, table, BOSON)
-            fermion = relative_rate(coeffs, table, FERMION)
+            boson = relative_rate_grid(coeffs, table, BOSON)
+            fermion = relative_rate_grid(coeffs, table, FERMION)
             assert boson.r == pytest.approx(fermion.r, abs=1e-12)
             assert boson.r == pytest.approx(1.0, abs=1e-12)
 
     def test_boson_interior_maximum_for_choice_i(self):
-        r_mid = relative_rate(A_ONLY, choice_table("i", 0.5), BOSON).r
-        r_lo = relative_rate(A_ONLY, choice_table("i", 0.0), BOSON).r
-        r_hi = relative_rate(A_ONLY, choice_table("i", 1.0), BOSON).r
+        r_mid = relative_rate_grid(A_ONLY, choice_table("i", 0.5), BOSON).r
+        r_lo = relative_rate_grid(A_ONLY, choice_table("i", 0.0), BOSON).r
+        r_hi = relative_rate_grid(A_ONLY, choice_table("i", 1.0), BOSON).r
         assert r_mid > 1.0
         assert r_lo == pytest.approx(1.0, abs=1e-12)
         assert r_hi == pytest.approx(1.0, abs=1e-12)
@@ -238,8 +237,8 @@ class TestRelativeRate:
         # so exchange effects survive even there
         table = choice_table("i", 0.0)
         coeffs = Coefficients(0.8, 0.6)
-        r_boson = relative_rate(coeffs, table, BOSON).r
-        r_fermion = relative_rate(coeffs, table, FERMION).r
+        r_boson = relative_rate_grid(coeffs, table, BOSON).r
+        r_fermion = relative_rate_grid(coeffs, table, FERMION).r
         assert abs(r_boson - r_fermion) > 1e-3
 
 
@@ -319,7 +318,7 @@ class TestRelativeRateGrid:
             tables = [scenario_table(name, float(c), model) for c in GRID_101]
             for coeffs in GRID_WEIGHTS:
                 grid = relative_rate_grid(coeffs, grid_table, statistics)
-                points = [relative_rate(coeffs, t, statistics) for t in tables]
+                points = [relative_rate_grid(coeffs, t, statistics) for t in tables]
                 for field in ("n0", "nf", "m", "r"):
                     assert_same_doubles(getattr(grid, field), [getattr(p, field) for p in points])
                 assert grid.excluded.tolist() == [p.excluded for p in points]
@@ -353,8 +352,8 @@ class TestRelativeRateGrid:
                     assert res.excluded.tolist() == unit.excluded.tolist()
                     assert_same_doubles(res.r, unit.r)
                     assert_same_doubles(res.m, unit.m)
-                point = relative_rate(scaled, point_table, statistics)
-                unit_point = relative_rate(coeffs, point_table, statistics)
+                point = relative_rate_grid(scaled, point_table, statistics)
+                unit_point = relative_rate_grid(coeffs, point_table, statistics)
                 assert (point.r, point.m) == (unit_point.r, unit_point.m)
 
     def test_excluded_points_are_masked_without_warnings(self):
@@ -362,6 +361,35 @@ class TestRelativeRateGrid:
         res = relative_rate_grid(coeffs, scenario_table("family", GRID_101), FERMION)
         assert res.excluded.all()
         assert np.isnan(res.r).all() and np.isnan(res.n0).all() and np.isnan(res.m).all()
+
+    def test_a_point_gives_python_numbers_and_a_grid_arrays(self):
+        types = {"n0": float, "nf": float, "m": complex, "m_pro": complex, "r": float,
+                 "excluded": bool, "n0_sq": float, "nf_sq": float, "bracket": complex}
+        assert set(types) == {field.name for field in fields(RateResult)}
+        for coeffs, name, c in ((A_ONLY, "i", 0.5), (A_ONLY, "i", 1.0),
+                                (Coefficients(1.0 / ROOT2, 1.0 / ROOT2), "family", 0.3),
+                                (Coefficients(0.6 + 0.3j, -0.7j), "iv", 0.8)):
+            for statistics in (BOSON, FERMION):
+                res = relative_rate_grid(coeffs, scenario_table(name, c), statistics)
+                assert {f: type(getattr(res, f)) for f in types} == types
+        # grid tables, array weights, and an alpha0 grid that makes m_pro an array too
+        alpha0_grid = build_table({pair: np.full(7, 0.2) for pair in ALL_PAIRS},
+                                  RecoilModel(np.linspace(0.5, 1.0, 7)))
+        for coeffs, table, shape in (
+            (A_ONLY, scenario_table("family", GRID_101), (101,)),
+            (Coefficients(np.linspace(0, 1, 5)[:, None], 0.5), scenario_table("ii", GRID_101),
+             (5, 101)),
+            (Coefficients(np.array([1.0, 0.6]), 0.0), choice_table("i", 0.5), (2,)),
+            (A_ONLY, alpha0_grid, (7,)),
+        ):
+            res = relative_rate_grid(coeffs, table, FERMION)
+            for f in types:
+                value = getattr(res, f)
+                if f == "m_pro" and table is not alpha0_grid:
+                    assert type(value) is complex  # constant over the grid
+                else:
+                    assert isinstance(value, np.ndarray) and value.shape == shape, f
+            assert res.excluded.dtype == bool
 
     def test_complex_overlaps_agree_to_rounding(self):
         # numpy's vectorized complex multiply may round differently from
@@ -376,7 +404,7 @@ class TestRelativeRateGrid:
         for statistics in (BOSON, FERMION):
             res = relative_rate_grid(coeffs, grid_table, statistics)
             for i, c in enumerate(grid.tolist()):
-                point = relative_rate(
+                point = relative_rate_grid(
                     coeffs, build_table({pair: c * phases[pair] for pair in ALL_PAIRS}),
                     statistics,
                 )
@@ -443,7 +471,7 @@ class TestArrayWeights:
     def test_relative_rate_grid_equals_each_point(self, statistics):
         coeffs, table, singles = trial_axis_case(163)
         grid = relative_rate_grid(coeffs, table, statistics)
-        points = [relative_rate(c, t, statistics) for c, t in singles]
+        points = [relative_rate_grid(c, t, statistics) for c, t in singles]
         for field in fields(RateResult):
             values = getattr(grid, field.name).tolist()
             assert [repr(v) for v in values] == [repr(getattr(p, field.name)) for p in points], (
@@ -519,13 +547,13 @@ class TestComplexProductRounding:
 
 
 class TestRelativeRatePinned:
-    """``relative_rate`` on single-point tables, pinned value by value and type by type.
+    """``relative_rate_grid`` on single-point tables, pinned value by value and type by type.
 
     The digest covers ``repr`` and Python type of every field of 2400
     evaluations: random weights on random complex and realizable tables, and
     excluded points (the family's null direction, the Pauli pair) whose
     ``n0``, ``m`` and ``r`` are NaN.  It was captured on the scalar
-    evaluation that ``relative_rate`` had before it ran the grid code.
+    single-point evaluation that predates the grid code.
     """
 
     DIGEST = "331a495c765e502635f598958204db775e5114c92d9a97ce5783e605a95e49c5"
@@ -555,7 +583,7 @@ class TestRelativeRatePinned:
         digest = hashlib.sha256()
         excluded = 0
         for coeffs, table, statistics in self.cases():
-            res = relative_rate(coeffs, table, statistics)
+            res = relative_rate_grid(coeffs, table, statistics)
             excluded += res.excluded
             for field in ("n0", "nf", "m", "m_pro", "r", "excluded"):
                 value = getattr(res, field)
