@@ -8,11 +8,15 @@ byte-identical output.
 The grid subcommands (``sweep``, ``figures``, ``exclusion-scan``) build one
 grid table per ``c`` grid.  ``sweep`` and ``figures`` evaluate it once per
 weights and statistics pair, ``exclusion-scan`` once for its whole (a, c)
-grid with array weights, and ``verify`` each block of trials as one
+grid with array weights, and ``verify`` each block of 128 trials as one
 trial-axis grid; every output is byte-identical to evaluating each point on
-its own.  ``rate`` is ``sweep`` on the one-point grid ``[--c]``.  A sweep
-keeps its results as a list in (weights, statistics) order, and ``figures``
-reads its log lines and the a=1 coincidence curve from them by scenario name.
+its own.  ``verify`` draws a block's random numbers candidate by candidate,
+in the order of a one-at-a-time draw, and computes the overlaps of all its
+candidates at once, so neither the block size nor the batching shows in its
+report.  ``rate`` is ``sweep`` on the one-point grid
+``[--c]``.  A sweep keeps its results as a list in (weights, statistics)
+order, and ``figures`` reads its log lines and the a=1 coincidence curve
+from them by scenario name.
 
 The scenario of ``rate`` and ``sweep`` is one setting, ``choice``: a preset
 or ``family``.  ``--family`` is shorthand for ``--choice family``, a config
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -43,7 +48,6 @@ from .scenarios import (
     build_family_table,
     build_table,
     family_exclusion_coefficient,
-    random_realizable_overlaps,
 )
 
 __all__ = [
@@ -346,14 +350,36 @@ def _cmd_exclusion_scan(args) -> int:
     return 0
 
 
-def _draw_candidate(rng: np.random.Generator) -> tuple[complex, complex, float, dict]:
-    """Random unit-sphere weights ``a``, ``b``, an ``alpha0`` and realizable bare overlaps."""
-    while True:
+def _draw_candidates(rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """``count`` candidates as arrays ``[a, b, alpha0, raw]``, one row each.
+
+    Each candidate draws, in this order, four normal weight parts (drawn
+    again while their norm is below 1e-6), an ``alpha0`` in [0.5, 1) and
+    four raw normal vectors for its overlaps (:func:`_realizable_overlaps`).
+    The weights ``a`` and ``b`` are the parts over their norm.
+    """
+    drawn = []
+    while len(drawn) < count:
         parts = rng.normal(size=4)
         scale = math.sqrt(float(np.dot(parts, parts)))
         if scale >= 1e-6:
-            return (complex(parts[0], parts[1]) / scale, complex(parts[2], parts[3]) / scale,
-                    float(rng.uniform(0.5, 1.0)), random_realizable_overlaps(rng))
+            drawn.append((complex(parts[0], parts[1]) / scale, complex(parts[2], parts[3]) / scale,
+                          rng.uniform(0.5, 1.0), rng.normal(size=(4, 4))))
+    return [np.array(column) for column in zip(*drawn)]
+
+
+def _realizable_overlaps(raw: np.ndarray) -> dict:
+    """The bare overlaps, keyed as ``ALL_PAIRS``, of each stack of four raw vectors.
+
+    ``raw`` has shape ``(n, 4, 4)``; each overlap is an ``(n,)`` array.
+    Each stack runs the operations of
+    :func:`pairabs.scenarios.random_realizable_overlaps` on its own, so its
+    overlaps equal that function's on the same draw bit for bit.
+    """
+    vecs = raw / np.linalg.norm(raw, axis=2, keepdims=True)
+    gram = np.clip(vecs @ vecs.transpose(0, 2, 1), -1.0, 1.0)
+    return {pair: gram[:, i, j]
+            for pair, (i, j) in zip(ALL_PAIRS, itertools.combinations(range(4), 2))}
 
 
 def _verification_block(
@@ -367,24 +393,28 @@ def _verification_block(
     judged on its own initial norms² and redraws join the end, so the block
     holds the trials of a one-at-a-time draw.
     """
-    trials: list[tuple[complex, complex, float, dict]] = []
+    a, b, alpha0, raw = _draw_candidates(rng, size)
     while True:
-        trials += [_draw_candidate(rng) for _ in range(size - len(trials))]
-        a, b, alpha0, overlaps = zip(*trials)
-        coeffs = Coefficients(np.array(a), np.array(b))
-        table = build_table({pair: np.array([bare[pair] for bare in overlaps])
-                             for pair in ALL_PAIRS}, RecoilModel(np.array(alpha0)))
+        coeffs = Coefficients(a, b)
+        table = build_table(_realizable_overlaps(raw), RecoilModel(alpha0))
         results = {stat: rates.relative_rate_grid(coeffs, table, stat)
                    for stat in BOTH_STATISTICS}
         keep = np.logical_and.reduce([res.n0_sq > 2e-3 for res in results.values()])
         if keep.all():
             return coeffs, table, results
-        trials = [trial for trial, kept in zip(trials, keep.tolist()) if kept]
+        a, b, alpha0, raw = (
+            np.concatenate([kept[keep], more]) for kept, more in
+            zip((a, b, alpha0, raw), _draw_candidates(rng, size - int(keep.sum()))))
 
 
-#: Trials evaluated together as one trial-axis grid.  Each block holds its
-#: grid table until it is done (about 15 kB a trial), so blocks stay small.
-_VERIFY_BLOCK = 32
+#: Trials evaluated together as one trial-axis grid.  A larger block pays the
+#: fixed cost of a table and four evaluations less often, but holds its grid
+#: table until it is done (about 15 kB a trial).  Median of ``run_verify(1,
+#: 1000)`` and peak RSS of its process, per block size (2-vCPU Xeon, numpy
+#: 2.4.6): 32: 0.094 s, 36.2 MB; 64: 0.059 s, 36.2 MB; 128: 0.048 s, 36.7 MB;
+#: 256: 0.041 s, 37.5 MB; 1000: 0.037 s, 43.5 MB.  128 keeps peak RSS within
+#: 0.5 MB (1.5 %) of a 32-trial block; 256 adds 0.8 MB more for 0.007 s.
+_VERIFY_BLOCK = 128
 
 _VERIFY_QUANTITIES = ("matrix element", "initial norm^2", "final norm^2")
 

@@ -293,8 +293,9 @@ def relative_rate_grid(
     forms run once, elementwise, and are kept in the result; square roots,
     division and the NaN masking of excluded points are array operations.
     On a grid every field but ``m_pro`` (constant over the grid unless
-    ``alpha0`` varies) is an array, ``excluded`` a bool array; on a single
-    point each is a Python number (:func:`_python_on_point`).
+    ``alpha0`` varies) is an array of the grid's shape, ``excluded`` a bool
+    array; on a single point each is a Python number
+    (:func:`_python_on_point`).
     """
     n0_sq = initial_norm_sq(coeffs, table, statistics)
     nf_sq = final_norm_sq(coeffs, table, statistics)
@@ -310,4 +311,7 @@ def relative_rate_grid(
         n0 = np.where(excluded, _NAN, 1.0 / np.sqrt(n0_sq))
         nf = np.where(nf_null, _NAN, 1.0 / np.sqrt(nf_sq))
     r = _abs_sq(m) / _abs_sq(m_pro)
+    # the initial norm does not read alpha0, so it is one number on a grid
+    # where only alpha0 varies: give it the grid's shape as an array of its own
+    n0_sq, nf_sq, bracket = (np.array(v) for v in np.broadcast_arrays(n0_sq, nf_sq, bracket))
     return RateResult(*_python_on_point((n0, nf, m, m_pro, r, excluded, n0_sq, nf_sq, bracket)))

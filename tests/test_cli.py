@@ -78,6 +78,53 @@ def count_calls(monkeypatch, calls, module, *names):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
 
 
+def one_at_a_time(rng, size, draw):
+    """The ``(coeffs, table)`` of the first ``size`` verify candidates that are
+    not redrawn, drawn and judged one at a time with the overlaps of ``draw``."""
+    trials = []
+    while len(trials) < size:
+        parts = rng.normal(size=4)
+        scale = math.sqrt(float(np.dot(parts, parts)))
+        if scale < 1e-6:
+            continue
+        coeffs = Coefficients(complex(parts[0], parts[1]) / scale,
+                              complex(parts[2], parts[3]) / scale)
+        alpha0 = float(rng.uniform(0.5, 1.0))
+        table = build_table(draw(rng), RecoilModel(alpha0))
+        if all(rates.initial_norm_sq(coeffs, table, stat) > 2e-3
+               for stat in cli.BOTH_STATISTICS):
+            trials.append((coeffs, table))
+    return trials
+
+
+def assert_block_holds(block, expected):
+    """A verify block equals bit for bit the one-at-a-time ``expected`` trials."""
+    coeffs, table, results = block
+    assert coeffs.a.tolist() == [c.a for c, _ in expected]
+    assert coeffs.b.tolist() == [c.b for c, _ in expected]
+    for x, y in PAIRS_WITH_RECOIL:
+        assert table.overlap(x, y).tolist() == [t.overlap(x, y) for _, t in expected]
+    for stat, res in results.items():
+        assert res.n0_sq.tolist() == [rates.initial_norm_sq(c, t, stat) for c, t in expected]
+
+
+class TinyFirstWeights:
+    """A generator whose first four weight parts have norm 2e-8, below verify's
+    1e-6 floor; every other draw comes from ``rng``."""
+
+    def __init__(self, rng):
+        self.rng, self.skipped = rng, False
+
+    def normal(self, size):
+        if size == 4 and not self.skipped:
+            self.skipped = True
+            return np.full(4, 1e-8)
+        return self.rng.normal(size=size)
+
+    def uniform(self, low, high):
+        return self.rng.uniform(low, high)
+
+
 class TestSweep:
     def test_choice_i_three_point_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -572,11 +619,22 @@ class TestVerify:
         calls = Counter()
         count_calls(monkeypatch, calls, rates, "initial_norm_sq", "final_norm_sq", "bracket_sum")
         count_calls(monkeypatch, calls, oracle, "formal_quantities")
-        count_calls(monkeypatch, calls, cli, "random_realizable_overlaps")  # one per candidate
-        assert exit_code(["verify", "--seed", "3", "--trials", "40", "--out", "-"]) == 0
-        assert cli._VERIFY_BLOCK == 32  # 40 trials are two blocks
+        count_calls(monkeypatch, calls, cli, "_draw_candidates")  # one per block: no redraw
+        trials = cli._VERIFY_BLOCK + 8  # two blocks
+        assert exit_code(["verify", "--seed", "3", "--trials", str(trials), "--out", "-"]) == 0
         assert calls == {"initial_norm_sq": 4, "final_norm_sq": 4, "bracket_sum": 4,
-                         "formal_quantities": 4, "random_realizable_overlaps": 40}
+                         "formal_quantities": 4, "_draw_candidates": 2}
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2026, 20250809])
+    def test_stacked_overlaps_equal_one_draw_at_a_time(self, seed):
+        # a block computes the overlaps of all its candidates at once
+        count = 50
+        stacked = cli._realizable_overlaps(np.random.default_rng(seed).normal(size=(count, 4, 4)))
+        rng = np.random.default_rng(seed)
+        one_at_a_time = [random_realizable_overlaps(rng) for _ in range(count)]
+        assert list(stacked) == list(ALL_PAIRS)
+        for pair, values in stacked.items():
+            assert values.tolist() == [overlaps[pair] for overlaps in one_at_a_time]
 
     def test_a_redrawn_candidate_leaves_the_block_of_a_one_at_a_time_draw(self, monkeypatch):
         # No seed is known to redraw, so the first candidate's overlaps become
@@ -588,39 +646,45 @@ class TestVerify:
                 return {pair: 1.0 for pair in overlaps} if len(draws) == 1 else overlaps
             return draw
 
-        def one_at_a_time(rng, size, draw):
-            trials = []
-            while len(trials) < size:
-                parts = rng.normal(size=4)
-                scale = math.sqrt(float(np.dot(parts, parts)))
-                if scale < 1e-6:
-                    continue
-                coeffs = Coefficients(complex(parts[0], parts[1]) / scale,
-                                      complex(parts[2], parts[3]) / scale)
-                alpha0 = float(rng.uniform(0.5, 1.0))
-                table = build_table(draw(rng), RecoilModel(alpha0))
-                if all(rates.initial_norm_sq(coeffs, table, stat) > 2e-3
-                       for stat in cli.BOTH_STATISTICS):
-                    trials.append((coeffs, table))
-            return trials
-
+        size = cli._VERIFY_BLOCK
         expected_draws = []
         rng = np.random.default_rng(11)
-        expected = one_at_a_time(rng, 32, first_all_ones(expected_draws))
+        expected = one_at_a_time(rng, size, first_all_ones(expected_draws))
         after = rng.normal(size=3).tolist()
 
-        draws = []
-        monkeypatch.setattr(cli, "random_realizable_overlaps", first_all_ones(draws))
+        counts = []
+        draw_candidates = cli._draw_candidates
+
+        def first_raw_all_ones(rng, count):
+            a, b, alpha0, raw = draw_candidates(rng, count)
+            if not counts:
+                raw[0] = 1.0  # four equal vectors: every overlap is exactly 1
+            counts.append(count)
+            return a, b, alpha0, raw
+
+        monkeypatch.setattr(cli, "_draw_candidates", first_raw_all_ones)
         rng = np.random.default_rng(11)
-        coeffs, table, results = cli._verification_block(rng, 32)
-        assert len(draws) == len(expected_draws) == 33  # the first candidate was redrawn
+        block = cli._verification_block(rng, size)
+        assert len(expected_draws) == size + 1  # the first candidate was redrawn
+        assert counts == [size, 1]
         assert rng.normal(size=3).tolist() == after
-        assert coeffs.a.tolist() == [c.a for c, _ in expected]
-        assert coeffs.b.tolist() == [c.b for c, _ in expected]
-        for x, y in PAIRS_WITH_RECOIL:
-            assert table.overlap(x, y).tolist() == [t.overlap(x, y) for _, t in expected]
-        for stat, res in results.items():
-            assert res.n0_sq.tolist() == [rates.initial_norm_sq(c, t, stat) for c, t in expected]
+        assert_block_holds(block, expected)
+
+    def test_a_candidate_with_tiny_weights_is_skipped(self):
+        # No seed is known to draw weight parts of norm below 1e-6, so a stub
+        # puts tiny parts in front of the stream: they take no other draw.
+        size = 9
+        expected_rng = TinyFirstWeights(np.random.default_rng(4))
+        expected = one_at_a_time(expected_rng, size, random_realizable_overlaps)
+        after = expected_rng.normal(size=3).tolist()
+
+        rng = TinyFirstWeights(np.random.default_rng(4))
+        block = cli._verification_block(rng, size)
+        assert rng.skipped and expected_rng.skipped
+        assert rng.normal(size=3).tolist() == after
+        assert_block_holds(block, expected)
+        unstubbed = cli._verification_block(np.random.default_rng(4), size)
+        assert_block_holds(unstubbed, expected)
 
     def test_report_bytes_are_pinned(self, tmp_path):
         # Every value is computed with fixed operations in a fixed order, so
@@ -655,11 +719,15 @@ class TestVerify:
             " reproduce with seed=5\n"
         )
 
-    # Reports of the per-trial oracle at 1, K-1, K, K+1 and 2K+1 trials for the
-    # block size K = 32.  The worst deviation lies at trial 31 for seed 98 (the
-    # last of the first block), at trial 32 for seed 129 and at trial 64 for
-    # seed 178 (the first of the second and of the third block).  Each entry:
-    # (seed, trials, matrix element, initial norm^2, final norm^2, worst
+    # Reports at the edges of blocks of K trials, pinned when K was 32 and
+    # unchanged at K = 128: a report does not depend on the block size.  At
+    # 1, 31, 32, 33, 64 and 65 trials the worst deviation lies at trial 31 for
+    # seed 98 (the last of a 32-block), at trial 32 for seed 129 and at trial
+    # 64 for seed 178 (the first of the second and of the third 32-block).  At
+    # 127, 128, 129, 256 and 257 trials it lies at trial 127 for seed 38 (the
+    # last of a 128-block), at trial 128 for seed 216 and at trial 256 for
+    # seed 420 (the first of the second and of the third 128-block).  Each
+    # entry: (seed, trials, matrix element, initial norm^2, final norm^2, worst
     # quantity and statistics, worst trial).
     BLOCK_EDGE_REPORTS = [
         (98, 1, "3.330669342422209e-16", "4.440892098500626e-16", "1.7763568394002505e-15",
@@ -676,13 +744,25 @@ class TestVerify:
          "2.6645352591003757e-15 in final norm^2 (boson)", 26),
         (178, 65, "1.4433164932005093e-15", "1.3322676295501878e-15", "4.440892098500626e-15",
          "4.440892098500626e-15 in final norm^2 (boson)", 64),
+        (38, 127, "1.5543124015092636e-15", "1.7763568394002505e-15", "4.440892098500626e-15",
+         "4.440892098500626e-15 in final norm^2 (fermion)", 99),
+        (38, 128, "1.5543124015092636e-15", "1.7763568394002505e-15", "5.329070518200751e-15",
+         "5.329070518200751e-15 in final norm^2 (boson)", 127),
+        (216, 128, "1.332267655187857e-15", "1.7763568394002505e-15", "4.440892098500626e-15",
+         "4.440892098500626e-15 in final norm^2 (boson)", 89),
+        (216, 129, "1.332267655187857e-15", "1.7763568394002505e-15", "5.329070518200751e-15",
+         "5.329070518200751e-15 in final norm^2 (boson)", 128),
+        (420, 256, "1.3323470506099845e-15", "1.3322676295501878e-15", "3.552713678800501e-15",
+         "3.552713678800501e-15 in final norm^2 (boson)", 114),
+        (420, 257, "1.3323470506099845e-15", "1.3322676295501878e-15", "5.329070518200751e-15",
+         "5.329070518200751e-15 in final norm^2 (boson)", 256),
     ]
 
     @pytest.mark.parametrize("seed, trials, matrix, initial, final, worst, index",
                              BLOCK_EDGE_REPORTS,
                              ids=[f"seed{r[0]}-trials{r[1]}" for r in BLOCK_EDGE_REPORTS])
     def test_reports_at_block_edges(self, seed, trials, matrix, initial, final, worst, index):
-        assert cli._VERIFY_BLOCK == 32  # the trial counts above are chosen for it
+        assert cli._VERIFY_BLOCK == 128  # the last six trial counts are chosen for it
         out = io.StringIO()
         assert cli.run_verify(seed, trials, 1e-17, out) == 2
         assert out.getvalue() == (

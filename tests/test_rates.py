@@ -391,6 +391,18 @@ class TestRelativeRateGrid:
                     assert isinstance(value, np.ndarray) and value.shape == shape, f
             assert res.excluded.dtype == bool
 
+    def test_a_grid_of_alpha0_alone_gives_every_field_its_shape(self):
+        # the initial norm does not read alpha0, yet it is an array of the grid
+        table = build_table({pair: 0.2 for pair in ALL_PAIRS},
+                            RecoilModel(np.linspace(0.5, 1.0, 3)))
+        res = relative_rate_grid(Coefficients(1.0, 0.0), table, FERMION)
+        for field in fields(RateResult):
+            value = getattr(res, field.name)
+            assert isinstance(value, np.ndarray) and value.shape == (3,), field.name
+            assert len(value.tolist()) == 3
+        assert res.n0_sq.tolist() == [res.n0_sq[0]] * 3
+        assert res.n0_sq.flags.owndata
+
     def test_complex_overlaps_agree_to_rounding(self):
         # numpy's vectorized complex multiply may round differently from
         # CPython's, so complex grid overlaps agree to a few ulp, not bit for

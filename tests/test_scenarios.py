@@ -379,6 +379,13 @@ class TestRandomRealizableOverlaps:
         again.normal(size=(4, 4))
         assert rng.normal() == again.normal()  # one normal(4, 4) draw and nothing more
 
+    def test_values_are_pinned(self):
+        overlaps = random_realizable_overlaps(np.random.default_rng(2026))
+        assert [repr(v) for v in overlaps.values()] == [
+            "0.21296921032902602", "-0.2058520638678731", "-0.704438204700276",
+            "-0.2201568751404073", "-0.47531141004504024", "-0.2671592164061772",
+        ]
+
     def test_tables_pass_gram_check(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
