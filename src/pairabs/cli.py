@@ -3,7 +3,9 @@ and self-verification against the formal-expansion cross-check.
 
 All numeric CSV fields use the shortest decimal representation that round-trips
 to the same double, so fixed inputs (and a fixed seed for ``verify``) produce
-byte-identical output.
+byte-identical output.  No field ever needs CSV quoting, so
+:func:`_write_csv` joins each row with ``,`` and hands the lines to one
+``writelines`` call per file: the bytes ``csv.writer`` would write.
 
 The grid subcommands (``sweep``, ``figures``, ``exclusion-scan``) build one
 grid table per ``c`` grid.  ``sweep`` and ``figures`` evaluate it once per
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import itertools
 import math
 import sys
@@ -78,7 +79,7 @@ def _fmt(value: float) -> str:
 
 def _column(values: np.ndarray) -> list[str]:
     """CSV text of each value of a grid array, as :func:`_fmt` writes it."""
-    return [repr(v) for v in values.tolist()]
+    return list(map(repr, values.tolist()))
 
 
 def _flags(mask: np.ndarray) -> list[str]:
@@ -149,9 +150,17 @@ def _open_out(path: str | None):
 
 
 def _write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    """Write ``header`` and ``rows`` as comma-separated lines ending in ``\\n``.
+
+    No field ever needs CSV quoting: every field is a float ``repr``, a
+    ``0``/``1`` flag or a fixed label (a header name, scenario or statistics
+    name), and none contains a comma, a quote or a line break, so the bytes
+    equal what ``csv.writer(out, lineterminator="\\n")`` writes.  The lines go
+    out one at a time through ``writelines``, never as one joined string: on an
+    unbuffered standard output a single large ``write`` can be cut short
+    without an error, while a line at a time still raises on a closed pipe.
+    """
+    out.writelines(",".join(row) + "\n" for row in itertools.chain([header], rows))
 
 
 def _check_range(name: str, lo: float, hi: float) -> None:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pairabs import cli, oracle, rates
@@ -21,6 +21,7 @@ from pairabs.algebra import CHI, PHI, PSI, VARPHI, Statistics
 from pairabs.cli import SCAN_HEADER, SWEEP_HEADER
 from pairabs.scenarios import (
     ALL_PAIRS,
+    CHOICES,
     Coefficients,
     ExclusionFamily,
     RecoilModel,
@@ -62,6 +63,15 @@ def read_csv(path):
 def parse_stdout_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def csv_module_text(header, rows):
+    """What ``csv.writer`` writes for ``header`` and ``rows``: the independent reference."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def count_calls(monkeypatch, calls, module, *names):
@@ -482,6 +492,79 @@ class TestBenchReference:
             assert (tmp_path / name).read_bytes() == reference, name
 
 
+class TestCsvText:
+    """``_write_csv`` writes the bytes the ``csv`` module writes, and no field needs quoting."""
+
+    # complex weights: nonzero imaginary parts in every sweep row
+    COMPLEX_WEIGHTS = ["--a-re", "0.3", "--a-im", "0.4", "--b-re", "-0.5", "--b-im", "0.2"]
+
+    def test_every_cli_output_is_what_the_csv_module_writes(self, monkeypatch, tmp_path):
+        written = []
+        original = cli._write_csv
+
+        def recording(out, header, rows):
+            rows = list(rows)
+            written.append((Path(out.name), header, rows))
+            original(out, header, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", recording)
+        runs = [
+            *(["figures", target, "--steps", "11"] for target in ("fig2", "fig3", "fig4")),
+            ["exclusion-scan", "--a-steps", "6", "--steps", "6"],
+            NEAR_NULL_SCAN,
+            *(["sweep", "--choice", name, "--steps", "11", *self.COMPLEX_WEIGHTS]
+              for name in (*CHOICES, "family")),
+            ["sweep", "--choice", "i", "--steps", "11"],
+            ["rate", "--family", "--c", "0.5", "--a-re", str(ROOT2_INV), "--b-re",
+             str(ROOT2_INV)],
+        ]
+        for number, argv in enumerate(runs):
+            out = tmp_path / (str(number) if argv[0] == "figures" else f"{number}.csv")
+            assert exit_code([*argv, "--out", str(out)]) == 0
+        assert len(written) == 6 + 2 + len(CHOICES) + 1 + 2  # figure files, scans, sweeps, rate
+        for path, header, rows in written:
+            assert path.read_bytes() == csv_module_text(header, rows).encode(), path.name
+        fields = {field for _, _, rows in written for row in rows for field in row}
+        assert {"nan", "0.4", "-0.5", "0", "1"} <= fields  # excluded and complex-weight rows
+        assert {"0.99999999999", "4.472136140021288e-06"} <= fields  # the near-null point
+        assert {tuple(header) for _, header, _ in written} == {
+            tuple(SWEEP_HEADER), tuple(SCAN_HEADER), tuple(cli.COINCIDENCE_HEADER)}
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @example(rows=[["nan", "inf", "-inf", "-0.0", "0.0", "5e-324", "2.225073858507201e-308",
+                    "1e-300", "1.7976931348623157e+308", "1e+16", "-1.5e-07", "0", "1"]])
+    @given(rows=st.lists(st.lists(st.one_of(st.floats().map(repr), st.sampled_from(["0", "1"])),
+                                  min_size=1, max_size=14), max_size=20))
+    def test_float_reprs_are_written_as_the_csv_module_writes_them(self, rows):
+        out = io.StringIO()
+        cli._write_csv(out, SWEEP_HEADER, rows)
+        assert out.getvalue().encode() == csv_module_text(SWEEP_HEADER, rows).encode()
+
+    def test_no_fixed_field_needs_quoting(self):
+        labels = [*SWEEP_HEADER, *SCAN_HEADER, *cli.COINCIDENCE_HEADER, *CHOICES, "family",
+                  *(stat.name.lower() for stat in Statistics)]
+        for label in labels:
+            assert label and not set(label) & set(',"\r\n'), label
+
+
+class TestStdoutBytes:
+    """``sweep`` and ``rate`` write the same bytes to standard output as to ``--out``."""
+
+    @pytest.mark.parametrize("statistics", ["boson", "fermion", "both"])
+    @pytest.mark.parametrize("choice", [*CHOICES, "family"])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--steps", "11", *TestCsvText.COMPLEX_WEIGHTS],
+        ["rate", "--c", "1"],
+    ])
+    def test_stdout_equals_the_out_file(self, command, choice, statistics, tmp_path, capsys):
+        argv = [*command, "--choice", choice, "--statistics", statistics]
+        out = tmp_path / "out.csv"
+        assert exit_code([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert exit_code(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 class TestGridEqualsPointLoop:
     @pytest.mark.parametrize("name", ["i", "ii", "iii", "iv", "family"])
     def test_sweep_rows(self, name):
@@ -864,6 +947,36 @@ class TestEntryPoint:
         assert proc.returncode == 1
         assert proc.stdout == b""
         assert proc.stderr and b"Traceback" not in proc.stderr
+
+    def test_stdout_bytes_equal_the_out_file(self, tmp_path):
+        argv = ["sweep", "--choice", "iii", "--steps", "11", *TestCsvText.COMPLEX_WEIGHTS]
+        proc = self.run_module(argv, tmp_path)
+        assert self.run_module([*argv, "--out", "out.csv"], tmp_path).returncode == 0
+        assert proc.returncode == 0
+        assert proc.stdout == (tmp_path / "out.csv").read_bytes()
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_a_closed_stdout_pipe_exits_1_without_a_traceback(self, unbuffered, tmp_path):
+        """A reader that stops after the first line: the unwritten rest is an error.
+
+        Unbuffered (``PYTHONUNBUFFERED=1``), standard output writes straight to
+        the pipe, where one large write can be cut short without an error.
+        """
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        # 40000 rows, about 6 MB: far more than a pipe holds
+        proc = subprocess.Popen([sys.executable, "-m", "pairabs", "sweep", "--steps", "20000"],
+                                cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert first == (",".join(SWEEP_HEADER) + "\n").encode()
+        assert proc.returncode == 1
+        assert err == b"pairabs: error: [Errno 32] Broken pipe\n"
 
     def test_grid_too_large_to_allocate_exits_1_without_a_traceback(self, tmp_path):
         proc = self.run_module(["exclusion-scan", "--steps", HUGE_STEPS], tmp_path)
