@@ -23,6 +23,12 @@ from them by scenario name.
 The scenario of ``rate`` and ``sweep`` is one setting, ``choice``: a preset
 or ``family``.  ``--family`` is shorthand for ``--choice family``, a config
 file spells it ``choice = family``, and an explicit flag beats the file.
+
+:func:`main` builds the parser of the subcommand its first argument names,
+and every subcommand's only for help, no arguments or an unknown name; the
+help and error text are the same either way.  No parser is kept between
+calls, because ``--config`` values become its subparser's defaults and would
+carry into the next in-process call.
 """
 
 from __future__ import annotations
@@ -525,57 +531,85 @@ def _add_case(p) -> None:
     p.add_argument("--b-im", type=float, default=0.0)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _add_rate(p) -> None:
+    _add_case(p)
+    p.add_argument("--c", type=float, default=0.0, help="sweep value (default 0)")
+    _add_common(p)
+    p.set_defaults(func=_cmd_sweep)
+
+
+def _add_sweep(p) -> None:
+    _add_case(p)
+    p.add_argument("--c-min", type=float, default=0.0)
+    p.add_argument("--c-max", type=float, default=1.0)
+    p.add_argument("--steps", type=_positive_int, default=101)
+    _add_common(p)
+    p.set_defaults(func=_cmd_sweep)
+
+
+def _add_figures(p) -> None:
+    p.add_argument("target", choices=tuple(_FIGURES))
+    p.add_argument("--steps", type=_positive_int, default=101)
+    p.add_argument("--alpha0", type=float, default=RecoilModel.alpha0)
+    p.add_argument("--out", default=".", metavar="DIR",
+                   help="output directory (default current directory)")
+    p.add_argument("--config", default=None, metavar="PATH")
+    p.set_defaults(func=_cmd_figures)
+
+
+def _add_exclusion_scan(p) -> None:
+    p.add_argument("--a-min", type=float, default=0.0)
+    p.add_argument("--a-max", type=float, default=1.0)
+    p.add_argument("--a-steps", type=_positive_int, default=51)
+    p.add_argument("--c-min", type=float, default=0.0)
+    p.add_argument("--c-max", type=float, default=1.0)
+    p.add_argument("--steps", type=_positive_int, default=51)
+    _add_common(p)
+    p.set_defaults(func=_cmd_exclusion_scan)
+
+
+def _add_verify(p) -> None:
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--trials", type=_positive_int, default=1000)
+    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--out", default=None, metavar="PATH")
+    p.add_argument("--config", default=None, metavar="PATH")
+    p.set_defaults(func=_cmd_verify)
+
+
+#: Each subcommand's help line and the function that adds its arguments, in
+#: the order of the usage line.
+_COMMANDS = {
+    "rate": ("evaluate a single sweep point", _add_rate),
+    "sweep": ("sweep the overlap parameter, emit CSV", _add_sweep),
+    "figures": ("emit the built-in figure datasets", _add_figures),
+    "exclusion-scan": ("grid scan of the exclusion family, two detection paths",
+                       _add_exclusion_scan),
+    "verify": ("randomized closed-form vs formal-expansion check", _add_verify),
+}
+
+
+def build_parser(
+    command: str | None = None,
+) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparsers by name.
+
+    With no ``command`` every subcommand is built.  Given a subcommand's
+    name, only that one is: the usage line still lists all five, so its
+    help and error text are the full parser's.  The full parser keeps
+    argparse's own metavar, which its ``invalid choice`` and ``required``
+    messages name.
+    """
     parser = _Parser(
         prog="pairabs",
         description="Relative single-photon absorption rates for symmetrized "
                     "two-atom superpositions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    rate = sub.add_parser("rate", help="evaluate a single sweep point")
-    _add_case(rate)
-    rate.add_argument("--c", type=float, default=0.0, help="sweep value (default 0)")
-    _add_common(rate)
-    rate.set_defaults(func=_cmd_sweep)
-
-    sweep = sub.add_parser("sweep", help="sweep the overlap parameter, emit CSV")
-    _add_case(sweep)
-    sweep.add_argument("--c-min", type=float, default=0.0)
-    sweep.add_argument("--c-max", type=float, default=1.0)
-    sweep.add_argument("--steps", type=_positive_int, default=101)
-    _add_common(sweep)
-    sweep.set_defaults(func=_cmd_sweep)
-
-    figures = sub.add_parser("figures", help="emit the built-in figure datasets")
-    figures.add_argument("target", choices=tuple(_FIGURES))
-    figures.add_argument("--steps", type=_positive_int, default=101)
-    figures.add_argument("--alpha0", type=float, default=RecoilModel.alpha0)
-    figures.add_argument("--out", default=".", metavar="DIR",
-                         help="output directory (default current directory)")
-    figures.add_argument("--config", default=None, metavar="PATH")
-    figures.set_defaults(func=_cmd_figures)
-
-    scan = sub.add_parser("exclusion-scan",
-                          help="grid scan of the exclusion family, two detection paths")
-    scan.add_argument("--a-min", type=float, default=0.0)
-    scan.add_argument("--a-max", type=float, default=1.0)
-    scan.add_argument("--a-steps", type=_positive_int, default=51)
-    scan.add_argument("--c-min", type=float, default=0.0)
-    scan.add_argument("--c-max", type=float, default=1.0)
-    scan.add_argument("--steps", type=_positive_int, default=51)
-    _add_common(scan)
-    scan.set_defaults(func=_cmd_exclusion_scan)
-
-    verify = sub.add_parser("verify",
-                            help="randomized closed-form vs formal-expansion check")
-    verify.add_argument("--seed", type=_nonnegative_int, default=0)
-    verify.add_argument("--trials", type=_positive_int, default=1000)
-    verify.add_argument("--tolerance", type=float, default=1e-10)
-    verify.add_argument("--out", default=None, metavar="PATH")
-    verify.add_argument("--config", default=None, metavar="PATH")
-    verify.set_defaults(func=_cmd_verify)
-
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser, sub.choices
 
 
@@ -613,7 +647,8 @@ def _apply_config_defaults(subparser: argparse.ArgumentParser,
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         try:

@@ -1,13 +1,16 @@
 """Tests for the command-line interface: CSV schemas, exit codes, determinism."""
 
+import contextlib
 import csv
 import gzip
 import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -919,6 +922,89 @@ class TestConfigFile:
         assert "unknown config key 'family'" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command, config, flags, changed, default", [
+        ("sweep", "steps = 5", ["--statistics", "boson"], 5, 101),
+        ("figures", "steps = 5", ["fig4"], 5, 101),
+        ("verify", "trials = 5", [], 5, 1000),
+    ])
+    def test_config_values_do_not_leak_into_the_next_call(self, command, config, flags,
+                                                          changed, default, tmp_path, capsys):
+        """Each call builds its own parser, so one call's config defaults end with it."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+
+        def size(with_config):
+            out = tmp_path / ("with" if with_config else "without")
+            argv = [command, *flags, "--out", str(out)]
+            assert exit_code([*argv, "--config", str(cfg)] if with_config else argv) == 0
+            if command == "verify":
+                return int(re.search(r"trials=(\d+)", out.read_text()).group(1))
+            _, rows = read_csv(out / "fig4.csv" if command == "figures" else out)
+            return len({row[6] for row in rows})  # distinct c values
+
+        assert size(with_config=True) == changed
+        assert size(with_config=False) == default
+
+
+class TestParserPerCommand:
+    """``main`` builds only the named subcommand's parser; its text is the full parser's."""
+
+    #: Each stops in the parser: help, a usage error or a missing command.
+    CORPUS = [
+        [], ["-h"], ["--help"], ["--"], ["--", "rate"], ["-x"], ["nope"], ["Rate"], ["rat"],
+        *([command, "-h"] for command in cli._COMMANDS),
+        ["rate", "-h", "extra"], ["rate", "extra"], ["rate", "--bogus"],
+        ["rate", "--choice", "v"], ["rate", "--choice", "i", "--family"],
+        ["sweep", "--steps", "0"], ["sweep", "--c-min"], ["sweep", "--c", "x"],
+        ["figures"], ["figures", "fig9"], ["figures", "fig2", "--steps"],
+        ["exclusion-scan", "1"], ["verify", "--seed", "-1"], ["verify", "--trials", "1.5"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, call):
+        """Exit code, stdout and stderr of ``call``, which must stop with ``SystemExit``."""
+        with pytest.raises(SystemExit) as stop:
+            call()
+        return (stop.value.code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+    def test_text_and_exit_code_equal_the_full_parser(self, argv, capsys):
+        full = self.outcome(capsys, lambda: cli.build_parser()[0].parse_args(argv))
+        assert self.outcome(capsys, lambda: cli.main(argv)) == full
+
+    @staticmethod
+    def built(monkeypatch, argv):
+        """The subcommands of each parser ``main(argv)`` builds."""
+        builds = []
+        build_parser = cli.build_parser
+
+        def recording(*args):
+            parser, commands = build_parser(*args)
+            builds.append(list(commands))
+            return parser, commands
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        exit_code(argv)
+        return builds
+
+    @pytest.mark.parametrize("argv", [
+        ["figures", "fig2", "--steps", "3"],
+        ["exclusion-scan", "--steps", "3", "--a-steps", "2"],
+        ["rate"], ["sweep", "--steps", "2"], ["verify", "--trials", "2"],
+    ], ids=" ".join)
+    def test_a_named_command_builds_only_its_own_parser(self, argv, monkeypatch, tmp_path,
+                                                        capsys):
+        monkeypatch.chdir(tmp_path)
+        assert self.built(monkeypatch, argv) == [[argv[0]]]
+
+    @pytest.mark.parametrize("argv", [["-h"], [], ["nope"]], ids=" ".join)
+    def test_help_no_command_and_an_unknown_name_build_every_command(self, argv,
+                                                                     monkeypatch, capsys):
+        assert self.built(monkeypatch, argv) == [list(cli._COMMANDS)]
+        # the order of the usage line and of the top-level help
+        assert list(cli._COMMANDS) == ["rate", "sweep", "figures", "exclusion-scan", "verify"]
+
+
 class TestEntryPoint:
     """``python -m pairabs`` runs ``cli.main`` and exits with its code."""
 
@@ -985,6 +1071,63 @@ class TestEntryPoint:
         assert proc.stderr.startswith(b"pairabs: error: ") and b"Traceback" not in proc.stderr
 
 
+#: Float flag values: a ``repr`` from [0, 1], where most flags are valid, or
+#: from any double (nan, infinities, signed zeros, subnormals, extremes), or a
+#: string ``float`` may not read.
+FLOAT_TEXT = st.one_of(
+    st.floats(0.0, 1.0).map(repr),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "-0.0", "5e-324", "1e308", "-1e308", "0.5", "1",
+                     "", "abc", "1,5", "0x1p-3", "1e", " 0.25"]),
+)
+
+
+def int_text(cap):
+    """Integer flag values up to ``cap``, or strings ``int`` may not read."""
+    return st.one_of(st.integers(-2, cap).map(str),
+                     st.sampled_from(["nan", "inf", "1.5", "1e3", "", "abc", "-0", " 7"]))
+
+
+_CASE_FLAGS = {
+    "--choice": st.sampled_from([*CHOICES, "family", "v", ""]),
+    "--family": st.none(),
+    "--statistics": st.sampled_from(["boson", "fermion", "both", "Boson"]),
+    "--a-re": FLOAT_TEXT, "--a-im": FLOAT_TEXT, "--b-re": FLOAT_TEXT, "--b-im": FLOAT_TEXT,
+}
+#: Flags of each subcommand and their values; grid sizes are capped so that
+#: no example allocates more than a few thousand points.
+COMMAND_FLAGS = {
+    "rate": {**_CASE_FLAGS, "--c": FLOAT_TEXT, "--alpha0": FLOAT_TEXT},
+    "sweep": {**_CASE_FLAGS, "--c-min": FLOAT_TEXT, "--c-max": FLOAT_TEXT,
+              "--steps": int_text(3000), "--alpha0": FLOAT_TEXT},
+    "figures": {"--steps": int_text(300), "--alpha0": FLOAT_TEXT},
+    "exclusion-scan": {"--a-min": FLOAT_TEXT, "--a-max": FLOAT_TEXT, "--a-steps": int_text(40),
+                       "--c-min": FLOAT_TEXT, "--c-max": FLOAT_TEXT, "--steps": int_text(100),
+                       "--alpha0": FLOAT_TEXT},
+    "verify": {"--seed": st.one_of(st.integers(-2, 2**70).map(str), FLOAT_TEXT),
+               "--trials": int_text(200), "--tolerance": FLOAT_TEXT},
+}
+
+
+@st.composite
+def cli_jobs(draw):
+    """``(command, argv, config)``: up to three flags as ``--flag=value`` and up to two
+    config keys as ``key = value`` lines (few enough that many jobs run to the end)."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    flags = COMMAND_FLAGS[command]
+    argv = [command]
+    if command == "figures":
+        argv.append(draw(st.sampled_from(["fig2", "fig3", "fig4", "fig9"])))
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
+        value = draw(flags[flag])
+        argv.append(flag if value is None else f"{flag}={value}")
+    config = None
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(sorted(set(flags) - {"--family"})),
+                             max_size=2, unique=True))
+        config = "".join(f"{key[2:]} = {draw(flags[key])}\n" for key in keys)
+    return command, argv, config
+
 class TestInvalidInput:
     def test_unknown_choice(self):
         assert exit_code(["sweep", "--choice", "v"]) == 1
@@ -1021,3 +1164,31 @@ class TestInvalidInput:
         err = capsys.readouterr().err
         assert err.startswith("pairabs: error: ") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []  # figures makes no output directory
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(cli_jobs())
+    def test_any_input_exits_0_1_or_2_with_a_message(self, job):
+        """Whatever the flags and config: a clean exit, an error line or well-formed CSV."""
+        command, argv, config = job
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if config is not None:
+                (Path(tmp) / "run.cfg").write_text(config, encoding="utf-8")
+                argv = [*argv, "--config", str(Path(tmp) / "run.cfg")]
+            if command == "figures":
+                argv = [*argv, "--out", str(Path(tmp) / "figs")]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = exit_code(argv)
+            tables = ([out.getvalue()] if command != "figures" else
+                      [path.read_text(encoding="utf-8")
+                       for path in sorted((Path(tmp) / "figs").glob("*.csv"))])
+        err = err.getvalue()
+        assert code in (0, 1, 2), (argv, config, err)
+        assert "Traceback" not in err
+        if code == 1:
+            assert re.fullmatch(r"pairabs[^:]*: (config )?error: .+", err.splitlines()[-1]), err
+        if code == 0 and command != "verify":
+            assert tables
+            for text in tables:
+                header, *rows = text.splitlines()
+                assert all(row.count(",") == header.count(",") for row in rows), argv
