@@ -14,11 +14,11 @@ grid with array weights, and ``verify`` each block of 128 trials as one
 trial-axis grid; every output is byte-identical to evaluating each point on
 its own.  ``verify`` draws a block's random numbers candidate by candidate,
 in the order of a one-at-a-time draw, and computes the overlaps of all its
-candidates at once, so neither the block size nor the batching shows in its
-report.  ``rate`` is ``sweep`` on the one-point grid
-``[--c]``.  A sweep keeps its results as a list in (weights, statistics)
-order, and ``figures`` reads its log lines and the a=1 coincidence curve
-from them by scenario name.
+candidates with one :func:`pairabs.scenarios.realizable_overlaps` call, so
+neither the block size nor the batching shows in its report.  ``rate`` is
+``sweep`` on the one-point grid ``[--c]``.  A sweep keeps its results as a
+list in (weights, statistics) order, and ``figures`` reads its log lines and
+the a=1 coincidence curve from them by scenario name.
 
 The scenario of ``rate`` and ``sweep`` is one setting, ``choice``: a preset
 or ``family``.  ``--family`` is shorthand for ``--choice family``, a config
@@ -46,7 +46,6 @@ import numpy as np
 from . import oracle, rates
 from .algebra import OverlapTable, Statistics
 from .scenarios import (
-    ALL_PAIRS,
     CHOICES,
     Coefficients,
     ExclusionFamily,
@@ -55,6 +54,7 @@ from .scenarios import (
     build_family_table,
     build_table,
     family_exclusion_coefficient,
+    realizable_overlaps,
 )
 
 __all__ = [
@@ -268,6 +268,8 @@ def run_figures(
     """Emit the CSV datasets for one figure target; returns the written paths."""
     if target not in _FIGURES:
         raise ValueError(f"unknown figure target {target!r}")
+    if steps < 1:
+        raise ValueError("steps must be a positive integer")
     log = sys.stdout if log is None else log
     model = RecoilModel(alpha0)
     grid = np.linspace(0.0, 1.0, steps)
@@ -370,7 +372,7 @@ def _draw_candidates(rng: np.random.Generator, count: int) -> list[np.ndarray]:
 
     Each candidate draws, in this order, four normal weight parts (drawn
     again while their norm is below 1e-6), an ``alpha0`` in [0.5, 1) and
-    four raw normal vectors for its overlaps (:func:`_realizable_overlaps`).
+    four raw normal vectors for its overlaps (:func:`realizable_overlaps`).
     The weights ``a`` and ``b`` are the parts over their norm.
     """
     drawn = []
@@ -381,20 +383,6 @@ def _draw_candidates(rng: np.random.Generator, count: int) -> list[np.ndarray]:
             drawn.append((complex(parts[0], parts[1]) / scale, complex(parts[2], parts[3]) / scale,
                           rng.uniform(0.5, 1.0), rng.normal(size=(4, 4))))
     return [np.array(column) for column in zip(*drawn)]
-
-
-def _realizable_overlaps(raw: np.ndarray) -> dict:
-    """The bare overlaps, keyed as ``ALL_PAIRS``, of each stack of four raw vectors.
-
-    ``raw`` has shape ``(n, 4, 4)``; each overlap is an ``(n,)`` array.
-    Each stack runs the operations of
-    :func:`pairabs.scenarios.random_realizable_overlaps` on its own, so its
-    overlaps equal that function's on the same draw bit for bit.
-    """
-    vecs = raw / np.linalg.norm(raw, axis=2, keepdims=True)
-    gram = np.clip(vecs @ vecs.transpose(0, 2, 1), -1.0, 1.0)
-    return {pair: gram[:, i, j]
-            for pair, (i, j) in zip(ALL_PAIRS, itertools.combinations(range(4), 2))}
 
 
 def _verification_block(
@@ -411,7 +399,7 @@ def _verification_block(
     a, b, alpha0, raw = _draw_candidates(rng, size)
     while True:
         coeffs = Coefficients(a, b)
-        table = build_table(_realizable_overlaps(raw), RecoilModel(alpha0))
+        table = build_table(realizable_overlaps(raw), RecoilModel(alpha0))
         results = {stat: rates.relative_rate_grid(coeffs, table, stat)
                    for stat in BOTH_STATISTICS}
         keep = np.logical_and.reduce([res.n0_sq > 2e-3 for res in results.values()])

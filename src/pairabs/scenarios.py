@@ -15,10 +15,14 @@ chi} and then completed with the recoil entries:
 * two recoils: ``<x*|y*> = alpha(x, y)^2 <x|y>`` with the per-pair
   coefficient from :func:`_alpha_pair`, while ``<x*|x*> = 1`` (recoiled
   states stay normalized).
+
+:func:`realizable_overlaps` reads the six bare overlaps off the Gram matrices of
+stacks of real vectors; :func:`random_realizable_overlaps` is its one-draw case.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -39,20 +43,14 @@ __all__ = [
     "build_table",
     "family_exclusion_coefficient",
     "random_realizable_overlaps",
+    "realizable_overlaps",
 ]
 
 #: The three independent overlaps each preset fixes or sweeps.
 _BASE_PAIRS = ((PSI, PHI), (PSI, VARPHI), (VARPHI, CHI))
 
-#: All six bare pairs, canonical orientation.
-ALL_PAIRS = (
-    (PSI, PHI),
-    (PSI, VARPHI),
-    (PSI, CHI),
-    (PHI, VARPHI),
-    (PHI, CHI),
-    (VARPHI, CHI),
-)
+#: All six bare pairs, canonical orientation: each label before the later ones.
+ALL_PAIRS = tuple(itertools.combinations(_LABELS, 2))
 
 
 def _require(values, ok, message: str) -> None:
@@ -291,13 +289,26 @@ def family_exclusion_coefficient(coeffs: Coefficients, fam: ExclusionFamily) -> 
     return coeffs.a * fam.d + coeffs.b * (fam.e * fam.h - fam.f * fam.g)
 
 
-def random_realizable_overlaps(rng: np.random.Generator) -> dict[tuple[CmLabel, CmLabel], float]:
-    """The six bare overlaps, keyed as :data:`ALL_PAIRS`, of four random real unit vectors.
+def realizable_overlaps(vectors: np.ndarray) -> dict[tuple[CmLabel, CmLabel], np.ndarray]:
+    """The six bare overlaps, keyed as :data:`ALL_PAIRS`, of each stack of four real vectors.
 
-    The Gram matrix of the vectors, so every table built from them is
-    realizable: safe input for randomized equivalence sweeps.
+    ``vectors`` has shape ``(..., 4, 4)``, row ``k`` of a stack being the vector of
+    ``_LABELS[k]``.  The rows are normalized and the overlaps read off each stack's Gram
+    matrix, so tables built from them are realizable.  Each overlap is an array of shape
+    ``vectors.shape[:-2]``, every element equal bit for bit to its stack's on its own.
     """
-    vecs = rng.normal(size=(4, 4))
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    gram = np.clip(vecs @ vecs.T, -1.0, 1.0).tolist()
-    return {(_LABELS[i], _LABELS[j]): gram[i][j] for i in range(4) for j in range(i + 1, 4)}
+    if np.iscomplexobj(vectors) or np.shape(vectors)[-2:] != (4, 4):
+        raise ValueError(f"vectors must be real, of shape (..., 4, 4), got {np.shape(vectors)}")
+    vectors = np.asarray(vectors, dtype=float)
+    with np.errstate(over="ignore"):  # an overflowed norm is rejected below
+        norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
+    _require(norms, (math.sqrt(sys.float_info.min) <= norms) & (norms < math.inf),
+             "vector norm {} is not finite or below 1.5e-154, where its square loses digits")
+    vecs = vectors / norms
+    gram = np.clip(vecs @ np.swapaxes(vecs, -1, -2), -1.0, 1.0)
+    return {(x, y): gram[..., _LABELS.index(x), _LABELS.index(y)] for x, y in ALL_PAIRS}
+
+
+def random_realizable_overlaps(rng: np.random.Generator) -> dict[tuple[CmLabel, CmLabel], float]:
+    """:func:`realizable_overlaps` of one ``rng.normal(size=(4, 4))`` draw, as Python floats."""
+    return {pair: float(v) for pair, v in realizable_overlaps(rng.normal(size=(4, 4))).items()}

@@ -33,6 +33,7 @@ from pairabs.scenarios import (
     build_table,
     family_exclusion_coefficient,
     random_realizable_overlaps,
+    realizable_overlaps,
 )
 
 ROOT2_INV = 1.0 / math.sqrt(2.0)
@@ -356,6 +357,15 @@ class TestFigures:
         with pytest.raises(ValueError, match="unknown figure target 'fig5'"):
             cli.run_figures("fig5", tmp_path / "new")
         assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("target", ["fig2", "fig3", "fig4"])
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_below_one_are_rejected_before_any_write(self, tmp_path, target, steps):
+        log = io.StringIO()
+        with pytest.raises(ValueError, match="steps must be a positive integer"):
+            cli.run_figures(target, tmp_path / "new", steps=steps, log=log)
+        assert not (tmp_path / "new").exists()
+        assert list(tmp_path.iterdir()) == [] and log.getvalue() == ""
 
     def test_unwritable_output_location_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -715,7 +725,7 @@ class TestVerify:
     def test_stacked_overlaps_equal_one_draw_at_a_time(self, seed):
         # a block computes the overlaps of all its candidates at once
         count = 50
-        stacked = cli._realizable_overlaps(np.random.default_rng(seed).normal(size=(count, 4, 4)))
+        stacked = realizable_overlaps(np.random.default_rng(seed).normal(size=(count, 4, 4)))
         rng = np.random.default_rng(seed)
         one_at_a_time = [random_realizable_overlaps(rng) for _ in range(count)]
         assert list(stacked) == list(ALL_PAIRS)

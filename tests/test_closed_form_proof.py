@@ -5,7 +5,8 @@ symbol, the mirror of each overlap its conjugate and the diagonal 1; so the
 identities below hold for any weights and any Hermitian table, whatever
 recoil model or chain rule produced it.  The formal side is the oracle's
 plan: the term weights ``alpha a + beta b`` and the pairs of each inner
-product with their two CM overlaps.
+product with their two CM overlaps.  The last identity, bracket = alpha0 n0^2,
+needs the recoil model's one-recoil entries and holds on its tables only.
 """
 
 import itertools
@@ -112,3 +113,29 @@ def test_closed_forms_equal_the_formal_expansion(statistics):
     }
     for name, (formal, value) in closed.items():
         assert sympy.expand(formal - value.expr) == 0, name
+
+
+class RecoilSymTable(SymTable):
+    """Free bare and two-recoil entries; every one-recoil entry ``<x*|y> = alpha0 <x|y>``."""
+
+    def __init__(self, alpha0):
+        super().__init__()
+        for x, y in itertools.product(LABELS[:4], repeat=2):
+            self.entries[(x.star(), y)] = alpha0 * self.overlap(x, y).expr
+            self.entries[(y, x.star())] = alpha0 * self.overlap(y, x).expr
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
+def test_bracket_is_alpha0_times_the_initial_norm_under_the_recoil_model(statistics):
+    # the recoil model of build_table fixes only the one-recoil entries, so on
+    # its tables the fourteen-term bracket collapses to alpha0 n0^2
+    alpha0 = sympy.Symbol("alpha0", positive=True)
+    weights = SymWeights()
+
+    def gap(table):
+        bracket = rates.bracket_sum(weights, table, statistics)
+        n0_sq = rates.initial_norm_sq(weights, table, statistics)
+        return sympy.expand(bracket.expr - alpha0 * n0_sq.expr)
+
+    assert gap(RecoilSymTable(alpha0)) == 0
+    assert gap(SymTable()) != 0  # a free table breaks it: the identity is the model's

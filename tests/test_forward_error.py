@@ -1,17 +1,19 @@
 """Forward error of the relative rate against a 50-digit evaluation.
 
 The closed forms accept any table whose ``overlap`` returns numbers with the
-complex-number interface, so the same formulas run in mpmath on the same
-double table: the difference is the rounding error of the double route, not
-of the inputs.
+complex-number interface, and any weights with ``a`` and ``b``, so the same
+formulas run in mpmath on the same double table and weights: the difference
+is the rounding error of the double route, not of the inputs.
 """
+
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 
 from pairabs import cli, rates
 from pairabs.algebra import _STARRED, PHI, PSI, Statistics
-from pairabs.scenarios import Coefficients, RecoilModel
+from pairabs.scenarios import RecoilModel
 
 
 class MpPoint:
@@ -26,6 +28,7 @@ class MpPoint:
 
 def mp_relative_rate(coeffs, table, statistics):
     """``|2 bracket|^2 / (n0^2 nf^2) / |m_pro|^2`` evaluated in the working precision."""
+    assert isinstance(coeffs.a, mpmath.mpc) and isinstance(coeffs.b, mpmath.mpc)
     n0_sq = rates.initial_norm_sq(coeffs, table, statistics)
     nf_sq = rates.final_norm_sq(coeffs, table, statistics)
     bracket = rates.bracket_sum(coeffs, table, statistics)
@@ -41,7 +44,9 @@ def test_fig4_rate_is_accurate_to_5e_12():
     with mpmath.workdps(50):
         for coeffs in cli.FIG4_CASES:
             res = rates.relative_rate_grid(coeffs, table, Statistics.FERMION)
-            mp_coeffs = Coefficients(mpmath.mpc(complex(coeffs.a)), mpmath.mpc(complex(coeffs.b)))
+            # not Coefficients, which would round the weights back to double
+            mp_coeffs = SimpleNamespace(a=mpmath.mpc(complex(coeffs.a)),
+                                        b=mpmath.mpc(complex(coeffs.b)))
             for i in np.flatnonzero(~res.excluded).tolist():
                 truth = mp_relative_rate(mp_coeffs, MpPoint(table, grid.shape, i),
                                          Statistics.FERMION)

@@ -42,8 +42,8 @@ def test_package_exports_are_pinned():
         "build_initial", "build_table", "closed_form_deviations", "combine",
         "exclusion_mask", "family_exclusion_coefficient", "final_norm_sq",
         "formal_quantities", "initial_norm_sq", "inner_product", "matching_term_pairs",
-        "random_realizable_overlaps", "relative_rate_grid", "require_not_null",
-        "symmetrize",
+        "random_realizable_overlaps", "realizable_overlaps", "relative_rate_grid",
+        "require_not_null", "symmetrize",
     ]
 
 

@@ -5,6 +5,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pairabs.rates import EXCLUSION_EPS, _null_floors
 
@@ -21,6 +24,7 @@ from pairabs.scenarios import (
     build_table,
     family_exclusion_coefficient,
     random_realizable_overlaps,
+    realizable_overlaps,
 )
 
 ROOT2_INV = 1.0 / math.sqrt(2.0)
@@ -397,3 +401,60 @@ class TestRandomRealizableOverlaps:
         table = build_table(random_realizable_overlaps(rng))
         for x, y in ALL_PAIRS:
             assert abs(table.overlap(x, y)) <= 1.0
+
+
+class TestRealizableOverlaps:
+    def test_all_pairs_keep_their_canonical_order(self):
+        assert ALL_PAIRS == ((PSI, PHI), (PSI, VARPHI), (PSI, CHI),
+                             (PHI, VARPHI), (PHI, CHI), (VARPHI, CHI))
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+    def test_each_stack_equals_its_one_draw_value(self, shape):
+        vectors = np.random.default_rng(9).normal(size=(*shape, 4, 4))
+        stacked = realizable_overlaps(vectors)
+        assert list(stacked) == list(ALL_PAIRS)
+        assert all(values.shape == shape for values in stacked.values())
+        rng = np.random.default_rng(9)
+        for index in np.ndindex(shape):  # the stacks in the order of the draw
+            one_draw = random_realizable_overlaps(rng)
+            one_stack = realizable_overlaps(vectors[index])
+            for pair, values in stacked.items():
+                assert values[index].tolist() == one_stack[pair].tolist() == one_draw[pair]
+
+    @pytest.mark.parametrize("shape", [(3, 3, 4), (3, 5, 4), (3, 4, 3), (4,)])
+    def test_rejects_a_stack_not_of_four_by_four(self, shape):
+        with pytest.raises(ValueError, match=r"shape \(\.\.\., 4, 4\), got \(" + str(shape[0])):
+            realizable_overlaps(np.ones(shape))
+
+    def test_rejects_complex_vectors(self):
+        # their imaginary parts would be dropped, not used
+        with pytest.raises(ValueError, match="must be real"):
+            realizable_overlaps(np.eye(4) * 1j)
+
+    def test_takes_nested_lists(self):
+        assert realizable_overlaps(np.eye(4).tolist()) == realizable_overlaps(np.eye(4))
+
+    @pytest.mark.parametrize("entry", [0.0, 1e-160, math.nan, math.inf, -math.inf, 1e300])
+    def test_rejects_a_vector_of_zero_tiny_or_non_finite_norm(self, entry):
+        # a norm whose square is subnormal has lost digits, and the Gram
+        # matrix of the normalized vectors would no longer be realizable
+        vectors = np.random.default_rng(1).normal(size=(3, 4, 4))
+        vectors[1, 2] = [entry, 0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="vector norm"):
+            realizable_overlaps(vectors)
+
+    def test_accepts_the_smallest_norm_with_a_normal_square(self):
+        vectors = np.eye(4) * math.sqrt(sys.float_info.min)
+        assert all(v == 0.0 for v in realizable_overlaps(vectors).values())
+
+    @given(arrays(float, st.tuples(st.integers(1, 3), st.just(4), st.just(4)),
+                  elements=st.floats(-1e6, 1e6)))
+    def test_tables_from_any_stack_pass_gram_check(self, vectors):
+        try:
+            stacked = realizable_overlaps(vectors)
+        except ValueError:  # only a vector too short to normalize is refused
+            assert np.any(np.linalg.norm(vectors, axis=-1) < 1.5e-154)
+            return
+        for index in range(len(vectors)):
+            table = build_table({pair: values[index] for pair, values in stacked.items()})
+            assert min_gram_eigenvalue(table) >= -1e-12
