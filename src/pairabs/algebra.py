@@ -145,7 +145,7 @@ class OverlapTable:
             store[(x, y)] = value
         # A given entry wins over the conjugate of its mirror (they may differ
         # in the sign of a zero).
-        mirrors = {(y, x): _conjugate(value) for (x, y), value in store.items()}
+        mirrors = {(y, x): _grid_value(value.conjugate()) for (x, y), value in store.items()}
         self._entries = mirrors | store
 
     def overlap(self, x: CmLabel, y: CmLabel) -> complex | np.ndarray:
@@ -165,14 +165,6 @@ def _grid_value(value, kind: type = complex) -> complex | float | np.ndarray:
         value.flags.writeable = False
         return value
     return kind(value)
-
-
-def _conjugate(value: complex | np.ndarray) -> complex | np.ndarray:
-    """The mirror entry of a value; a grid mirror is read-only like the entry itself."""
-    mirror = value.conjugate()
-    if isinstance(mirror, np.ndarray):
-        mirror.flags.writeable = False
-    return mirror
 
 
 class Term(NamedTuple):

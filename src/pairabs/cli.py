@@ -24,6 +24,7 @@ The scenario of ``rate`` and ``sweep`` is one setting, ``choice``: a preset
 or ``family``.  ``--family`` is shorthand for ``--choice family``, a config
 file spells it ``choice = family``, and an explicit flag beats the file.
 
+``_COMMANDS`` holds each subcommand's help line, arguments and runner.
 :func:`main` builds the parser of the subcommand its first argument names,
 and every subcommand's only for help, no arguments or an unknown name; the
 help and error text are the same either way.  No parser is kept between
@@ -142,12 +143,9 @@ def _scenario_table(name: str, grid: np.ndarray, model: RecoilModel) -> OverlapT
     return build_choice_table(name, grid, model)
 
 
-def _coefficients(args) -> Coefficients:
-    return Coefficients(complex(args.a_re, args.a_im), complex(args.b_re, args.b_im))
-
-
 @contextlib.contextmanager
-def _open_out(path: str | None):
+def _open_out(path: str | Path | None):
+    """Standard output for no path or ``-``, else the file ``path`` as UTF-8 text."""
     if path is None or path == "-":
         yield sys.stdout
     else:
@@ -190,7 +188,8 @@ def _cmd_sweep(args) -> int:
     name = args.choice or "i"  # the one place the default scenario is set
     stats = (BOTH_STATISTICS if args.statistics == "both"
              else (Statistics[args.statistics.upper()],))
-    results = sweep_results(_scenario_table(name, grid, model), [_coefficients(args)], stats)
+    coeffs = Coefficients(complex(args.a_re, args.a_im), complex(args.b_re, args.b_im))
+    results = sweep_results(_scenario_table(name, grid, model), [coeffs], stats)
     rows = sweep_rows(name, results, grid, args.alpha0)
     with _open_out(args.out) as out:
         _write_csv(out, SWEEP_HEADER, rows)
@@ -279,7 +278,7 @@ def run_figures(
 
     def emit(name: str, header, rows) -> None:
         path = out_dir / name
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        with _open_out(path) as handle:
             _write_csv(handle, header, rows)
         written.append(path)
 
@@ -327,9 +326,10 @@ def exclusion_scan_rows(
     the family.  Each is one evaluation over the whole grid: weights
     ``a[:, None]`` against the family's grid table over ``c``.
     """
-    for a in a_grid:
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"a values must lie in [0, 1], got {a}")
+    for name, values in (("a", a_grid), ("c", c_grid)):
+        for value in values:
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} values must lie in [0, 1], got {value}")
     c_grid = np.asarray(c_grid, dtype=float)
     fam = ExclusionFamily.equal_weight(c_grid)
     coeffs = _normalized(np.asarray(a_grid, dtype=float)[:, None])  # (a, c) grid
@@ -523,7 +523,6 @@ def _add_rate(p) -> None:
     _add_case(p)
     p.add_argument("--c", type=float, default=0.0, help="sweep value (default 0)")
     _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
 
 
 def _add_sweep(p) -> None:
@@ -532,7 +531,6 @@ def _add_sweep(p) -> None:
     p.add_argument("--c-max", type=float, default=1.0)
     p.add_argument("--steps", type=_positive_int, default=101)
     _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
 
 
 def _add_figures(p) -> None:
@@ -542,7 +540,6 @@ def _add_figures(p) -> None:
     p.add_argument("--out", default=".", metavar="DIR",
                    help="output directory (default current directory)")
     p.add_argument("--config", default=None, metavar="PATH")
-    p.set_defaults(func=_cmd_figures)
 
 
 def _add_exclusion_scan(p) -> None:
@@ -553,7 +550,6 @@ def _add_exclusion_scan(p) -> None:
     p.add_argument("--c-max", type=float, default=1.0)
     p.add_argument("--steps", type=_positive_int, default=51)
     _add_common(p)
-    p.set_defaults(func=_cmd_exclusion_scan)
 
 
 def _add_verify(p) -> None:
@@ -562,18 +558,17 @@ def _add_verify(p) -> None:
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--out", default=None, metavar="PATH")
     p.add_argument("--config", default=None, metavar="PATH")
-    p.set_defaults(func=_cmd_verify)
 
 
-#: Each subcommand's help line and the function that adds its arguments, in
-#: the order of the usage line.
+#: Each subcommand's help line, the function that adds its arguments and the
+#: function that runs it, in the order of the usage line.
 _COMMANDS = {
-    "rate": ("evaluate a single sweep point", _add_rate),
-    "sweep": ("sweep the overlap parameter, emit CSV", _add_sweep),
-    "figures": ("emit the built-in figure datasets", _add_figures),
+    "rate": ("evaluate a single sweep point", _add_rate, _cmd_sweep),
+    "sweep": ("sweep the overlap parameter, emit CSV", _add_sweep, _cmd_sweep),
+    "figures": ("emit the built-in figure datasets", _add_figures, _cmd_figures),
     "exclusion-scan": ("grid scan of the exclusion family, two detection paths",
-                       _add_exclusion_scan),
-    "verify": ("randomized closed-form vs formal-expansion check", _add_verify),
+                       _add_exclusion_scan, _cmd_exclusion_scan),
+    "verify": ("randomized closed-form vs formal-expansion check", _add_verify, _cmd_verify),
 }
 
 
@@ -596,7 +591,7 @@ def build_parser(
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in _COMMANDS if command is None else (command,):
-        help_text, add_arguments = _COMMANDS[name]
+        help_text, add_arguments, _ = _COMMANDS[name]
         add_arguments(sub.add_parser(name, help=help_text))
     return parser, sub.choices
 
@@ -623,7 +618,7 @@ def _apply_config_defaults(subparser: argparse.ArgumentParser,
     converted: dict[str, object] = {}
     for key, raw in values.items():
         action = actions.get(key)
-        if action is None or key in ("config", "help", "func"):
+        if action is None or key in ("config", "help"):
             raise ValueError(f"unknown config key {key!r} for this command")
         value: object = action.type(raw) if action.type is not None else raw
         if action.choices is not None and value not in action.choices:
@@ -647,7 +642,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 1
         args = parser.parse_args(argv)  # explicit flags still win
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][2](args)
     except (ValueError, OSError, MemoryError) as exc:  # ExcludedStateError is a ValueError
         print(f"pairabs: error: {exc}", file=sys.stderr)
         return 1

@@ -440,6 +440,14 @@ class TestExclusionScan:
         assert code == 2
         assert "disagree" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis", ["a", "c"])
+    @pytest.mark.parametrize("value", [-0.5, 1.5, math.nan])
+    def test_rows_refuse_an_axis_value_outside_the_unit_interval(self, axis, value):
+        # the CLI checks its ranges first; the function checks each value itself
+        grids = {"a": [0.5], "c": [0.5], axis: [value]}
+        with pytest.raises(ValueError, match=rf"^{axis} values must lie in \[0, 1\], got {value}$"):
+            cli.exclusion_scan_rows(grids["a"], grids["c"])
+
 
 def reference_sweep_rows(name, table_for, cases, stats, grid, alpha0):
     """The per-point loop: one single-point table and one rate call per c."""
@@ -894,6 +902,17 @@ class TestConfigFile:
         cfg.write_text("bogus = 1\n")
         assert exit_code(["sweep", "--config", str(cfg)]) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["func", "help", "config"])
+    @pytest.mark.parametrize("argv", [["rate"], ["sweep"], ["figures", "fig4"],
+                                      ["exclusion-scan"], ["verify"]], ids=lambda argv: argv[0])
+    def test_reserved_names_are_not_config_keys(self, argv, key, tmp_path, capsys):
+        cfg = tmp_path / "reserved.cfg"
+        cfg.write_text(f"{key} = x\n")
+        assert exit_code([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"pairabs: config error: unknown config key '{key}' for this command\n")
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import mpmath
 import numpy as np
+import pytest
 
 from pairabs import cli, rates
 from pairabs.algebra import _STARRED, PHI, PSI, Statistics
@@ -55,3 +56,42 @@ def test_fig4_rate_is_accurate_to_5e_12():
     assert len(errors) == 200
     # 4.4e-12 at a = 0.67, c = 0.99, where n0^2 = 2.1e-4; a NaN fails too
     assert all(error < 5e-12 for error in errors), max(errors)
+
+
+#: Per figure file: the ceiling on the relative error of `r`, just above the
+#: largest error measured (each comment), and the number of non-excluded points.
+FIGURE_FILE_CEILINGS = {
+    "fig2_i.csv": (1e-14, 605),  # 9.8e-15
+    "fig2_ii.csv": (6e-15, 606),  # 5.2e-15
+    "fig3_iii.csv": (6e-14, 603),  # 5.2e-14
+    "fig3_iv.csv": (6e-15, 606),  # 5.4e-15
+    "fig4.csv": (5e-12, 200),  # 4.4e-12
+}
+
+
+#: ``file -> (scenario, cases, statistics)`` over every figure target.
+FIGURE_FILES = {name: sweep for files in cli._FIGURES.values() for name, sweep in files.items()}
+
+
+def test_every_figure_file_has_a_ceiling():
+    assert list(FIGURE_FILES) == list(FIGURE_FILE_CEILINGS)
+
+
+@pytest.mark.parametrize("name", FIGURE_FILE_CEILINGS)
+def test_figure_file_rate_is_within_its_ceiling(name):
+    scenario, cases, stats = FIGURE_FILES[name]
+    ceiling, points = FIGURE_FILE_CEILINGS[name]
+    grid = np.linspace(0.0, 1.0, 101)  # the c values of `figures`
+    table = cli._scenario_table(scenario, grid, RecoilModel())
+    errors = []
+    with mpmath.workdps(50):
+        for coeffs in cases:
+            mp_coeffs = SimpleNamespace(a=mpmath.mpc(complex(coeffs.a)),
+                                        b=mpmath.mpc(complex(coeffs.b)))
+            for stat in stats:
+                res = rates.relative_rate_grid(coeffs, table, stat)
+                for i in np.flatnonzero(~res.excluded).tolist():
+                    truth = mp_relative_rate(mp_coeffs, MpPoint(table, grid.shape, i), stat)
+                    errors.append(float(abs(res.r[i] - truth) / truth))
+    assert len(errors) == points
+    assert all(error < ceiling for error in errors), max(errors)  # a NaN fails too

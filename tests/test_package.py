@@ -71,6 +71,57 @@ def test_the_private_name_check_sees_both_forms():
     assert private_names_read_from_other_modules(source) == ["oracle._plan", "rates._cmul"]
 
 
+def names_read(statement: ast.stmt) -> set[str]:
+    """Every name ``statement`` reads, as a name, an attribute or an import."""
+    found = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each module-level private function, class or constant that
+    no other top-level statement of ``sources`` (module name -> source) reads.
+
+    A helper that only calls itself, or a constant that is only assigned, counts
+    as unreferenced.
+    """
+    definitions, reads = [], []
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                defined = [statement.name]
+            else:
+                targets = (statement.targets if isinstance(statement, ast.Assign) else
+                           [statement.target] if isinstance(statement, ast.AnnAssign) else [])
+                defined = [target.id for target in targets if isinstance(target, ast.Name)]
+            definitions += [(module, name, len(reads)) for name in defined
+                            if name.startswith("_") and not name.startswith("__")]
+            reads.append(names_read(statement))
+    return [f"{module}.{name}" for module, name, index in definitions
+            if not any(name in read for other, read in enumerate(reads) if other != index)]
+
+
+def test_every_private_helper_is_referenced():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(Path(pairabs.__file__).parent.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_the_unreferenced_name_check_sees_an_orphan():
+    sources = {
+        "a": "_USED = 1\n_ORPHAN: int = 2\ndef _recursive(n):\n    return _recursive(n - 1)\n"
+             "class _Kept:\n    pass\n",
+        "b": "from .a import _Kept\nfrom . import a\nprint(a._USED)\n",
+    }
+    assert unreferenced_private_names(sources) == ["a._ORPHAN", "a._recursive"]
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
