@@ -373,7 +373,9 @@ def _draw_candidates(rng: np.random.Generator, count: int) -> list[np.ndarray]:
     Each candidate draws, in this order, four normal weight parts (drawn
     again while their norm is below 1e-6), an ``alpha0`` in [0.5, 1) and
     four raw normal vectors for its overlaps (:func:`realizable_overlaps`).
-    The weights ``a`` and ``b`` are the parts over their norm.
+    The weights ``a`` and ``b`` are the parts over their norm.  ``alpha0`` is
+    ``rng.uniform(0.5, 1.0)`` bit for bit, which numpy computes as ``0.5 +
+    0.5 * rng.random()`` (``0.5 * d`` is exact), without its call overhead.
     """
     drawn = []
     while len(drawn) < count:
@@ -381,7 +383,7 @@ def _draw_candidates(rng: np.random.Generator, count: int) -> list[np.ndarray]:
         scale = math.sqrt(float(np.dot(parts, parts)))
         if scale >= 1e-6:
             drawn.append((complex(parts[0], parts[1]) / scale, complex(parts[2], parts[3]) / scale,
-                          rng.uniform(0.5, 1.0), rng.normal(size=(4, 4))))
+                          0.5 + 0.5 * rng.random(), rng.normal(size=(4, 4))))
     return [np.array(column) for column in zip(*drawn)]
 
 
@@ -413,10 +415,11 @@ def _verification_block(
 #: Trials evaluated together as one trial-axis grid.  A larger block pays the
 #: fixed cost of a table and four evaluations less often, but holds its grid
 #: table until it is done (about 15 kB a trial).  Median of ``run_verify(1,
-#: 1000)`` and peak RSS of its process, per block size (2-vCPU Xeon, numpy
-#: 2.4.6): 32: 0.094 s, 36.2 MB; 64: 0.059 s, 36.2 MB; 128: 0.048 s, 36.7 MB;
-#: 256: 0.041 s, 37.5 MB; 1000: 0.037 s, 43.5 MB.  128 keeps peak RSS within
-#: 0.5 MB (1.5 %) of a 32-trial block; 256 adds 0.8 MB more for 0.007 s.
+#: 1000)`` over five fresh processes and their peak RSS, per block size
+#: (2-vCPU Xeon, numpy 2.4.6): 32: 0.045 s, 36.6 MB; 64: 0.027 s, 36.6 MB;
+#: 128: 0.022 s, 36.8 MB; 256: 0.019 s, 37.5 MB; 1000: 0.018 s, 42.5 MB.  128
+#: keeps peak RSS within 0.3 MB (1 %) of a 32-trial block; 256 adds 0.7 MB
+#: more for 0.003 s.
 _VERIFY_BLOCK = 128
 
 _VERIFY_QUANTITIES = ("matrix element", "initial norm^2", "final norm^2")

@@ -19,11 +19,20 @@ Which term pairs survive, in which order, and which overlaps they need
 depend only on the statistics.  One plan per statistics is read, on first
 use, off :func:`build_initial`, :func:`build_final`, :func:`apply_absorption`
 and :func:`pairabs.algebra.matching_term_pairs` at weights with both parts
-nonzero.  An evaluation looks up the plan's overlaps in the table once and
-evaluates the pairs as numpy arrays over the grid points, with CPython's
-complex rounding (``rates._cmul``) and each sum in bra-major pair order.  So
-every value equals :func:`pairabs.algebra.inner_product` of the built states
-bit for bit.  The builders drop the terms of a zero weight; the plan keeps them,
+nonzero.  Every term weight is ``±a`` or ``±b``, so the pair weights
+``conj(w_bra) w_ket`` of the 80 pairs take only 16 distinct values for
+fermions and 4 for bosons: the plan names one pair for each, and an
+evaluation computes each distinct value once and gathers it to its pairs.
+It looks up the plan's overlaps in the table once, as one stacked array of
+real and imaginary parts, and evaluates each inner product on its own span
+of pairs as numpy arrays over the grid points: the pair weights times their
+two overlaps, in place, with CPython's complex rounding (``rates._cmul``;
+the norms skip the imaginary part they never use), then a sequential
+``np.cumsum`` in bra-major pair order.  The sum stays a ``cumsum`` because
+numpy's ``add.reduce`` adds pairwise when the summed axis is the contiguous
+one, as on a single point, which changes the last bits.  So every value
+equals :func:`pairabs.algebra.inner_product` of the built states bit for
+bit.  The builders drop the terms of a zero weight; the plan keeps them,
 but their products are exact signed zeros, which leave a nonzero partial sum
 unchanged, and the closing ``+ 0.0`` of each sum turns an all-zero sum into
 the ``+0.0`` that a sum started at ``0.0`` gives.
@@ -117,6 +126,8 @@ class _Plan(NamedTuple):
     term pairs of the three inner products are stacked on one pair axis, in
     bra-major order per product; ``spans`` delimits the products and
     ``first``/``second`` index each pair's two CM overlaps in ``labels``.
+    ``weight_bra``/``weight_ket`` are the bra and ket term of one pair per
+    distinct pair weight, and ``weight_of`` gives each pair's.
     """
 
     alpha: tuple[np.ndarray, np.ndarray]
@@ -127,6 +138,9 @@ class _Plan(NamedTuple):
     first: np.ndarray
     second: np.ndarray
     spans: tuple[tuple[int, int], ...]
+    weight_bra: np.ndarray
+    weight_ket: np.ndarray
+    weight_of: np.ndarray
 
 
 def _frozen(values: list, dtype=float) -> np.ndarray:
@@ -150,7 +164,9 @@ def _plan(statistics: Statistics) -> _Plan:
     ``alpha`` and ``beta`` exactly.  Neither probe weight is zero, so every
     term any weights can build is in the plan; a zero weight only turns its
     terms' products into signed zeros.  The pairs are those of
-    :func:`matching_term_pairs`.
+    :func:`matching_term_pairs`.  Two terms whose ``alpha`` and ``beta`` have
+    the same bits have the same weight bits at any ``(a, b)``, and so do two
+    pairs whose bra and ket terms do: those share one distinct pair weight.
     """
     builds = []
     for sign in (1.0, -1.0):
@@ -171,16 +187,45 @@ def _plan(statistics: Statistics) -> _Plan:
             first.append(labels.setdefault((tb.cm1, tk.cm1), len(labels)))
             second.append(labels.setdefault((tb.cm2, tk.cm2), len(labels)))
         spans.append((start, len(bra)))
+    alpha = _columns([0.5 * (p + m) for p, m in zip(plus, minus)])
+    beta = _columns([0.5 * (p - m) for p, m in zip(plus, minus)])
+    kinds = [tuple(row) for row in np.hstack([*alpha, *beta]).view(np.int64).tolist()]
+    classes: dict = {}
+    weight_of = [classes.setdefault((kinds[i], kinds[j]), (len(classes), i, j))[0]
+                 for i, j in zip(bra, ket)]
     return _Plan(
-        alpha=_columns([0.5 * (p + m) for p, m in zip(plus, minus)]),
-        beta=_columns([0.5 * (p - m) for p, m in zip(plus, minus)]),
+        alpha=alpha,
+        beta=beta,
         bra=_frozen(bra, np.intp),
         ket=_frozen(ket, np.intp),
         labels=tuple(labels),
         first=_frozen(first, np.intp),
         second=_frozen(second, np.intp),
         spans=tuple(spans),
+        weight_bra=_frozen([i for _, i, _ in classes.values()], np.intp),
+        weight_ket=_frozen([j for _, _, j in classes.values()], np.intp),
+        weight_of=_frozen(weight_of, np.intp),
     )
+
+
+def _times(pr: np.ndarray, pi: np.ndarray, overlap: np.ndarray, imaginary: bool) -> None:
+    """``(pr, pi)`` times ``overlap`` (its real and imaginary rows), in place.
+
+    Each part is rounded as :func:`pairabs.rates._cmul` rounds it; ``pi`` is
+    only scratch afterwards unless ``imaginary``.  ``overlap`` is scratch too.
+    """
+    o_r, o_i = overlap
+    if imaginary:
+        scratch = pi * o_i
+        np.multiply(pi, o_r, out=pi)
+        np.multiply(pr, o_i, out=o_i)
+        np.multiply(pr, o_r, out=pr)
+        np.subtract(pr, scratch, out=pr)
+        np.add(o_i, pi, out=pi)
+    else:
+        np.multiply(pr, o_r, out=pr)
+        np.multiply(pi, o_i, out=pi)
+        np.subtract(pr, pi, out=pr)
 
 
 def formal_quantities(
@@ -199,26 +244,34 @@ def formal_quantities(
     (:func:`pairabs.rates.require_not_null`).
     """
     plan = _plan(statistics)
-    values = np.broadcast_arrays(coeffs.a, coeffs.b,
-                                 *(table.overlap(x, y) for x, y in plan.labels))
-    shape = values[0].shape
-    flat = np.reshape(values, (len(values), -1))  # one flat grid axis
-    a, b, ov = flat[0], flat[1], flat[2:]
+    values = [coeffs.a, coeffs.b, *(table.overlap(x, y) for x, y in plan.labels)]
+    shape = np.broadcast(*values).shape
+    grid = np.empty((len(values),) + shape, dtype=complex)
+    for row, value in enumerate(values):  # each broadcast to the grid, then flattened
+        grid[row] = value
+    stacked = np.stack((grid.real, grid.imag)).reshape(2, len(values), -1)
+    (ar, ai), (br, bi), ov = stacked[:, 0], stacked[:, 1], stacked[:, 2:]
     with np.errstate(invalid="ignore"):  # a non-finite weight is reported below
-        ar, ai = rates._cmul(a.real, a.imag, *plan.alpha)
-        br, bi = rates._cmul(b.real, b.imag, *plan.beta)
+        ar, ai = rates._cmul(ar, ai, *plan.alpha)
+        br, bi = rates._cmul(br, bi, *plan.beta)
     wr, wi = ar + br, ai + bi  # (terms, points); the zero part adds nothing
     finite = np.isfinite(wr) & np.isfinite(wi)
     if not finite.all():
         k, t = np.argwhere(~finite.T)[0]
         raise ValueError(f"non-finite term weight {complex(wr[t, k], wi[t, k])!r}")
-    pr, pi = rates._cmul(wr[plan.bra], -wi[plan.bra], wr[plan.ket], wi[plan.ket])
-    for index in (plan.first, plan.second):
-        pr, pi = rates._cmul(pr, pi, ov.real[index], ov.imag[index])
-    # Sequential sums over each product's pairs, in the pairs' order; adding
-    # 0.0 gives the +0.0 that a sum started at 0.0 gives where every term is 0.
-    n0_sq, _, nf_sq, _, m_re, m_im = [(np.cumsum(parts[lo:hi], axis=0)[-1] + 0.0).reshape(shape)
-                                       for lo, hi in plan.spans for parts in (pr, pi)]
+    weights = np.stack(rates._cmul(wr[plan.weight_bra], -wi[plan.weight_bra],
+                                   wr[plan.weight_ket], wi[plan.weight_ket]))
+    sums = []
+    for lo, hi in plan.spans:
+        bracket = (lo, hi) == plan.spans[-1]  # the norms need no imaginary part
+        pr, pi = weights.take(plan.weight_of[lo:hi], axis=1)
+        _times(pr, pi, ov.take(plan.first[lo:hi], axis=1), imaginary=True)
+        _times(pr, pi, ov.take(plan.second[lo:hi], axis=1), imaginary=bracket)
+        # Sequential sums over the product's pairs, in the pairs' order; adding
+        # 0.0 gives the +0.0 that a sum started at 0.0 gives where every term is 0.
+        sums += [(np.cumsum(parts, axis=0, out=parts)[-1] + 0.0).reshape(shape)
+                 for parts in ((pr, pi) if bracket else (pr,))]
+    n0_sq, nf_sq, m_re, m_im = sums
     rates.require_not_null(coeffs, n0_sq, nf_sq)
     return rates._python_on_point((n0_sq, nf_sq, rates._complex(m_re, m_im)))
 

@@ -138,6 +138,9 @@ class TinyFirstWeights:
     def uniform(self, low, high):
         return self.rng.uniform(low, high)
 
+    def random(self):
+        return self.rng.random()
+
 
 class TestSweep:
     def test_choice_i_three_point_sweep(self, tmp_path):
@@ -728,6 +731,20 @@ class TestVerify:
         assert exit_code(["verify", "--seed", "3", "--trials", str(trials), "--out", "-"]) == 0
         assert calls == {"initial_norm_sq": 4, "final_norm_sq": 4, "bracket_sum": 4,
                          "formal_quantities": 4, "_draw_candidates": 2}
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2026, 20250809])
+    def test_alpha0_draw_equals_numpy_uniform_bit_for_bit(self, seed):
+        # numpy's uniform(low, high) is low + (high - low) * random(), and 0.5 * d
+        # is exact; verify draws alpha0 as 0.5 + 0.5 * random() between normals
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn, expected = [], []
+        for count in range(20_000):
+            ours.normal(size=1 + count % 4)
+            numpys.normal(size=1 + count % 4)
+            drawn.append(0.5 + 0.5 * ours.random())
+            expected.append(numpys.uniform(0.5, 1.0))
+        assert np.array(drawn).view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+        assert ours.bit_generator.state == numpys.bit_generator.state
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2026, 20250809])
     def test_stacked_overlaps_equal_one_draw_at_a_time(self, seed):

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from pairabs import rates
+from pairabs import oracle, rates
 from pairabs.algebra import (
     CHI,
     E,
@@ -97,6 +99,72 @@ def shaped(coeffs, shape):
         "b": Coefficients(0.0, coeffs.b),
         "ab": coeffs,
     }[shape]
+
+
+def reference_formal_quantities(coeffs, table, statistics):
+    """The oracle as it evaluated all pair weights of every product on one pair axis:
+    the reference that :func:`formal_quantities` is held to bit for bit."""
+    plan = oracle._plan(statistics)
+    values = np.broadcast_arrays(coeffs.a, coeffs.b,
+                                 *(table.overlap(x, y) for x, y in plan.labels))
+    shape = values[0].shape
+    flat = np.reshape(values, (len(values), -1))  # one flat grid axis
+    a, b, ov = flat[0], flat[1], flat[2:]
+    with np.errstate(invalid="ignore"):  # a non-finite weight is reported below
+        ar, ai = rates._cmul(a.real, a.imag, *plan.alpha)
+        br, bi = rates._cmul(b.real, b.imag, *plan.beta)
+    wr, wi = ar + br, ai + bi  # (terms, points); the zero part adds nothing
+    finite = np.isfinite(wr) & np.isfinite(wi)
+    if not finite.all():
+        k, t = np.argwhere(~finite.T)[0]
+        raise ValueError(f"non-finite term weight {complex(wr[t, k], wi[t, k])!r}")
+    pr, pi = rates._cmul(wr[plan.bra], -wi[plan.bra], wr[plan.ket], wi[plan.ket])
+    for index in (plan.first, plan.second):
+        pr, pi = rates._cmul(pr, pi, ov.real[index], ov.imag[index])
+    n0_sq, _, nf_sq, _, m_re, m_im = [(np.cumsum(parts[lo:hi], axis=0)[-1] + 0.0).reshape(shape)
+                                       for lo, hi in plan.spans for parts in (pr, pi)]
+    rates.require_not_null(coeffs, n0_sq, nf_sq)
+    return rates._python_on_point((n0_sq, nf_sq, rates._complex(m_re, m_im)))
+
+
+def outcome(function, coeffs, table, statistics):
+    """What ``function`` returns, as each value's type, shape and bits (so signed
+    zeros count), or the type and message of what it raises."""
+    try:
+        values = function(coeffs, table, statistics)
+    except (ValueError, ExcludedStateError) as error:
+        return type(error), str(error)
+    return [(type(v), np.shape(v), np.reshape(v, -1).view(np.int64).tolist())
+            for v in values]
+
+
+#: Weight and overlap parts: signed zeros and values of either sign.
+PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0).filter(lambda x: abs(x) > 1e-3))
+OVERLAP_PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-0.7, 0.7))
+#: (weights shape, table entry shape): a point, a trial axis, and (3, 1) weights
+#: against (5,) entries.
+LAYOUTS = st.sampled_from([((), ()), ((1,), (1,)), ((4,), (4,)), ((3, 1), (5,))])
+
+
+@st.composite
+def grid_inputs(draw):
+    """Weights and a table on one of :data:`LAYOUTS`; each table entry and ``alpha0``
+    is a scalar or an array of the table's shape."""
+    weights_shape, table_shape = draw(LAYOUTS)
+
+    def values(parts, shape):
+        if shape and draw(st.booleans()):
+            return np.array([complex(draw(parts), draw(parts)) for _ in range(math.prod(shape))]
+                            ).reshape(shape)
+        return complex(draw(parts), draw(parts))
+
+    a, b = (values(PARTS, weights_shape) for _ in range(2))
+    assume(not np.any((np.asarray(a) == 0) & (np.asarray(b) == 0)))
+    overlaps = {pair: values(OVERLAP_PARTS, table_shape) for pair in ALL_PAIRS}
+    alpha0 = (np.array([draw(st.floats(0.5, 1.0)) for _ in range(math.prod(table_shape))])
+              .reshape(table_shape) if table_shape and draw(st.booleans())
+              else draw(st.floats(0.5, 1.0)))
+    return Coefficients(a, b), build_table(overlaps, RecoilModel(alpha0))
 
 
 class TestBuildInitial:
@@ -329,6 +397,36 @@ class TestOracleMatrixElement:
                 assert initial[i] == abs(closed.n0_sq[i] - formal[0][i])
                 assert final[i] == abs(closed.nf_sq[i] - formal[1][i])
             assert max(matrix.max(), initial.max(), final.max()) < 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(inputs=grid_inputs(), statistics=st.sampled_from([BOSON, FERMION]))
+    def test_equals_the_reference_bit_for_bit(self, inputs, statistics):
+        coeffs, table = inputs
+        assert (outcome(formal_quantities, coeffs, table, statistics)
+                == outcome(reference_formal_quantities, coeffs, table, statistics))
+
+    @pytest.mark.parametrize("statistics", [BOSON, FERMION])
+    def test_non_finite_weight_is_named_as_the_reference_names_it(self, statistics):
+        # the first non-finite term weight in (point, term) order
+        coeffs = Coefficients(np.array([0.8, 0.6j, 0.3, -0.5]), np.full(4, 0.6))
+        a = coeffs.a.copy()
+        a[2], a[3] = complex("inf"), complex("nan")
+        object.__setattr__(coeffs, "a", a)  # past the Coefficients check
+        table = choice_table("ii", np.linspace(0.1, 0.9, 4))
+        with pytest.raises(ValueError, match=r"^non-finite term weight \(inf\+nanj\)$"):
+            formal_quantities(coeffs, table, statistics)
+        assert (outcome(formal_quantities, coeffs, table, statistics)
+                == outcome(reference_formal_quantities, coeffs, table, statistics))
+
+    @pytest.mark.parametrize("statistics, count", [(BOSON, 4), (FERMION, 16)])
+    def test_plan_computes_each_distinct_pair_weight_once(self, statistics, count):
+        plan = oracle._plan(statistics)
+        bits = np.hstack([*plan.alpha, *plan.beta]).view(np.int64)  # one row per term
+        kinds = [(tuple(bits[i]), tuple(bits[j])) for i, j in zip(plan.bra, plan.ket)]
+        stands_for = [(tuple(bits[i]), tuple(bits[j]))
+                      for i, j in zip(plan.weight_bra, plan.weight_ket)]
+        assert len(set(stands_for)) == len(stands_for) == count
+        assert [stands_for[w] for w in plan.weight_of] == kinds
 
     def test_non_finite_weight_is_rejected(self):
         coeffs = Coefficients(1.0, 0.0)
