@@ -416,10 +416,10 @@ def _verification_block(
 #: fixed cost of a table and four evaluations less often, but holds its grid
 #: table until it is done (about 15 kB a trial).  Median of ``run_verify(1,
 #: 1000)`` over five fresh processes and their peak RSS, per block size
-#: (2-vCPU Xeon, numpy 2.4.6): 32: 0.045 s, 36.6 MB; 64: 0.027 s, 36.6 MB;
-#: 128: 0.022 s, 36.8 MB; 256: 0.019 s, 37.5 MB; 1000: 0.018 s, 42.5 MB.  128
-#: keeps peak RSS within 0.3 MB (1 %) of a 32-trial block; 256 adds 0.7 MB
-#: more for 0.003 s.
+#: (2-vCPU Xeon, numpy 2.4.6, raw seconds on a loaded host): 32: 0.087 s,
+#: 36.6 MB; 64: 0.054 s, 36.6 MB; 128: 0.033 s, 36.8 MB; 256: 0.030 s, 37.7
+#: MB; 1000: 0.030 s, 43.0 MB.  128 keeps peak RSS within 0.3 MB (1 %) of a
+#: 32-trial block; 256 adds 0.8 MB more for 0.003 s.
 _VERIFY_BLOCK = 128
 
 _VERIFY_QUANTITIES = ("matrix element", "initial norm^2", "final norm^2")

@@ -26,9 +26,9 @@ evaluation computes each distinct value once and gathers it to its pairs.
 It looks up the plan's overlaps in the table once, as one stacked array of
 real and imaginary parts, and evaluates each inner product on its own span
 of pairs as numpy arrays over the grid points: the pair weights times their
-two overlaps, in place, with CPython's complex rounding (``rates._cmul``;
-the norms skip the imaginary part they never use), then a sequential
-``np.cumsum`` in bra-major pair order.  The sum stays a ``cumsum`` because
+two overlaps, in place, with CPython's complex rounding
+(``rates._cmul``), then a sequential ``np.cumsum`` in bra-major pair
+order; the norms keep only the real sum.  The sum stays a ``cumsum`` because
 numpy's ``add.reduce`` adds pairwise when the summed axis is the contiguous
 one, as on a single point, which changes the last bits.  So every value
 equals :func:`pairabs.algebra.inner_product` of the built states bit for
@@ -126,8 +126,8 @@ class _Plan(NamedTuple):
     term pairs of the three inner products are stacked on one pair axis, in
     bra-major order per product; ``spans`` delimits the products and
     ``first``/``second`` index each pair's two CM overlaps in ``labels``.
-    ``weight_bra``/``weight_ket`` are the bra and ket term of one pair per
-    distinct pair weight, and ``weight_of`` gives each pair's.
+    ``weight_pair`` names one pair per distinct pair weight, and
+    ``weight_of`` gives each pair's.
     """
 
     alpha: tuple[np.ndarray, np.ndarray]
@@ -138,8 +138,7 @@ class _Plan(NamedTuple):
     first: np.ndarray
     second: np.ndarray
     spans: tuple[tuple[int, int], ...]
-    weight_bra: np.ndarray
-    weight_ket: np.ndarray
+    weight_pair: np.ndarray
     weight_of: np.ndarray
 
 
@@ -191,8 +190,8 @@ def _plan(statistics: Statistics) -> _Plan:
     beta = _columns([0.5 * (p - m) for p, m in zip(plus, minus)])
     kinds = [tuple(row) for row in np.hstack([*alpha, *beta]).view(np.int64).tolist()]
     classes: dict = {}
-    weight_of = [classes.setdefault((kinds[i], kinds[j]), (len(classes), i, j))[0]
-                 for i, j in zip(bra, ket)]
+    weight_of = [classes.setdefault((kinds[i], kinds[j]), (len(classes), p))[0]
+                 for p, (i, j) in enumerate(zip(bra, ket))]
     return _Plan(
         alpha=alpha,
         beta=beta,
@@ -202,30 +201,24 @@ def _plan(statistics: Statistics) -> _Plan:
         first=_frozen(first, np.intp),
         second=_frozen(second, np.intp),
         spans=tuple(spans),
-        weight_bra=_frozen([i for _, i, _ in classes.values()], np.intp),
-        weight_ket=_frozen([j for _, _, j in classes.values()], np.intp),
+        weight_pair=_frozen([p for _, p in classes.values()], np.intp),
         weight_of=_frozen(weight_of, np.intp),
     )
 
 
-def _times(pr: np.ndarray, pi: np.ndarray, overlap: np.ndarray, imaginary: bool) -> None:
+def _times(pr: np.ndarray, pi: np.ndarray, overlap: np.ndarray) -> None:
     """``(pr, pi)`` times ``overlap`` (its real and imaginary rows), in place.
 
-    Each part is rounded as :func:`pairabs.rates._cmul` rounds it; ``pi`` is
-    only scratch afterwards unless ``imaginary``.  ``overlap`` is scratch too.
+    Each part is rounded as :func:`pairabs.rates._cmul` rounds it;
+    ``overlap`` is scratch afterwards.
     """
     o_r, o_i = overlap
-    if imaginary:
-        scratch = pi * o_i
-        np.multiply(pi, o_r, out=pi)
-        np.multiply(pr, o_i, out=o_i)
-        np.multiply(pr, o_r, out=pr)
-        np.subtract(pr, scratch, out=pr)
-        np.add(o_i, pi, out=pi)
-    else:
-        np.multiply(pr, o_r, out=pr)
-        np.multiply(pi, o_i, out=pi)
-        np.subtract(pr, pi, out=pr)
+    scratch = pi * o_i
+    np.multiply(pi, o_r, out=pi)
+    np.multiply(pr, o_i, out=o_i)
+    np.multiply(pr, o_r, out=pr)
+    np.subtract(pr, scratch, out=pr)
+    np.add(o_i, pi, out=pi)
 
 
 def formal_quantities(
@@ -245,7 +238,8 @@ def formal_quantities(
     """
     plan = _plan(statistics)
     values = [coeffs.a, coeffs.b, *(table.overlap(x, y) for x, y in plan.labels)]
-    shape = np.broadcast(*values).shape
+    # each grid shape once: numpy < 2 broadcasts at most 32 arrays in one call
+    shape = np.broadcast_shapes(*{v.shape for v in values if isinstance(v, np.ndarray)})
     grid = np.empty((len(values),) + shape, dtype=complex)
     for row, value in enumerate(values):  # each broadcast to the grid, then flattened
         grid[row] = value
@@ -259,19 +253,19 @@ def formal_quantities(
     if not finite.all():
         k, t = np.argwhere(~finite.T)[0]
         raise ValueError(f"non-finite term weight {complex(wr[t, k], wi[t, k])!r}")
-    weights = np.stack(rates._cmul(wr[plan.weight_bra], -wi[plan.weight_bra],
-                                   wr[plan.weight_ket], wi[plan.weight_ket]))
-    sums = []
+    bra, ket = plan.bra[plan.weight_pair], plan.ket[plan.weight_pair]
+    weights = np.stack(rates._cmul(wr[bra], -wi[bra], wr[ket], wi[ket]))
+    products = []
     for lo, hi in plan.spans:
-        bracket = (lo, hi) == plan.spans[-1]  # the norms need no imaginary part
         pr, pi = weights.take(plan.weight_of[lo:hi], axis=1)
-        _times(pr, pi, ov.take(plan.first[lo:hi], axis=1), imaginary=True)
-        _times(pr, pi, ov.take(plan.second[lo:hi], axis=1), imaginary=bracket)
-        # Sequential sums over the product's pairs, in the pairs' order; adding
-        # 0.0 gives the +0.0 that a sum started at 0.0 gives where every term is 0.
-        sums += [(np.cumsum(parts, axis=0, out=parts)[-1] + 0.0).reshape(shape)
-                 for parts in ((pr, pi) if bracket else (pr,))]
-    n0_sq, nf_sq, m_re, m_im = sums
+        _times(pr, pi, ov.take(plan.first[lo:hi], axis=1))
+        _times(pr, pi, ov.take(plan.second[lo:hi], axis=1))
+        products.append((pr, pi))
+    (n0_re, _), (nf_re, _), (m_re, m_im) = products  # the norms are real
+    # Sequential sums over each product's pairs, in the pairs' order; adding 0.0
+    # gives the +0.0 that a sum started at 0.0 gives where every term is 0.
+    n0_sq, nf_sq, m_re, m_im = [(np.cumsum(parts, axis=0, out=parts)[-1] + 0.0).reshape(shape)
+                                for parts in (n0_re, nf_re, m_re, m_im)]
     rates.require_not_null(coeffs, n0_sq, nf_sq)
     return rates._python_on_point((n0_sq, nf_sq, rates._complex(m_re, m_im)))
 

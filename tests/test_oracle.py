@@ -1,6 +1,7 @@
 """Tests for the formal-expansion cross-check of the closed-form amplitude."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -405,6 +406,22 @@ class TestOracleMatrixElement:
         assert (outcome(formal_quantities, coeffs, table, statistics)
                 == outcome(reference_formal_quantities, coeffs, table, statistics))
 
+    def test_no_broadcast_call_exceeds_numpy_1_argument_cap(self, monkeypatch):
+        # numpy < 2 refuses np.broadcast of more than 32 arrays; the plan has 50
+        def capped_broadcast(*args):
+            assert len(args) <= 32, f"np.broadcast of {len(args)} arrays"
+            return np.broadcast(*args)
+
+        capped = types.ModuleType("numpy")
+        capped.__getattr__ = lambda name: getattr(np, name)
+        capped.broadcast = capped_broadcast
+        monkeypatch.setattr(oracle, "np", capped)
+        coeffs = Coefficients(np.array([0.8, 0.6j]), np.full(2, 0.6))
+        table = choice_table("ii", np.array([0.2, 0.7]))
+        for statistics in (BOSON, FERMION):
+            assert (outcome(formal_quantities, coeffs, table, statistics)
+                    == outcome(reference_formal_quantities, coeffs, table, statistics))
+
     @pytest.mark.parametrize("statistics", [BOSON, FERMION])
     def test_non_finite_weight_is_named_as_the_reference_names_it(self, statistics):
         # the first non-finite term weight in (point, term) order
@@ -423,8 +440,7 @@ class TestOracleMatrixElement:
         plan = oracle._plan(statistics)
         bits = np.hstack([*plan.alpha, *plan.beta]).view(np.int64)  # one row per term
         kinds = [(tuple(bits[i]), tuple(bits[j])) for i, j in zip(plan.bra, plan.ket)]
-        stands_for = [(tuple(bits[i]), tuple(bits[j]))
-                      for i, j in zip(plan.weight_bra, plan.weight_ket)]
+        stands_for = [kinds[p] for p in plan.weight_pair]
         assert len(set(stands_for)) == len(stands_for) == count
         assert [stands_for[w] for w in plan.weight_of] == kinds
 
