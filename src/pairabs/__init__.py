@@ -3,15 +3,16 @@ in (anti)symmetrized two-particle superpositions.
 
 The package has four layers:
 
-* :mod:`pairabs.algebra`: labeled states, overlap tables, formal two-particle
-  state sums and their inner products;
+* :mod:`pairabs.algebra`: labeled states, exchange statistics and overlap
+  tables;
 * :mod:`pairabs.scenarios`: table builders for the swept presets, the
   exclusion family, and user-supplied overlaps, including all recoil entries;
 * :mod:`pairabs.rates`: closed-form norms, absorption matrix elements, the
   relative rate, and null-state (exclusion) detection, for one point or a
   whole sweep grid at once;
-* :mod:`pairabs.oracle`: an independent brute-force expansion of the same
-  amplitude used to cross-check the closed forms.
+* :mod:`pairabs.oracle`: formal two-particle states, their builders and inner
+  products, and the plan and evaluator of the brute-force expansion of the
+  same amplitude used to cross-check the closed forms.
 
 The package exports exactly the names in the four layers' ``__all__``.  The
 ``pairabs`` command line (see :mod:`pairabs.cli`) exposes sweeps, figure

@@ -1,13 +1,10 @@
-"""Formal two-particle state algebra over labeled one-particle states.
+"""Labeled one-particle states, exchange statistics and overlap tables.
 
 Center-of-mass (CM) states are abstract labels whose mutual inner products
 live in an :class:`OverlapTable`; they are normalized but in general not
-orthogonal.  Internal (electronic) states ``g`` and ``e`` are orthonormal.
-Two-particle states are finite weighted sums of tensor monomials, so every
-inner product reduces to table lookups and Kronecker deltas.  No vector
-embedding is assumed anywhere: the table is the single source of truth,
-which is what lets recoiled (starred) labels carry overlap rules that no
-linear map on the originals could reproduce.
+orthogonal.  No vector embedding is assumed anywhere: the table is the
+single source of truth, which is what lets recoiled (starred) labels carry
+overlap rules that no linear map on the originals could reproduce.
 
 Labels are tuples, so they hash and compare in C as table keys.  A table
 stores both orientations of every pair from construction on, so a lookup is
@@ -18,31 +15,20 @@ which inner products are summed.
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "CHI",
-    "E",
-    "G",
     "CmLabel",
-    "FormalState",
-    "Internal",
     "MissingOverlapError",
     "OverlapTable",
     "PHI",
     "PSI",
     "Statistics",
-    "Term",
     "VARPHI",
-    "combine",
-    "inner_product",
-    "matching_term_pairs",
-    "symmetrize",
 ]
 
 
@@ -88,17 +74,6 @@ CHI = CmLabel("chi")
 #: The canonical labels in table order, and their recoiled (starred) forms.
 _LABELS = (PSI, PHI, VARPHI, CHI)
 _STARRED = tuple(label.star() for label in _LABELS)
-
-
-class Internal(Enum):
-    """Electronic state of one atom; ``g`` and ``e`` are orthonormal."""
-
-    G = "g"
-    E = "e"
-
-
-G = Internal.G
-E = Internal.E
 
 
 class MissingOverlapError(LookupError):
@@ -165,99 +140,3 @@ def _grid_value(value, kind: type = complex) -> complex | float | np.ndarray:
         value.flags.writeable = False
         return value
     return kind(value)
-
-
-class Term(NamedTuple):
-    """One tensor monomial ``weight * |cm1, int1>_1 |cm2, int2>_2``."""
-
-    weight: complex
-    cm1: CmLabel
-    int1: Internal
-    cm2: CmLabel
-    int2: Internal
-
-
-@dataclass(frozen=True)
-class FormalState:
-    """Weighted sum of two-particle tensor monomials.
-
-    Term order is irrelevant to any inner product value; evaluation order is
-    nevertheless fixed (bra-major over term indices) so repeated runs are
-    bit-identical.
-    """
-
-    terms: tuple[Term, ...] = ()
-
-    def __post_init__(self):
-        terms = self.terms
-        if type(terms) is not tuple or not all(
-            type(t) is Term and type(t.weight) is complex for t in terms
-        ):
-            terms = tuple(Term(complex(t[0]), t[1], t[2], t[3], t[4]) for t in terms)
-            object.__setattr__(self, "terms", terms)
-        for term in terms:
-            if not cmath.isfinite(term.weight):
-                raise ValueError(f"non-finite term weight {term.weight!r}")
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-def symmetrize(
-    cm_a: CmLabel,
-    int_a: Internal,
-    cm_b: CmLabel,
-    int_b: Internal,
-    statistics: Statistics,
-) -> FormalState:
-    """Unnormalized (anti)symmetrized product ``|a>_1|b>_2 +/- |b>_1|a>_2``."""
-    return FormalState(
-        (
-            Term(1.0 + 0.0j, cm_a, int_a, cm_b, int_b),
-            Term(complex(statistics.sign), cm_b, int_b, cm_a, int_a),
-        )
-    )
-
-
-def combine(weighted: Iterable[tuple[complex, FormalState]]) -> FormalState:
-    """Weighted sum of states as one concatenated term list."""
-    terms: list[Term] = []
-    for weight, state in weighted:
-        w = complex(weight)
-        terms.extend(Term(w * t.weight, t.cm1, t.int1, t.cm2, t.int2) for t in state.terms)
-    return FormalState(tuple(terms))
-
-
-def matching_term_pairs(bra: FormalState, ket: FormalState) -> list[tuple[int, int]]:
-    """Index pairs ``(i, j)`` of the bra and ket terms that can overlap, bra-major.
-
-    Internal brackets are Kronecker deltas, so a term pair with mismatched
-    internal labels contributes nothing: ket terms are grouped by their
-    internal labels and each bra term meets only its own group.  The pairs
-    come in the order a plain double loop over bra and ket terms meets them.
-    """
-    groups: dict[tuple[Internal, Internal], list[int]] = {}
-    for j, tk in enumerate(ket.terms):
-        groups.setdefault((tk.int1, tk.int2), []).append(j)
-    return [
-        (i, j)
-        for i, tb in enumerate(bra.terms)
-        for j in groups.get((tb.int1, tb.int2), ())
-    ]
-
-
-def inner_product(bra: FormalState, ket: FormalState, table: OverlapTable) -> complex:
-    """``<bra|ket>`` evaluated term pair by term pair through the table.
-
-    Only the pairs of :func:`matching_term_pairs` are evaluated, so only
-    their CM overlaps are looked up, and they are summed in that bra-major
-    order.  Weights of the bra enter conjugated.
-    """
-    overlap = table.overlap
-    total = 0.0 + 0.0j
-    for i, j in matching_term_pairs(bra, ket):
-        tb, tk = bra.terms[i], ket.terms[j]
-        weight = tb.weight.conjugate() * tk.weight
-        total += weight * overlap(tb.cm1, tk.cm1) * overlap(tb.cm2, tk.cm2)
-    return total
-

@@ -313,9 +313,7 @@ def _cmd_figures(args) -> int:
 
 
 def exclusion_scan_rows(
-    a_grid: Sequence[float],
-    c_grid: Sequence[float],
-    model: RecoilModel = RecoilModel(),
+    a_grid: Sequence[float], c_grid: Sequence[float]
 ) -> tuple[list[list[str]], int]:
     """Rows (a, c, |coefficient|, excluded_by_norm, excluded_by_formula) plus the
     number of rows where the two detection paths disagree.
@@ -324,7 +322,8 @@ def exclusion_scan_rows(
     floor: ``excluded_by_norm`` on the closed-form initial norm², and
     ``excluded_by_formula`` on ``2|coefficient|^2``, which is that norm² on
     the family.  Each is one evaluation over the whole grid: weights
-    ``a[:, None]`` against the family's grid table over ``c``.
+    ``a[:, None]`` against the family's grid table over ``c``.  The initial
+    norm² reads only bare overlaps, so no recoil model enters.
     """
     for name, values in (("a", a_grid), ("c", c_grid)):
         for value in values:
@@ -334,7 +333,7 @@ def exclusion_scan_rows(
     fam = ExclusionFamily.equal_weight(c_grid)
     coeffs = _normalized(np.asarray(a_grid, dtype=float)[:, None])  # (a, c) grid
     by_norm = rates.exclusion_mask(
-        coeffs, rates.initial_norm_sq(coeffs, build_family_table(fam, model), Statistics.FERMION))
+        coeffs, rates.initial_norm_sq(coeffs, build_family_table(fam), Statistics.FERMION))
     coefficient = family_exclusion_coefficient(coeffs, fam)
     magnitude = np.broadcast_to(np.hypot(np.real(coefficient), np.imag(coefficient)),
                                 by_norm.shape)  # abs() per point
@@ -349,12 +348,11 @@ def exclusion_scan_rows(
 
 
 def _cmd_exclusion_scan(args) -> int:
-    model = RecoilModel(args.alpha0)
     _check_range("c", args.c_min, args.c_max)
     _check_range("a", args.a_min, args.a_max)
     a_grid = np.linspace(args.a_min, args.a_max, args.a_steps)
     c_grid = np.linspace(args.c_min, args.c_max, args.steps)
-    rows, disagreements = exclusion_scan_rows(a_grid, c_grid, model)
+    rows, disagreements = exclusion_scan_rows(a_grid, c_grid)
     with _open_out(args.out) as out:
         _write_csv(out, SCAN_HEADER, rows)
     if disagreements:
@@ -500,6 +498,10 @@ def _nonnegative_int(text: str) -> int:
 def _add_common(p) -> None:
     p.add_argument("--alpha0", type=float, default=RecoilModel.alpha0,
                    help=f"one-recoil overlap shrink factor (default {RecoilModel.alpha0})")
+    _add_output(p)
+
+
+def _add_output(p) -> None:
     p.add_argument("--out", default=None, metavar="PATH",
                    help="output path; default standard output")
     p.add_argument("--config", default=None, metavar="PATH",
@@ -552,7 +554,7 @@ def _add_exclusion_scan(p) -> None:
     p.add_argument("--c-min", type=float, default=0.0)
     p.add_argument("--c-max", type=float, default=1.0)
     p.add_argument("--steps", type=_positive_int, default=51)
-    _add_common(p)
+    _add_output(p)
 
 
 def _add_verify(p) -> None:

@@ -1,6 +1,10 @@
-"""Brute-force cross-check of the closed-form absorption amplitude.
+"""Formal two-particle states, and the brute-force cross-check of the closed forms.
 
-Builds the initial and final superpositions as explicit tensor monomials,
+Internal (electronic) states ``g`` and ``e`` are orthonormal.  Two-particle
+states are finite weighted sums of tensor monomials over labeled CM states,
+so every inner product reduces to overlap-table lookups and Kronecker deltas.
+
+The oracle builds the initial and final superpositions as such sums,
 applies the single-absorption operator symbolically and evaluates the bracket
 term by term.  The operator flips exactly one ground atom to the excited
 state per output term (an already-excited atom is annihilated, keeping the
@@ -18,7 +22,7 @@ configurations is the central anti-regression property of the library.
 Which term pairs survive, in which order, and which overlaps they need
 depend only on the statistics.  One plan per statistics is read, on first
 use, off :func:`build_initial`, :func:`build_final`, :func:`apply_absorption`
-and :func:`pairabs.algebra.matching_term_pairs` at weights with both parts
+and :func:`matching_term_pairs` at weights with both parts
 nonzero.  Every term weight is ``±a`` or ``±b``, so the pair weights
 ``conj(w_bra) w_ket`` of the 80 pairs take only 16 distinct values for
 fermions and 4 for bosons: the plan names one pair for each, and an
@@ -31,7 +35,7 @@ two overlaps, in place, with CPython's complex rounding
 order; the norms keep only the real sum.  The sum stays a ``cumsum`` because
 numpy's ``add.reduce`` adds pairwise when the summed axis is the contiguous
 one, as on a single point, which changes the last bits.  So every value
-equals :func:`pairabs.algebra.inner_product` of the built states bit for
+equals :func:`inner_product` of the built states bit for
 bit.  The builders drop the terms of a zero weight; the plan keeps them,
 but their products are exact signed zeros, which leave a nonzero partial sum
 unchanged, and the closing ``+ 0.0`` of each sum turns an all-zero sum into
@@ -40,37 +44,140 @@ the ``+0.0`` that a sum started at ``0.0`` gives.
 
 from __future__ import annotations
 
+import cmath
 import functools
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from enum import Enum
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from . import rates
-from .algebra import (
-    CHI,
-    E,
-    G,
-    PHI,
-    PSI,
-    VARPHI,
-    CmLabel,
-    FormalState,
-    OverlapTable,
-    Statistics,
-    Term,
-    combine,
-    matching_term_pairs,
-    symmetrize,
-)
+from .algebra import CHI, PHI, PSI, VARPHI, CmLabel, OverlapTable, Statistics
 from .scenarios import Coefficients
 
 __all__ = [
+    "E",
+    "FormalState",
+    "G",
+    "Internal",
+    "Term",
     "apply_absorption",
     "build_final",
     "build_initial",
     "closed_form_deviations",
+    "combine",
     "formal_quantities",
+    "inner_product",
+    "matching_term_pairs",
+    "symmetrize",
 ]
+
+
+class Internal(Enum):
+    """Electronic state of one atom; ``g`` and ``e`` are orthonormal."""
+
+    G = "g"
+    E = "e"
+
+
+G = Internal.G
+E = Internal.E
+
+
+class Term(NamedTuple):
+    """One tensor monomial ``weight * |cm1, int1>_1 |cm2, int2>_2``."""
+
+    weight: complex
+    cm1: CmLabel
+    int1: Internal
+    cm2: CmLabel
+    int2: Internal
+
+
+@dataclass(frozen=True)
+class FormalState:
+    """Weighted sum of two-particle tensor monomials.
+
+    Term order is irrelevant to any inner product value; evaluation order is
+    nevertheless fixed (bra-major over term indices) so repeated runs are
+    bit-identical.
+    """
+
+    terms: tuple[Term, ...] = ()
+
+    def __post_init__(self):
+        terms = self.terms
+        if type(terms) is not tuple or not all(
+            type(t) is Term and type(t.weight) is complex for t in terms
+        ):
+            terms = tuple(Term(complex(t[0]), t[1], t[2], t[3], t[4]) for t in terms)
+            object.__setattr__(self, "terms", terms)
+        for term in terms:
+            if not cmath.isfinite(term.weight):
+                raise ValueError(f"non-finite term weight {term.weight!r}")
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+
+def symmetrize(
+    cm_a: CmLabel,
+    int_a: Internal,
+    cm_b: CmLabel,
+    int_b: Internal,
+    statistics: Statistics,
+) -> FormalState:
+    """Unnormalized (anti)symmetrized product ``|a>_1|b>_2 +/- |b>_1|a>_2``."""
+    return FormalState(
+        (
+            Term(1.0 + 0.0j, cm_a, int_a, cm_b, int_b),
+            Term(complex(statistics.sign), cm_b, int_b, cm_a, int_a),
+        )
+    )
+
+
+def combine(weighted: Iterable[tuple[complex, FormalState]]) -> FormalState:
+    """Weighted sum of states as one concatenated term list."""
+    terms: list[Term] = []
+    for weight, state in weighted:
+        w = complex(weight)
+        terms.extend(Term(w * t.weight, t.cm1, t.int1, t.cm2, t.int2) for t in state.terms)
+    return FormalState(tuple(terms))
+
+
+def matching_term_pairs(bra: FormalState, ket: FormalState) -> list[tuple[int, int]]:
+    """Index pairs ``(i, j)`` of the bra and ket terms that can overlap, bra-major.
+
+    Internal brackets are Kronecker deltas, so a term pair with mismatched
+    internal labels contributes nothing: ket terms are grouped by their
+    internal labels and each bra term meets only its own group.  The pairs
+    come in the order a plain double loop over bra and ket terms meets them.
+    """
+    groups: dict[tuple[Internal, Internal], list[int]] = {}
+    for j, tk in enumerate(ket.terms):
+        groups.setdefault((tk.int1, tk.int2), []).append(j)
+    return [
+        (i, j)
+        for i, tb in enumerate(bra.terms)
+        for j in groups.get((tb.int1, tb.int2), ())
+    ]
+
+
+def inner_product(bra: FormalState, ket: FormalState, table: OverlapTable) -> complex:
+    """``<bra|ket>`` evaluated term pair by term pair through the table.
+
+    Only the pairs of :func:`matching_term_pairs` are evaluated, so only
+    their CM overlaps are looked up, and they are summed in that bra-major
+    order.  Weights of the bra enter conjugated.
+    """
+    overlap = table.overlap
+    total = 0.0 + 0.0j
+    for i, j in matching_term_pairs(bra, ket):
+        tb, tk = bra.terms[i], ket.terms[j]
+        weight = tb.weight.conjugate() * tk.weight
+        total += weight * overlap(tb.cm1, tk.cm1) * overlap(tb.cm2, tk.cm2)
+    return total
 
 
 def _superposition(

@@ -7,21 +7,15 @@ import pytest
 
 from pairabs.algebra import (
     CHI,
-    E,
-    G,
     PHI,
     PSI,
     VARPHI,
     CmLabel,
-    FormalState,
     MissingOverlapError,
     OverlapTable,
     Statistics,
-    Term,
-    combine,
-    inner_product,
-    symmetrize,
 )
+from pairabs.oracle import E, FormalState, G, Term, combine, inner_product, symmetrize
 
 LABELS = (PSI, PHI, VARPHI, CHI)
 INTERNALS = (G, E)
@@ -99,6 +93,11 @@ class TestOverlapTable:
     def test_rejects_inconsistent_mirror_entries(self):
         with pytest.raises(ValueError, match="not conjugates"):
             OverlapTable({(PSI, PHI): 0.3 + 0.4j, (PHI, PSI): 0.3 + 0.4j})
+
+    def test_given_unit_diagonal_is_accepted(self):
+        table = OverlapTable({(PSI, PSI): 1.0, (PSI, PHI): 0.8})
+        assert table.overlap(PSI, PSI) == 1.0 + 0.0j
+        assert type(table.overlap(PSI, PSI)) is complex
 
     def test_rejects_non_unit_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):

@@ -669,6 +669,17 @@ class TestVerify:
     def test_zero_trials_rejected(self):
         assert exit_code(["verify", "--trials", "0"]) == 1
 
+    def test_library_rejects_zero_trials_before_it_draws(self, monkeypatch):
+        # argparse stops --trials 0 on the command line; only a library call gets here
+        def no_draw(*args):
+            raise AssertionError("drew candidates")
+
+        monkeypatch.setattr(cli, "_draw_candidates", no_draw)
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="^trials must be a positive integer$"):
+            cli.run_verify(0, 0, 1e-10, out)
+        assert out.getvalue() == ""
+
     def test_byte_identical_reruns(self, tmp_path):
         first, second = tmp_path / "v1.txt", tmp_path / "v2.txt"
         argv = ["verify", "--seed", "9", "--trials", "60", "--out"]
@@ -1148,8 +1159,7 @@ COMMAND_FLAGS = {
               "--steps": int_text(3000), "--alpha0": FLOAT_TEXT},
     "figures": {"--steps": int_text(300), "--alpha0": FLOAT_TEXT},
     "exclusion-scan": {"--a-min": FLOAT_TEXT, "--a-max": FLOAT_TEXT, "--a-steps": int_text(40),
-                       "--c-min": FLOAT_TEXT, "--c-max": FLOAT_TEXT, "--steps": int_text(100),
-                       "--alpha0": FLOAT_TEXT},
+                       "--c-min": FLOAT_TEXT, "--c-max": FLOAT_TEXT, "--steps": int_text(100)},
     "verify": {"--seed": st.one_of(st.integers(-2, 2**70).map(str), FLOAT_TEXT),
                "--trials": int_text(200), "--tolerance": FLOAT_TEXT},
 }
@@ -1189,6 +1199,17 @@ class TestInvalidInput:
 
     def test_bad_alpha0(self):
         assert exit_code(["sweep", "--alpha0", "0"]) == 1
+
+    def test_exclusion_scan_takes_no_alpha0(self, tmp_path, capsys):
+        # both of its verdicts read only bare overlaps, which alpha0 does not change
+        assert exit_code(["exclusion-scan", "--alpha0", "0.5"]) == 1
+        assert capsys.readouterr().err.endswith(
+            "pairabs: error: unrecognized arguments: --alpha0 0.5\n")
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("alpha0 = 0.5\n")
+        assert exit_code(["exclusion-scan", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "pairabs: config error: unknown config key 'alpha0' for this command\n")
 
     def test_vanishing_coefficients(self):
         assert exit_code(["sweep", "--a-re", "0", "--b-re", "0"]) == 1

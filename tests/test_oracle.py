@@ -9,25 +9,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pairabs import oracle, rates
-from pairabs.algebra import (
-    CHI,
+from pairabs.algebra import CHI, PHI, PSI, VARPHI, Statistics
+from pairabs.oracle import (
     E,
     G,
-    PHI,
-    PSI,
-    VARPHI,
     FormalState,
-    Statistics,
     Term,
-    combine,
-    inner_product,
-)
-from pairabs.oracle import (
     apply_absorption,
     build_final,
     build_initial,
     closed_form_deviations,
+    combine,
     formal_quantities,
+    inner_product,
 )
 from pairabs.rates import ExcludedStateError
 from pairabs.scenarios import (

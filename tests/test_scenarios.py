@@ -305,6 +305,11 @@ class TestExclusionFamily:
         assert table.overlap(PSI, PHI) == 0.6
         assert table.overlap(PHI, PHI) == 1.0
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, np.array([0.6, np.nan])])
+    def test_rejects_non_finite_coefficients(self, c):
+        with pytest.raises(ValueError, match=r"^family coefficients \(c, d\) must be finite$"):
+            ExclusionFamily(c=c, d=0.8, e=1.0, f=0.0, g=1.0, h=0.0)
+
     def test_rejects_unnormalized_coefficients(self):
         with pytest.raises(ValueError, match="violate"):
             ExclusionFamily(c=0.9, d=0.9, e=1.0, f=0.0, g=1.0, h=0.0)
