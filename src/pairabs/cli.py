@@ -12,13 +12,13 @@ grid table per ``c`` grid.  ``sweep`` and ``figures`` evaluate it once per
 weights and statistics pair, ``exclusion-scan`` once for its whole (a, c)
 grid with array weights, and ``verify`` each block of 128 trials as one
 trial-axis grid; every output is byte-identical to evaluating each point on
-its own.  ``verify`` draws a block's random numbers candidate by candidate,
-in the order of a one-at-a-time draw, and computes the overlaps of all its
-candidates with one :func:`pairabs.scenarios.realizable_overlaps` call, so
-neither the block size nor the batching shows in its report.  ``rate`` is
-``sweep`` on the one-point grid ``[--c]``.  A sweep keeps its results as a
-list in (weights, statistics) order, and ``figures`` reads its log lines and
-the a=1 coincidence curve from them by scenario name.
+its own.  ``verify`` draws a block's random numbers at once, one generator
+call per kind, and computes the overlaps of all its candidates with one
+:func:`pairabs.scenarios.realizable_overlaps` call; redraws join the end of
+the block, so its report depends on the seed, the trial count and the block
+size.  ``rate`` is ``sweep`` on the one-point grid ``[--c]``.  A sweep keeps
+its results as a list in (weights, statistics) order, and ``figures`` reads
+its log lines and the a=1 coincidence curve from them by scenario name.
 
 The scenario of ``rate`` and ``sweep`` is one setting, ``choice``: a preset
 or ``family``.  ``--family`` is shorthand for ``--choice family``, a config
@@ -366,23 +366,21 @@ def _cmd_exclusion_scan(args) -> int:
 
 
 def _draw_candidates(rng: np.random.Generator, count: int) -> list[np.ndarray]:
-    """``count`` candidates as arrays ``[a, b, alpha0, raw]``, one row each.
+    """Arrays ``[a, b, alpha0, raw]`` of ``count`` candidates, less those with tiny weights.
 
-    Each candidate draws, in this order, four normal weight parts (drawn
-    again while their norm is below 1e-6), an ``alpha0`` in [0.5, 1) and
-    four raw normal vectors for its overlaps (:func:`realizable_overlaps`).
-    The weights ``a`` and ``b`` are the parts over their norm.  ``alpha0`` is
-    ``rng.uniform(0.5, 1.0)`` bit for bit, which numpy computes as ``0.5 +
-    0.5 * rng.random()`` (``0.5 * d`` is exact), without its call overhead.
+    One call each draws, in this order, four normal weight parts, an
+    ``alpha0`` in [0.5, 1) and four raw normal vectors for the overlaps
+    (:func:`realizable_overlaps`) of every candidate.  The weights ``a`` and
+    ``b`` are the parts over their norm; parts of norm below 1e-6 are dropped.
     """
-    drawn = []
-    while len(drawn) < count:
-        parts = rng.normal(size=4)
-        scale = math.sqrt(float(np.dot(parts, parts)))
-        if scale >= 1e-6:
-            drawn.append((complex(parts[0], parts[1]) / scale, complex(parts[2], parts[3]) / scale,
-                          0.5 + 0.5 * rng.random(), rng.normal(size=(4, 4))))
-    return [np.array(column) for column in zip(*drawn)]
+    parts = rng.normal(size=(count, 4))
+    alpha0 = rng.uniform(0.5, 1.0, count)
+    raw = rng.normal(size=(count, 4, 4))
+    squares = parts * parts
+    scale = np.sqrt(squares[:, 0] + squares[:, 1] + squares[:, 2] + squares[:, 3])
+    keep = scale >= 1e-6
+    weights = (parts[keep] / scale[keep, None]).view(complex)  # rows (a, b)
+    return [weights[:, 0], weights[:, 1], alpha0[keep], raw[keep]]
 
 
 def _verification_block(
@@ -390,11 +388,12 @@ def _verification_block(
 ) -> tuple[Coefficients, OverlapTable, dict[Statistics, rates.RateResult]]:
     """``size`` random trials as array weights, a trial-axis grid table and its results.
 
+    The block draws its candidates at once (:func:`_draw_candidates`).
     Candidates too close to the excluded manifold are redrawn: there the
     normalized amplitude amplifies round-off in both routes and a fixed
     absolute tolerance would measure conditioning, not agreement.  Each is
-    judged on its own initial norms² and redraws join the end, so the block
-    holds the trials of a one-at-a-time draw.
+    judged on its own initial norms², and the block is topped up to ``size``
+    by one more draw per round, which joins the end.
     """
     a, b, alpha0, raw = _draw_candidates(rng, size)
     while True:
@@ -403,21 +402,22 @@ def _verification_block(
         results = {stat: rates.relative_rate_grid(coeffs, table, stat)
                    for stat in BOTH_STATISTICS}
         keep = np.logical_and.reduce([res.n0_sq > 2e-3 for res in results.values()])
-        if keep.all():
+        kept = int(keep.sum())
+        if kept == size:
             return coeffs, table, results
-        a, b, alpha0, raw = (
-            np.concatenate([kept[keep], more]) for kept, more in
-            zip((a, b, alpha0, raw), _draw_candidates(rng, size - int(keep.sum()))))
+        a, b, alpha0, raw = (np.concatenate([old[keep], more]) for old, more in
+                             zip((a, b, alpha0, raw), _draw_candidates(rng, size - kept)))
 
 
-#: Trials evaluated together as one trial-axis grid.  A larger block pays the
-#: fixed cost of a table and four evaluations less often, but holds its grid
-#: table until it is done (about 15 kB a trial).  Median of ``run_verify(1,
-#: 1000)`` over five fresh processes and their peak RSS, per block size
-#: (2-vCPU Xeon, numpy 2.4.6, raw seconds on a loaded host): 32: 0.087 s,
-#: 36.6 MB; 64: 0.054 s, 36.6 MB; 128: 0.033 s, 36.8 MB; 256: 0.030 s, 37.7
-#: MB; 1000: 0.030 s, 43.0 MB.  128 keeps peak RSS within 0.3 MB (1 %) of a
-#: 32-trial block; 256 adds 0.8 MB more for 0.003 s.
+#: Trials drawn and evaluated together as one trial-axis grid; a report depends
+#: on it, since a block draws its numbers at once and its redraws join its end.
+#: A larger block pays the fixed cost of a table and four evaluations less
+#: often, but holds its grid table until it is done (about 15 kB a trial).
+#: Median of ``run_verify(1, 1000)`` over five fresh processes and their peak
+#: RSS, per block size (2-vCPU Xeon, numpy 2.4.6, raw seconds on a loaded
+#: host): 32: 0.087 s, 36.6 MB; 64: 0.054 s, 36.6 MB; 128: 0.033 s, 36.8 MB;
+#: 256: 0.030 s, 37.7 MB; 1000: 0.030 s, 43.0 MB.  128 keeps peak RSS within
+#: 0.3 MB (1 %) of a 32-trial block; 256 adds 0.8 MB more for 0.003 s.
 _VERIFY_BLOCK = 128
 
 _VERIFY_QUANTITIES = ("matrix element", "initial norm^2", "final norm^2")

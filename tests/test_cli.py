@@ -92,27 +92,39 @@ def count_calls(monkeypatch, calls, module, *names):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
 
 
-def one_at_a_time(rng, size, draw):
-    """The ``(coeffs, table)`` of the first ``size`` verify candidates that are
-    not redrawn, drawn and judged one at a time with the overlaps of ``draw``."""
+def overlaps_of(raw):
+    """:func:`realizable_overlaps` of one stack of raw vectors, as Python floats."""
+    return {pair: float(v) for pair, v in realizable_overlaps(raw).items()}
+
+
+def drawn_in_rounds(rng, size, draw):
+    """The ``(coeffs, table)`` of a verify block of ``size`` trials, each candidate
+    judged on its own, with the overlaps that ``draw`` makes of its raw vectors.
+
+    A round draws ``size`` less the kept candidates: their weight parts, their
+    ``alpha0`` and their raw vectors, one call each.  A candidate is kept if its
+    parts have norm at least 1e-6 and both its initial norms² exceed 2e-3, and
+    each round's candidates join the end."""
     trials = []
     while len(trials) < size:
-        parts = rng.normal(size=4)
-        scale = math.sqrt(float(np.dot(parts, parts)))
-        if scale < 1e-6:
-            continue
-        coeffs = Coefficients(complex(parts[0], parts[1]) / scale,
-                              complex(parts[2], parts[3]) / scale)
-        alpha0 = float(rng.uniform(0.5, 1.0))
-        table = build_table(draw(rng), RecoilModel(alpha0))
-        if all(rates.initial_norm_sq(coeffs, table, stat) > 2e-3
-               for stat in cli.BOTH_STATISTICS):
-            trials.append((coeffs, table))
+        count = size - len(trials)
+        parts = rng.normal(size=(count, 4))
+        alpha0s = rng.uniform(0.5, 1.0, count)
+        raws = rng.normal(size=(count, 4, 4))
+        for (p0, p1, p2, p3), alpha0, raw in zip(parts.tolist(), alpha0s.tolist(), raws):
+            scale = math.sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)
+            if scale < 1e-6:
+                continue
+            coeffs = Coefficients(complex(p0, p1) / scale, complex(p2, p3) / scale)
+            table = build_table(draw(raw), RecoilModel(alpha0))
+            if all(rates.initial_norm_sq(coeffs, table, stat) > 2e-3
+                   for stat in cli.BOTH_STATISTICS):
+                trials.append((coeffs, table))
     return trials
 
 
 def assert_block_holds(block, expected):
-    """A verify block equals bit for bit the one-at-a-time ``expected`` trials."""
+    """A verify block equals bit for bit the ``expected`` trials, each evaluated on its own."""
     coeffs, table, results = block
     assert coeffs.a.tolist() == [c.a for c, _ in expected]
     assert coeffs.b.tolist() == [c.b for c, _ in expected]
@@ -123,23 +135,21 @@ def assert_block_holds(block, expected):
 
 
 class TinyFirstWeights:
-    """A generator whose first four weight parts have norm 2e-8, below verify's
-    1e-6 floor; every other draw comes from ``rng``."""
+    """A generator whose first candidate's weight parts become 1e-8 (norm 2e-8,
+    below verify's 1e-6 floor); every draw takes its numbers from ``rng``."""
 
     def __init__(self, rng):
         self.rng, self.skipped = rng, False
 
     def normal(self, size):
-        if size == 4 and not self.skipped:
+        drawn = self.rng.normal(size=size)
+        if drawn.ndim == 2 and not self.skipped:  # the weight parts, shape (n, 4)
             self.skipped = True
-            return np.full(4, 1e-8)
-        return self.rng.normal(size=size)
+            drawn[0] = 1e-8
+        return drawn
 
-    def uniform(self, low, high):
-        return self.rng.uniform(low, high)
-
-    def random(self):
-        return self.rng.random()
+    def uniform(self, low, high, size):
+        return self.rng.uniform(low, high, size)
 
 
 class TestSweep:
@@ -623,12 +633,12 @@ class TestTinyAlpha0:
         ["rate"],
         ["sweep", "--steps", "3"],
         ["figures", "fig2", "--steps", "3"],
-        ["exclusion-scan", "--a-steps", "2", "--steps", "2"],
+        ["figures", "fig3", "--steps", "3"],
     ])
     def test_underflowing_reference_exits_1(self, argv, tmp_path, capsys):
         argv = argv + ["--alpha0", "1e-300", "--out", str(tmp_path / "out")]
         assert exit_code(argv) == 1
-        assert "alpha0" in capsys.readouterr().err
+        assert "alpha0 = 1e-300 is too small" in capsys.readouterr().err
 
 
 class TestWeightRange:
@@ -744,20 +754,6 @@ class TestVerify:
                          "formal_quantities": 4, "_draw_candidates": 2}
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2026, 20250809])
-    def test_alpha0_draw_equals_numpy_uniform_bit_for_bit(self, seed):
-        # numpy's uniform(low, high) is low + (high - low) * random(), and 0.5 * d
-        # is exact; verify draws alpha0 as 0.5 + 0.5 * random() between normals
-        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn, expected = [], []
-        for count in range(20_000):
-            ours.normal(size=1 + count % 4)
-            numpys.normal(size=1 + count % 4)
-            drawn.append(0.5 + 0.5 * ours.random())
-            expected.append(numpys.uniform(0.5, 1.0))
-        assert np.array(drawn).view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
-        assert ours.bit_generator.state == numpys.bit_generator.state
-
-    @pytest.mark.parametrize("seed", [0, 1, 7, 2026, 20250809])
     def test_stacked_overlaps_equal_one_draw_at_a_time(self, seed):
         # a block computes the overlaps of all its candidates at once
         count = 50
@@ -770,10 +766,11 @@ class TestVerify:
 
     def test_a_redrawn_candidate_leaves_the_block_of_a_one_at_a_time_draw(self, monkeypatch):
         # No seed is known to redraw, so the first candidate's overlaps become
-        # all ones: a Pauli pair for fermions, null at any weights.
+        # all ones: a Pauli pair for fermions, null at any weights.  One more
+        # candidate is drawn and joins the end of the block.
         def first_all_ones(draws):
-            def draw(rng):
-                overlaps = random_realizable_overlaps(rng)
+            def draw(raw):
+                overlaps = overlaps_of(raw)
                 draws.append(overlaps)
                 return {pair: 1.0 for pair in overlaps} if len(draws) == 1 else overlaps
             return draw
@@ -781,7 +778,7 @@ class TestVerify:
         size = cli._VERIFY_BLOCK
         expected_draws = []
         rng = np.random.default_rng(11)
-        expected = one_at_a_time(rng, size, first_all_ones(expected_draws))
+        expected = drawn_in_rounds(rng, size, first_all_ones(expected_draws))
         after = rng.normal(size=3).tolist()
 
         counts = []
@@ -804,10 +801,11 @@ class TestVerify:
 
     def test_a_candidate_with_tiny_weights_is_skipped(self):
         # No seed is known to draw weight parts of norm below 1e-6, so a stub
-        # puts tiny parts in front of the stream: they take no other draw.
+        # overwrites the first candidate's: it leaves the block, the others
+        # keep their order and one more candidate joins the end.
         size = 9
         expected_rng = TinyFirstWeights(np.random.default_rng(4))
-        expected = one_at_a_time(expected_rng, size, random_realizable_overlaps)
+        expected = drawn_in_rounds(expected_rng, size, overlaps_of)
         after = expected_rng.normal(size=3).tolist()
 
         rng = TinyFirstWeights(np.random.default_rng(4))
@@ -815,19 +813,20 @@ class TestVerify:
         assert rng.skipped and expected_rng.skipped
         assert rng.normal(size=3).tolist() == after
         assert_block_holds(block, expected)
-        unstubbed = cli._verification_block(np.random.default_rng(4), size)
-        assert_block_holds(unstubbed, expected)
+        unstubbed = drawn_in_rounds(np.random.default_rng(4), size, overlaps_of)
+        assert_block_holds(cli._verification_block(np.random.default_rng(4), size), unstubbed)
+        assert [c.a for c, _ in expected[:-1]] == [c.a for c, _ in unstubbed[1:]]
 
     def test_report_bytes_are_pinned(self, tmp_path):
         # Every value is computed with fixed operations in a fixed order, so
         # any change to the arithmetic of the closed forms or the oracle shows.
         out = tmp_path / "verify.txt"
         assert exit_code(["verify", "--seed", "7", "--trials", "150", "--out", str(out)]) == 0
-        assert out.read_bytes() == (  # sha256 c32e5a89...b92c1cd
+        assert out.read_bytes() == (  # sha256 be9bbee4...0453048
             b"verify: seed=7 trials=150 tolerance=1e-10\n"
-            b"max |matrix element closed - formal| = 1.5543130264169664e-15\n"
-            b"max |initial norm^2 closed - formal| = 1.7763568394002505e-15\n"
-            b"max |final norm^2 closed - formal| = 5.329070518200751e-15\n"
+            b"max |matrix element closed - formal| = 1.3322686500016587e-15\n"
+            b"max |initial norm^2 closed - formal| = 1.3322676295501878e-15\n"
+            b"max |final norm^2 closed - formal| = 4.440892098500626e-15\n"
             b"PASS\n"
         )
 
@@ -836,7 +835,7 @@ class TestVerify:
         assert exit_code(["verify", "--seed", "20250809", "--trials", "1000",
                           "--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "8c5f713de7b3c6873476a0a1543bc1614a624f8b2a9d6a34af3cf0f203b17515"
+        assert digest == "9bc155849547beed571129db20fe1849bc94f31bede31b18d72c992ea7a5d320"
 
     def test_failing_report_names_the_global_trial_index(self, tmp_path):
         out = tmp_path / "verify.txt"
@@ -844,50 +843,51 @@ class TestVerify:
         assert exit_code(argv + ["--out", str(out)]) == 2
         assert out.read_text() == (
             "verify: seed=5 trials=1000 tolerance=1e-17\n"
-            "max |matrix element closed - formal| = 4.4408960166126565e-15\n"
+            "max |matrix element closed - formal| = 3.219661666848577e-15\n"
             "max |initial norm^2 closed - formal| = 2.220446049250313e-15\n"
-            "max |final norm^2 closed - formal| = 4.440892098500626e-15\n"
-            "FAIL: deviation 4.4408960166126565e-15 in matrix element (fermion) at trial 614;"
+            "max |final norm^2 closed - formal| = 6.217248937900877e-15\n"
+            "FAIL: deviation 6.217248937900877e-15 in final norm^2 (boson) at trial 548;"
             " reproduce with seed=5\n"
         )
 
-    # Reports at the edges of blocks of K trials, pinned when K was 32 and
-    # unchanged at K = 128: a report does not depend on the block size.  At
-    # 1, 31, 32, 33, 64 and 65 trials the worst deviation lies at trial 31 for
-    # seed 98 (the last of a 32-block), at trial 32 for seed 129 and at trial
-    # 64 for seed 178 (the first of the second and of the third 32-block).  At
-    # 127, 128, 129, 256 and 257 trials it lies at trial 127 for seed 38 (the
-    # last of a 128-block), at trial 128 for seed 216 and at trial 256 for
-    # seed 420 (the first of the second and of the third 128-block).  Each
-    # entry: (seed, trials, matrix element, initial norm^2, final norm^2, worst
+    # Reports at the edges of blocks of K = 128 trials.  A block draws its
+    # numbers at once, so a report depends on the seed, the trial count and
+    # _VERIFY_BLOCK; a run shares only its full blocks with a longer run.
+    # The worst deviation lies at trial 127 of 128 for seed 325 (the last of a
+    # block), at trial 128 of 129 for seed 60 and at trial 256 of 257 for seed
+    # 575 (the first of the second and of the third block, each a block of
+    # one).  Beside each is the report of the same seed one trial shorter,
+    # and the reports at 1 to 65 trials of seeds 98, 129 and 178, chosen when
+    # K was 32 at the edges of those blocks, are pinned too.  Each entry:
+    # (seed, trials, matrix element, initial norm^2, final norm^2, worst
     # quantity and statistics, worst trial).
     BLOCK_EDGE_REPORTS = [
         (98, 1, "3.330669342422209e-16", "4.440892098500626e-16", "1.7763568394002505e-15",
          "1.7763568394002505e-15 in final norm^2 (boson)", 0),
-        (98, 31, "1.7763568904113615e-15", "8.881784197001252e-16", "3.552713678800501e-15",
-         "3.552713678800501e-15 in final norm^2 (boson)", 30),
-        (98, 32, "1.7763568904113615e-15", "8.881784197001252e-16", "4.440892098500626e-15",
-         "4.440892098500626e-15 in final norm^2 (boson)", 31),
-        (129, 32, "1.110223105442885e-15", "8.881784197001252e-16", "2.6645352591003757e-15",
-         "2.6645352591003757e-15 in final norm^2 (boson)", 13),
-        (129, 33, "1.776356962807719e-15", "8.881784197001252e-16", "4.440892098500626e-15",
-         "4.440892098500626e-15 in final norm^2 (boson)", 32),
-        (178, 64, "1.4433164932005093e-15", "1.3322676295501878e-15", "2.6645352591003757e-15",
-         "2.6645352591003757e-15 in final norm^2 (boson)", 26),
-        (178, 65, "1.4433164932005093e-15", "1.3322676295501878e-15", "4.440892098500626e-15",
-         "4.440892098500626e-15 in final norm^2 (boson)", 64),
-        (38, 127, "1.5543124015092636e-15", "1.7763568394002505e-15", "4.440892098500626e-15",
-         "4.440892098500626e-15 in final norm^2 (fermion)", 99),
-        (38, 128, "1.5543124015092636e-15", "1.7763568394002505e-15", "5.329070518200751e-15",
-         "5.329070518200751e-15 in final norm^2 (boson)", 127),
-        (216, 128, "1.332267655187857e-15", "1.7763568394002505e-15", "4.440892098500626e-15",
-         "4.440892098500626e-15 in final norm^2 (boson)", 89),
-        (216, 129, "1.332267655187857e-15", "1.7763568394002505e-15", "5.329070518200751e-15",
-         "5.329070518200751e-15 in final norm^2 (boson)", 128),
-        (420, 256, "1.3323470506099845e-15", "1.3322676295501878e-15", "3.552713678800501e-15",
-         "3.552713678800501e-15 in final norm^2 (boson)", 114),
-        (420, 257, "1.3323470506099845e-15", "1.3322676295501878e-15", "5.329070518200751e-15",
-         "5.329070518200751e-15 in final norm^2 (boson)", 256),
+        (98, 31, "5.551481418704773e-16", "1.3322676295501878e-15", "4.440892098500626e-15",
+         "4.440892098500626e-15 in final norm^2 (boson)", 4),
+        (98, 32, "1.7763570740630865e-15", "1.3322676295501878e-15", "2.6645352591003757e-15",
+         "2.6645352591003757e-15 in final norm^2 (boson)", 2),
+        (129, 32, "1.5543122352855572e-15", "1.3322676295501878e-15", "2.6645352591003757e-15",
+         "2.6645352591003757e-15 in final norm^2 (boson)", 12),
+        (129, 33, "1.7765692487782597e-15", "1.3322676295501878e-15", "3.552713678800501e-15",
+         "3.552713678800501e-15 in final norm^2 (boson)", 20),
+        (178, 64, "1.1169478485681168e-15", "1.7763568394002505e-15", "3.552713678800501e-15",
+         "3.552713678800501e-15 in final norm^2 (boson)", 57),
+        (178, 65, "1.7763568402363736e-15", "1.7763568394002505e-15", "4.440892098500626e-15",
+         "4.440892098500626e-15 in final norm^2 (boson)", 21),
+        (325, 127, "1.3324927321079724e-15", "1.7763568394002505e-15", "4.440892098500626e-15",
+         "4.440892098500626e-15 in final norm^2 (boson)", 40),
+        (325, 128, "1.5543122355044119e-15", "2.220446049250313e-15", "3.552713678800501e-15",
+         "3.552713678800501e-15 in final norm^2 (boson)", 127),
+        (60, 128, "1.7766477849267793e-15", "1.3322676295501878e-15", "3.552713678800501e-15",
+         "3.552713678800501e-15 in final norm^2 (boson)", 18),
+        (60, 129, "1.7766477849267793e-15", "1.3322676295501878e-15", "4.440892098500626e-15",
+         "4.440892098500626e-15 in final norm^2 (boson)", 128),
+        (575, 256, "2.8036493080764943e-15", "1.7763568394002505e-15", "3.552713678800501e-15",
+         "3.552713678800501e-15 in final norm^2 (boson)", 136),
+        (575, 257, "4.8872281469047124e-15", "1.7763568394002505e-15", "3.552713678800501e-15",
+         "4.8872281469047124e-15 in matrix element (fermion)", 256),
     ]
 
     @pytest.mark.parametrize("seed, trials, matrix, initial, final, worst, index",
