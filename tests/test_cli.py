@@ -764,6 +764,29 @@ class TestVerify:
         for pair, values in stacked.items():
             assert values.tolist() == [overlaps[pair] for overlaps in one_at_a_time]
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2026, 20250809])
+    def test_candidates_are_three_draws_of_the_stream(self, seed):
+        # a block reads the stream as weight parts, then alpha0s, then raw
+        # vectors, one call each; the weights are the parts over their norm
+        count = 200
+        a, b, alpha0, raw = cli._draw_candidates(np.random.default_rng(seed), count)
+        rng = np.random.default_rng(seed)
+        parts = rng.normal(size=(count, 4)).tolist()
+        expected_alpha0 = rng.uniform(0.5, 1.0, count)
+        expected_raw = rng.normal(size=(count, 4, 4))
+        scales = [math.sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3) for p0, p1, p2, p3 in parts]
+        assert min(scales) >= 1e-6  # no candidate is dropped at these seeds
+        assert a.tolist() == [complex(p[0], p[1]) / s for p, s in zip(parts, scales)]
+        assert b.tolist() == [complex(p[2], p[3]) / s for p, s in zip(parts, scales)]
+        assert alpha0.tolist() == expected_alpha0.tolist()
+        assert raw.tolist() == expected_raw.tolist()
+        assert np.all((alpha0 >= 0.5) & (alpha0 < 1.0))
+        np.testing.assert_allclose(abs(a) ** 2 + abs(b) ** 2, 1.0,
+                                   rtol=0, atol=4 * np.finfo(float).eps)
+        again = np.random.default_rng(seed)
+        cli._draw_candidates(again, count)
+        assert again.bit_generator.state == rng.bit_generator.state
+
     def test_a_redrawn_candidate_leaves_the_block_of_a_one_at_a_time_draw(self, monkeypatch):
         # No seed is known to redraw, so the first candidate's overlaps become
         # all ones: a Pauli pair for fermions, null at any weights.  One more
