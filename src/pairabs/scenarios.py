@@ -8,7 +8,9 @@ grid; :class:`Coefficients` takes arrays of weights.  The rules below are
 elementwise, so each grid point holds exactly the values of a single point.
 
 Tables are built from the six bare pairwise overlaps among {psi, phi, varphi,
-chi} and then completed with the recoil entries:
+chi}, read as an :class:`~pairabs.algebra.OverlapTable` (the one owner of
+orientation, mirrors and the unit diagonal), and then completed with the
+recoil entries:
 
 * one recoil:  ``<x*|y> = alpha0 <x|y>`` for every ordered pair, diagonal
   included (``<x*|x> = alpha0``);
@@ -89,7 +91,7 @@ def _alpha_pair(model: RecoilModel, base_overlap: complex | np.ndarray) -> float
     overlaps, but the shrink coefficient is defined from Re.  Elementwise on
     a grid of overlaps.
     """
-    re = _grid_value(base_overlap).real
+    re = np.real(base_overlap)
     return re + model.alpha0 * (1.0 - re)
 
 
@@ -121,8 +123,8 @@ class Coefficients:
             raise ValueError("superposition coefficients must be finite")
         if np.any((a == 0) & (b == 0)):
             raise ValueError("superposition coefficients must not both vanish")
-        # scaled: overflows only to inf
-        norm = np.vectorize(math.hypot, otypes=[float])(a.real, a.imag, b.real, b.imag)
+        with np.errstate(over="ignore"):  # scaled: overflows only to inf, rejected below
+            norm = np.hypot(np.hypot(a.real, a.imag), np.hypot(b.real, b.imag))
         low, high = _WEIGHT_NORM_RANGE
         _require(norm, (low <= norm) & (norm <= high),
                  f"superposition coefficients with sqrt(|a|^2 + |b|^2) = {{:g}} lie outside "
@@ -150,33 +152,27 @@ def build_table(
     Adds every one- and two-recoil entry.  The table holds only psi, phi,
     varphi, chi and their starred forms; the product-state reference of the
     rate needs nothing more, since ``<psi*|psi> = <phi*|phi> = alpha0``.
-    Either orientation of each bare pair is accepted.  Array overlaps give a
-    grid table.
+    ``overlaps`` is read as an :class:`~pairabs.algebra.OverlapTable`: a pair
+    may come in either orientation or both, and ``ValueError`` is raised for
+    a missing pair, a starred or unknown label, or an entry that table
+    rejects.  Array overlaps give a grid table.
     """
-    bare: dict[tuple[CmLabel, CmLabel], complex | np.ndarray] = {}
+    for x, y in overlaps:
+        if x not in _LABELS or y not in _LABELS:
+            raise ValueError(f"bare overlap <{x}|{y}> is not between two of psi, phi, varphi, chi")
     for x, y in ALL_PAIRS:
-        if (x, y) in overlaps:
-            value = _grid_value(overlaps[(x, y)])
-        elif (y, x) in overlaps:
-            value = _grid_value(overlaps[(y, x)]).conjugate()
-        else:
+        if (x, y) not in overlaps and (y, x) not in overlaps:
             raise ValueError(f"missing bare overlap for <{x}|{y}>")
-        bare[(x, y)] = value
-        bare[(y, x)] = value.conjugate()
-    for label in _LABELS:
-        bare[(label, label)] = 1.0 + 0.0j
-
-    entries: dict[tuple[CmLabel, CmLabel], complex | np.ndarray] = {
-        pair: bare[pair] for pair in ALL_PAIRS
-    }
+    bare = OverlapTable(overlaps).overlap
+    entries = {pair: bare(*pair) for pair in ALL_PAIRS}
     alpha0 = model.alpha0
     for x, xs in zip(_LABELS, _STARRED):
         for y in _LABELS:
-            entries[(xs, y)] = alpha0 * bare[(x, y)]
+            entries[(xs, y)] = alpha0 * bare(x, y)
     for i, (x, xs) in enumerate(zip(_LABELS, _STARRED)):
         for y, ys in zip(_LABELS[i + 1 :], _STARRED[i + 1 :]):
-            alpha = _alpha_pair(model, bare[(x, y)])
-            entries[(xs, ys)] = alpha * alpha * bare[(x, y)]
+            alpha = _alpha_pair(model, bare(x, y))
+            entries[(xs, ys)] = alpha * alpha * bare(x, y)
     return OverlapTable(entries)
 
 

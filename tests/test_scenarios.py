@@ -11,13 +11,14 @@ from hypothesis.extra.numpy import arrays
 
 from pairabs.rates import EXCLUSION_EPS, _null_floors
 
-from pairabs.algebra import CHI, PHI, PSI, VARPHI, MissingOverlapError, OverlapTable
+from pairabs.algebra import CHI, PHI, PSI, VARPHI, CmLabel, MissingOverlapError, OverlapTable
 from pairabs.scenarios import (
     ALL_PAIRS,
     CHOICES,
     Coefficients,
     ExclusionFamily,
     RecoilModel,
+    _WEIGHT_NORM_RANGE,
     _alpha_pair,
     build_choice_table,
     build_family_table,
@@ -176,6 +177,18 @@ class TestCoefficients:
         with pytest.raises(ValueError, match=r"sqrt\(\|a\|\^2 \+ \|b\|\^2\) = .* lie outside"):
             Coefficients(a, b)
 
+    def test_array_norms_at_the_ends_of_the_range(self):
+        low, high = _WEIGHT_NORM_RANGE
+        Coefficients(np.array([low, high, 0.0, 0.0]), np.array([0.0, 0.0, low * 1j, -high]))
+        outside = r"sqrt\(\|a\|\^2 \+ \|b\|\^2\) = {} lie outside"
+        for weight, shown in ((math.nextafter(low, 0.0), "1.22134e-72"),
+                              (math.nextafter(high, math.inf), "2.05911e\\+76"),
+                              (1e300j, "1e\\+300")):
+            with pytest.raises(ValueError, match=outside.format(shown)):
+                Coefficients(np.array([0.6, weight]), np.array([0.8, 0.0]))
+        with pytest.raises(ValueError, match=outside.format("inf")):  # no overflow warning
+            Coefficients(np.array([0.6, 1.5e308]), np.array([0.8, 1.5e308j]))
+
     def test_array_weights_compare_and_hash_by_identity(self):
         weights = np.array([0.6, 1.0]), np.array([0.8, 0.0])
         coeffs, same_values = Coefficients(*weights), Coefficients(*weights)
@@ -262,15 +275,62 @@ class TestChoiceTables:
         with pytest.raises(ValueError, match="unknown choice"):
             build_choice_table("v", 0.3)
 
-    def test_build_table_requires_all_pairs(self):
-        with pytest.raises(ValueError, match="missing bare overlap"):
-            build_table({(PSI, PHI): 0.5})
 
-    def test_build_table_accepts_either_orientation(self):
+ALL_LABELS = BARE + tuple(label.star() for label in BARE)
+
+
+def entry_bits(table):
+    """Every entry and mirror of a table over all eight labels, as bytes."""
+    return {(x, y): np.asarray(table.overlap(x, y)).tobytes()
+            for x in ALL_LABELS for y in ALL_LABELS}
+
+
+class TestBuildTable:
+    def test_requires_all_pairs(self):
+        with pytest.raises(ValueError, match=r"^missing bare overlap for <psi\|varphi>$"):
+            build_table({(PSI, PHI): 0.5})
+        with pytest.raises(ValueError, match=r"^missing bare overlap for <varphi\|chi>$"):
+            build_table({pair: 0.1 for pair in ALL_PAIRS[:-1]} | {(CHI, CHI): 1.0})
+
+    def test_accepts_either_orientation(self):
         overlaps = {pair: 0.1 for pair in ALL_PAIRS[1:]}
         overlaps[(PHI, PSI)] = 0.2 + 0.1j
         table = build_table(overlaps)
         assert table.overlap(PSI, PHI) == 0.2 - 0.1j
+
+    def test_accepts_both_orientations_and_a_unit_diagonal(self):
+        overlaps = dict(zip(ALL_PAIRS, (0.1, 0.2 - 0.3j, np.array([0.4j, -0.5]), 0.6, 0.7, 0.8)))
+        mirrors = {(y, x): np.conj(value) for (x, y), value in overlaps.items()}
+        diagonal = {(x, x): 1.0 for x in BARE}
+        given = build_table(overlaps | mirrors | diagonal)
+        assert entry_bits(given) == entry_bits(build_table(overlaps))
+
+    @pytest.mark.parametrize("extra, message", [
+        ({(PHI, PSI): 0.9}, r"^entries for <phi\|psi> and <psi\|phi> are not conjugates$"),
+        ({(PHI, PSI): np.array([0.1, 0.2])}, r"are not conjugates"),
+        ({(PSI, PSI): 0.5}, r"^diagonal entry <psi\|psi> must equal 1, got 0\.5$"),
+        ({(CHI, CHI): np.array([1.0, 0.5])}, r"^diagonal entry <chi\|chi> must equal 1"),
+        ({(PSI.star(), PHI): 0.09}, r"^bare overlap <psi\*\|phi> is not between two of "
+                                    r"psi, phi, varphi, chi$"),
+        ({(PHI, PHI.star()): 0.9}, r"^bare overlap <phi\|phi\*> is not between"),
+        ({(PSI, CmLabel("zeta")): 0.1}, r"^bare overlap <psi\|zeta> is not between"),
+        ({("psi", "phi"): 0.1}, r"^bare overlap <psi\|phi> is not between"),
+    ])
+    def test_rejects_contradicting_or_foreign_entries(self, extra, message):
+        with pytest.raises(ValueError, match=message):
+            build_table({pair: 0.1 for pair in ALL_PAIRS} | extra)
+
+    @given(st.sets(st.sampled_from(ALL_PAIRS)), st.lists(
+        st.one_of(st.complex_numbers(max_magnitude=1.0),
+                  arrays(complex, 3, elements=st.complex_numbers(max_magnitude=1.0))),
+        min_size=6, max_size=6), st.floats(1e-3, 1.0))
+    def test_other_orientation_gives_the_same_bits(self, flipped, values, alpha0):
+        canonical = dict(zip(ALL_PAIRS, values))
+        other = {(pair[::-1] if pair in flipped else pair):
+                 (np.conj(value) if pair in flipped else value)
+                 for pair, value in canonical.items()}
+        model = RecoilModel(alpha0)
+        assert entry_bits(build_table(other, model)) == entry_bits(build_table(canonical, model))
 
 
 class TestExclusionFamily:
