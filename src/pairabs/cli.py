@@ -496,14 +496,22 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _add_common(p) -> None:
+    _add_alpha0(p)
+    _add_output(p)
+
+
+def _add_alpha0(p) -> None:
     p.add_argument("--alpha0", type=float, default=RecoilModel.alpha0,
                    help=f"one-recoil overlap shrink factor (default {RecoilModel.alpha0})")
-    _add_output(p)
 
 
 def _add_output(p) -> None:
     p.add_argument("--out", default=None, metavar="PATH",
                    help="output path; default standard output")
+    _add_config(p)
+
+
+def _add_config(p) -> None:
     p.add_argument("--config", default=None, metavar="PATH",
                    help="key = value config file; command-line flags override it")
 
@@ -541,10 +549,10 @@ def _add_sweep(p) -> None:
 def _add_figures(p) -> None:
     p.add_argument("target", choices=tuple(_FIGURES))
     p.add_argument("--steps", type=_positive_int, default=101)
-    p.add_argument("--alpha0", type=float, default=RecoilModel.alpha0)
+    _add_alpha0(p)
     p.add_argument("--out", default=".", metavar="DIR",
                    help="output directory (default current directory)")
-    p.add_argument("--config", default=None, metavar="PATH")
+    _add_config(p)
 
 
 def _add_exclusion_scan(p) -> None:
@@ -561,8 +569,7 @@ def _add_verify(p) -> None:
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--tolerance", type=float, default=1e-10)
-    p.add_argument("--out", default=None, metavar="PATH")
-    p.add_argument("--config", default=None, metavar="PATH")
+    _add_output(p)
 
 
 #: Each subcommand's help line, the function that adds its arguments and the

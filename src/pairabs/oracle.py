@@ -22,24 +22,27 @@ configurations is the central anti-regression property of the library.
 Which term pairs survive, in which order, and which overlaps they need
 depend only on the statistics.  One plan per statistics is read, on first
 use, off :func:`build_initial`, :func:`build_final`, :func:`apply_absorption`
-and :func:`matching_term_pairs` at weights with both parts
-nonzero.  Every term weight is ``±a`` or ``±b``, so the pair weights
-``conj(w_bra) w_ket`` of the 80 pairs take only 16 distinct values for
-fermions and 4 for bosons: the plan names one pair for each, and an
-evaluation computes each distinct value once and gathers it to its pairs.
-It looks up the plan's overlaps in the table once, as one stacked array of
-real and imaginary parts, and evaluates each inner product on its own span
-of pairs as numpy arrays over the grid points: the pair weights times their
-two overlaps, in place, with CPython's complex rounding
+and :func:`matching_term_pairs`.  Every term weight is ``±a`` or ``±b``, so
+the weight ``conj(w_bra) w_ket`` of each pair is one of the four products
+``conj(x) y`` for ``x, y`` in ``(a, b)``, or its negative: the plan keeps one
+index per pair into these eight, and an evaluation computes the four
+products once and gathers them to the pairs.  Each inner product is thus a
+sesquilinear form in ``(a, b)`` whose 2x2 matrix the plan spells out.
+The plan's overlaps are looked up in the table once, as one stacked array of
+real and imaginary parts, and each inner product is evaluated on its own
+span of pairs as numpy arrays over the grid points: the pair weights times
+their two overlaps, in place, with CPython's complex rounding
 (``rates._cmul``), then a sequential ``np.cumsum`` in bra-major pair
 order; the norms keep only the real sum.  The sum stays a ``cumsum`` because
 numpy's ``add.reduce`` adds pairwise when the summed axis is the contiguous
 one, as on a single point, which changes the last bits.  So every value
-equals :func:`inner_product` of the built states bit for
-bit.  The builders drop the terms of a zero weight; the plan keeps them,
-but their products are exact signed zeros, which leave a nonzero partial sum
-unchanged, and the closing ``+ 0.0`` of each sum turns an all-zero sum into
-the ``+0.0`` that a sum started at ``0.0`` gives.
+equals :func:`inner_product` of the built states bit for bit: negation is
+exact, and a weight that differs from the built one only in the sign of a
+zero leaves every nonzero product unchanged.  The builders drop the terms of
+a zero weight; the plan keeps them, but their products are exact signed
+zeros, which leave a nonzero partial sum unchanged, and the closing
+``+ 0.0`` of each sum turns an all-zero sum into the ``+0.0`` that a sum
+started at ``0.0`` gives.
 """
 
 from __future__ import annotations
@@ -228,89 +231,54 @@ def apply_absorption(state: FormalState) -> FormalState:
 class _Plan(NamedTuple):
     """What one statistics fixes for the three formal inner products.
 
-    The three states (initial, final, absorbed initial) are stacked on one
-    term axis, each term's weight as ``alpha a + beta b``.  The surviving
-    term pairs of the three inner products are stacked on one pair axis, in
-    bra-major order per product; ``spans`` delimits the products and
-    ``first``/``second`` index each pair's two CM overlaps in ``labels``.
-    ``weight_pair`` names one pair per distinct pair weight, and
-    ``weight_of`` gives each pair's.
+    The surviving term pairs of the three inner products are stacked on one
+    pair axis, in bra-major order per product; ``spans`` delimits the
+    products and ``first``/``second`` index each pair's two CM overlaps in
+    ``labels``.  ``weight_of`` indexes each pair's weight among the eight of
+    an evaluation: ``conj(x) y`` at ``2x + y`` for ``x, y`` in
+    ``(a, b) = (0, 1)``, and its negative at ``4 + 2x + y``.
     """
 
-    alpha: tuple[np.ndarray, np.ndarray]
-    beta: tuple[np.ndarray, np.ndarray]
-    bra: np.ndarray
-    ket: np.ndarray
     labels: tuple[tuple[CmLabel, CmLabel], ...]
     first: np.ndarray
     second: np.ndarray
     spans: tuple[tuple[int, int], ...]
-    weight_pair: np.ndarray
     weight_of: np.ndarray
 
 
-def _frozen(values: list, dtype=float) -> np.ndarray:
-    """A read-only array: plans are shared by every call."""
-    array = np.array(values, dtype=dtype)
+def _frozen(values: list[int]) -> np.ndarray:
+    """A read-only index array: plans are shared by every call."""
+    array = np.array(values, dtype=np.intp)
     array.flags.writeable = False
     return array
-
-
-def _columns(values: list[complex]) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts as column arrays, one row per term."""
-    return _frozen([[v.real] for v in values]), _frozen([[v.imag] for v in values])
 
 
 @functools.cache  # two statistics; a plan is immutable
 def _plan(statistics: Statistics) -> _Plan:
     """Read the plan of one statistics off the formal builders, on its first use.
 
-    The weights are linear in ``(a, b)``, so the probe builds at
-    ``Coefficients(1, 1)`` and ``Coefficients(1, -1)`` give each term's
-    ``alpha`` and ``beta`` exactly.  Neither probe weight is zero, so every
-    term any weights can build is in the plan; a zero weight only turns its
-    terms' products into signed zeros.  The pairs are those of
-    :func:`matching_term_pairs`.  Two terms whose ``alpha`` and ``beta`` have
-    the same bits have the same weight bits at any ``(a, b)``, and so do two
-    pairs whose bra and ket terms do: those share one distinct pair weight.
+    In the probe build at ``Coefficients(1, 2)`` each term weight is ``±1``
+    where it is ``±a`` and ``±2`` where it is ``±b``.  Neither probe weight
+    is zero, so every term any weights can build is in the plan; a zero
+    weight only turns its terms' products into signed zeros.  The pairs are
+    those of :func:`matching_term_pairs`.
     """
-    builds = []
-    for sign in (1.0, -1.0):
-        probe = Coefficients(1.0, sign)
-        initial = build_initial(probe, statistics)
-        builds.append((initial, build_final(probe, statistics), apply_absorption(initial)))
-    states = builds[0]
-    plus = [t.weight for state in states for t in state.terms]
-    minus = [t.weight for state in builds[1] for t in state.terms]
-    offsets = (0, len(states[0]), len(states[0]) + len(states[1]))
-    bra, ket, labels, first, second, spans = [], [], {}, [], [], []
-    for b, k in ((0, 0), (1, 1), (1, 2)):  # <initial|initial>, <final|final>, <final|absorbed>
-        start = len(bra)
-        for i, j in matching_term_pairs(states[b], states[k]):
-            tb, tk = states[b].terms[i], states[k].terms[j]
-            bra.append(offsets[b] + i)
-            ket.append(offsets[k] + j)
+    probe = Coefficients(1.0, 2.0)
+    initial = build_initial(probe, statistics)
+    final = build_final(probe, statistics)
+    labels, first, second, spans, weight_of = {}, [], [], [], []
+    for bra, ket in ((initial, initial), (final, final), (final, apply_absorption(initial))):
+        start = len(first)
+        for i, j in matching_term_pairs(bra, ket):
+            tb, tk = bra.terms[i], ket.terms[j]
             first.append(labels.setdefault((tb.cm1, tk.cm1), len(labels)))
             second.append(labels.setdefault((tb.cm2, tk.cm2), len(labels)))
-        spans.append((start, len(bra)))
-    alpha = _columns([0.5 * (p + m) for p, m in zip(plus, minus)])
-    beta = _columns([0.5 * (p - m) for p, m in zip(plus, minus)])
-    kinds = [tuple(row) for row in np.hstack([*alpha, *beta]).view(np.int64).tolist()]
-    classes: dict = {}
-    weight_of = [classes.setdefault((kinds[i], kinds[j]), (len(classes), p))[0]
-                 for p, (i, j) in enumerate(zip(bra, ket))]
-    return _Plan(
-        alpha=alpha,
-        beta=beta,
-        bra=_frozen(bra, np.intp),
-        ket=_frozen(ket, np.intp),
-        labels=tuple(labels),
-        first=_frozen(first, np.intp),
-        second=_frozen(second, np.intp),
-        spans=tuple(spans),
-        weight_pair=_frozen([p for _, p in classes.values()], np.intp),
-        weight_of=_frozen(weight_of, np.intp),
-    )
+            x, y = int(abs(tb.weight)) - 1, int(abs(tk.weight)) - 1  # 0 for a, 1 for b
+            negated = (tb.weight.real < 0) != (tk.weight.real < 0)
+            weight_of.append(4 * negated + 2 * x + y)
+        spans.append((start, len(first)))
+    return _Plan(labels=tuple(labels), first=_frozen(first), second=_frozen(second),
+                 spans=tuple(spans), weight_of=_frozen(weight_of))
 
 
 def _times(pr: np.ndarray, pi: np.ndarray, overlap: np.ndarray) -> None:
@@ -351,24 +319,24 @@ def formal_quantities(
     for row, value in enumerate(values):  # each broadcast to the grid, then flattened
         grid[row] = value
     stacked = np.stack((grid.real, grid.imag)).reshape(2, len(values), -1)
-    (ar, ai), (br, bi), ov = stacked[:, 0], stacked[:, 1], stacked[:, 2:]
-    with np.errstate(invalid="ignore"):  # a non-finite weight is reported below
-        ar, ai = rates._cmul(ar, ai, *plan.alpha)
-        br, bi = rates._cmul(br, bi, *plan.beta)
-    wr, wi = ar + br, ai + bi  # (terms, points); the zero part adds nothing
-    finite = np.isfinite(wr) & np.isfinite(wi)
-    if not finite.all():
-        k, t = np.argwhere(~finite.T)[0]
-        raise ValueError(f"non-finite term weight {complex(wr[t, k], wi[t, k])!r}")
-    bra, ket = plan.bra[plan.weight_pair], plan.ket[plan.weight_pair]
-    weights = np.stack(rates._cmul(wr[bra], -wi[bra], wr[ket], wi[ket]))
-    products = []
+    ab, ov = stacked[:, :2], stacked[:, 2:]  # (parts, a and b, points)
+    finite = np.isfinite(ab).all(axis=0)
+    if not finite.all():  # named as the builders name it: a, else b, times 1+0j
+        k = finite.all(axis=0).argmin()
+        weight = complex(*ab[:, int(finite[0, k]), k])
+        raise ValueError(f"non-finite term weight {weight * (1 + 0j)!r}")
+    (ar, br), (ai, bi) = ab
+    factors = ((ar, ai), (br, bi))
+    products = np.array([rates._cmul(xr, -xi, yr, yi)
+                         for xr, xi in factors for yr, yi in factors])  # conj(x) y at 2x + y
+    weights = np.concatenate((products, -products)).swapaxes(0, 1)  # (parts, 8, points)
+    sums = []
     for lo, hi in plan.spans:
         pr, pi = weights.take(plan.weight_of[lo:hi], axis=1)
         _times(pr, pi, ov.take(plan.first[lo:hi], axis=1))
         _times(pr, pi, ov.take(plan.second[lo:hi], axis=1))
-        products.append((pr, pi))
-    (n0_re, _), (nf_re, _), (m_re, m_im) = products  # the norms are real
+        sums.append((pr, pi))
+    (n0_re, _), (nf_re, _), (m_re, m_im) = sums  # the norms are real
     # Sequential sums over each product's pairs, in the pairs' order; adding 0.0
     # gives the +0.0 that a sum started at 0.0 gives where every term is 0.
     n0_sq, nf_sq, m_re, m_im = [(np.cumsum(parts, axis=0, out=parts)[-1] + 0.0).reshape(shape)

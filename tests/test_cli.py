@@ -1084,6 +1084,19 @@ class TestParserPerCommand:
         # the order of the usage line and of the top-level help
         assert list(cli._COMMANDS) == ["rate", "sweep", "figures", "exclusion-scan", "verify"]
 
+    def test_a_flag_shared_by_several_commands_has_one_help_text(self):
+        helps = {}  # flag -> {command: its help line}
+        for command, subparser in cli.build_parser()[1].items():
+            for action in subparser._actions:
+                for flag in action.option_strings:
+                    helps.setdefault(flag, {})[command] = action.help
+        del helps["--out"]["figures"]  # an output directory, not a file
+        assert {"--alpha0", "--config", "--out", "--steps"} <= {
+            flag for flag, by_command in helps.items() if len(by_command) > 2}
+        for flag, by_command in helps.items():
+            assert len(set(by_command.values())) == 1, (flag, by_command)
+        assert helps["--config"]["verify"] == helps["--config"]["figures"] is not None
+
 
 class TestEntryPoint:
     """``python -m pairabs`` runs ``cli.main`` and exits with its code."""

@@ -4,9 +4,10 @@ Every weight part and every off-diagonal overlap is an independent real
 symbol, the mirror of each overlap its conjugate and the diagonal 1; so the
 identities below hold for any weights and any Hermitian table, whatever
 recoil model or chain rule produced it.  The formal side is the oracle's
-plan: the term weights ``alpha a + beta b`` and the pairs of each inner
-product with their two CM overlaps.  The identity bracket = alpha0 n0^2
-needs the recoil model's one-recoil entries and holds on its tables only.
+plan: the pairs of each inner product, each with its weight (``conj(x) y``
+for ``x, y`` in ``(a, b)``, or its negative) and its two CM overlaps.  The
+identity bracket = alpha0 n0^2 needs the recoil model's one-recoil entries
+and holds on its tables only.
 The last identity splits the recoil model's 8x8 table into two Gram
 matrices, so every table that ``build_table`` makes from realizable bare
 overlaps is realizable, and its norms² are >= 0; a hypothesis property
@@ -92,20 +93,13 @@ class SymWeights:
 def formal_products(weights, table, statistics):
     """The three inner products of the oracle's plan, pair by pair."""
     plan = oracle._plan(statistics)
-
-    def factor(parts, k):  # one exact complex entry of a plan's alpha or beta
-        re, im = (sympy.Rational(float(part[k, 0])) for part in parts)
-        return re + sympy.I * im
-
-    terms = [
-        factor(plan.alpha, k) * weights.a.expr + factor(plan.beta, k) * weights.b.expr
-        for k in range(len(plan.alpha[0]))
-    ]
+    ab = (weights.a.expr, weights.b.expr)
+    products = [sympy.conjugate(x) * y for x in ab for y in ab]  # conj(x) y at 2x + y
+    pair_weights = products + [-w for w in products]
     overlaps = [table.overlap(x, y).expr for x, y in plan.labels]
     return [
         sum(
-            sympy.conjugate(terms[plan.bra[p]]) * terms[plan.ket[p]]
-            * overlaps[plan.first[p]] * overlaps[plan.second[p]]
+            pair_weights[plan.weight_of[p]] * overlaps[plan.first[p]] * overlaps[plan.second[p]]
             for p in range(lo, hi)
         )
         for lo, hi in plan.spans

@@ -1,6 +1,7 @@
 """Tests for the formal-expansion cross-check of the closed-form amplitude."""
 
 import math
+import re
 import types
 
 import numpy as np
@@ -22,6 +23,7 @@ from pairabs.oracle import (
     combine,
     formal_quantities,
     inner_product,
+    matching_term_pairs,
     symmetrize,
 )
 from pairabs.rates import ExcludedStateError
@@ -120,30 +122,33 @@ def shaped(coeffs, shape):
     }[shape]
 
 
-def reference_formal_quantities(coeffs, table, statistics):
-    """The oracle as it evaluated all pair weights of every product on one pair axis:
-    the reference that :func:`formal_quantities` is held to bit for bit."""
-    plan = oracle._plan(statistics)
-    values = np.broadcast_arrays(coeffs.a, coeffs.b,
-                                 *(table.overlap(x, y) for x, y in plan.labels))
-    shape = values[0].shape
-    flat = np.reshape(values, (len(values), -1))  # one flat grid axis
-    a, b, ov = flat[0], flat[1], flat[2:]
-    with np.errstate(invalid="ignore"):  # a non-finite weight is reported below
-        ar, ai = rates._cmul(a.real, a.imag, *plan.alpha)
-        br, bi = rates._cmul(b.real, b.imag, *plan.beta)
-    wr, wi = ar + br, ai + bi  # (terms, points); the zero part adds nothing
-    finite = np.isfinite(wr) & np.isfinite(wi)
-    if not finite.all():
-        k, t = np.argwhere(~finite.T)[0]
-        raise ValueError(f"non-finite term weight {complex(wr[t, k], wi[t, k])!r}")
-    pr, pi = rates._cmul(wr[plan.bra], -wi[plan.bra], wr[plan.ket], wi[plan.ket])
-    for index in (plan.first, plan.second):
-        pr, pi = rates._cmul(pr, pi, ov.real[index], ov.imag[index])
-    n0_sq, _, nf_sq, _, m_re, m_im = [(np.cumsum(parts[lo:hi], axis=0)[-1] + 0.0).reshape(shape)
-                                       for lo, hi in plan.spans for parts in (pr, pi)]
+class PointTable:
+    """Point ``index`` of a grid table whose entries broadcast to ``shape``."""
+
+    def __init__(self, table, shape, index):
+        self.table, self.shape, self.index = table, shape, index
+
+    def overlap(self, x, y):
+        return complex(np.broadcast_to(self.table.overlap(x, y), self.shape)[self.index])
+
+
+def pointwise_expansion(coeffs, table, statistics):
+    """:func:`expansion` at each point of the grid of the weights and the table, as
+    arrays over it (Python numbers on a single point), or what the first point or
+    the null criterion raises: the reference that :func:`formal_quantities` is held
+    to bit for bit."""
+    labels = LABELS + tuple(label.star() for label in LABELS)
+    shape = np.broadcast_shapes(np.shape(coeffs.a), np.shape(coeffs.b),
+                                *(np.shape(table.overlap(x, y)) for x in labels for y in labels))
+    values = []
+    for index in np.ndindex(shape):
+        # not Coefficients, which would reject a non-finite weight before the builders
+        weights = types.SimpleNamespace(a=complex(np.broadcast_to(coeffs.a, shape)[index]),
+                                        b=complex(np.broadcast_to(coeffs.b, shape)[index]))
+        values.append(expansion(weights, PointTable(table, shape, index), statistics))
+    n0_sq, nf_sq, bracket = (np.array(column).reshape(shape) for column in zip(*values))
     rates.require_not_null(coeffs, n0_sq, nf_sq)
-    return rates._python_on_point((n0_sq, nf_sq, rates._complex(m_re, m_im)))
+    return rates._python_on_point((n0_sq, nf_sq, bracket))
 
 
 def outcome(function, coeffs, table, statistics):
@@ -422,7 +427,7 @@ class TestOracleMatrixElement:
     def test_equals_the_reference_bit_for_bit(self, inputs, statistics):
         coeffs, table = inputs
         assert (outcome(formal_quantities, coeffs, table, statistics)
-                == outcome(reference_formal_quantities, coeffs, table, statistics))
+                == outcome(pointwise_expansion, coeffs, table, statistics))
 
     def test_no_broadcast_call_exceeds_numpy_1_argument_cap(self, monkeypatch):
         # numpy < 2 refuses np.broadcast of more than 32 arrays; the plan has 50
@@ -438,29 +443,56 @@ class TestOracleMatrixElement:
         table = choice_table("ii", np.array([0.2, 0.7]))
         for statistics in (BOSON, FERMION):
             assert (outcome(formal_quantities, coeffs, table, statistics)
-                    == outcome(reference_formal_quantities, coeffs, table, statistics))
+                    == outcome(pointwise_expansion, coeffs, table, statistics))
 
     @pytest.mark.parametrize("statistics", [BOSON, FERMION])
-    def test_non_finite_weight_is_named_as_the_reference_names_it(self, statistics):
-        # the first non-finite term weight in (point, term) order
-        coeffs = Coefficients(np.array([0.8, 0.6j, 0.3, -0.5]), np.full(4, 0.6))
-        a = coeffs.a.copy()
-        a[2], a[3] = complex("inf"), complex("nan")
-        object.__setattr__(coeffs, "a", a)  # past the Coefficients check
+    @pytest.mark.parametrize("bad_a, bad_b, message", [
+        ({2: complex("inf"), 3: complex("nan")}, {}, "(inf+nanj)"),
+        ({3: complex("nan")}, {1: complex(0.5, -math.inf)}, "(nan-infj)"),  # b first
+        (dict.fromkeys(range(4), complex(-math.inf, 1.0)),
+         dict.fromkeys(range(4), complex(0.0, math.nan)), "(-inf+nanj)"),
+    ])
+    def test_non_finite_weight_is_named_as_the_reference_names_it(self, bad_a, bad_b, message,
+                                                                   statistics):
+        # the first non-finite term weight, in (point, term) order
+        coeffs = Coefficients(np.array([0.8, 0.6j, 0.3, -0.5]), np.full(4, 0.6 + 0j))
+        for name, bad in (("a", bad_a), ("b", bad_b)):
+            weights = getattr(coeffs, name).copy()
+            for point, value in bad.items():
+                weights[point] = value
+            object.__setattr__(coeffs, name, weights)  # past the Coefficients check
         table = choice_table("ii", np.linspace(0.1, 0.9, 4))
-        with pytest.raises(ValueError, match=r"^non-finite term weight \(inf\+nanj\)$"):
+        first = min({*bad_a, *bad_b})
+        point = types.SimpleNamespace(a=complex(coeffs.a[first]), b=complex(coeffs.b[first]))
+        with pytest.raises(ValueError, match=f"^non-finite term weight {re.escape(message)}$"):
+            build_initial(point, statistics)
+        with pytest.raises(ValueError, match=f"^non-finite term weight {re.escape(message)}$"):
             formal_quantities(coeffs, table, statistics)
         assert (outcome(formal_quantities, coeffs, table, statistics)
-                == outcome(reference_formal_quantities, coeffs, table, statistics))
+                == outcome(pointwise_expansion, coeffs, table, statistics))
 
-    @pytest.mark.parametrize("statistics, count", [(BOSON, 4), (FERMION, 16)])
-    def test_plan_computes_each_distinct_pair_weight_once(self, statistics, count):
+    @pytest.mark.parametrize("statistics", [BOSON, FERMION])
+    def test_each_plan_pair_is_a_built_term_pair_with_its_weight(self, statistics):
         plan = oracle._plan(statistics)
-        bits = np.hstack([*plan.alpha, *plan.beta]).view(np.int64)  # one row per term
-        kinds = [(tuple(bits[i]), tuple(bits[j])) for i, j in zip(plan.bra, plan.ket)]
-        stands_for = [kinds[p] for p in plan.weight_pair]
-        assert len(set(stands_for)) == len(stands_for) == count
-        assert [stands_for[w] for w in plan.weight_of] == kinds
+        rng = np.random.default_rng(151)
+        for _ in range(20):
+            coeffs = random_coefficients(rng)
+            products = [x.conjugate() * y for x in (coeffs.a, coeffs.b)
+                        for y in (coeffs.a, coeffs.b)]
+            weights = products + [-w for w in products]
+            initial, final = build_initial(coeffs, statistics), build_final(coeffs, statistics)
+            pairs, spans = [], []
+            for bra, ket in ((initial, initial), (final, final),
+                             (final, apply_absorption(initial))):
+                start = len(pairs)
+                pairs += [(bra.terms[i], ket.terms[j]) for i, j in matching_term_pairs(bra, ket)]
+                spans.append((start, len(pairs)))
+            assert plan.spans == tuple(spans)
+            assert len(plan.weight_of) == len(plan.first) == len(plan.second) == len(pairs)
+            for p, (tb, tk) in enumerate(pairs):
+                assert plan.labels[plan.first[p]] == (tb.cm1, tk.cm1)
+                assert plan.labels[plan.second[p]] == (tb.cm2, tk.cm2)
+                assert weights[plan.weight_of[p]] == tb.weight.conjugate() * tk.weight
 
     def test_non_finite_weight_is_rejected(self):
         coeffs = Coefficients(1.0, 0.0)
