@@ -8,9 +8,16 @@ overlap rules that no linear map on the originals could reproduce.
 
 Labels are tuples, so they hash and compare in C as table keys.  A table
 stores both orientations of every pair from construction on, so a lookup is
-one dict access either way round and a grid entry is conjugated once, not
-on every lookup of its mirror.  Neither changes any value or the order in
+one dict access either way round.  The array entries of a grid table that
+share a shape are copied once into one read-only complex stack, checked with
+one magnitude test and conjugated with one call; each entry and its mirror
+is a row of those stacks.  None of this changes any value or the order in
 which inner products are summed.
+
+This is also the one module that reproduces CPython's (up to 3.13) rounding
+on numpy arrays (:func:`_abs_sq`, :func:`_complex_over_real`, :func:`_cmul`,
+:func:`_conj_mul`), so that each point of a grid equals its value on its
+own; the weights, the closed forms and the oracle all use it.
 """
 
 from __future__ import annotations
@@ -94,33 +101,53 @@ class OverlapTable:
     normalized.
 
     An entry may also be a numpy array, one value per point of a sweep grid.
-    Such a grid table holds many tables at once: array entries and their
-    mirrors are stored as read-only complex arrays, scalar entries are
-    constant over the grid, and every check applies to each point.  Lookups
-    of array entries return arrays, so elementwise formulas evaluate the
-    whole grid in one pass.
+    Such a grid table holds many tables at once: scalar entries are Python
+    ``complex`` numbers, constant over the grid, and every check applies to
+    each point.  The array entries of one shape are copied into one
+    read-only complex stack, and their mirrors are its conjugate; each entry
+    and each mirror is a read-only row view of these (a 0-d entry a 0-d
+    array).  The entries are checked in mapping order, each for its
+    magnitude and finiteness, then as a diagonal, then against its given
+    mirror, so the first bad one is named; a given entry wins over the
+    conjugate of its mirror.  Lookups of array entries return arrays, so
+    elementwise formulas evaluate the whole grid in one pass.
     """
 
     def __init__(self, entries: Mapping[tuple[CmLabel, CmLabel], complex | np.ndarray]):
+        raws = list(entries.values())
+        values = [None if isinstance(raw, np.ndarray) else complex(raw) for raw in raws]
+        conjugates = [None if value is None else value.conjugate() for value in values]
+        valid = [value is None or np.abs(value) <= 1.0 + 1e-12 for value in values]
+        rows_of_shape: dict[tuple[int, ...], list[int]] = {}
+        for i, raw in enumerate(raws):
+            if isinstance(raw, np.ndarray):
+                rows_of_shape.setdefault(raw.shape, []).append(i)
+        for shape, rows in rows_of_shape.items():
+            stack = np.array([raws[i] for i in rows], dtype=complex)
+            # every point of every entry at once; False also where one is not finite
+            valid_rows = (np.abs(stack) <= 1.0 + 1e-12).reshape(len(rows), -1).all(axis=1)
+            mirror = stack.conjugate()
+            stack.flags.writeable = mirror.flags.writeable = False
+            for j, i in enumerate(rows):  # [j, ...]: a 0-d entry stays a 0-d array
+                values[i], conjugates[i], valid[i] = stack[j, ...], mirror[j, ...], valid_rows[j]
         store: dict[tuple[CmLabel, CmLabel], complex | np.ndarray] = {}
-        for (x, y), raw in entries.items():
-            value = _grid_value(raw)
-            magnitude = np.abs(value)
-            if not (magnitude <= 1.0 + 1e-12).all():  # also where a value is not finite
+        mirrors: dict[tuple[CmLabel, CmLabel], complex | np.ndarray] = {}
+        for (x, y), raw, value, conjugate, ok in zip(entries, raws, values, conjugates, valid):
+            if not ok:
                 if not np.isfinite(value).all():
                     raise ValueError(f"non-finite overlap for <{x}|{y}>")
-                raise ValueError(f"|<{x}|{y}>| = {magnitude.max()} exceeds 1")
+                raise ValueError(f"|<{x}|{y}>| = {np.abs(value).max()} exceeds 1")
             if x == y:
                 if not np.equal(value, 1.0).all():
                     raise ValueError(f"diagonal entry <{x}|{x}> must equal 1, got {raw!r}")
                 continue
-            mirror = store.get((y, x))
-            if mirror is not None and not np.equal(mirror, value.conjugate()).all():
+            given = store.get((y, x))
+            if given is not None and not np.equal(given, conjugate).all():
                 raise ValueError(f"entries for <{x}|{y}> and <{y}|{x}> are not conjugates")
             store[(x, y)] = value
+            mirrors[(y, x)] = conjugate
         # A given entry wins over the conjugate of its mirror (they may differ
         # in the sign of a zero).
-        mirrors = {(y, x): _grid_value(value.conjugate()) for (x, y), value in store.items()}
         self._entries = mirrors | store
 
     def overlap(self, x: CmLabel, y: CmLabel) -> complex | np.ndarray:
@@ -133,10 +160,47 @@ class OverlapTable:
         return value
 
 
-def _grid_value(value, kind: type = complex) -> complex | float | np.ndarray:
-    """One value as a Python ``kind``, or a grid of them as a read-only array of it."""
-    if isinstance(value, np.ndarray):
-        value = value.astype(kind)
-        value.flags.writeable = False
-        return value
-    return kind(value)
+def _abs_sq(z: complex | np.ndarray) -> float | np.ndarray:
+    """``abs(z) ** 2``, elementwise on arrays with the same C library calls.
+
+    numpy's own ``abs`` of a complex array and its ``** 2`` (a multiply)
+    each differ from CPython's ``hypot`` and ``pow`` by an ulp on some
+    inputs; ``hypot`` and ``float_power`` do not.
+    """
+    if isinstance(z, np.ndarray):
+        return np.float_power(np.hypot(z.real, z.imag), 2.0)
+    return abs(z) ** 2
+
+
+def _complex_over_real(z: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Elementwise ``z / d`` for complex ``z`` and real ``d``, rounded as CPython does.
+
+    CPython (up to 3.13) divides by ``complex(d, 0)`` with Smith's ratio 0,
+    which gives exactly these two quotients, signed zeros included.  numpy's
+    complex / float multiplies by ``1 / d`` and can differ by an ulp.
+    """
+    return _complex((z.real + z.imag * 0.0) / d, (z.imag - z.real * 0.0) / d)
+
+
+def _complex(re, im) -> np.ndarray:
+    """The complex array with real parts ``re`` and imaginary parts ``im``, bit for bit."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _cmul(xr, xi, yr, yi):
+    """Complex product on real and imaginary parts, rounded as CPython rounds ``x * y``.
+
+    numpy's own complex multiply may use SIMD or FMA and then rounds
+    differently on some inputs; these four products and two sums do not.
+    A float factor ``s`` enters CPython (up to 3.13) as ``complex(s, 0)``.
+    """
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def _conj_mul(x: complex | np.ndarray, y: complex | np.ndarray) -> complex | np.ndarray:
+    """``x.conjugate() * y``, elementwise on arrays with CPython's rounding (:func:`_cmul`)."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return _complex(*_cmul(x.real, -x.imag, y.real, y.imag))
+    return x.conjugate() * y

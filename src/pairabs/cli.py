@@ -414,10 +414,12 @@ def _verification_block(
 #: A larger block pays the fixed cost of a table and four evaluations less
 #: often, but holds its grid table until it is done (about 15 kB a trial).
 #: Median of ``run_verify(1, 1000)`` over five fresh processes and their peak
-#: RSS, per block size (2-vCPU Xeon, numpy 2.4.6, raw seconds on a loaded
-#: host): 32: 0.087 s, 36.6 MB; 64: 0.054 s, 36.6 MB; 128: 0.033 s, 36.8 MB;
-#: 256: 0.030 s, 37.7 MB; 1000: 0.030 s, 43.0 MB.  128 keeps peak RSS within
-#: 0.3 MB (1 %) of a 32-trial block; 256 adds 0.8 MB more for 0.003 s.
+#: RSS, per block size (2-vCPU Xeon, Python 3.11, numpy 2.4.6, raw seconds on a
+#: loaded host): 32: 0.073 s, 36.1 MB; 64: 0.049 s, 36.2 MB; 128: 0.036 s,
+#: 36.2 MB; 256: 0.036 s, 36.9 MB; 1000: 0.032 s, 40.7 MB.  A fresh process's
+#: first job includes about 0.02 s of one-time setup; warm jobs (median of 15
+#: in one process) take 0.058, 0.031, 0.019, 0.017 and 0.013 s.  128 keeps
+#: peak RSS within 0.1 MB of a 32-trial block; 256 adds 0.7 MB for 0.002 s.
 _VERIFY_BLOCK = 128
 
 _VERIFY_QUANTITIES = ("matrix element", "initial norm^2", "final norm^2")
@@ -525,11 +527,16 @@ def _add_case(p) -> None:
                             "family (default i)")
     group.add_argument("--family", action="store_const", dest="choice", const="family",
                        help="shorthand for --choice family")
-    p.add_argument("--statistics", choices=("boson", "fermion", "both"), default="both")
-    p.add_argument("--a-re", type=float, default=1.0)
-    p.add_argument("--a-im", type=float, default=0.0)
-    p.add_argument("--b-re", type=float, default=0.0)
-    p.add_argument("--b-im", type=float, default=0.0)
+    p.add_argument("--statistics", choices=("boson", "fermion", "both"), default="both",
+                   help="exchange statistics of the pair (default %(default)s)")
+    p.add_argument("--a-re", type=float, default=1.0,
+                   help="real part of the weight a (default %(default)s)")
+    p.add_argument("--a-im", type=float, default=0.0,
+                   help="imaginary part of the weight a (default %(default)s)")
+    p.add_argument("--b-re", type=float, default=0.0,
+                   help="real part of the weight b (default %(default)s)")
+    p.add_argument("--b-im", type=float, default=0.0,
+                   help="imaginary part of the weight b (default %(default)s)")
 
 
 def _add_rate(p) -> None:
@@ -540,15 +547,27 @@ def _add_rate(p) -> None:
 
 def _add_sweep(p) -> None:
     _add_case(p)
-    p.add_argument("--c-min", type=float, default=0.0)
-    p.add_argument("--c-max", type=float, default=1.0)
-    p.add_argument("--steps", type=_positive_int, default=101)
+    _add_c_axis(p, steps=101)
     _add_common(p)
+
+
+def _add_c_axis(p, steps: int) -> None:
+    """The sweep-value axis of ``sweep`` and ``exclusion-scan``."""
+    p.add_argument("--c-min", type=float, default=0.0,
+                   help="first sweep value (default %(default)s)")
+    p.add_argument("--c-max", type=float, default=1.0,
+                   help="last sweep value (default %(default)s)")
+    _add_steps(p, steps)
+
+
+def _add_steps(p, steps: int) -> None:
+    p.add_argument("--steps", type=_positive_int, default=steps,
+                   help="number of sweep values (default %(default)s)")
 
 
 def _add_figures(p) -> None:
     p.add_argument("target", choices=tuple(_FIGURES))
-    p.add_argument("--steps", type=_positive_int, default=101)
+    _add_steps(p, 101)
     _add_alpha0(p)
     p.add_argument("--out", default=".", metavar="DIR",
                    help="output directory (default current directory)")
@@ -556,19 +575,24 @@ def _add_figures(p) -> None:
 
 
 def _add_exclusion_scan(p) -> None:
-    p.add_argument("--a-min", type=float, default=0.0)
-    p.add_argument("--a-max", type=float, default=1.0)
-    p.add_argument("--a-steps", type=_positive_int, default=51)
-    p.add_argument("--c-min", type=float, default=0.0)
-    p.add_argument("--c-max", type=float, default=1.0)
-    p.add_argument("--steps", type=_positive_int, default=51)
+    p.add_argument("--a-min", type=float, default=0.0,
+                   help="first weight a, with b = sqrt(1 - a^2) (default %(default)s)")
+    p.add_argument("--a-max", type=float, default=1.0,
+                   help="last weight a (default %(default)s)")
+    p.add_argument("--a-steps", type=_positive_int, default=51,
+                   help="number of weights a (default %(default)s)")
+    _add_c_axis(p, steps=51)
     _add_output(p)
 
 
 def _add_verify(p) -> None:
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--trials", type=_positive_int, default=1000)
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--seed", type=_nonnegative_int, default=0,
+                   help="seed of the random configurations (default %(default)s)")
+    p.add_argument("--trials", type=_positive_int, default=1000,
+                   help="number of random configurations (default %(default)s)")
+    p.add_argument("--tolerance", type=float, default=1e-10,
+                   help="bound on every |closed-form - formal| deviation: the amplitude and "
+                        "both norms^2 (default %(default)s)")
     _add_output(p)
 
 

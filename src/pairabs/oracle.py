@@ -32,7 +32,7 @@ The plan's overlaps are looked up in the table once, as one stacked array of
 real and imaginary parts, and each inner product is evaluated on its own
 span of pairs as numpy arrays over the grid points: the pair weights times
 their two overlaps, in place, with CPython's complex rounding
-(``rates._cmul``), then a sequential ``np.cumsum`` in bra-major pair
+(``algebra._cmul``), then a sequential ``np.cumsum`` in bra-major pair
 order; the norms keep only the real sum.  The sum stays a ``cumsum`` because
 numpy's ``add.reduce`` adds pairwise when the summed axis is the contiguous
 one, as on a single point, which changes the last bits.  So every value
@@ -56,7 +56,8 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from . import rates
-from .algebra import CHI, PHI, PSI, VARPHI, CmLabel, OverlapTable, Statistics
+from .algebra import (CHI, PHI, PSI, VARPHI, CmLabel, OverlapTable, Statistics, _cmul, _complex,
+                      _complex_over_real)
 from .scenarios import Coefficients
 
 __all__ = [
@@ -284,7 +285,7 @@ def _plan(statistics: Statistics) -> _Plan:
 def _times(pr: np.ndarray, pi: np.ndarray, overlap: np.ndarray) -> None:
     """``(pr, pi)`` times ``overlap`` (its real and imaginary rows), in place.
 
-    Each part is rounded as :func:`pairabs.rates._cmul` rounds it;
+    Each part is rounded as :func:`pairabs.algebra._cmul` rounds it;
     ``overlap`` is scratch afterwards.
     """
     o_r, o_i = overlap
@@ -327,7 +328,7 @@ def formal_quantities(
         raise ValueError(f"non-finite term weight {weight * (1 + 0j)!r}")
     (ar, br), (ai, bi) = ab
     factors = ((ar, ai), (br, bi))
-    products = np.array([rates._cmul(xr, -xi, yr, yi)
+    products = np.array([_cmul(xr, -xi, yr, yi)
                          for xr, xi in factors for yr, yi in factors])  # conj(x) y at 2x + y
     weights = np.concatenate((products, -products)).swapaxes(0, 1)  # (parts, 8, points)
     sums = []
@@ -342,7 +343,7 @@ def formal_quantities(
     n0_sq, nf_sq, m_re, m_im = [(np.cumsum(parts, axis=0, out=parts)[-1] + 0.0).reshape(shape)
                                 for parts in (n0_re, nf_re, m_re, m_im)]
     rates.require_not_null(coeffs, n0_sq, nf_sq)
-    return rates._python_on_point((n0_sq, nf_sq, rates._complex(m_re, m_im)))
+    return rates._python_on_point((n0_sq, nf_sq, _complex(m_re, m_im)))
 
 
 def closed_form_deviations(
@@ -356,6 +357,6 @@ def closed_form_deviations(
     and ``abs`` round as CPython's.
     """
     n0_sq, nf_sq, bracket = formal
-    gap = closed.m - rates._complex_over_real(bracket, np.sqrt(closed.n0_sq * closed.nf_sq))
+    gap = closed.m - _complex_over_real(bracket, np.sqrt(closed.n0_sq * closed.nf_sq))
     return (np.hypot(gap.real, gap.imag), np.abs(closed.n0_sq - n0_sq),
             np.abs(closed.nf_sq - nf_sq))

@@ -27,13 +27,16 @@ preset, the exclusion family and ``pairabs verify``, each grid point equals
 bit for bit its value on its own, because the weight products ``|a|^2`` and
 ``conj(a) b`` round as CPython's.  With complex overlaps it may differ by a
 few ulp, because numpy's vectorized complex multiply rounds on its own.
-Writing every product out with :func:`_cmul` would remove that, but on a
-2-vCPU Xeon it more than doubles :func:`relative_rate_grid` on 101 points
-(about 105 to 235 us) and adds 14-19 % to an in-process ``figures`` job.
+Writing every product out with :func:`pairabs.algebra._cmul` would remove
+that, but on a 2-vCPU Xeon it more than doubles :func:`relative_rate_grid`
+on 101 points (about 105 to 235 us) and adds 14-19 % to an in-process
+``figures`` job.
 
-This is the one module that reproduces CPython's (up to 3.13) rounding on
-numpy arrays (:func:`_abs_sq`, :func:`_complex_over_real`, :func:`_cmul`,
-:func:`_conj_mul`); the oracle uses them too.
+The forms are sesquilinear in ``(a, b)``: they read the weights only through
+``|a|^2``, ``|b|^2``, ``conj(a) b`` and ``|a|^2 + |b|^2``, which a
+:class:`~pairabs.scenarios.Coefficients` computes once, on first use, and
+keeps (``Coefficients.weight_products``).  So the three forms and every
+null floor of one set of weights share one computation of each product.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CHI, PHI, PSI, VARPHI, OverlapTable, Statistics, _STARRED
+from .algebra import (CHI, PHI, PSI, VARPHI, OverlapTable, Statistics, _STARRED, _abs_sq,
+                      _complex_over_real)
 from .scenarios import Coefficients
 
 __all__ = [
@@ -97,52 +101,6 @@ class RateResult:
     bracket: complex
 
 
-def _abs_sq(z: complex | np.ndarray) -> float | np.ndarray:
-    """``abs(z) ** 2``, elementwise on arrays with the same C library calls.
-
-    numpy's own ``abs`` of a complex array and its ``** 2`` (a multiply)
-    each differ from CPython's ``hypot`` and ``pow`` by an ulp on some
-    inputs; ``hypot`` and ``float_power`` do not.
-    """
-    if isinstance(z, np.ndarray):
-        return np.float_power(np.hypot(z.real, z.imag), 2.0)
-    return abs(z) ** 2
-
-
-def _complex_over_real(z: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Elementwise ``z / d`` for complex ``z`` and real ``d``, rounded as CPython does.
-
-    CPython (up to 3.13) divides by ``complex(d, 0)`` with Smith's ratio 0,
-    which gives exactly these two quotients, signed zeros included.  numpy's
-    complex / float multiplies by ``1 / d`` and can differ by an ulp.
-    """
-    return _complex((z.real + z.imag * 0.0) / d, (z.imag - z.real * 0.0) / d)
-
-
-def _complex(re, im) -> np.ndarray:
-    """The complex array with real parts ``re`` and imaginary parts ``im``, bit for bit."""
-    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def _cmul(xr, xi, yr, yi):
-    """Complex product on real and imaginary parts, rounded as CPython rounds ``x * y``.
-
-    numpy's own complex multiply may use SIMD or FMA and then rounds
-    differently on some inputs; these four products and two sums do not.
-    A float factor ``s`` enters CPython (up to 3.13) as ``complex(s, 0)``.
-    """
-    return xr * yr - xi * yi, xr * yi + xi * yr
-
-
-def _conj_mul(x: complex | np.ndarray, y: complex | np.ndarray) -> complex | np.ndarray:
-    """``x.conjugate() * y``, elementwise on arrays with CPython's rounding (:func:`_cmul`)."""
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        return _complex(*_cmul(x.real, -x.imag, y.real, y.imag))
-    return x.conjugate() * y
-
-
 def initial_norm_sq(
     coeffs: Coefficients, table: OverlapTable, statistics: Statistics
 ) -> float:
@@ -156,12 +114,11 @@ def initial_norm_sq(
     A vanishing result is meaningful: it identifies an excluded state.
     """
     s = statistics.sign
-    a, b = coeffs.a, coeffs.b
+    aa, bb, cross, _ = coeffs.weight_products
     ov = table.overlap
-    cross = _conj_mul(a, b)
     return (
-        2.0 * _abs_sq(a) * (1.0 + s * _abs_sq(ov(PSI, PHI)))
-        + 2.0 * _abs_sq(b) * (1.0 + s * _abs_sq(ov(VARPHI, CHI)))
+        2.0 * aa * (1.0 + s * _abs_sq(ov(PSI, PHI)))
+        + 2.0 * bb * (1.0 + s * _abs_sq(ov(VARPHI, CHI)))
         + 4.0 * (cross * ov(PSI, VARPHI) * ov(PHI, CHI)).real
         + 4.0 * s * (cross * ov(PSI, CHI) * ov(PHI, VARPHI)).real
     )
@@ -176,18 +133,17 @@ def final_norm_sq(
     orthogonality kills every g/e cross term.
     """
     s = statistics.sign
-    a, b = coeffs.a, coeffs.b
+    aa, bb, cross, weight_sq = coeffs.weight_products
     ov = table.overlap
     ps, phs, vs, cs = _STARRED
-    cross = _conj_mul(a, b)
     return (
-        4.0 * (_abs_sq(a) + _abs_sq(b))
+        4.0 * weight_sq
         + 4.0 * (cross * ov(ps, vs) * ov(PHI, CHI)).real
         + 4.0 * (cross.conjugate() * ov(cs, phs) * ov(VARPHI, PSI)).real
-        + 4.0 * s * _abs_sq(a) * (ov(ps, phs) * ov(PHI, PSI)).real
+        + 4.0 * s * aa * (ov(ps, phs) * ov(PHI, PSI)).real
         + 4.0 * s * (cross * ov(ps, cs) * ov(PHI, VARPHI)).real
         + 4.0 * s * (cross.conjugate() * ov(vs, phs) * ov(CHI, PSI)).real
-        + 4.0 * s * _abs_sq(b) * (ov(vs, cs) * ov(CHI, VARPHI)).real
+        + 4.0 * s * bb * (ov(vs, cs) * ov(CHI, VARPHI)).real
     )
 
 
@@ -201,13 +157,10 @@ def bracket_sum(
     statistics-signed block holds the exchange contributions.
     """
     s = statistics.sign
-    a, b = coeffs.a, coeffs.b
+    aa, bb, ab, _ = coeffs.weight_products
+    ba = ab.conjugate()
     ov = table.overlap
     ps, phs, vs, cs = _STARRED
-    aa = _abs_sq(a)
-    bb = _abs_sq(b)
-    ab = _conj_mul(a, b)
-    ba = ab.conjugate()
     direct = (
         aa * (ov(ps, PSI) + ov(phs, PHI))
         + bb * (ov(vs, VARPHI) + ov(cs, CHI))
@@ -229,7 +182,7 @@ def bracket_sum(
 
 def _null_floors(coeffs: Coefficients) -> tuple[float, float]:
     """Floors below which the initial and the final squared norm count as null."""
-    weight_sq = _abs_sq(coeffs.a) + _abs_sq(coeffs.b)
+    *_, weight_sq = coeffs.weight_products
     return EXCLUSION_EPS * 2.0 * weight_sq, EXCLUSION_EPS * 4.0 * weight_sq
 
 

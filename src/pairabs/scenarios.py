@@ -24,6 +24,7 @@ stacks of real vectors; :func:`random_realizable_overlaps` is its one-draw case.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -32,7 +33,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import CHI, PHI, PSI, VARPHI, CmLabel, OverlapTable, _LABELS, _STARRED, _grid_value
+from .algebra import (CHI, PHI, PSI, VARPHI, CmLabel, OverlapTable, _LABELS, _STARRED, _abs_sq,
+                      _conj_mul)
 
 __all__ = [
     "ALL_PAIRS",
@@ -60,6 +62,15 @@ def _require(values, ok, message: str) -> None:
     failed = np.atleast_1d(values)[~np.atleast_1d(ok)]
     if failed.size:
         raise ValueError(message.format(failed[0]))
+
+
+def _grid_value(value, kind: type = complex) -> complex | float | np.ndarray:
+    """One value as a Python ``kind``, or a grid of them as a read-only array of it."""
+    if isinstance(value, np.ndarray):
+        value = value.astype(kind)
+        value.flags.writeable = False
+        return value
+    return kind(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,6 +142,19 @@ class Coefficients:
                  f"[{low:.3g}, {high:.3g}]: the squared norms would leave the double range")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    @functools.cached_property
+    def weight_products(self) -> tuple:
+        """``(|a|^2, |b|^2, conj(a) b, |a|^2 + |b|^2)``, computed on first use and kept.
+
+        Every closed form and null floor of :mod:`pairabs.rates` reads the
+        weights only through these.  They round as CPython's ``abs(a) ** 2``
+        and ``a.conjugate() * b`` do (:func:`pairabs.algebra._abs_sq`,
+        :func:`pairabs.algebra._conj_mul`), arrays over the grid for array
+        weights.
+        """
+        aa, bb = _abs_sq(self.a), _abs_sq(self.b)
+        return aa, bb, _conj_mul(self.a, self.b), aa + bb
 
 
 _CHOICE_FIXED: dict[str, dict[tuple[CmLabel, CmLabel], complex]] = {

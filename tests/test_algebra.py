@@ -131,3 +131,106 @@ class TestOverlapTable:
             for x in labels:
                 for y in labels:
                     assert table.overlap(x, y) == table.overlap(y, x).conjugate()
+
+
+def per_entry_reference(value):
+    """An entry as a table stores it when each is copied and checked on its own: a
+    Python ``complex``, or a read-only complex copy of an array."""
+    if isinstance(value, np.ndarray):
+        return value.astype(complex)
+    return complex(value)
+
+
+def same_value(got, expected):
+    """Same type, shape, dtype and bits (so signed zeros count)."""
+    if not isinstance(expected, np.ndarray):
+        return type(got) is complex and repr(got) == repr(expected)
+    return (type(got) is np.ndarray and got.shape == expected.shape
+            and got.dtype == expected.dtype and got.tobytes() == expected.tobytes())
+
+
+class TestStackedGridEntries:
+    """Array entries of one shape are stored as rows of one stack; nothing else changes."""
+
+    DIAGONAL = ((PSI, PSI), np.array([1.0, 0.9]), "diagonal entry <psi|psi> must equal 1, got "
+                "array([1. , 0.9])")
+    MAGNITUDE = ((PSI, PHI), np.array([0.5, 1.2]), "|<psi|phi>| = 1.2 exceeds 1")
+    NON_FINITE = ((VARPHI, CHI), np.array([0.5, np.nan]), "non-finite overlap for <varphi|chi>")
+    MIRROR = ((PHI, PSI), np.array([0.5, 1.2]), "entries for <phi|psi> and <psi|phi> are not "
+              "conjugates")
+
+    @pytest.mark.parametrize("first, second", [
+        (DIAGONAL, MAGNITUDE), (MAGNITUDE, DIAGONAL), (NON_FINITE, MAGNITUDE),
+        (MAGNITUDE, NON_FINITE), (DIAGONAL, NON_FINITE), (NON_FINITE, DIAGONAL),
+    ])
+    def test_the_first_bad_entry_in_mapping_order_is_named(self, first, second):
+        entries = {(CHI, PHI): np.array([0.1, 0.2]), first[0]: first[1], second[0]: second[1]}
+        with pytest.raises(ValueError) as error:
+            OverlapTable(entries)
+        assert str(error.value) == first[2]
+
+    def test_a_given_mirror_is_checked_after_its_own_magnitude(self):
+        good = np.array([0.5, 0.25j])
+        with pytest.raises(ValueError) as error:
+            OverlapTable({(PSI, PHI): good, (PHI, PSI): np.array([0.5, -0.5j])})
+        assert str(error.value) == self.MIRROR[2]
+        with pytest.raises(ValueError) as error:
+            OverlapTable({(PSI, PHI): good, (PHI, PSI): np.array([0.5, 1.5j])})
+        assert str(error.value) == "|<phi|psi>| = 1.5 exceeds 1"
+
+    def test_mixed_shapes_give_each_entry_its_own_values_and_type(self):
+        rng = np.random.default_rng(3)
+        entries = {
+            (PSI, PHI): rng.uniform(-0.7, 0.7, 3),
+            (PSI, VARPHI): np.array([0.25 - 0.5j]),
+            (PSI, CHI): rng.uniform(-0.7, 0.7, (2, 1)),
+            (PHI, VARPHI): rng.uniform(-0.7, 0.7, (1, 3)) + 0.1j,
+            (PHI, CHI): rng.uniform(-0.7, 0.7, 3) * 1j,
+            (VARPHI, CHI): 0.5,
+            (PSI.star(), PSI): np.array([0.0, -0.0, 0.3]),
+            (PHI.star(), CHI): np.array([0.2]),
+        }
+        table = OverlapTable(entries)
+        for (x, y), value in entries.items():
+            expected = per_entry_reference(value)
+            assert same_value(table.overlap(x, y), expected), (x, y)
+            assert same_value(table.overlap(y, x), per_entry_reference(expected.conjugate()))
+
+    def test_a_0d_array_entry_and_a_scalar_entry_keep_their_types(self):
+        # a 0-d entry's mirror is a 0-d array like the entry (per-entry copies
+        # made it a Python complex, since numpy conjugates a 0-d array to a scalar)
+        entries = {(PSI, PHI): np.array(0.5), (PSI, VARPHI): np.array(0.25 + 0.5j),
+                   (PSI, CHI): 0.5, (PHI, CHI): np.float64(-0.25), (VARPHI, CHI): 1j * 0.5}
+        table = OverlapTable(entries)
+        for (x, y), value in entries.items():
+            for got in (table.overlap(x, y), table.overlap(y, x)):
+                if isinstance(value, np.ndarray):
+                    assert type(got) is np.ndarray and got.shape == () and got.dtype == complex
+                    assert not got.flags.writeable
+                else:
+                    assert type(got) is complex
+        assert table.overlap(VARPHI, PSI).item() == 0.25 - 0.5j
+        assert table.overlap(CHI, PHI) == -0.25
+
+    def test_entries_are_read_only_and_share_no_memory_with_the_input(self):
+        entries = {(PSI, PHI): np.array([0.2, 0.4]), (PSI, CHI): np.array([0.1j, 0.3]),
+                   (VARPHI, CHI): np.array([[0.5]]), (PHI, CHI): np.array([0.6 + 0j, 0.0])}
+        table = OverlapTable(entries)
+        before = {pair: entries[pair].copy() for pair in entries}
+        for (x, y), value in entries.items():
+            for got in (table.overlap(x, y), table.overlap(y, x)):
+                assert not got.flags.writeable
+                assert not np.shares_memory(got, value)
+                with pytest.raises(ValueError):
+                    got[...] = 0.0
+            value[...] = 0.9
+        for (x, y), value in before.items():
+            assert same_value(table.overlap(x, y), value.astype(complex))
+
+    def test_a_given_grid_entry_wins_over_its_conjugated_mirror(self):
+        signed = np.array([complex(0.5, 0.0), complex(0.5, -0.0)])
+        table = OverlapTable({(PSI, PHI): signed, (PHI, PSI): np.full(2, complex(0.5, 0.0))})
+        assert np.copysign(1.0, table.overlap(PSI, PHI).imag).tolist() == [1.0, -1.0]
+        assert np.copysign(1.0, table.overlap(PHI, PSI).imag).tolist() == [1.0, 1.0]
+        mirrored = OverlapTable({(PSI, PHI): signed})
+        assert np.copysign(1.0, mirrored.overlap(PHI, PSI).imag).tolist() == [-1.0, 1.0]

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pairabs import cli, oracle, rates
+from pairabs import algebra, cli, oracle, rates, scenarios
 from pairabs.algebra import CHI, PHI, PSI, VARPHI, Statistics
 from pairabs.cli import SCAN_HEADER, SWEEP_HEADER
 from pairabs.scenarios import (
@@ -753,6 +753,49 @@ class TestVerify:
         assert calls == {"initial_norm_sq": 4, "final_norm_sq": 4, "bracket_sum": 4,
                          "formal_quantities": 4, "_draw_candidates": 2}
 
+    def test_weight_products_are_computed_once_per_coefficients(self, monkeypatch):
+        # Over one block, its redraw and every null check run_verify makes for it,
+        # each Coefficients' |a|^2, |b|^2 and conj(a) b are computed once, by
+        # whichever module holds the helpers.
+        draw_candidates = cli._draw_candidates
+
+        def first_raw_all_ones(rng, count):  # a null first candidate: one redraw
+            a, b, alpha0, raw = draw_candidates(rng, count)
+            if count == cli._VERIFY_BLOCK:
+                raw[0] = 1.0
+            return a, b, alpha0, raw
+
+        created = []
+
+        def recorded_coefficients(a, b):
+            created.append(Coefficients(a, b))
+            return created[-1]
+
+        calls = []  # (helper, its arguments)
+
+        def recording(name, original):
+            def recorded(*args):
+                calls.append((name, args))
+                return original(*args)
+
+            return recorded
+
+        monkeypatch.setattr(cli, "_draw_candidates", first_raw_all_ones)
+        monkeypatch.setattr(cli, "Coefficients", recorded_coefficients)
+        for module in (algebra, scenarios, rates, oracle):
+            for name in ("_abs_sq", "_conj_mul"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+        trials = str(cli._VERIFY_BLOCK)
+        assert exit_code(["verify", "--seed", "3", "--trials", trials, "--out", "-"]) == 0
+        assert len(created) == 2  # the block and its top-up round
+        for coeffs in created:
+            weights = {id(coeffs.a): "a", id(coeffs.b): "b"}
+            of_weights = [(name, [weights.get(id(arg)) for arg in args]) for name, args in calls
+                          if any(arg is coeffs.a or arg is coeffs.b for arg in args)]
+            assert of_weights == [("_abs_sq", ["a"]), ("_abs_sq", ["b"]),
+                                  ("_conj_mul", ["a", "b"])]
+
     @pytest.mark.parametrize("seed", [0, 1, 7, 2026, 20250809])
     def test_stacked_overlaps_equal_one_draw_at_a_time(self, seed):
         # a block computes the overlaps of all its candidates at once
@@ -1096,6 +1139,23 @@ class TestParserPerCommand:
         for flag, by_command in helps.items():
             assert len(set(by_command.values())) == 1, (flag, by_command)
         assert helps["--config"]["verify"] == helps["--config"]["figures"] is not None
+
+    @pytest.mark.parametrize("command, shown", [
+        ("rate", "exchange statistics of the pair (default both)"),
+        ("sweep", "--steps STEPS number of sweep values (default 101)"),
+        ("figures", "--steps STEPS number of sweep values (default 101)"),
+        ("exclusion-scan", "--steps STEPS number of sweep values (default 51)"),
+        ("verify", "--tolerance TOLERANCE bound on every |closed-form - formal| deviation"),
+    ])
+    def test_every_flag_has_a_help_line_naming_its_default(self, command, shown, capsys):
+        subparser = cli.build_parser(command)[1][command]
+        for action in subparser._actions:
+            if action.option_strings and action.dest not in ("help", "config"):
+                assert action.help, action.option_strings
+                if action.default is not None:
+                    assert "default" in action.help, action.option_strings
+        text = self.outcome(capsys, lambda: cli.main([command, "-h"]))[1]
+        assert shown in " ".join(text.split())
 
 
 class TestEntryPoint:

@@ -26,7 +26,7 @@ from hypothesis.extra.numpy import arrays
 
 from pairabs import oracle, rates
 from pairabs.algebra import CHI, PHI, PSI, VARPHI, Statistics
-from pairabs.scenarios import RecoilModel, build_table, realizable_overlaps
+from pairabs.scenarios import Coefficients, RecoilModel, build_table, realizable_overlaps
 
 LABELS = (PSI, PHI, VARPHI, CHI, *(label.star() for label in (PSI, PHI, VARPHI, CHI)))
 
@@ -88,6 +88,9 @@ class SymWeights:
         ar, ai, br, bi = sympy.symbols("a_re a_im b_re b_im", real=True)
         self.a = Sym(ar + sympy.I * ai)
         self.b = Sym(br + sympy.I * bi)
+
+    # the forms read the weights through these; the package's own code, on symbols
+    weight_products = Coefficients.weight_products
 
 
 def formal_products(weights, table, statistics):

@@ -1,8 +1,8 @@
 """Forward error of the relative rate against a 50-digit evaluation.
 
 The closed forms accept any table whose ``overlap`` returns numbers with the
-complex-number interface, and any weights with ``a`` and ``b``, so the same
-formulas run in mpmath on the same double table and weights: the difference
+complex-number interface, and any weights with ``a``, ``b`` and
+``weight_products``, so the same formulas run in mpmath on the same double table and weights: the difference
 is the rounding error of the double route, not of the inputs.
 """
 
@@ -11,7 +11,6 @@ import functools
 import io
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -19,7 +18,7 @@ import pytest
 
 from pairabs import cli, rates
 from pairabs.algebra import _STARRED, PHI, PSI, Statistics
-from pairabs.scenarios import RecoilModel
+from pairabs.scenarios import Coefficients, RecoilModel
 
 
 class MpPoint:
@@ -49,10 +48,14 @@ def mp_columns(coeffs, table, statistics, excluded=False):
             "r": abs(2 * bracket) ** 2 / (n0_sq * nf_sq) / abs(m_pro) ** 2}
 
 
-def mp_weights(coeffs):
+class mp_weights:
     """The weights as ``mpmath.mpc``; not ``Coefficients``, which would round them
-    back to double."""
-    return SimpleNamespace(a=mpmath.mpc(complex(coeffs.a)), b=mpmath.mpc(complex(coeffs.b)))
+    back to double.  Their products are ``Coefficients``' own code, in mpmath."""
+
+    def __init__(self, coeffs):
+        self.a, self.b = mpmath.mpc(complex(coeffs.a)), mpmath.mpc(complex(coeffs.b))
+
+    weight_products = Coefficients.weight_products
 
 
 def test_fig4_rate_is_accurate_to_5e_12():

@@ -8,13 +8,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from pairabs.algebra import CHI, PHI, PSI, VARPHI, Statistics
+from pairabs.algebra import CHI, PHI, PSI, VARPHI, Statistics, _cmul, _complex_over_real
 from pairabs.rates import (
     EXCLUSION_EPS,
     ExcludedStateError,
     RateResult,
-    _cmul,
-    _complex_over_real,
     _matrix_element_product,
     _null_floors,
     bracket_sum,
