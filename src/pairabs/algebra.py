@@ -14,10 +14,13 @@ one magnitude test and conjugated with one call; each entry and its mirror
 is a row of those stacks.  None of this changes any value or the order in
 which inner products are summed.
 
-This is also the one module that reproduces CPython's (up to 3.13) rounding
-on numpy arrays (:func:`_abs_sq`, :func:`_complex_over_real`, :func:`_cmul`,
-:func:`_conj_mul`), so that each point of a grid equals its value on its
-own; the weights, the closed forms and the oracle all use it.
+It also holds the package's few rounding rules: ``|z|^2`` is
+``re*re + im*im`` on a Python number and on an array alike
+(:func:`_abs_sq`), a complex number is divided by a real one part by part
+(:func:`_over_real`), and a 0-d result becomes a Python number
+(:func:`_python_on_point`).  The weight products and the oracle multiply
+with numpy's own elementwise arithmetic, which rounds a point as it rounds
+each point of a grid.
 """
 
 from __future__ import annotations
@@ -160,26 +163,18 @@ class OverlapTable:
         return value
 
 
-def _abs_sq(z: complex | np.ndarray) -> float | np.ndarray:
-    """``abs(z) ** 2``, elementwise on arrays with the same C library calls.
+def _abs_sq(z):
+    """``|z|^2`` as ``re*re + im*im``: one rounding rule for Python numbers and arrays."""
+    return z.real * z.real + z.imag * z.imag
 
-    numpy's own ``abs`` of a complex array and its ``** 2`` (a multiply)
-    each differ from CPython's ``hypot`` and ``pow`` by an ulp on some
-    inputs; ``hypot`` and ``float_power`` do not.
+
+def _over_real(z, d) -> np.ndarray:
+    """``z / d`` for a real divisor ``d``, each part divided on its own, as an array.
+
+    numpy's ``complex / float`` multiplies by ``1 / d`` instead, which
+    differs by an ulp on some inputs.
     """
-    if isinstance(z, np.ndarray):
-        return np.float_power(np.hypot(z.real, z.imag), 2.0)
-    return abs(z) ** 2
-
-
-def _complex_over_real(z: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Elementwise ``z / d`` for complex ``z`` and real ``d``, rounded as CPython does.
-
-    CPython (up to 3.13) divides by ``complex(d, 0)`` with Smith's ratio 0,
-    which gives exactly these two quotients, signed zeros included.  numpy's
-    complex / float multiplies by ``1 / d`` and can differ by an ulp.
-    """
-    return _complex((z.real + z.imag * 0.0) / d, (z.imag - z.real * 0.0) / d)
+    return _complex(z.real / d, z.imag / d)
 
 
 def _complex(re, im) -> np.ndarray:
@@ -189,18 +184,9 @@ def _complex(re, im) -> np.ndarray:
     return out
 
 
-def _cmul(xr, xi, yr, yi):
-    """Complex product on real and imaginary parts, rounded as CPython rounds ``x * y``.
+def _python_on_point(values: tuple) -> tuple:
+    """``values`` with each 0-d one as a Python number; arrays of a grid stay arrays.
 
-    numpy's own complex multiply may use SIMD or FMA and then rounds
-    differently on some inputs; these four products and two sums do not.
-    A float factor ``s`` enters CPython (up to 3.13) as ``complex(s, 0)``.
+    The one rule by which a single point gives Python numbers.
     """
-    return xr * yr - xi * yi, xr * yi + xi * yr
-
-
-def _conj_mul(x: complex | np.ndarray, y: complex | np.ndarray) -> complex | np.ndarray:
-    """``x.conjugate() * y``, elementwise on arrays with CPython's rounding (:func:`_cmul`)."""
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        return _complex(*_cmul(x.real, -x.imag, y.real, y.imag))
-    return x.conjugate() * y
+    return tuple(np.asarray(v).item() if np.ndim(v) == 0 else v for v in values)

@@ -221,7 +221,7 @@ def _log_choice_ii_flatness(results: SweepResults, log: TextIO) -> None:
     """
     for coeffs, _, res in results[1::2]:  # the fermion results: BOTH_STATISTICS[1]
         n0s, nf_sqs = res.n0_sq.tolist(), res.nf_sq.tolist()
-        brackets = np.hypot(res.bracket.real, res.bracket.imag).tolist()  # abs() per point
+        brackets = np.abs(res.bracket).tolist()
         rs = res.r[~res.excluded].tolist()
         r_span = (max(rs) - min(rs)) / min(rs)
         print(
@@ -335,8 +335,7 @@ def exclusion_scan_rows(
     by_norm = rates.exclusion_mask(
         coeffs, rates.initial_norm_sq(coeffs, build_family_table(fam), Statistics.FERMION))
     coefficient = family_exclusion_coefficient(coeffs, fam)
-    magnitude = np.broadcast_to(np.hypot(np.real(coefficient), np.imag(coefficient)),
-                                by_norm.shape)  # abs() per point
+    magnitude = np.broadcast_to(np.abs(coefficient), by_norm.shape)
     by_formula = rates.exclusion_mask(coeffs, 2.0 * magnitude * magnitude)
     c_column = _column(c_grid)
     rows: list[list[str]] = []
@@ -415,11 +414,12 @@ def _verification_block(
 #: often, but holds its grid table until it is done (about 15 kB a trial).
 #: Median of ``run_verify(1, 1000)`` over five fresh processes and their peak
 #: RSS, per block size (2-vCPU Xeon, Python 3.11, numpy 2.4.6, raw seconds on a
-#: loaded host): 32: 0.073 s, 36.1 MB; 64: 0.049 s, 36.2 MB; 128: 0.036 s,
-#: 36.2 MB; 256: 0.036 s, 36.9 MB; 1000: 0.032 s, 40.7 MB.  A fresh process's
-#: first job includes about 0.02 s of one-time setup; warm jobs (median of 15
-#: in one process) take 0.058, 0.031, 0.019, 0.017 and 0.013 s.  128 keeps
-#: peak RSS within 0.1 MB of a 32-trial block; 256 adds 0.7 MB for 0.002 s.
+#: loaded host): 32: 0.066 s, 36.8 MB; 64: 0.048 s, 36.8 MB; 128: 0.032 s,
+#: 36.7 MB; 256: 0.031 s, 36.9 MB; 1000: 0.023 s, 39.3 MB.  A fresh process's
+#: first job includes about 0.017 s of one-time setup; warm jobs (median of 15
+#: in one process) take 0.050, 0.027, 0.015, 0.012 and 0.008 s.  128 keeps
+#: peak RSS within 0.1 MB of a 32-trial block; 256 adds 0.2 MB to save 0.001 s
+#: (0.003 s warm).
 _VERIFY_BLOCK = 128
 
 _VERIFY_QUANTITIES = ("matrix element", "initial norm^2", "final norm^2")

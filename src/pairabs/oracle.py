@@ -28,21 +28,22 @@ the weight ``conj(w_bra) w_ket`` of each pair is one of the four products
 index per pair into these eight, and an evaluation computes the four
 products once and gathers them to the pairs.  Each inner product is thus a
 sesquilinear form in ``(a, b)`` whose 2x2 matrix the plan spells out.
-The plan's overlaps are looked up in the table once, as one stacked array of
-real and imaginary parts, and each inner product is evaluated on its own
-span of pairs as numpy arrays over the grid points: the pair weights times
-their two overlaps, in place, with CPython's complex rounding
-(``algebra._cmul``), then a sequential ``np.cumsum`` in bra-major pair
-order; the norms keep only the real sum.  The sum stays a ``cumsum`` because
-numpy's ``add.reduce`` adds pairwise when the summed axis is the contiguous
-one, as on a single point, which changes the last bits.  So every value
-equals :func:`inner_product` of the built states bit for bit: negation is
-exact, and a weight that differs from the built one only in the sign of a
-zero leaves every nonzero product unchanged.  The builders drop the terms of
-a zero weight; the plan keeps them, but their products are exact signed
-zeros, which leave a nonzero partial sum unchanged, and the closing
-``+ 0.0`` of each sum turns an all-zero sum into the ``+0.0`` that a sum
-started at ``0.0`` gives.
+The plan's overlaps are looked up in the table once, as one stacked complex
+array, and each inner product is evaluated on its own span of pairs as numpy
+arrays over the grid points: the pair weights times their two overlaps, in
+place, then a sequential ``np.cumsum`` in bra-major pair order; the norms
+keep only the real sum.  The sum stays a ``cumsum`` because numpy's
+``add.reduce`` adds pairwise when the summed axis is the contiguous one, as
+on a single point, which changes the last bits.  A single point runs the
+same numpy code as a grid, so every grid value equals its point's value bit
+for bit.  :func:`inner_product` of the built states, evaluated in Python, is
+the reference; numpy's complex multiply rounds on its own, so the two agree
+within ``8 eps`` times the sum of the terms' magnitudes per inner product
+(the bound ``tests/test_oracle.py`` derives), not bit for bit.  The
+builders drop the terms of a zero weight; the plan keeps them, but their
+products are exact signed zeros, which leave a nonzero partial sum
+unchanged, and the closing ``+ 0.0`` of each sum turns an all-zero sum into
+the ``+0.0`` that a sum started at ``0.0`` gives.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from . import rates
-from .algebra import (CHI, PHI, PSI, VARPHI, CmLabel, OverlapTable, Statistics, _cmul, _complex,
-                      _complex_over_real)
+from .algebra import (CHI, PHI, PSI, VARPHI, CmLabel, OverlapTable, Statistics, _over_real,
+                      _python_on_point)
 from .scenarios import Coefficients
 
 __all__ = [
@@ -282,21 +283,6 @@ def _plan(statistics: Statistics) -> _Plan:
                  spans=tuple(spans), weight_of=_frozen(weight_of))
 
 
-def _times(pr: np.ndarray, pi: np.ndarray, overlap: np.ndarray) -> None:
-    """``(pr, pi)`` times ``overlap`` (its real and imaginary rows), in place.
-
-    Each part is rounded as :func:`pairabs.algebra._cmul` rounds it;
-    ``overlap`` is scratch afterwards.
-    """
-    o_r, o_i = overlap
-    scratch = pi * o_i
-    np.multiply(pi, o_r, out=pi)
-    np.multiply(pr, o_i, out=o_i)
-    np.multiply(pr, o_r, out=pr)
-    np.subtract(pr, scratch, out=pr)
-    np.add(o_i, pi, out=pi)
-
-
 def formal_quantities(
     coeffs: Coefficients, table: OverlapTable, statistics: Statistics
 ) -> tuple[float, float, complex]:
@@ -304,10 +290,10 @@ def formal_quantities(
 
     The inner products of the initial, the final and the absorbed initial
     state (:func:`build_initial`, :func:`build_final`,
-    :func:`apply_absorption`), bit for bit, through the plan of the
-    statistics.  On a single point they are a Python ``float``, ``float``
-    and ``complex``; on a grid (array weights, a grid table or both,
-    broadcast together) arrays over it.  Raises ``ValueError`` on a
+    :func:`apply_absorption`), through the plan of the statistics.  On a
+    single point they are a Python ``float``, ``float`` and ``complex``; on
+    a grid (array weights, a grid table or both, broadcast together) arrays
+    over it, each point bit for bit its value on its own.  Raises ``ValueError`` on a
     non-finite term weight and :class:`~pairabs.rates.ExcludedStateError`
     when either norm is null anywhere, by the criterion of the closed forms
     (:func:`pairabs.rates.require_not_null`).
@@ -319,31 +305,26 @@ def formal_quantities(
     grid = np.empty((len(values),) + shape, dtype=complex)
     for row, value in enumerate(values):  # each broadcast to the grid, then flattened
         grid[row] = value
-    stacked = np.stack((grid.real, grid.imag)).reshape(2, len(values), -1)
-    ab, ov = stacked[:, :2], stacked[:, 2:]  # (parts, a and b, points)
-    finite = np.isfinite(ab).all(axis=0)
+    grid = grid.reshape(len(values), -1)
+    ab, ov = grid[:2], grid[2:]  # (a and b, points), (overlaps, points)
+    finite = np.isfinite(ab)
     if not finite.all():  # named as the builders name it: a, else b, times 1+0j
         k = finite.all(axis=0).argmin()
-        weight = complex(*ab[:, int(finite[0, k]), k])
+        weight = complex(ab[int(finite[0, k]), k])
         raise ValueError(f"non-finite term weight {weight * (1 + 0j)!r}")
-    (ar, br), (ai, bi) = ab
-    factors = ((ar, ai), (br, bi))
-    products = np.array([_cmul(xr, -xi, yr, yi)
-                         for xr, xi in factors for yr, yi in factors])  # conj(x) y at 2x + y
-    weights = np.concatenate((products, -products)).swapaxes(0, 1)  # (parts, 8, points)
+    products = np.multiply(ab.conjugate()[:, None], ab).reshape(4, -1)  # conj(x) y at 2x + y
+    weights = np.concatenate((products, -products))
     sums = []
     for lo, hi in plan.spans:
-        pr, pi = weights.take(plan.weight_of[lo:hi], axis=1)
-        _times(pr, pi, ov.take(plan.first[lo:hi], axis=1))
-        _times(pr, pi, ov.take(plan.second[lo:hi], axis=1))
-        sums.append((pr, pi))
-    (n0_re, _), (nf_re, _), (m_re, m_im) = sums  # the norms are real
-    # Sequential sums over each product's pairs, in the pairs' order; adding 0.0
-    # gives the +0.0 that a sum started at 0.0 gives where every term is 0.
-    n0_sq, nf_sq, m_re, m_im = [(np.cumsum(parts, axis=0, out=parts)[-1] + 0.0).reshape(shape)
-                                for parts in (n0_re, nf_re, m_re, m_im)]
+        terms = weights.take(plan.weight_of[lo:hi], axis=0)
+        terms *= ov.take(plan.first[lo:hi], axis=0)
+        terms *= ov.take(plan.second[lo:hi], axis=0)
+        # a sequential sum over the pairs, in their order; adding 0.0 gives the
+        # +0.0 that a sum started at 0.0 gives where every term is 0
+        sums.append((np.cumsum(terms, axis=0, out=terms)[-1] + 0.0).reshape(shape))
+    n0_sq, nf_sq, bracket = sums[0].real, sums[1].real, sums[2]  # the norms are real
     rates.require_not_null(coeffs, n0_sq, nf_sq)
-    return rates._python_on_point((n0_sq, nf_sq, _complex(m_re, m_im)))
+    return _python_on_point((n0_sq, nf_sq, bracket))
 
 
 def closed_form_deviations(
@@ -353,10 +334,10 @@ def closed_form_deviations(
 
     ``closed`` and ``formal`` are :func:`pairabs.rates.relative_rate_grid`
     and :func:`formal_quantities` on the same points.  The formal amplitude
-    is the formal bracket over the closed-form ``sqrt(n0^2 nf^2)``; division
-    and ``abs`` round as CPython's.
+    is the formal bracket over the closed-form ``sqrt(n0^2 nf^2)``, each part
+    divided on its own; ``abs`` is numpy's.
     """
     n0_sq, nf_sq, bracket = formal
-    gap = closed.m - _complex_over_real(bracket, np.sqrt(closed.n0_sq * closed.nf_sq))
-    return (np.hypot(gap.real, gap.imag), np.abs(closed.n0_sq - n0_sq),
+    gap = closed.m - _over_real(bracket, np.sqrt(closed.n0_sq * closed.nf_sq))
+    return (np.abs(gap), np.abs(closed.n0_sq - n0_sq),
             np.abs(closed.nf_sq - nf_sq))

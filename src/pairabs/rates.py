@@ -24,13 +24,14 @@ weights, or both) they return arrays over the grid.
 evaluates each form once and keeps all three in its result, Python numbers
 on a point and arrays on a grid.  Where the overlaps are real, as in every
 preset, the exclusion family and ``pairabs verify``, each grid point equals
-bit for bit its value on its own, because the weight products ``|a|^2`` and
-``conj(a) b`` round as CPython's.  With complex overlaps it may differ by a
-few ulp, because numpy's vectorized complex multiply rounds on its own.
-Writing every product out with :func:`pairabs.algebra._cmul` would remove
-that, but on a 2-vCPU Xeon it more than doubles :func:`relative_rate_grid`
-on 101 points (about 105 to 235 us) and adds 14-19 % to an in-process
-``figures`` job.
+bit for bit its value on its own: ``|a|^2`` is ``re*re + im*im`` on both,
+``conj(a) b`` is one ``np.multiply`` call on both (a ufunc rounds a
+Python-number point as it rounds a grid), and a product with a real overlap
+has one nonzero product per part, which Python and numpy round alike.  With
+complex overlaps a point multiplies in Python and a grid in numpy, whose
+complex multiply rounds on its own, so they may differ by a few ulp.  ``m``
+and ``m_pro`` divide each part by their real divisor
+(:func:`pairabs.algebra._over_real`).
 
 The forms are sesquilinear in ``(a, b)``: they read the weights only through
 ``|a|^2``, ``|b|^2``, ``conj(a) b`` and ``|a|^2 + |b|^2``, which a
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (CHI, PHI, PSI, VARPHI, OverlapTable, Statistics, _STARRED, _abs_sq,
-                      _complex_over_real)
+                      _over_real, _python_on_point)
 from .scenarios import Coefficients
 
 __all__ = [
@@ -212,17 +213,6 @@ def require_not_null(coeffs: Coefficients, n0_sq: float, nf_sq: float) -> None:
         )
 
 
-def _python_on_point(values: tuple) -> tuple:
-    """``values`` as Python ``float``, ``complex`` and ``bool`` when all are 0-d, else as given.
-
-    The one rule by which a single point gives Python numbers, in
-    :func:`relative_rate_grid` and :func:`pairabs.oracle.formal_quantities`.
-    """
-    if all(np.ndim(v) == 0 for v in values):
-        return tuple(np.asarray(v).item() for v in values)
-    return values
-
-
 def _matrix_element_product(table: OverlapTable) -> complex:
     """Absorption amplitude for the same atoms in the product state ``|psi>|phi>``.
 
@@ -231,10 +221,7 @@ def _matrix_element_product(table: OverlapTable) -> complex:
     ``sqrt(2) alpha0``, an array where ``alpha0`` is one.
     """
     ps, phs, _, _ = _STARRED
-    total = table.overlap(ps, PSI) + table.overlap(phs, PHI)
-    if isinstance(total, np.ndarray):
-        return _complex_over_real(total, math.sqrt(2.0))
-    return total / math.sqrt(2.0)
+    return _over_real(table.overlap(ps, PSI) + table.overlap(phs, PHI), math.sqrt(2.0))
 
 
 def relative_rate_grid(
@@ -259,7 +246,7 @@ def relative_rate_grid(
     # Excluded points may take square roots of negatives or divide by zero;
     # they are masked below, so those results are never used.
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = _complex_over_real(2.0 * bracket, np.sqrt(n0_sq * nf_sq))
+        m = _over_real(2.0 * bracket, np.sqrt(n0_sq * nf_sq))
         m[excluded] = _NAN_COMPLEX
         n0 = np.where(excluded, _NAN, 1.0 / np.sqrt(n0_sq))
         nf = np.where(nf_null, _NAN, 1.0 / np.sqrt(nf_sq))

@@ -34,7 +34,7 @@ from typing import Mapping
 import numpy as np
 
 from .algebra import (CHI, PHI, PSI, VARPHI, CmLabel, OverlapTable, _LABELS, _STARRED, _abs_sq,
-                      _conj_mul)
+                      _python_on_point)
 
 __all__ = [
     "ALL_PAIRS",
@@ -148,13 +148,13 @@ class Coefficients:
         """``(|a|^2, |b|^2, conj(a) b, |a|^2 + |b|^2)``, computed on first use and kept.
 
         Every closed form and null floor of :mod:`pairabs.rates` reads the
-        weights only through these.  They round as CPython's ``abs(a) ** 2``
-        and ``a.conjugate() * b`` do (:func:`pairabs.algebra._abs_sq`,
-        :func:`pairabs.algebra._conj_mul`), arrays over the grid for array
-        weights.
+        weights only through these, arrays over the grid for array weights.
+        ``conj(a) b`` is one ``np.multiply`` call, which rounds a point as it
+        rounds each point of a grid; on a point each product is then a
+        Python number.
         """
         aa, bb = _abs_sq(self.a), _abs_sq(self.b)
-        return aa, bb, _conj_mul(self.a, self.b), aa + bb
+        return _python_on_point((aa, bb, np.multiply(self.a.conjugate(), self.b), aa + bb))
 
 
 _CHOICE_FIXED: dict[str, dict[tuple[CmLabel, CmLabel], complex]] = {
@@ -260,7 +260,7 @@ class ExclusionFamily:
         ):
             if not (np.isfinite(u).all() and np.isfinite(v).all()):
                 raise ValueError(f"family coefficients {name} must be finite")
-            norm = abs(u) ** 2 + abs(v) ** 2
+            norm = _abs_sq(u) + _abs_sq(v)
             _require(norm, np.abs(norm - 1.0) <= 1e-12,
                      f"family coefficients {name} violate |u|^2 + |v|^2 = 1: got {{}}")
 

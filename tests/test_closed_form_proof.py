@@ -68,6 +68,10 @@ class Sym:
     def real(self):
         return Sym((self.expr + sympy.conjugate(self.expr)) / 2)
 
+    @property
+    def imag(self):
+        return Sym((self.expr - sympy.conjugate(self.expr)) / (2 * sympy.I))
+
 
 class SymTable:
     """A Hermitian table with one symbol pair per off-diagonal entry."""

@@ -18,7 +18,7 @@ import pytest
 
 from pairabs import cli, rates
 from pairabs.algebra import _STARRED, PHI, PSI, Statistics
-from pairabs.scenarios import Coefficients, RecoilModel
+from pairabs.scenarios import CHOICES, Coefficients, RecoilModel
 
 
 class MpPoint:
@@ -124,30 +124,30 @@ def test_every_figure_file_has_a_ceiling():
     assert list(COINCIDENCE_CEILINGS) == ["r", "rel_dev"]
 
 
-@functools.cache
-def figure_file_errors(name):
-    """``column -> relative errors`` of ``r``, ``n0``, ``nf`` and ``m_re`` of one figure
-    file, over every case, statistics and point where the column has a number, and
-    ``"m_im" -> (value, truth)`` pairs over the points where ``m`` has one."""
-    scenario, cases, stats = FIGURE_FILES[name]
-    grid = np.linspace(0.0, 1.0, 101)  # the c values of `figures`
+def sweep_errors(scenario, cases, stats, grid):
+    """``column -> relative errors`` of ``r``, ``n0``, ``nf`` and ``m_re`` of one sweep,
+    over every case, statistics and point where the column has a number, and
+    ``"m_im" -> (value, truth, |true m|)`` over the points where ``m`` has one."""
     table = cli._scenario_table(scenario, grid, RecoilModel())
     errors = {"r": [], "n0": [], "nf": [], "m_re": [], "m_im": []}
     with mpmath.workdps(50):
-        for coeffs in cases:
-            for stat in stats:
-                res = rates.relative_rate_grid(coeffs, table, stat)
-                for i in np.flatnonzero(~np.isnan(res.nf)).tolist():
-                    truths = mp_columns(mp_weights(coeffs), MpPoint(table, grid.shape, i), stat,
-                                        excluded=bool(res.excluded[i]))
-                    m = truths.pop("m", None)
-                    if m is not None:
-                        errors["m_re"].append(float(abs(res.m.real[i] - m.real) / abs(m.real)))
-                        errors["m_im"].append((res.m.imag[i], m.imag))
-                    for column, truth in truths.items():
-                        value = getattr(res, column)[i]
-                        errors[column].append(float(abs(value - truth) / truth))
+        for coeffs, stat, res in cli.sweep_results(table, cases, stats):
+            for i in np.flatnonzero(~np.isnan(res.nf)).tolist():
+                truths = mp_columns(mp_weights(coeffs), MpPoint(table, grid.shape, i), stat,
+                                    excluded=bool(res.excluded[i]))
+                m = truths.pop("m", None)
+                if m is not None:
+                    errors["m_re"].append(float(abs(res.m.real[i] - m.real) / abs(m.real)))
+                    errors["m_im"].append((res.m.imag[i], m.imag, abs(m)))
+                for column, truth in truths.items():
+                    errors[column].append(float(abs(getattr(res, column)[i] - truth) / truth))
     return errors
+
+
+@functools.cache
+def figure_file_errors(name):
+    """:func:`sweep_errors` of one figure file."""
+    return sweep_errors(*FIGURE_FILES[name], np.linspace(0.0, 1.0, 101))  # `figures`' c values
 
 
 @pytest.mark.parametrize("name", FIGURE_FILE_CEILINGS)
@@ -180,7 +180,7 @@ def test_figure_file_amplitude_is_real(name):
     # every figure table and weight is real, so the true m_im is 0 and the file writes 0.0
     pairs = figure_file_errors(name)["m_im"]
     assert len(pairs) == FIGURE_FILE_CEILINGS[name]["m_re"][1]
-    assert all(value == 0.0 and truth == 0 for value, truth in pairs)
+    assert all(value == 0.0 and truth == 0 for value, truth, _ in pairs)
 
 
 @functools.cache
@@ -228,3 +228,41 @@ def test_coincidence_deviation_is_within_its_ceiling():
     # at c = 0 both curves are the same number: truths 0 and 1.3e-51, written 0.0
     assert [(c, a, dev) for c, a, _, dev, _, truth in found if truth <= 1e-20] == [
         (0.0, 0.8, 0.0), (0.0, 0.5, 0.0)]
+
+
+#: The weights ``(a, b)`` of three complex-weight `pairabs sweep` runs, each on every
+#: choice and the family, for both statistics, over :data:`COMPLEX_SWEEP_STEPS` c values.
+COMPLEX_WEIGHTS = ((0.6 + 0.3j, 0.2 - 0.7j), (0.3 - 0.8j, 0.5 + 0.1j), (1 + 1j, 0.4))
+COMPLEX_SWEEP_STEPS = 65
+
+#: Per column of those sweeps: the ceiling on the relative error, just above the
+#: largest error measured (each comment), and the number of points where the
+#: column has a number (6 of the 1950 are excluded).  ``m_im`` is relative to
+#: ``|m|``, since the true ``m_im`` may be 0.
+COMPLEX_SWEEP_CEILINGS = {"r": (2e-14, 1944),  # 1.93e-14
+                          "n0": (4e-16, 1944),  # 3.5e-16
+                          "nf": (4e-15, 1944),  # 3.73e-15
+                          "m_re": (1e-14, 1944),  # 9.57e-15
+                          "m_im": (1.1e-15, 1944)}  # 1.01e-15
+
+
+@functools.cache
+def complex_sweep_errors():
+    """:func:`sweep_errors` of the complex-weight sweeps over every scenario, with the
+    ``m_im`` error relative to ``|m|``."""
+    grid = np.linspace(0.0, 1.0, COMPLEX_SWEEP_STEPS)
+    cases = [Coefficients(a, b) for a, b in COMPLEX_WEIGHTS]
+    errors = {column: [] for column in COMPLEX_SWEEP_CEILINGS}
+    for scenario in (*CHOICES, "family"):
+        for column, found in sweep_errors(scenario, cases, cli.BOTH_STATISTICS, grid).items():
+            errors[column] += ([float(abs(value - truth) / size) for value, truth, size in found]
+                               if column == "m_im" else found)
+    return errors
+
+
+@pytest.mark.parametrize("column", COMPLEX_SWEEP_CEILINGS)
+def test_complex_weight_sweep_is_within_its_ceiling(column):
+    ceiling, points = COMPLEX_SWEEP_CEILINGS[column]
+    errors = complex_sweep_errors()[column]
+    assert len(errors) == points
+    assert all(error < ceiling for error in errors), max(errors)  # a NaN fails too

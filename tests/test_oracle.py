@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pairabs import oracle, rates
-from pairabs.algebra import CHI, PHI, PSI, VARPHI, OverlapTable, Statistics
+from pairabs.algebra import CHI, PHI, PSI, VARPHI, OverlapTable, Statistics, _python_on_point
 from pairabs.oracle import (
     E,
     G,
@@ -132,23 +132,76 @@ class PointTable:
         return complex(np.broadcast_to(self.table.overlap(x, y), self.shape)[self.index])
 
 
-def pointwise_expansion(coeffs, table, statistics):
-    """:func:`expansion` at each point of the grid of the weights and the table, as
-    arrays over it (Python numbers on a single point), or what the first point or
-    the null criterion raises: the reference that :func:`formal_quantities` is held
-    to bit for bit."""
+def grid_shape(coeffs, table):
+    """The shape of the grid of the weights and the table."""
     labels = LABELS + tuple(label.star() for label in LABELS)
-    shape = np.broadcast_shapes(np.shape(coeffs.a), np.shape(coeffs.b),
-                                *(np.shape(table.overlap(x, y)) for x in labels for y in labels))
-    values = []
-    for index in np.ndindex(shape):
-        # not Coefficients, which would reject a non-finite weight before the builders
-        weights = types.SimpleNamespace(a=complex(np.broadcast_to(coeffs.a, shape)[index]),
-                                        b=complex(np.broadcast_to(coeffs.b, shape)[index]))
-        values.append(expansion(weights, PointTable(table, shape, index), statistics))
-    n0_sq, nf_sq, bracket = (np.array(column).reshape(shape) for column in zip(*values))
-    rates.require_not_null(coeffs, n0_sq, nf_sq)
-    return rates._python_on_point((n0_sq, nf_sq, bracket))
+    return np.broadcast_shapes(np.shape(coeffs.a), np.shape(coeffs.b),
+                               *(np.shape(table.overlap(x, y)) for x in labels for y in labels))
+
+
+def pointwise(function, weights, coeffs, table, statistics):
+    """``function(weights(a, b), table point, statistics)`` at each point of the grid of
+    the weights and the table, stacked as arrays over it (Python numbers on a single
+    point)."""
+    shape = grid_shape(coeffs, table)
+    values = [function(weights(complex(np.broadcast_to(coeffs.a, shape)[index]),
+                               complex(np.broadcast_to(coeffs.b, shape)[index])),
+                       PointTable(table, shape, index), statistics)
+              for index in np.ndindex(shape)]
+    return _python_on_point(tuple(np.array(column).reshape(shape) for column in zip(*values)))
+
+
+def pointwise_formal(coeffs, table, statistics):
+    """:func:`formal_quantities` at each point of the grid on its own: what the grid is
+    held to bit for bit."""
+    return pointwise(formal_quantities, Coefficients, coeffs, table, statistics)
+
+
+def pointwise_expansion(coeffs, table, statistics):
+    """:func:`expansion` at each point of the grid, or what the first point or the null
+    criterion raises: the reference that :func:`formal_quantities` is held to within
+    :data:`ROUNDING` (:func:`assert_within_rounding`)."""
+    # not Coefficients, which would reject a non-finite weight before the builders
+    values = pointwise(expansion, lambda a, b: types.SimpleNamespace(a=a, b=b), coeffs, table,
+                       statistics)
+    rates.require_not_null(coeffs, values[0], values[1])
+    return values
+
+
+def term_scales(coeffs, table, statistics):
+    """``sum |term|`` of each inner product of :func:`expansion`, the scale of its rounding."""
+    initial = build_initial(coeffs, statistics)
+    final = build_final(coeffs, statistics)
+    return [
+        sum(abs(bra.terms[i].weight) * abs(ket.terms[j].weight)
+            * abs(table.overlap(bra.terms[i].cm1, ket.terms[j].cm1))
+            * abs(table.overlap(bra.terms[i].cm2, ket.terms[j].cm2))
+            for i, j in matching_term_pairs(bra, ket))
+        for bra, ket in ((initial, initial), (final, final), (final, apply_absorption(initial)))
+    ]
+
+
+#: How far the oracle may lie from :func:`inner_product`, in units of ``sum |term|``
+#: per inner product.  Each term is a pair weight ``conj(x) y`` times two overlaps:
+#: three complex products, each within ``sqrt(5) u`` of exact (``u = eps / 2``) by
+#: the textbook formula that CPython uses (Brent, Percival and Zimmermann 2007), and
+#: within ``2 u`` where a multiply-add is fused, as numpy's vector loop may do.  So
+#: each route's term is within ``3 sqrt(5) u |term|`` of exact to first order, and
+#: the two routes' sums of terms within ``3 sqrt(5) eps sum |term|`` = 6.7 eps of
+#: each other.  Both then add the terms in the same order, rounding each partial
+#: sum once.  In the worst case that adds up to ``(n - 1) eps sum |term|`` more
+#: (n = 16 or 32 pairs), but where the two routes' partial sums agree they round
+#: alike: over 18 000 inner products of random complex and realizable tables the
+#: worst distance is 2.6 eps sum |term|.  So 8 eps bounds the products' part with
+#: room for a few partial-sum roundings.
+ROUNDING = 8 * np.finfo(float).eps
+
+
+def assert_within_rounding(values, reference, scales):
+    """Each formal quantity within :data:`ROUNDING` of its reference value."""
+    for name, value, expected, scale in zip(("n0^2", "nf^2", "bracket"), values, reference,
+                                            scales):
+        assert abs(value - expected) <= ROUNDING * scale, name
 
 
 def outcome(function, coeffs, table, statistics):
@@ -325,23 +378,20 @@ class TestOracleMatrixElement:
         with pytest.raises(ExcludedStateError, match="initial state is null"):
             formal_quantities(A_ONLY, table, FERMION)
 
-    def test_formal_quantities_equal_the_separate_expansions(self):
+    def test_formal_quantities_agree_with_the_separate_expansions(self):
         rng = np.random.default_rng(113)
         for _ in range(50):
             coeffs = random_coefficients(rng)
             table = build_table(random_realizable_overlaps(rng))
             for statistics in (BOSON, FERMION):
-                n0_sq, nf_sq, bracket = formal_quantities(coeffs, table, statistics)
-                initial = build_initial(coeffs, statistics)
-                final = build_final(coeffs, statistics)
-                assert n0_sq == inner_product(initial, initial, table).real
-                assert nf_sq == inner_product(final, final, table).real
-                assert bracket == inner_product(final, apply_absorption(initial), table)
+                assert_within_rounding(formal_quantities(coeffs, table, statistics),
+                                       expansion(coeffs, table, statistics),
+                                       term_scales(coeffs, table, statistics))
 
     @pytest.mark.parametrize("statistics", [BOSON, FERMION])
     @pytest.mark.parametrize("shape", ["a", "b", "ab", "mixed"])
     @pytest.mark.parametrize("table_kind", ["realizable", "complex"])
-    def test_grid_equals_the_expansion_bit_for_bit(self, statistics, shape, table_kind):
+    def test_grid_equals_each_point_bit_for_bit(self, statistics, shape, table_kind):
         rng = np.random.default_rng(131)
         coeffs_seq, overlaps_seq, alpha0s, tables = [], [], [], []
         while len(coeffs_seq) < 150:
@@ -356,12 +406,16 @@ class TestOracleMatrixElement:
                 alpha0s.append(alpha0)
                 tables.append(table)
         grid = formal_quantities(*trial_axis(coeffs_seq, overlaps_seq, alpha0s), statistics)
-        expected = [expansion(c, t, statistics) for c, t in zip(coeffs_seq, tables)]
-        assert [repr(v) for v in per_point(grid)] == [repr(v) for v in expected]
-        for coeffs, table, values in zip(coeffs_seq[:20], tables, expected):
-            assert repr(formal_quantities(coeffs, table, statistics)) == repr(values)
+        points = [formal_quantities(c, t, statistics) for c, t in zip(coeffs_seq, tables)]
+        assert [repr(v) for v in per_point(grid)] == [repr(v) for v in points]
+        for coeffs, table, values in zip(coeffs_seq, tables, points):
+            assert_within_rounding(values, expansion(coeffs, table, statistics),
+                                   term_scales(coeffs, table, statistics))
 
     def test_signed_zero_weights_keep_the_expansion_bits(self):
+        # Each part of these weights is one nonzero product or none, on a real
+        # table, so both routes round alike; the terms of a zero weight add only
+        # signed zeros, and an all-zero sum is +0.0 as in the expansion.
         table = choice_table("ii", 0.3)
         signed_zeros = (Coefficients(complex(-0.0, -0.8), complex(0.6, -0.0)),
                         Coefficients(complex(0.8, -0.0), 0.0),
@@ -369,11 +423,12 @@ class TestOracleMatrixElement:
         mixed = [*signed_zeros, Coefficients(complex(0.6, -0.3), complex(-0.5, 0.4))]
         weights = Coefficients(np.array([c.a for c in mixed]), np.array([c.b for c in mixed]))
         for statistics in (BOSON, FERMION):
-            expected = [repr(expansion(coeffs, table, statistics)) for coeffs in mixed]
-            for coeffs, value in zip(signed_zeros, expected):
-                assert repr(formal_quantities(coeffs, table, statistics)) == value
+            for coeffs in signed_zeros:
+                assert (repr(formal_quantities(coeffs, table, statistics))
+                        == repr(expansion(coeffs, table, statistics)))
             grid = formal_quantities(weights, table, statistics)
-            assert [repr(v) for v in per_point(grid)] == expected
+            assert [repr(v) for v in per_point(grid)] == [
+                repr(formal_quantities(coeffs, table, statistics)) for coeffs in mixed]
 
     def test_weights_and_table_broadcast_to_one_grid(self):
         c_grid = np.linspace(0.1, 0.9, 5)
@@ -385,7 +440,7 @@ class TestOracleMatrixElement:
                 point = Coefficients(a, (0.6, 0.8, 0.2)[i])
                 for j, c in enumerate(c_grid.tolist()):
                     assert repr(tuple(v[i, j].item() for v in grid)) == repr(
-                        expansion(point, choice_table("iv", c), statistics))
+                        formal_quantities(point, choice_table("iv", c), statistics))
 
     def test_null_configuration_inside_a_grid_raises(self):
         rng = np.random.default_rng(137)
@@ -416,18 +471,32 @@ class TestOracleMatrixElement:
             matrix, initial, final = closed_form_deviations(closed, formal)
             root = np.sqrt(closed.n0_sq * closed.nf_sq)
             for i in range(40):
-                formal_m = formal[2][i].item() / root[i].item()
-                assert repr(matrix[i].item()) == repr(abs(closed.m[i].item() - formal_m))
+                bracket, d = formal[2][i].item(), root[i].item()
+                formal_m = complex(bracket.real / d, bracket.imag / d)  # each part divided
+                assert repr(matrix[i].item()) == repr(np.abs(closed.m[i] - formal_m).item())
                 assert initial[i] == abs(closed.n0_sq[i] - formal[0][i])
                 assert final[i] == abs(closed.nf_sq[i] - formal[1][i])
             assert max(matrix.max(), initial.max(), final.max()) < 1e-12
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(inputs=grid_inputs(), statistics=st.sampled_from([BOSON, FERMION]))
-    def test_equals_the_reference_bit_for_bit(self, inputs, statistics):
+    def test_equals_its_points_bit_for_bit_and_the_expansion_to_rounding(self, inputs,
+                                                                          statistics):
         coeffs, table = inputs
-        assert (outcome(formal_quantities, coeffs, table, statistics)
-                == outcome(pointwise_expansion, coeffs, table, statistics))
+        got = outcome(formal_quantities, coeffs, table, statistics)
+        reference = outcome(pointwise_expansion, coeffs, table, statistics)
+        if isinstance(got, tuple):  # what it raises, the expansion raises
+            assert got == reference
+            return
+        assert got == outcome(pointwise_formal, coeffs, table, statistics)
+        shape = grid_shape(coeffs, table)
+        values, expected = (np.broadcast_arrays(*f(coeffs, table, statistics))
+                            for f in (formal_quantities, pointwise_expansion))
+        for index in np.ndindex(shape):
+            point = Coefficients(complex(np.broadcast_to(coeffs.a, shape)[index]),
+                                 complex(np.broadcast_to(coeffs.b, shape)[index]))
+            assert_within_rounding([v[index] for v in values], [v[index] for v in expected],
+                                   term_scales(point, PointTable(table, shape, index), statistics))
 
     def test_no_broadcast_call_exceeds_numpy_1_argument_cap(self, monkeypatch):
         # numpy < 2 refuses np.broadcast of more than 32 arrays; the plan has 50
@@ -443,7 +512,7 @@ class TestOracleMatrixElement:
         table = choice_table("ii", np.array([0.2, 0.7]))
         for statistics in (BOSON, FERMION):
             assert (outcome(formal_quantities, coeffs, table, statistics)
-                    == outcome(pointwise_expansion, coeffs, table, statistics))
+                    == outcome(pointwise_formal, coeffs, table, statistics))
 
     @pytest.mark.parametrize("statistics", [BOSON, FERMION])
     @pytest.mark.parametrize("bad_a, bad_b, message", [

@@ -67,8 +67,8 @@ def test_cli_reads_no_private_name_of_another_module():
 
 
 def test_the_private_name_check_sees_both_forms():
-    source = "from . import rates\nfrom .oracle import _plan\nrates._cmul(1, 2, 3, 4)\n"
-    assert private_names_read_from_other_modules(source) == ["oracle._plan", "rates._cmul"]
+    source = "from . import algebra\nfrom .oracle import _plan\nalgebra._abs_sq(1j)\n"
+    assert private_names_read_from_other_modules(source) == ["oracle._plan", "algebra._abs_sq"]
 
 
 def names_read(statement: ast.stmt) -> set[str]:

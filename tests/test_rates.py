@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from pairabs.algebra import CHI, PHI, PSI, VARPHI, Statistics, _cmul, _complex_over_real
+from pairabs.algebra import CHI, PHI, PSI, VARPHI, Statistics, _over_real
 from pairabs.rates import (
     EXCLUSION_EPS,
     ExcludedStateError,
@@ -329,10 +329,14 @@ class TestRelativeRateGrid:
     @pytest.mark.parametrize("z", [
         complex(re, im) for re in (-0.0, 0.0, -1.5, 2.0) for im in (-0.0, 0.0, -3.0, 0.7)
     ])
-    def test_division_rounds_as_cpython(self, z):
+    def test_division_divides_each_part(self, z):
+        # a point and a grid alike, signed zeros included
         divisors = [1.0, 3.0, 0.1, 7e-3]
-        got = _complex_over_real(np.full(len(divisors), z), np.array(divisors))
-        assert_same_doubles(got, [z / d for d in divisors])
+        expected = [complex(z.real / d, z.imag / d) for d in divisors]
+        assert_same_doubles(_over_real(np.full(len(divisors), z), np.array(divisors)), expected)
+        for d, want in zip(divisors, expected):
+            got = _over_real(z, d)
+            assert got.shape == () and repr(got.item()) == repr(want)
 
     @pytest.mark.parametrize("exponent", [-237, -100, 100, 252])
     def test_rate_does_not_depend_on_the_scale_of_the_weights(self, exponent):
@@ -402,10 +406,11 @@ class TestRelativeRateGrid:
         assert res.n0_sq.flags.owndata
 
     def test_complex_overlaps_agree_to_rounding(self):
-        # numpy's vectorized complex multiply may round differently from
-        # CPython's, so complex grid overlaps agree to a few ulp, not bit for
-        # bit.  Products written out with _cmul would agree exactly, at more
-        # than twice the grid time (measured in the rates docstring).
+        # On a point the weight product times two complex overlaps is Python
+        # arithmetic, on a grid numpy's complex multiply, which rounds
+        # differently; so complex grid overlaps agree to a few ulp, not bit
+        # for bit.  Real overlaps leave one nonzero product per part, which
+        # both round alike (TestArrayWeights).
         rng = np.random.default_rng(3)
         phases = {pair: np.exp(1j * rng.uniform(0, 2 * np.pi)) for pair in ALL_PAIRS}
         grid = np.linspace(0.0, 0.6, 31)
@@ -461,10 +466,10 @@ def trial_axis_case(seed, trials=400):
 class TestArrayWeights:
     """Array weights on a trial-axis table against each trial evaluated on its own.
 
-    On real overlaps every point equals its single-point value by ``repr``,
-    which needs ``|a|^2`` from ``_abs_sq`` and ``conj(a) b`` from
-    ``_conj_mul``: numpy's own ``abs`` and complex ``*`` round differently
-    on some of these weights.
+    On real overlaps every point equals its single-point value by ``repr``:
+    ``|a|^2`` is ``re*re + im*im`` on both, and ``conj(a) b`` is one
+    ``np.multiply`` call, which rounds a Python-number point as it rounds a
+    grid (CPython's own complex ``*`` does not).
     """
 
     @pytest.mark.parametrize("statistics", [BOSON, FERMION])
@@ -511,62 +516,18 @@ class TestArrayWeights:
             closed_form(coeffs, choice_table("ii", np.linspace(0.0, 1.0, 4)), BOSON)
 
 
-class TestComplexProductRounding:
-    """The oracle and ``_conj_mul`` rely on ``_cmul`` rounding as CPython's ``*``.
-
-    CPython (up to 3.13) multiplies complex numbers as
-    ``(ar*br - ai*bi, ar*bi + ai*br)`` and a complex by a float ``s`` as by
-    ``complex(s, 0)``; the oracle writes both out on numpy arrays.  Python
-    3.14's mixed-mode arithmetic (``complex * float`` scales each part) or a
-    build that fuses the multiply-add (FMA) would round differently, and
-    this test would fail before the oracle silently drifts from the formal
-    expansion.
-    """
-
-    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
-               1.0, -1.0, 0.5, -3.0, 1e-150, -1e150]
-
-    def pairs(self):
-        rng = np.random.default_rng(139)
-        parts = rng.normal(size=(10_000, 4)) * 10.0 ** rng.uniform(-8, 8, size=(10_000, 4))
-        values = [complex(r, i) for r in self.SPECIAL for i in self.SPECIAL]
-        xs = [complex(p[0], p[1]) for p in parts.tolist()] + values
-        ys = [complex(p[2], p[3]) for p in parts.tolist()] + values[::-1]
-        return xs, ys
-
-    @staticmethod
-    def bits(values):
-        return np.array(values, dtype=float).view(np.uint64).tolist()
-
-    def test_complex_times_complex(self):
-        xs, ys = self.pairs()
-        x, y = np.array(xs), np.array(ys)
-        real, imag = _cmul(x.real, x.imag, y.real, y.imag)
-        products = [a * b for a, b in zip(xs, ys)]
-        assert self.bits(real) == self.bits([p.real for p in products])
-        assert self.bits(imag) == self.bits([p.imag for p in products])
-
-    @pytest.mark.parametrize("factor", [1.0, -1.0])
-    def test_complex_times_unit_float(self, factor):
-        xs, _ = self.pairs()
-        x = np.array(xs)
-        real, imag = _cmul(x.real, x.imag, factor, 0.0)
-        products = [a * factor for a in xs]
-        assert self.bits(real) == self.bits([p.real for p in products])
-        assert self.bits(imag) == self.bits([p.imag for p in products])
-
-
 class TestRelativeRatePinned:
     """``relative_rate_grid`` on single-point tables, pinned value by value and type by type.
 
     The digest covers ``repr`` and Python type of every field of 2400
     evaluations: random weights on random complex and realizable tables, and
     excluded points (the family's null direction, the Pauli pair) whose
-    ``n0``, ``m`` and ``r`` are NaN.  It was captured on the scalar
-    single-point evaluation that predates the grid code.
+    ``n0``, ``m`` and ``r`` are NaN.  It was captured when ``|z|^2`` became
+    ``re*re + im*im`` and ``conj(a) b`` one ``np.multiply``, which moved
+    complex-weight fields by at most 3.1e-15 relative (``r``).
     """
 
-    DIGEST = "331a495c765e502635f598958204db775e5114c92d9a97ce5783e605a95e49c5"
+    DIGEST = "f4ad81fee3be1502deaf44dee7e095492ea7a89b6c6b7feb8a9292a22b0f9c3a"
 
     @staticmethod
     def cases():
