@@ -10,7 +10,7 @@ byte-identical output.  No field ever needs CSV quoting, so
 The grid subcommands (``sweep``, ``figures``, ``exclusion-scan``) build one
 grid table per ``c`` grid.  ``sweep`` and ``figures`` evaluate it once per
 weights and statistics pair, ``exclusion-scan`` once for its whole (a, c)
-grid with array weights, and ``verify`` each block of 128 trials as one
+grid with array weights, and ``verify`` each block of 512 trials as one
 trial-axis grid; every output is byte-identical to evaluating each point on
 its own.  ``verify`` draws a block's random numbers at once, one generator
 call per kind, and computes the overlaps of all its candidates with one
@@ -38,6 +38,7 @@ import argparse
 import contextlib
 import itertools
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
@@ -411,16 +412,16 @@ def _verification_block(
 #: Trials drawn and evaluated together as one trial-axis grid; a report depends
 #: on it, since a block draws its numbers at once and its redraws join its end.
 #: A larger block pays the fixed cost of a table and four evaluations less
-#: often, but holds its grid table until it is done (about 15 kB a trial).
-#: Median of ``run_verify(1, 1000)`` over five fresh processes and their peak
-#: RSS, per block size (2-vCPU Xeon, Python 3.11, numpy 2.4.6, raw seconds on a
-#: loaded host): 32: 0.066 s, 36.8 MB; 64: 0.048 s, 36.8 MB; 128: 0.032 s,
-#: 36.7 MB; 256: 0.031 s, 36.9 MB; 1000: 0.023 s, 39.3 MB.  A fresh process's
-#: first job includes about 0.017 s of one-time setup; warm jobs (median of 15
-#: in one process) take 0.050, 0.027, 0.015, 0.012 and 0.008 s.  128 keeps
-#: peak RSS within 0.1 MB of a 32-trial block; 256 adds 0.2 MB to save 0.001 s
-#: (0.003 s warm).
-_VERIFY_BLOCK = 128
+#: often, but holds its arrays until it is done: the ``tracemalloc`` peak of
+#: ``run_verify(1, 1000)`` is 0.46 MiB at 128, 1.59 MiB at 512 (the oracle's
+#: temporaries) and 3.09 MiB for one block of 1000, and a test bounds it at
+#: 2 MiB.  ``bench/run.py --workload verify --seconds 10`` (median warm job and
+#: the worker's peak RSS, mean of two runs; 2-vCPU Xeon, Python 3.11, numpy
+#: 2.4.6): 128: 14.3 ms, 38.3 MB; 256: 10.8 ms, 38.7 MB; 384: 9.8 ms, 39.2 MB;
+#: 512: 8.6 ms, 39.5 MB; 1000: 8.5 ms, 41.1 MB.  512 makes the default 1000
+#: trials two blocks and is as fast as one block of 1000, which costs 1.5 MB
+#: more peak RSS.
+_VERIFY_BLOCK = 512
 
 _VERIFY_QUANTITIES = ("matrix element", "initial norm^2", "final norm^2")
 
@@ -428,10 +429,13 @@ _VERIFY_QUANTITIES = ("matrix element", "initial norm^2", "final norm^2")
 def run_verify(seed: int, trials: int, tolerance: float, out: TextIO | None = None) -> int:
     """Compare closed-form and formal-expansion results over random configurations.
 
-    Each block of ``_VERIFY_BLOCK`` trials is one trial-axis grid, on which
-    the closed forms (:func:`pairabs.rates.relative_rate_grid`) and the
+    Each block of ``_VERIFY_BLOCK`` (512) trials is one trial-axis grid, on
+    which the closed forms (:func:`pairabs.rates.relative_rate_grid`) and the
     oracle (:func:`pairabs.oracle.formal_quantities`) run once per
-    statistics, every point equal bit for bit to its trial on its own.  The
+    statistics, every point equal bit for bit to its trial on its own; the
+    default 1000 trials make two blocks (512 and 488).  A run of at most 512
+    trials is one block of its own size, so every block size from its trial
+    count up gives the same report.  The
     worst deviation is the first NaN, else the first maximum, in (trial,
     statistics, quantity) order, so the report is byte-stable for a seed.
     A NaN deviation counts as a failure.
@@ -665,6 +669,25 @@ def _apply_config_defaults(subparser: argparse.ArgumentParser,
     subparser.set_defaults(**converted)
 
 
+def _drop_unwritable_stdout() -> None:
+    """Point fd 1 at ``os.devnull`` if the process's own standard output is a closed pipe.
+
+    Python's SIGPIPE recipe: else the bytes still in ``sys.stdout``'s buffer
+    fail again when the interpreter flushes it at exit, which prints
+    ``Exception ignored ... BrokenPipeError`` and exits with 120.  A replaced
+    ``sys.stdout`` (an in-process caller's) is left alone, and so is a
+    standard output that still flushes: the closed pipe was another file.
+    """
+    if sys.stdout is not sys.__stdout__:
+        return
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
@@ -678,9 +701,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 1
         args = parser.parse_args(argv)  # explicit flags still win
     try:
-        return _COMMANDS[args.command][2](args)
+        code = _COMMANDS[args.command][2](args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except (ValueError, OSError, MemoryError) as exc:  # ExcludedStateError is a ValueError
         print(f"pairabs: error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            _drop_unwritable_stdout()
         return 1
 
 

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -754,6 +755,18 @@ class TestVerify:
         assert calls == {"initial_norm_sq": 4, "final_norm_sq": 4, "bracket_sum": 4,
                          "formal_quantities": 4, "_draw_candidates": 2}
 
+    def test_a_1000_trial_run_allocates_at_most_2_mib(self):
+        # A block holds its arrays until it is done, so _VERIFY_BLOCK sets the
+        # peak: 1.59 MiB at 512 trials, 3.09 MiB for one block of 1000.
+        assert cli.run_verify(1, 1000, 1e-10, io.StringIO()) == 0  # plans built
+        tracemalloc.start()
+        try:
+            assert cli.run_verify(1, 1000, 1e-10, io.StringIO()) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
     def test_weight_products_are_computed_once_per_coefficients(self, monkeypatch):
         # Over one block, its redraw and every null check run_verify makes for it,
         # each Coefficients' products are computed once: |a|^2 and |b|^2 by
@@ -895,9 +908,9 @@ class TestVerify:
         assert exit_code(["verify", "--seed", "7", "--trials", "150", "--out", str(out)]) == 0
         assert out.read_bytes() == (
             b"verify: seed=7 trials=150 tolerance=1e-10\n"
-            b"max |matrix element closed - formal| = 1.5543281372908593e-15\n"
-            b"max |initial norm^2 closed - formal| = 1.7763568394002505e-15\n"
-            b"max |final norm^2 closed - formal| = 3.552713678800501e-15\n"
+            b"max |matrix element closed - formal| = 1.5543805596941737e-15\n"
+            b"max |initial norm^2 closed - formal| = 1.3322676295501878e-15\n"
+            b"max |final norm^2 closed - formal| = 4.440892098500626e-15\n"
             b"PASS\n"
         )
 
@@ -906,7 +919,7 @@ class TestVerify:
         assert exit_code(["verify", "--seed", "20250809", "--trials", "1000",
                           "--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "169c9bf2ccbd488012d0349810590a2796f33a5ff41ec6de014ac35328875d8a"
+        assert digest == "bda03b35aca64262ed30f132b2658e9e59163589fe56570a8a5aa99aeddc1ad6"
 
     def test_failing_report_names_the_global_trial_index(self, tmp_path):
         out = tmp_path / "verify.txt"
@@ -914,24 +927,25 @@ class TestVerify:
         assert exit_code(argv + ["--out", str(out)]) == 2
         assert out.read_text() == (
             "verify: seed=5 trials=1000 tolerance=1e-17\n"
-            "max |matrix element closed - formal| = 3.108637191913097e-15\n"
+            "max |matrix element closed - formal| = 7.549517154615236e-15\n"
             "max |initial norm^2 closed - formal| = 2.220446049250313e-15\n"
             "max |final norm^2 closed - formal| = 5.329070518200751e-15\n"
-            "FAIL: deviation 5.329070518200751e-15 in final norm^2 (boson) at trial 371;"
+            "FAIL: deviation 7.549517154615236e-15 in matrix element (fermion) at trial 831;"
             " reproduce with seed=5\n"
         )
 
-    # Reports at the edges of blocks of K = 128 trials.  A block draws its
+    # Reports at the edges of blocks of K = 512 trials.  A block draws its
     # numbers at once, so a report depends on the seed, the trial count and
     # _VERIFY_BLOCK; a run shares only its full blocks with a longer run.
-    # The worst deviation lies at trial 127 of 128 for seed 325 (the last of a
-    # block), at trial 128 of 129 for seed 74 and at trial 256 of 257 for seed
-    # 575 (the first of the second and of the third block, each a block of
-    # one).  Beside each is the report of the same seed one trial shorter,
-    # and the reports at 1 to 65 trials of seeds 98, 129 and 178, chosen when
-    # K was 32 at the edges of those blocks, are pinned too.  Each entry:
-    # (seed, trials, matrix element, initial norm^2, final norm^2, worst
-    # quantity and statistics, worst trial).
+    # The worst deviation lies at trial 511 of 512 for seed 903 (the last of a
+    # block), at trial 512 of 513 for seed 723 and at trial 1024 of 1025 for
+    # seed 856 (the first of the second and of the third block, each a block
+    # of one).  Beside each is the report of the same seed one trial shorter.
+    # The reports at 1 to 128 trials of seeds 98, 129, 178, 325 and 74, chosen
+    # at block edges when K was 32 and 128, are pinned too: a run of at most
+    # K trials is one block of its own size, so they hold for every K >= 128.
+    # Each entry: (seed, trials, matrix element, initial norm^2, final norm^2,
+    # worst quantity and statistics, worst trial).
     BLOCK_EDGE_REPORTS = [
         (98, 1, "3.331678902124456e-16", "4.440892098500626e-16", "1.7763568394002505e-15",
          "1.7763568394002505e-15 in final norm^2 (boson)", 0),
@@ -953,19 +967,25 @@ class TestVerify:
          "4.440892098500626e-15 in final norm^2 (boson)", 127),
         (74, 128, "1.5543848536695612e-15", "1.7763568394002505e-15", "4.440892098500626e-15",
          "4.440892098500626e-15 in final norm^2 (boson)", 124),
-        (74, 129, "1.5543848536695612e-15", "1.7763568394002505e-15", "5.329070518200751e-15",
-         "5.329070518200751e-15 in final norm^2 (boson)", 128),
-        (575, 256, "1.5547445467794963e-15", "1.7763568394002505e-15", "3.552713678800501e-15",
-         "3.552713678800501e-15 in final norm^2 (boson)", 111),
-        (575, 257, "4.8860036844622984e-15", "1.7763568394002505e-15", "3.552713678800501e-15",
-         "4.8860036844622984e-15 in matrix element (fermion)", 256),
+        (903, 511, "1.9985376866595862e-15", "1.7763568394002505e-15", "6.217248937900877e-15",
+         "6.217248937900877e-15 in final norm^2 (boson)", 458),
+        (903, 512, "2.2206317123450062e-15", "1.7763568394002505e-15", "7.105427357601002e-15",
+         "7.105427357601002e-15 in final norm^2 (boson)", 511),
+        (723, 512, "1.7763651069234742e-15", "1.7763568394002505e-15", "5.329070518200751e-15",
+         "5.329070518200751e-15 in final norm^2 (boson)", 321),
+        (723, 513, "5.342636337003385e-15", "1.7763568394002505e-15", "5.329070518200751e-15",
+         "5.342636337003385e-15 in matrix element (fermion)", 512),
+        (856, 1024, "5.551116412533276e-15", "1.7763568394002505e-15", "5.329070518200751e-15",
+         "5.551116412533276e-15 in matrix element (fermion)", 2),
+        (856, 1025, "5.551116412533276e-15", "1.7763568394002505e-15", "6.217248937900877e-15",
+         "6.217248937900877e-15 in final norm^2 (boson)", 1024),
     ]
 
     @pytest.mark.parametrize("seed, trials, matrix, initial, final, worst, index",
                              BLOCK_EDGE_REPORTS,
                              ids=[f"seed{r[0]}-trials{r[1]}" for r in BLOCK_EDGE_REPORTS])
     def test_reports_at_block_edges(self, seed, trials, matrix, initial, final, worst, index):
-        assert cli._VERIFY_BLOCK == 128  # the last six trial counts are chosen for it
+        assert cli._VERIFY_BLOCK == 512  # the last six trial counts are chosen for it
         out = io.StringIO()
         assert cli.run_verify(seed, trials, 1e-17, out) == 2
         assert out.getvalue() == (
@@ -1167,11 +1187,17 @@ class TestEntryPoint:
     """``python -m pairabs`` runs ``cli.main`` and exits with its code."""
 
     @staticmethod
-    def run_module(argv, cwd):
+    def module_env(unbuffered=False):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, "-m", "pairabs", *argv], cwd=cwd, env=env,
-                              capture_output=True, timeout=60)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return env
+
+    def run_module(self, argv, cwd):
+        return subprocess.run([sys.executable, "-m", "pairabs", *argv], cwd=cwd,
+                              env=self.module_env(), capture_output=True, timeout=60)
 
     def test_exit_code_and_bytes_match_the_in_process_run(self, tmp_path, capsys):
         assert exit_code(NEAR_NULL_SCAN) == 0
@@ -1206,21 +1232,36 @@ class TestEntryPoint:
         Unbuffered (``PYTHONUNBUFFERED=1``), standard output writes straight to
         the pipe, where one large write can be cut short without an error.
         """
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        env.pop("PYTHONUNBUFFERED", None)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
         # 40000 rows, about 6 MB: far more than a pipe holds
         proc = subprocess.Popen([sys.executable, "-m", "pairabs", "sweep", "--steps", "20000"],
-                                cwd=tmp_path, env=env, stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE)
+                                cwd=tmp_path, env=self.module_env(unbuffered),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         first = proc.stdout.readline()
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert first == (",".join(SWEEP_HEADER) + "\n").encode()
         assert proc.returncode == 1
         assert err == b"pairabs: error: [Errno 32] Broken pipe\n"
+
+    def test_a_pipe_closed_before_the_first_write_exits_1(self, tmp_path):
+        """No reader at all, so the outcome does not hang on timing.
+
+        10 rows fit in standard output's buffer and fail only when it is
+        flushed.  If that were left to the interpreter's exit, or the bytes
+        were still buffered then, the flush would print ``Exception ignored
+        ... BrokenPipeError`` and exit with 120, which the test above meets
+        only in a few runs.
+        """
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "pairabs", "sweep", "--steps", "5"],
+                                  cwd=tmp_path, env=self.module_env(), stdout=write_end,
+                                  stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b"pairabs: error: [Errno 32] Broken pipe\n"
 
     def test_grid_too_large_to_allocate_exits_1_without_a_traceback(self, tmp_path):
         proc = self.run_module(["exclusion-scan", "--steps", HUGE_STEPS], tmp_path)
