@@ -3,16 +3,17 @@ and self-verification against the formal-expansion cross-check.
 
 All numeric CSV fields use the shortest decimal representation that round-trips
 to the same double, so fixed inputs (and a fixed seed for ``verify``) produce
-byte-identical output.  No field ever needs CSV quoting, so
-:func:`_write_csv` joins each row with ``,`` and hands the lines to one
-``writelines`` call per file: the bytes ``csv.writer`` would write.
+byte-identical output.  No field ever needs CSV quoting, so each row is one
+line of a template per block of rows, with no list per row, and
+:func:`_write_csv` writes a file's lines with one ``writelines`` call: the
+bytes ``csv.writer`` would write.
 
 The grid subcommands (``sweep``, ``figures``, ``exclusion-scan``) build one
 grid table per ``c`` grid.  ``sweep`` and ``figures`` evaluate it once per
-weights and statistics pair, ``exclusion-scan`` once for its whole (a, c)
-grid with array weights, and ``verify`` each block of 512 trials as one
-trial-axis grid; every output is byte-identical to evaluating each point on
-its own.  ``verify`` draws a block's random numbers at once, one generator
+statistics with their weights stacked, ``exclusion-scan`` once for its whole
+(a, c) grid with array weights, and ``verify`` each block of 512 trials as
+one trial-axis grid; every output is byte-identical to evaluating each point
+on its own.  ``verify`` draws a block's random numbers at once, one generator
 call per kind, and computes the overlaps of all its candidates with one
 :func:`pairabs.scenarios.realizable_overlaps` call; redraws join the end of
 the block, so its report depends on the seed, the trial count and the block
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import math
 import os
 import sys
@@ -106,35 +106,36 @@ SweepResults = list[tuple[Coefficients, Statistics, rates.RateResult]]
 def sweep_results(
     table: OverlapTable, cases: Sequence[Coefficients], stats: Sequence[Statistics]
 ) -> SweepResults:
-    """``(case, statistics, result)`` of one :func:`pairabs.rates.relative_rate_grid`
-    per (case, statistics), in that order; equal cases keep a result each."""
-    return [(coeffs, stat, rates.relative_rate_grid(coeffs, table, stat))
-            for coeffs in cases for stat in stats]
+    """``(case, statistics, result)`` per single-point case and statistics, in that
+    order, on a 1-d grid table.  The cases are stacked on a leading axis, so one
+    :func:`pairabs.rates.relative_rate_grid` per statistics gives each case's
+    result as its row, bit for bit its own evaluation; ``m_pro`` keeps the
+    table's shape.  Equal cases keep a result each."""
+    stacked = Coefficients(np.array([case.a for case in cases])[:, None],
+                           np.array([case.b for case in cases])[:, None])
+    by_stat = [rates.relative_rate_grid(stacked, table, stat) for stat in stats]
+    return [(coeffs, stat, rates.RateResult(*(value if name == "m_pro" else value[row]
+                                              for name, value in vars(res).items())))
+            for row, coeffs in enumerate(cases) for stat, res in zip(stats, by_stat)]
 
 
 def sweep_rows(
     scenario_name: str, results: SweepResults, grid: Sequence[float], alpha0: float
-) -> list[list[str]]:
-    """CSV rows ordered as ``results`` (case, then statistics), c ascending.
+) -> list[str]:
+    """CSV lines ordered as ``results`` (case, then statistics), c ascending.
 
     ``results`` come from :func:`sweep_results` on the grid table over ``grid``.
     """
     c_column = _column(np.asarray(grid, dtype=float))
     alpha0_text = _fmt(alpha0)
-    rows = []
+    lines: list[str] = []
     for coeffs, stat, res in results:
-        head = [scenario_name, stat.name.lower(), _fmt(coeffs.a.real), _fmt(coeffs.a.imag),
-                _fmt(coeffs.b.real), _fmt(coeffs.b.imag)]
-        rows.extend(
-            [*head, c, alpha0_text, *fields]
-            for c, *fields in zip(
-                c_column,
-                _column(res.n0), _column(res.nf),
-                _column(res.m.real), _column(res.m.imag),
-                _column(res.r), _flags(res.excluded),
-            )
-        )
-    return rows
+        head = ",".join([scenario_name, stat.name.lower(), _fmt(coeffs.a.real),
+                         _fmt(coeffs.a.imag), _fmt(coeffs.b.real), _fmt(coeffs.b.imag)])
+        lines.extend(map((head + ",{}," + alpha0_text + ",{},{},{},{},{},{}\n").format,
+                         c_column, _column(res.n0), _column(res.nf), _column(res.m.real),
+                         _column(res.m.imag), _column(res.r), _flags(res.excluded)))
+    return lines
 
 
 def _scenario_table(name: str, grid: np.ndarray, model: RecoilModel) -> OverlapTable:
@@ -154,18 +155,19 @@ def _open_out(path: str | Path | None):
             yield handle
 
 
-def _write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    """Write ``header`` and ``rows`` as comma-separated lines ending in ``\\n``.
+def _write_csv(out: TextIO, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write ``header`` joined with ``,`` and the ``lines``, each ending in ``\\n``.
 
-    No field ever needs CSV quoting: every field is a float ``repr``, a
-    ``0``/``1`` flag or a fixed label (a header name, scenario or statistics
-    name), and none contains a comma, a quote or a line break, so the bytes
-    equal what ``csv.writer(out, lineterminator="\\n")`` writes.  The lines go
-    out one at a time through ``writelines``, never as one joined string: on an
-    unbuffered standard output a single large ``write`` can be cut short
-    without an error, while a line at a time still raises on a closed pipe.
+    No field needs CSV quoting: every one is a float ``repr``, a ``0``/``1``
+    flag or a fixed label, none with a comma, a quote or a line break, so the
+    bytes equal what ``csv.writer(out, lineterminator="\\n")`` writes.  The
+    lines go out one at a time through ``writelines``, never as one joined
+    string: on an unbuffered standard output a single large ``write`` can be
+    cut short without an error, while a line at a time still raises on a
+    closed pipe.
     """
-    out.writelines(",".join(row) + "\n" for row in itertools.chain([header], rows))
+    out.write(",".join(header) + "\n")
+    out.writelines(lines)
 
 
 def _check_range(name: str, lo: float, hi: float) -> None:
@@ -191,9 +193,9 @@ def _cmd_sweep(args) -> int:
              else (Statistics[args.statistics.upper()],))
     coeffs = Coefficients(complex(args.a_re, args.a_im), complex(args.b_re, args.b_im))
     results = sweep_results(_scenario_table(name, grid, model), [coeffs], stats)
-    rows = sweep_rows(name, results, grid, args.alpha0)
+    lines = sweep_rows(name, results, grid, args.alpha0)
     with _open_out(args.out) as out:
-        _write_csv(out, SWEEP_HEADER, rows)
+        _write_csv(out, SWEEP_HEADER, lines)
     return 0
 
 
@@ -236,26 +238,23 @@ def _log_choice_ii_flatness(results: SweepResults, log: TextIO) -> None:
 
 
 def _coincidence_rows(ref: rates.RateResult, results: SweepResults, grid: np.ndarray):
-    """Fermion curves of choice iii for normalized weights, against the a=1 curve.
-
-    ``ref`` is the a=1 fermion result of the fig3 choice-iii sweep and
-    ``results`` are the normalized-weight fermion results on its table.
+    """Lines of the choice-iii fermion curves of ``results`` against the a=1 curve
+    ``ref``, and their largest relative deviation.  ``ref`` is the a=1 fermion
+    result of the fig3 choice-iii sweep, ``results`` the normalized-weight
+    fermion results on its table.
     """
     c_column, ref_r, ref_flags = _column(grid), _column(ref.r), _flags(ref.excluded)
-    rows = []
+    lines: list[str] = []
     max_dev = 0.0
     for coeffs, _, res in results:
         either = res.excluded | ref.excluded
         with np.errstate(divide="ignore", invalid="ignore"):
             dev = np.where(either, np.nan, np.abs(res.r - ref.r) / ref.r)
         max_dev = max([max_dev, *dev[~either].tolist()])
-        a_text = _fmt(coeffs.a.real)
-        rows.extend(
-            [c, a_text, *fields]
-            for c, *fields in zip(c_column, _column(res.r), ref_r, _column(dev),
-                                  _flags(res.excluded), ref_flags)
-        )
-    return rows, max_dev
+        lines.extend(map(("{}," + _fmt(coeffs.a.real) + ",{},{},{},{},{}\n").format,
+                         c_column, _column(res.r), ref_r, _column(dev),
+                         _flags(res.excluded), ref_flags))
+    return lines, max_dev
 
 
 def run_figures(
@@ -277,10 +276,10 @@ def run_figures(
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    def emit(name: str, header, rows) -> None:
+    def emit(name: str, header, lines) -> None:
         path = out_dir / name
         with _open_out(path) as handle:
-            _write_csv(handle, header, rows)
+            _write_csv(handle, header, lines)
         written.append(path)
 
     tables: dict[str, OverlapTable] = {}
@@ -293,13 +292,13 @@ def run_figures(
         _log_choice_ii_flatness(results["ii"], log)
     elif target == "fig3":
         _, _, a1_fermion = results["iii"][1]  # FIG3_III_CASES[0] (a=1), BOTH_STATISTICS[1]
-        rows, max_dev = _coincidence_rows(
+        lines, max_dev = _coincidence_rows(
             a1_fermion,
             sweep_results(tables["iii"], tuple(map(_normalized, (0.8, 0.5))),
                           (Statistics.FERMION,)),
             grid,
         )
-        emit("fig3_iii_fermion_coincidence.csv", COINCIDENCE_HEADER, rows)
+        emit("fig3_iii_fermion_coincidence.csv", COINCIDENCE_HEADER, lines)
         print(
             "choice iii fermion, normalized weights: max relative deviation "
             f"from the a=1 curve {max_dev:.4%}",
@@ -315,8 +314,8 @@ def _cmd_figures(args) -> int:
 
 def exclusion_scan_rows(
     a_grid: Sequence[float], c_grid: Sequence[float]
-) -> tuple[list[list[str]], int]:
-    """Rows (a, c, |coefficient|, excluded_by_norm, excluded_by_formula) plus the
+) -> tuple[list[str], int]:
+    """Lines (a, c, |coefficient|, excluded_by_norm, excluded_by_formula) plus the
     number of rows where the two detection paths disagree.
 
     Both verdicts are :func:`pairabs.rates.exclusion_mask`, the one null
@@ -339,12 +338,13 @@ def exclusion_scan_rows(
     magnitude = np.broadcast_to(np.abs(coefficient), by_norm.shape)
     by_formula = rates.exclusion_mask(coeffs, 2.0 * magnitude * magnitude)
     c_column = _column(c_grid)
-    rows: list[list[str]] = []
-    for a, magnitudes, norm_flags, formula_flags in zip(a_grid, magnitude, by_norm, by_formula):
-        a_text = _fmt(a)
-        rows.extend([a_text, *fields] for fields in zip(
-            c_column, _column(magnitudes), _flags(norm_flags), _flags(formula_flags)))
-    return rows, int(np.count_nonzero(by_norm != by_formula))
+    columns = (_column(magnitude.ravel()), _flags(by_norm.ravel()), _flags(by_formula.ravel()))
+    lines: list[str] = []
+    for row, a in enumerate(a_grid):
+        block = slice(row * len(c_column), (row + 1) * len(c_column))
+        lines.extend(map((_fmt(a) + ",{},{},{},{}\n").format, c_column,
+                         *(column[block] for column in columns)))
+    return lines, int(np.count_nonzero(by_norm != by_formula))
 
 
 def _cmd_exclusion_scan(args) -> int:
@@ -352,9 +352,9 @@ def _cmd_exclusion_scan(args) -> int:
     _check_range("a", args.a_min, args.a_max)
     a_grid = np.linspace(args.a_min, args.a_max, args.a_steps)
     c_grid = np.linspace(args.c_min, args.c_max, args.steps)
-    rows, disagreements = exclusion_scan_rows(a_grid, c_grid)
+    lines, disagreements = exclusion_scan_rows(a_grid, c_grid)
     with _open_out(args.out) as out:
-        _write_csv(out, SCAN_HEADER, rows)
+        _write_csv(out, SCAN_HEADER, lines)
     if disagreements:
         print(
             f"pairabs exclusion-scan: norm-based and formula-based detection "

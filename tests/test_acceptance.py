@@ -178,14 +178,15 @@ def test_criterion_7_exclusion_biconditional():
     a_grid[snap] = ROOT2_INV  # the balanced-weights column must be on the grid
     c_grid = [float(c) for c in np.linspace(0.0, 1.0, 51)]
     start = time.perf_counter()
-    rows, disagreements = cli.exclusion_scan_rows(a_grid, c_grid)
+    lines, disagreements = cli.exclusion_scan_rows(a_grid, c_grid)
     elapsed = time.perf_counter() - start
+    rows = [line[:-1].split(",") for line in lines if line.endswith("\n")]
     balanced_label = repr(ROOT2_INV)
     balanced = [row for row in rows if row[0] == balanced_label]
     unit_c = [row for row in rows if row[1] == "1.0"]
     ok = (
         disagreements == 0
-        and len(rows) == 51 * 51
+        and len(rows) == len(lines) == 51 * 51
         and len(balanced) == 51
         and all(row[3] == "1" for row in balanced)
         and len(unit_c) == 51

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import functools
+import gc
 import gzip
 import hashlib
 import io
@@ -78,6 +79,17 @@ def csv_module_text(header, rows):
     writer.writerow(header)
     writer.writerows(rows)
     return out.getvalue()
+
+
+def as_lines(rows):
+    """The CSV line of each field row, as ``csv.writer`` ends it."""
+    return [",".join(row) + "\n" for row in rows]
+
+
+def split_line(line):
+    """The fields of one CSV line; it must end in its only line break."""
+    assert line.endswith("\n") and line.count("\n") == 1, line
+    return line[:-1].split(",")
 
 
 def count_calls(monkeypatch, calls, module, *names):
@@ -351,22 +363,24 @@ class TestFigures:
         count_calls(monkeypatch, calls, rates, "initial_norm_sq", "final_norm_sq", "bracket_sum",
                     "relative_rate_grid")
         assert exit_code(["figures", "fig2", "--steps", "11", "--out", str(tmp_path)]) == 0
-        # two tables (i, ii); 3 cases x 2 statistics x 2 choices for the CSVs,
-        # and the log reads the choice-ii fermion results of that sweep
+        # two tables (i, ii); one evaluation per statistics of each, with the
+        # 3 cases stacked, for the CSVs, and the log reads the choice-ii
+        # fermion results of that sweep
         assert calls["build_choice_table"] == 2
-        assert calls["relative_rate_grid"] == 12
-        assert calls["initial_norm_sq"] == calls["final_norm_sq"] == calls["bracket_sum"] == 12
+        assert calls["relative_rate_grid"] == 4
+        assert calls["initial_norm_sq"] == calls["final_norm_sq"] == calls["bracket_sum"] == 4
 
     def test_fig3_reuses_the_sweep_table_for_the_coincidence_rows(self, tmp_path, monkeypatch):
         calls = Counter()
         count_calls(monkeypatch, calls, cli, "build_choice_table")
         count_calls(monkeypatch, calls, rates, "relative_rate_grid")
         assert exit_code(["figures", "fig3", "--steps", "11", "--out", str(tmp_path)]) == 0
-        # two tables (iii, iv); 3 cases x 2 statistics x 2 choices for the CSVs,
-        # and two normalized cases for the coincidence rows, whose a=1
-        # reference is the sweep's
+        # two tables (iii, iv); one evaluation per statistics of each, with
+        # the 3 cases stacked, for the CSVs, and one of the two stacked
+        # normalized cases for the coincidence rows, whose a=1 reference is
+        # the sweep's
         assert calls["build_choice_table"] == 2
-        assert calls["relative_rate_grid"] == 14
+        assert calls["relative_rate_grid"] == 5
 
     def test_unknown_target_is_rejected_before_the_directory_is_made(self, tmp_path):
         with pytest.raises(ValueError, match="unknown figure target 'fig5'"):
@@ -439,7 +453,8 @@ class TestExclusionScan:
         c=st.one_of(st.floats(0.0, 1.0), st.floats(1.0 - 1e-9, 1.0)),
     )
     def test_both_paths_agree_near_the_null_manifold(self, a, c):
-        (row,), disagreements = cli.exclusion_scan_rows([a], [c])
+        (line,), disagreements = cli.exclusion_scan_rows([a], [c])
+        row = split_line(line)
         coeffs = Coefficients(a, math.sqrt(max(0.0, 1.0 - a * a)))
         floor = rates.EXCLUSION_EPS * 2.0 * (abs(coeffs.a) ** 2 + abs(coeffs.b) ** 2)
         # within this band of the floor round-off may legitimately split them
@@ -538,10 +553,12 @@ class TestCsvText:
         written = []
         original = cli._write_csv
 
-        def recording(out, header, rows):
-            rows = list(rows)
+        def recording(out, header, lines):
+            lines = list(lines)
+            rows = list(map(split_line, lines))
+            assert all(len(row) == len(header) for row in rows), out.name
             written.append((Path(out.name), header, rows))
-            original(out, header, rows)
+            original(out, header, lines)
 
         monkeypatch.setattr(cli, "_write_csv", recording)
         runs = [
@@ -573,7 +590,7 @@ class TestCsvText:
                                   min_size=1, max_size=14), max_size=20))
     def test_float_reprs_are_written_as_the_csv_module_writes_them(self, rows):
         out = io.StringIO()
-        cli._write_csv(out, SWEEP_HEADER, rows)
+        cli._write_csv(out, SWEEP_HEADER, as_lines(rows))
         assert out.getvalue().encode() == csv_module_text(SWEEP_HEADER, rows).encode()
 
     def test_no_fixed_field_needs_quoting(self):
@@ -615,7 +632,7 @@ class TestGridEqualsPointLoop:
         stats = [Statistics.BOSON, Statistics.FERMION]
         grid = [float(c) for c in np.linspace(0.0, 1.0, 41)]
         results = cli.sweep_results(table_for(np.array(grid)), cases, stats)
-        assert cli.sweep_rows(name, results, grid, 0.6) == (
+        assert cli.sweep_rows(name, results, grid, 0.6) == as_lines(
             reference_sweep_rows(name, table_for, cases, stats, grid, 0.6)
         )
 
@@ -627,7 +644,75 @@ class TestGridEqualsPointLoop:
         ([0.0], [0.99999999999]),
     ])
     def test_exclusion_scan_rows(self, a_grid, c_grid):
-        assert cli.exclusion_scan_rows(a_grid, c_grid) == reference_scan_rows(a_grid, c_grid)
+        rows, disagreements = reference_scan_rows(a_grid, c_grid)
+        assert cli.exclusion_scan_rows(a_grid, c_grid) == (as_lines(rows), disagreements)
+
+
+def same_bits(got, want):
+    """Same type, shape, dtype and bytes, so signed zeros and NaNs count."""
+    if not isinstance(want, np.ndarray):
+        return type(got) is type(want) and repr(got) == repr(want)
+    return (type(got) is np.ndarray and got.shape == want.shape
+            and got.dtype == want.dtype and got.tobytes() == want.tobytes())
+
+
+class TestStackedSweepResults:
+    """``sweep_results`` stacks the cases and evaluates once per statistics; each
+    case's result is the one of its own evaluation, bit for bit."""
+
+    CASES = (Coefficients(1.0, 0.0), Coefficients(0.8, 0.6),
+             Coefficients(0.3 + 0.4j, -0.5 + 0.2j), Coefficients(-0.0, 1e-3 - 2.5j),
+             Coefficients(ROOT2_INV, ROOT2_INV), Coefficients(0.8, 0.6))  # equal cases too
+
+    @pytest.mark.parametrize("alpha0", [0.9, np.linspace(0.3, 1.0, 41)])
+    @pytest.mark.parametrize("name", [*CHOICES, "family"])
+    def test_equals_one_evaluation_per_case_and_statistics(self, name, alpha0, monkeypatch):
+        grid = np.linspace(0.0, 1.0, 41)
+        table = cli._scenario_table(name, grid, RecoilModel(alpha0))
+        calls = Counter()
+        count_calls(monkeypatch, calls, rates, "relative_rate_grid")
+        results = cli.sweep_results(table, self.CASES, cli.BOTH_STATISTICS)
+        assert calls["relative_rate_grid"] == 2
+        monkeypatch.undo()
+        assert [(coeffs, stat) for coeffs, stat, _ in results] == [
+            (coeffs, stat) for coeffs in self.CASES for stat in cli.BOTH_STATISTICS]
+        for coeffs, stat, got in results:
+            want = rates.relative_rate_grid(coeffs, table, stat)
+            for field in vars(want):
+                assert same_bits(getattr(got, field), getattr(want, field)), (coeffs, field)
+            assert np.shape(got.m_pro) == np.shape(alpha0)  # the table's shape, not stacked
+
+
+class TestNoContainerPerRow:
+    """Rows are built as finished lines: the gc-tracked containers a row builder
+    leaves allocated stay far below one per row, so writing a job's rows
+    triggers no collection of its own."""
+
+    @staticmethod
+    def tracked_allocations(build):
+        """``build()`` and the growth of the youngest generation's count it caused."""
+        gc.collect()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            result = build()
+            return gc.get_count()[0] - before, result
+        finally:
+            gc.enable()
+
+    def test_exclusion_scan_rows_of_the_default_grid(self):
+        grid = np.linspace(0.0, 1.0, 51)
+        count, (lines, _) = self.tracked_allocations(lambda: cli.exclusion_scan_rows(grid, grid))
+        assert len(lines) == 51 * 51
+        assert count < len(lines) / 4
+
+    def test_sweep_rows_of_a_fig2_file(self):
+        grid = np.linspace(0.0, 1.0, 101)
+        table = cli._scenario_table("i", grid, RecoilModel())
+        results = cli.sweep_results(table, cli.FIG2_CASES, cli.BOTH_STATISTICS)
+        count, lines = self.tracked_allocations(lambda: cli.sweep_rows("i", results, grid, 0.9))
+        assert len(lines) == 6 * 101
+        assert count < len(lines) / 4
 
 
 class TestTinyAlpha0:
