@@ -26,17 +26,18 @@ or ``family``.  ``--family`` is shorthand for ``--choice family``, a config
 file spells it ``choice = family``, and an explicit flag beats the file.
 
 ``_COMMANDS`` holds each subcommand's help line, arguments and runner.
-:func:`main` builds the parser of the subcommand its first argument names,
-and every subcommand's only for help, no arguments or an unknown name; the
-help and error text are the same either way.  No parser is kept between
-calls, because ``--config`` values become its subparser's defaults and would
-carry into the next in-process call.
+:func:`main` builds the parser once per process and never changes it.  A
+``--config`` file fills a namespace that the subcommand's parser then parses
+into: argparse sets a default only where the namespace has no value, so
+explicit flags beat the file, the file beats the defaults, and no call's
+config carries into the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -109,13 +110,12 @@ def sweep_results(
     """``(case, statistics, result)`` per single-point case and statistics, in that
     order, on a 1-d grid table.  The cases are stacked on a leading axis, so one
     :func:`pairabs.rates.relative_rate_grid` per statistics gives each case's
-    result as its row, bit for bit its own evaluation; ``m_pro`` keeps the
-    table's shape.  Equal cases keep a result each."""
+    result as its row, bit for bit its own evaluation.  Equal cases keep a
+    result each."""
     stacked = Coefficients(np.array([case.a for case in cases])[:, None],
                            np.array([case.b for case in cases])[:, None])
     by_stat = [rates.relative_rate_grid(stacked, table, stat) for stat in stats]
-    return [(coeffs, stat, rates.RateResult(*(value if name == "m_pro" else value[row]
-                                              for name, value in vars(res).items())))
+    return [(coeffs, stat, rates.RateResult(*(value[row] for value in vars(res).values())))
             for row, coeffs in enumerate(cases) for stat, res in zip(stats, by_stat)]
 
 
@@ -612,34 +612,27 @@ _COMMANDS = {
 }
 
 
-def build_parser(
-    command: str | None = None,
-) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subparsers by name.
-
-    With no ``command`` every subcommand is built.  Given a subcommand's
-    name, only that one is: the usage line still lists all five, so its
-    help and error text are the full parser's.  The full parser keeps
-    argparse's own metavar, which its ``invalid choice`` and ``required``
-    messages name.
-    """
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """A new top-level parser and its subparsers by name, all five of them."""
     parser = _Parser(
         prog="pairabs",
         description="Relative single-photon absorption rates for symmetrized "
                     "two-atom superpositions.",
     )
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else (command,):
-        help_text, add_arguments, _ = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser, sub.choices
+
+
+#: :func:`main`'s parser, built on its first call and never changed.
+_parser = functools.cache(build_parser)
 
 
 def _read_config(path: str) -> dict[str, str]:
     """Plain ``key = value`` lines; blank lines and # comments ignored."""
     values: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")  # drops the BOM some editors write
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -651,8 +644,9 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config_defaults(subparser: argparse.ArgumentParser,
-                           values: dict[str, str]) -> None:
+def _config_values(subparser: argparse.ArgumentParser,
+                   values: dict[str, str]) -> dict[str, object]:
+    """``values`` converted and checked by the ``subparser`` action of each key."""
     # the first action of a dest wins: --choice, not its --family shorthand
     actions = {action.dest: action for action in reversed(subparser._actions)}
     converted: dict[str, object] = {}
@@ -666,7 +660,7 @@ def _apply_config_defaults(subparser: argparse.ArgumentParser,
                 f"config key {key!r}: {value!r} is not one of {tuple(action.choices)}"
             )
         converted[key] = value
-    subparser.set_defaults(**converted)
+    return converted
 
 
 def _drop_unwritable_stdout() -> None:
@@ -690,16 +684,18 @@ def _drop_unwritable_stdout() -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    parser, commands = _parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
+    if args.config:
+        cmd = args.command
         try:
-            overrides = _read_config(args.config)
-            _apply_config_defaults(commands[args.command], overrides)
+            config = _config_values(commands[cmd], _read_config(args.config))
         except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
             print(f"pairabs: config error: {exc}", file=sys.stderr)
             return 1
-        args = parser.parse_args(argv)  # explicit flags still win
+        # argparse fills in only the dests the namespace lacks: explicit flags still win
+        args = commands[cmd].parse_args(argv[argv.index(cmd) + 1:],
+                                        argparse.Namespace(command=cmd, **config))
     try:
         code = _COMMANDS[args.command][2](args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit

@@ -87,8 +87,7 @@ class RateResult:
     three closed forms the rest is computed from (:func:`initial_norm_sq`,
     :func:`final_norm_sq` and :func:`bracket_sum`), raw on excluded points
     too.  On a single point every field is a Python ``float``, ``complex``
-    or ``bool``; on a grid an array over it, ``m_pro`` only where ``alpha0``
-    is one.
+    or ``bool``; on a grid an array over it.
     """
 
     n0: float
@@ -232,9 +231,8 @@ def relative_rate_grid(
     The grid is that of the table, the weights or both.  The three closed
     forms run once, elementwise, and are kept in the result; square roots,
     division and the NaN masking of excluded points are array operations.
-    On a grid every field but ``m_pro`` (constant over the grid unless
-    ``alpha0`` varies) is an array of the grid's shape, ``excluded`` a bool
-    array; on a single point each is a Python number
+    On a grid every field is an array of the grid's shape, ``excluded`` a
+    bool array; on a single point each is a Python number
     (:func:`_python_on_point`).
     """
     n0_sq = initial_norm_sq(coeffs, table, statistics)
@@ -251,7 +249,9 @@ def relative_rate_grid(
         n0 = np.where(excluded, _NAN, 1.0 / np.sqrt(n0_sq))
         nf = np.where(nf_null, _NAN, 1.0 / np.sqrt(nf_sq))
     r = _abs_sq(m) / _abs_sq(m_pro)
-    # the initial norm does not read alpha0, so it is one number on a grid
-    # where only alpha0 varies: give it the grid's shape as an array of its own
-    n0_sq, nf_sq, bracket = (np.array(v) for v in np.broadcast_arrays(n0_sq, nf_sq, bracket))
+    # the initial norm does not read alpha0 and m_pro reads nothing else, so
+    # either may be one number on a grid: give each the grid's shape as an
+    # array of its own
+    n0_sq, nf_sq, bracket, m_pro = (
+        np.array(v) for v in np.broadcast_arrays(n0_sq, nf_sq, bracket, m_pro))
     return RateResult(*_python_on_point((n0, nf, m, m_pro, r, excluded, n0_sq, nf_sq, bracket)))

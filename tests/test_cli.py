@@ -680,7 +680,7 @@ class TestStackedSweepResults:
             want = rates.relative_rate_grid(coeffs, table, stat)
             for field in vars(want):
                 assert same_bits(getattr(got, field), getattr(want, field)), (coeffs, field)
-            assert np.shape(got.m_pro) == np.shape(alpha0)  # the table's shape, not stacked
+            assert np.shape(got.m_pro) == grid.shape  # the grid's shape, like every field
 
 
 class TestNoContainerPerRow:
@@ -1155,32 +1155,48 @@ class TestConfigFile:
         assert "unknown config key 'family'" in capsys.readouterr().err
 
 
+    def test_a_byte_order_mark_is_ignored(self, tmp_path):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(b"steps = 3\nstatistics = boson\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())  # as Windows editors write
+        outs = []
+        for cfg in (plain, marked):
+            outs.append(tmp_path / (cfg.stem + ".csv"))
+            assert exit_code(["sweep", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+        assert outs[1].read_bytes() == outs[0].read_bytes()
+        assert len(read_csv(outs[0])[1]) == 3
+
     @pytest.mark.parametrize("command, config, flags, changed, default", [
+        ("rate", "c = 0.5", [], 0.5, 0.0),
         ("sweep", "steps = 5", ["--statistics", "boson"], 5, 101),
         ("figures", "steps = 5", ["fig4"], 5, 101),
+        ("exclusion-scan", "steps = 5", ["--a-steps", "2"], 5, 51),
         ("verify", "trials = 5", [], 5, 1000),
     ])
     def test_config_values_do_not_leak_into_the_next_call(self, command, config, flags,
                                                           changed, default, tmp_path, capsys):
-        """Each call builds its own parser, so one call's config defaults end with it."""
+        """A config fills only its own call's namespace, never the parser's defaults."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config + "\n")
 
         def size(with_config):
+            """The trial count of ``verify``, the c value of ``rate``, else the number
+            of distinct c values."""
             out = tmp_path / ("with" if with_config else "without")
             argv = [command, *flags, "--out", str(out)]
             assert exit_code([*argv, "--config", str(cfg)] if with_config else argv) == 0
             if command == "verify":
                 return int(re.search(r"trials=(\d+)", out.read_text()).group(1))
-            _, rows = read_csv(out / "fig4.csv" if command == "figures" else out)
-            return len({row[6] for row in rows})  # distinct c values
+            header, rows = read_csv(out / "fig4.csv" if command == "figures" else out)
+            c_values = {float(row[header.index("c")]) for row in rows}
+            return c_values.pop() if command == "rate" else len(c_values)
 
         assert size(with_config=True) == changed
         assert size(with_config=False) == default
 
 
 class TestParserPerCommand:
-    """``main`` builds only the named subcommand's parser; its text is the full parser's."""
+    """One parser, built once, serves every call of ``main``; its text is the full parser's."""
 
     #: Each stops in the parser: help, a usage error or a missing command.
     CORPUS = [
@@ -1192,6 +1208,16 @@ class TestParserPerCommand:
         ["figures"], ["figures", "fig9"], ["figures", "fig2", "--steps"],
         ["exclusion-scan", "1"], ["verify", "--seed", "-1"], ["verify", "--trials", "1.5"],
     ]
+
+    #: A quick run of each subcommand, in the order of the usage line, and a
+    #: config that changes one of its values.
+    RUNS = {
+        "rate": ([], "c = 0.25\nchoice = iii"),
+        "sweep": (["--steps", "2"], "statistics = fermion"),
+        "figures": (["fig4", "--steps", "3"], "alpha0 = 0.5"),
+        "exclusion-scan": (["--steps", "3"], "a_steps = 2"),
+        "verify": (["--trials", "2"], "seed = 7"),
+    }
 
     @staticmethod
     def outcome(capsys, call):
@@ -1205,37 +1231,28 @@ class TestParserPerCommand:
         full = self.outcome(capsys, lambda: cli.build_parser()[0].parse_args(argv))
         assert self.outcome(capsys, lambda: cli.main(argv)) == full
 
+    def test_main_builds_its_parser_once(self, tmp_path, capsys):
+        assert list(self.RUNS) == list(cli._COMMANDS)
+        cli._parser.cache_clear()
+        for command, (flags, _) in self.RUNS.items():
+            assert exit_code([command, *flags, "--out", str(tmp_path / command)]) == 0
+        self.outcome(capsys, lambda: cli.main(["-h"]))
+        assert cli._parser.cache_info().misses == 1
+
     @staticmethod
-    def built(monkeypatch, argv):
-        """The subcommands of each parser ``main(argv)`` builds."""
-        builds = []
-        build_parser = cli.build_parser
+    def defaults(commands):
+        """``(command, dest) -> default`` of every action of every subparser."""
+        return {(command, action.dest): action.default
+                for command, subparser in commands.items() for action in subparser._actions}
 
-        def recording(*args):
-            parser, commands = build_parser(*args)
-            builds.append(list(commands))
-            return parser, commands
-
-        monkeypatch.setattr(cli, "build_parser", recording)
-        exit_code(argv)
-        return builds
-
-    @pytest.mark.parametrize("argv", [
-        ["figures", "fig2", "--steps", "3"],
-        ["exclusion-scan", "--steps", "3", "--a-steps", "2"],
-        ["rate"], ["sweep", "--steps", "2"], ["verify", "--trials", "2"],
-    ], ids=" ".join)
-    def test_a_named_command_builds_only_its_own_parser(self, argv, monkeypatch, tmp_path,
-                                                        capsys):
-        monkeypatch.chdir(tmp_path)
-        assert self.built(monkeypatch, argv) == [[argv[0]]]
-
-    @pytest.mark.parametrize("argv", [["-h"], [], ["nope"]], ids=" ".join)
-    def test_help_no_command_and_an_unknown_name_build_every_command(self, argv,
-                                                                     monkeypatch, capsys):
-        assert self.built(monkeypatch, argv) == [list(cli._COMMANDS)]
-        # the order of the usage line and of the top-level help
-        assert list(cli._COMMANDS) == ["rate", "sweep", "figures", "exclusion-scan", "verify"]
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_a_config_call_leaves_the_parser_defaults_unchanged(self, command, tmp_path):
+        flags, config = self.RUNS[command]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        argv = [command, *flags, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert exit_code(argv) == 0
+        assert self.defaults(cli._parser()[1]) == self.defaults(cli.build_parser()[1])
 
     def test_a_flag_shared_by_several_commands_has_one_help_text(self):
         helps = {}  # flag -> {command: its help line}
@@ -1258,7 +1275,7 @@ class TestParserPerCommand:
         ("verify", "--tolerance TOLERANCE bound on every |closed-form - formal| deviation"),
     ])
     def test_every_flag_has_a_help_line_naming_its_default(self, command, shown, capsys):
-        subparser = cli.build_parser(command)[1][command]
+        subparser = cli.build_parser()[1][command]
         for action in subparser._actions:
             if action.option_strings and action.dest not in ("help", "config"):
                 assert action.help, action.option_strings

@@ -317,10 +317,9 @@ class TestRelativeRateGrid:
             for coeffs in GRID_WEIGHTS:
                 grid = relative_rate_grid(coeffs, grid_table, statistics)
                 points = [relative_rate_grid(coeffs, t, statistics) for t in tables]
-                for field in ("n0", "nf", "m", "r"):
+                for field in ("n0", "nf", "m", "m_pro", "r"):
                     assert_same_doubles(getattr(grid, field), [getattr(p, field) for p in points])
                 assert grid.excluded.tolist() == [p.excluded for p in points]
-                assert all(p.m_pro == grid.m_pro for p in points)
                 mask = exclusion_mask(coeffs, initial_norm_sq(coeffs, grid_table, statistics))
                 assert mask.tolist() == [
                     exclusion_mask(coeffs, initial_norm_sq(coeffs, t, statistics)) for t in tables
@@ -374,7 +373,7 @@ class TestRelativeRateGrid:
             for statistics in (BOSON, FERMION):
                 res = relative_rate_grid(coeffs, scenario_table(name, c), statistics)
                 assert {f: type(getattr(res, f)) for f in types} == types
-        # grid tables, array weights, and an alpha0 grid that makes m_pro an array too
+        # grid tables, array weights, and an alpha0 grid: every field has the grid's shape
         alpha0_grid = build_table({pair: np.full(7, 0.2) for pair in ALL_PAIRS},
                                   RecoilModel(np.linspace(0.5, 1.0, 7)))
         for coeffs, table, shape in (
@@ -387,10 +386,7 @@ class TestRelativeRateGrid:
             res = relative_rate_grid(coeffs, table, FERMION)
             for f in types:
                 value = getattr(res, f)
-                if f == "m_pro" and table is not alpha0_grid:
-                    assert type(value) is complex  # constant over the grid
-                else:
-                    assert isinstance(value, np.ndarray) and value.shape == shape, f
+                assert isinstance(value, np.ndarray) and value.shape == shape, f
             assert res.excluded.dtype == bool
 
     def test_a_grid_of_alpha0_alone_gives_every_field_its_shape(self):
