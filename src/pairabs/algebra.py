@@ -152,6 +152,8 @@ class OverlapTable:
         # A given entry wins over the conjugate of its mirror (they may differ
         # in the sign of a zero).
         self._entries = mirrors | store
+        #: The number of grid axes: the most of any entry, 0 on a single point.
+        self.ndim = max(map(len, rows_of_shape), default=0)
 
     def overlap(self, x: CmLabel, y: CmLabel) -> complex | np.ndarray:
         """Return ``<x|y>``: the stored entry, or 1 on the diagonal."""

@@ -9,17 +9,19 @@ line of a template per block of rows, with no list per row, and
 bytes ``csv.writer`` would write.
 
 The grid subcommands (``sweep``, ``figures``, ``exclusion-scan``) build one
-grid table per ``c`` grid.  ``sweep`` and ``figures`` evaluate it once per
-statistics with their weights stacked, ``exclusion-scan`` once for its whole
-(a, c) grid with array weights, and ``verify`` each block of 512 trials as
-one trial-axis grid; every output is byte-identical to evaluating each point
-on its own.  ``verify`` draws a block's random numbers at once, one generator
-call per kind, and computes the overlaps of all its candidates with one
-:func:`pairabs.scenarios.realizable_overlaps` call; redraws join the end of
-the block, so its report depends on the seed, the trial count and the block
-size.  ``rate`` is ``sweep`` on the one-point grid ``[--c]``.  A sweep keeps
-its results as a list in (weights, statistics) order, and ``figures`` reads
-its log lines and the a=1 coincidence curve from them by scenario name.
+grid table per ``c`` grid.  ``sweep`` and ``figures`` evaluate it once,
+with the statistics as axis 0 and their weights stacked on axis 1,
+``exclusion-scan`` once for its whole (a, c) grid with array weights, and
+``verify`` each block of 512 trials as one trial-axis grid with the
+statistics as axis 0; every output is byte-identical to evaluating each
+point and statistics on its own.  ``verify`` draws a block's random numbers
+at once, one generator call per kind, and computes the overlaps of all its
+candidates with one :func:`pairabs.scenarios.realizable_overlaps` call;
+redraws join the end of the block, so its report depends on the seed, the
+trial count and the block size.  ``rate`` is ``sweep`` on the one-point
+grid ``[--c]``.  A sweep keeps its results as a list in (weights,
+statistics) order, and ``figures`` reads its log lines and the a=1
+coincidence curve from them by scenario name.
 
 The scenario of ``rate`` and ``sweep`` is one setting, ``choice``: a preset
 or ``family``.  ``--family`` is shorthand for ``--choice family``, a config
@@ -108,15 +110,15 @@ def sweep_results(
     table: OverlapTable, cases: Sequence[Coefficients], stats: Sequence[Statistics]
 ) -> SweepResults:
     """``(case, statistics, result)`` per single-point case and statistics, in that
-    order, on a 1-d grid table.  The cases are stacked on a leading axis, so one
-    :func:`pairabs.rates.relative_rate_grid` per statistics gives each case's
-    result as its row, bit for bit its own evaluation.  Equal cases keep a
-    result each."""
+    order, on a 1-d grid table.  The statistics are axis 0 and the cases are
+    stacked on axis 1, so one :func:`pairabs.rates.relative_rate_grid` gives
+    each case's result for each statistics as one row, bit for bit its own
+    evaluation.  Equal cases keep a result each."""
     stacked = Coefficients(np.array([case.a for case in cases])[:, None],
                            np.array([case.b for case in cases])[:, None])
-    by_stat = [rates.relative_rate_grid(stacked, table, stat) for stat in stats]
-    return [(coeffs, stat, rates.RateResult(*(value[row] for value in vars(res).values())))
-            for row, coeffs in enumerate(cases) for stat, res in zip(stats, by_stat)]
+    res = rates.relative_rate_grid(stacked, table, tuple(stats))
+    return [(coeffs, stat, rates.RateResult(*(value[k, row] for value in vars(res).values())))
+            for row, coeffs in enumerate(cases) for k, stat in enumerate(stats)]
 
 
 def sweep_rows(
@@ -385,8 +387,9 @@ def _draw_candidates(rng: np.random.Generator, count: int) -> list[np.ndarray]:
 
 def _verification_block(
     rng: np.random.Generator, size: int
-) -> tuple[Coefficients, OverlapTable, dict[Statistics, rates.RateResult]]:
-    """``size`` random trials as array weights, a trial-axis grid table and its results.
+) -> tuple[Coefficients, OverlapTable, rates.RateResult]:
+    """``size`` random trials as array weights, a trial-axis grid table and its
+    results, with ``BOTH_STATISTICS`` as axis 0.
 
     The block draws its candidates at once (:func:`_draw_candidates`).
     Candidates too close to the excluded manifold are redrawn: there the
@@ -399,9 +402,8 @@ def _verification_block(
     while True:
         coeffs = Coefficients(a, b)
         table = build_table(realizable_overlaps(raw), RecoilModel(alpha0))
-        results = {stat: rates.relative_rate_grid(coeffs, table, stat)
-                   for stat in BOTH_STATISTICS}
-        keep = np.logical_and.reduce([res.n0_sq > 2e-3 for res in results.values()])
+        results = rates.relative_rate_grid(coeffs, table, BOTH_STATISTICS)
+        keep = (results.n0_sq > 2e-3).all(axis=0)
         kept = int(keep.sum())
         if kept == size:
             return coeffs, table, results
@@ -411,16 +413,16 @@ def _verification_block(
 
 #: Trials drawn and evaluated together as one trial-axis grid; a report depends
 #: on it, since a block draws its numbers at once and its redraws join its end.
-#: A larger block pays the fixed cost of a table and four evaluations less
+#: A larger block pays the fixed cost of a table and two evaluations less
 #: often, but holds its arrays until it is done: the ``tracemalloc`` peak of
-#: ``run_verify(1, 1000)`` is 0.46 MiB at 128, 1.59 MiB at 512 (the oracle's
-#: temporaries) and 3.09 MiB for one block of 1000, and a test bounds it at
-#: 2 MiB.  ``bench/run.py --workload verify --seconds 10`` (median warm job and
-#: the worker's peak RSS, mean of two runs; 2-vCPU Xeon, Python 3.11, numpy
-#: 2.4.6): 128: 14.3 ms, 38.3 MB; 256: 10.8 ms, 38.7 MB; 384: 9.8 ms, 39.2 MB;
-#: 512: 8.6 ms, 39.5 MB; 1000: 8.5 ms, 41.1 MB.  512 makes the default 1000
-#: trials two blocks and is as fast as one block of 1000, which costs 1.5 MB
-#: more peak RSS.
+#: ``run_verify(1, 1000)`` is 0.44 MiB at 128, 1.53 MiB at 512 (the oracle's
+#: temporaries) and 2.97 MiB for one block of 1000, and a test bounds it at
+#: 2 MiB.  ``bench/run.py --workload verify --seed 1 --seconds 10`` (median
+#: warm job and the worker's peak RSS, mean of two runs; 2-vCPU Xeon, Python
+#: 3.11, numpy 2.4.6): 128: 11.6 ms, 38.1 MB; 256: 8.2 ms, 38.5 MB; 384:
+#: 7.6 ms, 39.1 MB; 512: 6.3 ms, 39.3 MB; 1000: 5.5 ms, 40.4 MB.  512 makes
+#: the default 1000 trials two blocks and keeps the peak within the bound;
+#: one block of 1000 is about an eighth faster but peaks above it.
 _VERIFY_BLOCK = 512
 
 _VERIFY_QUANTITIES = ("matrix element", "initial norm^2", "final norm^2")
@@ -431,11 +433,11 @@ def run_verify(seed: int, trials: int, tolerance: float, out: TextIO | None = No
 
     Each block of ``_VERIFY_BLOCK`` (512) trials is one trial-axis grid, on
     which the closed forms (:func:`pairabs.rates.relative_rate_grid`) and the
-    oracle (:func:`pairabs.oracle.formal_quantities`) run once per
-    statistics, every point equal bit for bit to its trial on its own; the
-    default 1000 trials make two blocks (512 and 488).  A run of at most 512
-    trials is one block of its own size, so every block size from its trial
-    count up gives the same report.  The
+    oracle (:func:`pairabs.oracle.formal_quantities`) run once each, with
+    the statistics as axis 0, every point equal bit for bit to its trial and
+    statistics on its own; the default 1000 trials make two blocks (512 and
+    488).  A run of at most 512 trials is one block of its own size, so
+    every block size from its trial count up gives the same report.  The
     worst deviation is the first NaN, else the first maximum, in (trial,
     statistics, quantity) order, so the report is byte-stable for a seed.
     A NaN deviation counts as a failure.
@@ -449,11 +451,10 @@ def run_verify(seed: int, trials: int, tolerance: float, out: TextIO | None = No
     blocks = []
     for first in range(0, trials, _VERIFY_BLOCK):
         coeffs, table, results = _verification_block(rng, min(_VERIFY_BLOCK, trials - first))
-        for res in results.values():
-            rates.require_not_null(coeffs, res.n0_sq, res.nf_sq)
-        blocks.append([oracle.closed_form_deviations(res, oracle.formal_quantities(
-            coeffs, table, stat)) for stat, res in results.items()])
-    devs = np.moveaxis(np.concatenate(blocks, axis=-1), -1, 0)  # (trial, statistics, quantity)
+        rates.require_not_null(coeffs, results.n0_sq, results.nf_sq)
+        blocks.append(oracle.closed_form_deviations(
+            results, oracle.formal_quantities(coeffs, table, BOTH_STATISTICS)))
+    devs = np.concatenate(blocks, axis=-1).transpose()  # (trial, statistics, quantity)
     trial, stat, kind = np.unravel_index(int(np.argmax(devs)), devs.shape)  # first NaN, else max
     worst = float(devs[trial, stat, kind])
     print(f"verify: seed={seed} trials={trials} tolerance={_fmt(tolerance)}", file=out)

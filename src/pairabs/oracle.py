@@ -12,38 +12,45 @@ calculation at first order) and never touches CM labels: recoil is carried
 entirely by the starred labels of the final-state monomials.
 
 :func:`formal_quantities` returns both formal norms and the bracket, for
-one point or for a whole grid of (weights, table) points at once;
-``pairabs verify`` compares each of them with its closed form through
+one point or for a whole grid of (weights, table) points at once, and for
+one statistics or a tuple of them as a leading axis; ``pairabs verify``
+compares each of them with its closed form through
 :func:`closed_form_deviations`.  The bracket divided by the square root of
 the product of the norms is the normalized amplitude; its agreement with the
 closed-form ``m`` of :func:`pairabs.rates.relative_rate_grid` over randomized
 configurations is the central anti-regression property of the library.
 
-Which term pairs survive, in which order, and which overlaps they need
-depend only on the statistics.  One plan per statistics is read, on first
-use, off :func:`build_initial`, :func:`build_final`, :func:`apply_absorption`
-and :func:`matching_term_pairs`.  Every term weight is ``±a`` or ``±b``, so
-the weight ``conj(w_bra) w_ket`` of each pair is one of the four products
-``conj(x) y`` for ``x, y`` in ``(a, b)``, or its negative: the plan keeps one
-index per pair into these eight, and an evaluation computes the four
-products once and gathers them to the pairs.  Each inner product is thus a
-sesquilinear form in ``(a, b)`` whose 2x2 matrix the plan spells out.
-The plan's overlaps are looked up in the table once, as one stacked complex
-array, and each inner product is evaluated on its own span of pairs as numpy
-arrays over the grid points: the pair weights times their two overlaps, in
-place, then a sequential ``np.cumsum`` in bra-major pair order; the norms
-keep only the real sum.  The sum stays a ``cumsum`` because numpy's
-``add.reduce`` adds pairwise when the summed axis is the contiguous one, as
-on a single point, which changes the last bits.  A single point runs the
-same numpy code as a grid, so every grid value equals its point's value bit
-for bit.  :func:`inner_product` of the built states, evaluated in Python, is
-the reference; numpy's complex multiply rounds on its own, so the two agree
-within ``8 eps`` times the sum of the terms' magnitudes per inner product
-(the bound ``tests/test_oracle.py`` derives), not bit for bit.  The
-builders drop the terms of a zero weight; the plan keeps them, but their
-products are exact signed zeros, which leave a nonzero partial sum
-unchanged, and the closing ``+ 0.0`` of each sum turns an all-zero sum into
-the ``+0.0`` that a sum started at ``0.0`` gives.
+Which term pairs survive, in which order, and which overlaps they need is
+the same for bosons and fermions: the two differ only in the sign of the
+exchange terms.  One plan is read, on first use, off
+:func:`build_initial`, :func:`build_final`, :func:`apply_absorption` and
+:func:`matching_term_pairs` for both statistics.  Every term weight is
+``±a`` or ``±b``, so the weight ``conj(w_bra) w_ket`` of each pair is one
+of the four products ``conj(x) y`` for ``x, y`` in ``(a, b)``, negated for
+fermions on the exchange pairs: the plan keeps one index per pair into the
+four products and marks the exchange pairs, and an evaluation computes the
+four products once and gathers them to the pairs.  Each inner product is
+thus a sesquilinear form in ``(a, b)`` whose 2x2 matrix the plan spells
+out.  The plan's overlaps are looked up in the table once, as one stacked
+complex array, and each inner product is evaluated on its own span of
+pairs as numpy arrays over the grid points: the pair products times their
+two overlaps, in place, once for every statistics asked for.  Each
+statistics' total then adds the pair rows in bra-major order, one at a
+time and in place, from ``+0.0``; a fermion total subtracts the exchange
+pairs.  ``x - y`` is exactly ``x + (-y)``, so each total is bit for bit
+the sequential sum of its signed terms; the norms keep only the real sum.
+This loop is faster than ``np.cumsum`` of the signed terms, which gives
+the same bits; ``np.add.reduce`` would add pairwise when the summed axis is
+the contiguous one, as on a single point, and change the last bits.  A
+single point runs the same numpy code as a grid, so every grid value
+equals its point's value bit for bit.  :func:`inner_product` of the built
+states, evaluated in Python, is the reference; numpy's complex multiply rounds on its own,
+so the two agree within ``8 eps`` times the sum of the terms' magnitudes
+per inner product (the bound ``tests/test_oracle.py`` derives), not bit
+for bit.  The builders drop the terms of a zero weight; the plan keeps
+them, but their products are exact signed zeros, which leave a nonzero
+partial sum unchanged, and a sum started at ``+0.0`` stays ``+0.0`` while
+every term is a zero, as in the expansion.
 """
 
 from __future__ import annotations
@@ -231,14 +238,16 @@ def apply_absorption(state: FormalState) -> FormalState:
 
 
 class _Plan(NamedTuple):
-    """What one statistics fixes for the three formal inner products.
+    """What the three formal inner products fix, for either statistics.
 
     The surviving term pairs of the three inner products are stacked on one
     pair axis, in bra-major order per product; ``spans`` delimits the
     products and ``first``/``second`` index each pair's two CM overlaps in
-    ``labels``.  ``weight_of`` indexes each pair's weight among the eight of
-    an evaluation: ``conj(x) y`` at ``2x + y`` for ``x, y`` in
-    ``(a, b) = (0, 1)``, and its negative at ``4 + 2x + y``.
+    ``labels``.  ``weight_of`` indexes each pair's weight among the four
+    products ``conj(x) y`` of an evaluation, at ``2x + y`` for ``x, y`` in
+    ``(a, b) = (0, 1)``.  ``exchange`` marks the pairs whose weight also
+    carries the exchange sign: the fermion weight of such a pair is the
+    negative of its product.
     """
 
     labels: tuple[tuple[CmLabel, CmLabel], ...]
@@ -246,59 +255,84 @@ class _Plan(NamedTuple):
     second: np.ndarray
     spans: tuple[tuple[int, int], ...]
     weight_of: np.ndarray
+    exchange: np.ndarray
 
 
-def _frozen(values: list[int]) -> np.ndarray:
-    """A read-only index array: plans are shared by every call."""
-    array = np.array(values, dtype=np.intp)
+def _frozen(values: list, dtype: type = np.intp) -> np.ndarray:
+    """A read-only array: the plan is shared by every call."""
+    array = np.array(values, dtype=dtype)
     array.flags.writeable = False
     return array
 
 
-@functools.cache  # two statistics; a plan is immutable
-def _plan(statistics: Statistics) -> _Plan:
-    """Read the plan of one statistics off the formal builders, on its first use.
+@functools.cache  # a plan is immutable
+def _plan() -> _Plan:
+    """Read the plan off the formal builders, on its first use.
 
-    In the probe build at ``Coefficients(1, 2)`` each term weight is ``±1``
+    In the probe builds at ``Coefficients(1, 2)`` each term weight is ``±1``
     where it is ``±a`` and ``±2`` where it is ``±b``.  Neither probe weight
     is zero, so every term any weights can build is in the plan; a zero
     weight only turns its terms' products into signed zeros.  The pairs are
-    those of :func:`matching_term_pairs`.
+    those of :func:`matching_term_pairs`.  The boson and the fermion builds
+    have the same terms in the same order, and every boson weight is
+    positive; a pair is an exchange pair where the fermion weight differs.
     """
     probe = Coefficients(1.0, 2.0)
-    initial = build_initial(probe, statistics)
-    final = build_final(probe, statistics)
-    labels, first, second, spans, weight_of = {}, [], [], [], []
-    for bra, ket in ((initial, initial), (final, final), (final, apply_absorption(initial))):
+    bra_kets = []  # per statistics, those of the initial norm², final norm² and bracket
+    for statistics in (Statistics.BOSON, Statistics.FERMION):
+        initial, final = build_initial(probe, statistics), build_final(probe, statistics)
+        bra_kets.append(((initial, initial), (final, final), (final, apply_absorption(initial))))
+    labels, first, second, spans, weight_of, exchange = {}, [], [], [], [], []
+    for (bra, ket), (fermion_bra, fermion_ket) in zip(*bra_kets):
         start = len(first)
         for i, j in matching_term_pairs(bra, ket):
             tb, tk = bra.terms[i], ket.terms[j]
             first.append(labels.setdefault((tb.cm1, tk.cm1), len(labels)))
             second.append(labels.setdefault((tb.cm2, tk.cm2), len(labels)))
             x, y = int(abs(tb.weight)) - 1, int(abs(tk.weight)) - 1  # 0 for a, 1 for b
-            negated = (tb.weight.real < 0) != (tk.weight.real < 0)
-            weight_of.append(4 * negated + 2 * x + y)
+            weight_of.append(2 * x + y)
+            exchange.append(fermion_bra.terms[i].weight * fermion_ket.terms[j].weight
+                            != tb.weight * tk.weight)
         spans.append((start, len(first)))
     return _Plan(labels=tuple(labels), first=_frozen(first), second=_frozen(second),
-                 spans=tuple(spans), weight_of=_frozen(weight_of))
+                 spans=tuple(spans), weight_of=_frozen(weight_of),
+                 exchange=_frozen(exchange, bool))
+
+
+def _signed_sums(terms: np.ndarray, negated: np.ndarray) -> np.ndarray:
+    """Row ``k``: the rows of ``terms`` summed in their order from ``+0.0``, in
+    place, those where ``negated[k]`` is set subtracted; bit for bit the
+    sequential sum of the signed rows."""
+    totals = np.zeros((len(negated),) + terms.shape[1:], dtype=terms.dtype)
+    for total, signs in zip(totals, negated.tolist()):
+        for row, subtract in zip(terms, signs):
+            if subtract:
+                total -= row
+            else:
+                total += row
+    return totals
 
 
 def formal_quantities(
-    coeffs: Coefficients, table: OverlapTable, statistics: Statistics
+    coeffs: Coefficients, table: OverlapTable, statistics: Statistics | tuple[Statistics, ...]
 ) -> tuple[float, float, complex]:
     """Initial norm², final norm² and unnormalized absorption bracket, all formal.
 
     The inner products of the initial, the final and the absorbed initial
     state (:func:`build_initial`, :func:`build_final`,
-    :func:`apply_absorption`), through the plan of the statistics.  On a
-    single point they are a Python ``float``, ``float`` and ``complex``; on
-    a grid (array weights, a grid table or both, broadcast together) arrays
-    over it, each point bit for bit its value on its own.  Raises ``ValueError`` on a
-    non-finite term weight and :class:`~pairabs.rates.ExcludedStateError`
-    when either norm is null anywhere, by the criterion of the closed forms
+    :func:`apply_absorption`), through the plan.  On a single point they
+    are a Python ``float``, ``float`` and ``complex``; on a grid (array
+    weights, a grid table or both, broadcast together) arrays over it, each
+    point bit for bit its value on its own.  A tuple of statistics is one
+    more leading axis of each array, each slice bit for bit its statistics
+    on its own.  Raises ``ValueError`` on a non-finite term weight and
+    :class:`~pairabs.rates.ExcludedStateError` when either norm is null
+    anywhere, by the criterion of the closed forms
     (:func:`pairabs.rates.require_not_null`).
     """
-    plan = _plan(statistics)
+    stats = statistics if isinstance(statistics, tuple) else (statistics,)
+    axis = (len(stats),) if stats is statistics else ()  # a tuple of statistics is axis 0
+    plan = _plan()
     values = [coeffs.a, coeffs.b, *(table.overlap(x, y) for x, y in plan.labels)]
     # each grid shape once: numpy < 2 broadcasts at most 32 arrays in one call
     shape = np.broadcast_shapes(*{v.shape for v in values if isinstance(v, np.ndarray)})
@@ -313,15 +347,13 @@ def formal_quantities(
         weight = complex(ab[int(finite[0, k]), k])
         raise ValueError(f"non-finite term weight {weight * (1 + 0j)!r}")
     products = np.multiply(ab.conjugate()[:, None], ab).reshape(4, -1)  # conj(x) y at 2x + y
-    weights = np.concatenate((products, -products))
+    negated = np.array([[stat.sign < 0] for stat in stats]) & plan.exchange  # (stats, pairs)
     sums = []
-    for lo, hi in plan.spans:
-        terms = weights.take(plan.weight_of[lo:hi], axis=0)
+    for lo, hi in plan.spans:  # each pair's product is computed once for every statistics
+        terms = products.take(plan.weight_of[lo:hi], axis=0)
         terms *= ov.take(plan.first[lo:hi], axis=0)
         terms *= ov.take(plan.second[lo:hi], axis=0)
-        # a sequential sum over the pairs, in their order; adding 0.0 gives the
-        # +0.0 that a sum started at 0.0 gives where every term is 0
-        sums.append((np.cumsum(terms, axis=0, out=terms)[-1] + 0.0).reshape(shape))
+        sums.append(_signed_sums(terms, negated[:, lo:hi]).reshape(axis + shape))
     n0_sq, nf_sq, bracket = sums[0].real, sums[1].real, sums[2]  # the norms are real
     rates.require_not_null(coeffs, n0_sq, nf_sq)
     return _python_on_point((n0_sq, nf_sq, bracket))
@@ -333,7 +365,7 @@ def closed_form_deviations(
     """``|closed - formal|`` of the normalized amplitude, the initial and the final norm².
 
     ``closed`` and ``formal`` are :func:`pairabs.rates.relative_rate_grid`
-    and :func:`formal_quantities` on the same points.  The formal amplitude
+    and :func:`formal_quantities` on the same points and statistics.  The formal amplitude
     is the formal bracket over the closed-form ``sqrt(n0^2 nf^2)``, each part
     divided on its own; ``abs`` is numpy's.
     """

@@ -38,6 +38,14 @@ The forms are sesquilinear in ``(a, b)``: they read the weights only through
 :class:`~pairabs.scenarios.Coefficients` computes once, on first use, and
 keeps (``Coefficients.weight_products``).  So the three forms and every
 null floor of one set of weights share one computation of each product.
+
+Bosons and fermions differ only in the sign ``s`` of the exchange terms.
+Every entry point also takes a tuple of statistics, which becomes axis 0
+of its result: ``s`` is then one array over that axis, every lookup and
+complex product is computed once for all of them, and only the steps that
+read ``s`` (``1 + s x``, ``s * exchange`` and what follows them) run per
+statistics.  Multiplying by ``±1`` is exact, so each slice equals bit for
+bit its statistics on its own, where ``s`` is a Python ``int``.
 """
 
 from __future__ import annotations
@@ -101,8 +109,19 @@ class RateResult:
     bracket: complex
 
 
+def _signs(statistics: Statistics | tuple[Statistics, ...], coeffs: Coefficients,
+           table: OverlapTable):
+    """The exchange sign ``s`` of the closed forms: a Python ``int`` for one
+    :class:`Statistics`; for a tuple, one ``float`` per statistics on axis 0,
+    before one axis of length 1 per grid axis of the weights and the table."""
+    if not isinstance(statistics, tuple):
+        return statistics.sign
+    ndim = max(np.ndim(coeffs.a), np.ndim(coeffs.b), table.ndim)
+    return np.array([stat.sign for stat in statistics], dtype=float).reshape((-1,) + (1,) * ndim)
+
+
 def initial_norm_sq(
-    coeffs: Coefficients, table: OverlapTable, statistics: Statistics
+    coeffs: Coefficients, table: OverlapTable, statistics: Statistics | tuple[Statistics, ...]
 ) -> float:
     """Squared norm of the unnormalized initial state (inverse square of ``N0``).
 
@@ -113,7 +132,7 @@ def initial_norm_sq(
 
     A vanishing result is meaningful: it identifies an excluded state.
     """
-    s = statistics.sign
+    s = _signs(statistics, coeffs, table)
     aa, bb, cross, _ = coeffs.weight_products
     ov = table.overlap
     return (
@@ -125,14 +144,14 @@ def initial_norm_sq(
 
 
 def final_norm_sq(
-    coeffs: Coefficients, table: OverlapTable, statistics: Statistics
+    coeffs: Coefficients, table: OverlapTable, statistics: Statistics | tuple[Statistics, ...]
 ) -> float:
     """Squared norm of the unnormalized final superposition (inverse square of ``Nf``).
 
     The recoiled labels pair up only through two-recoil brackets; internal
     orthogonality kills every g/e cross term.
     """
-    s = statistics.sign
+    s = _signs(statistics, coeffs, table)
     aa, bb, cross, weight_sq = coeffs.weight_products
     ov = table.overlap
     ps, phs, vs, cs = _STARRED
@@ -148,7 +167,7 @@ def final_norm_sq(
 
 
 def bracket_sum(
-    coeffs: Coefficients, table: OverlapTable, statistics: Statistics
+    coeffs: Coefficients, table: OverlapTable, statistics: Statistics | tuple[Statistics, ...]
 ) -> complex:
     """The fourteen bracket products of the absorption amplitude, before normalization.
 
@@ -156,7 +175,7 @@ def bracket_sum(
     one one-recoil diagonal or a product of two cross overlaps; the
     statistics-signed block holds the exchange contributions.
     """
-    s = statistics.sign
+    s = _signs(statistics, coeffs, table)
     aa, bb, ab, _ = coeffs.weight_products
     ba = ab.conjugate()
     ov = table.overlap
@@ -224,7 +243,7 @@ def _matrix_element_product(table: OverlapTable) -> complex:
 
 
 def relative_rate_grid(
-    coeffs: Coefficients, table: OverlapTable, statistics: Statistics
+    coeffs: Coefficients, table: OverlapTable, statistics: Statistics | tuple[Statistics, ...]
 ) -> RateResult:
     """All absorption quantities at every point of a grid, in one pass.
 
@@ -233,7 +252,9 @@ def relative_rate_grid(
     division and the NaN masking of excluded points are array operations.
     On a grid every field is an array of the grid's shape, ``excluded`` a
     bool array; on a single point each is a Python number
-    (:func:`_python_on_point`).
+    (:func:`_python_on_point`).  A tuple of statistics is one more leading
+    axis: every field is an array of shape ``(len(statistics),) + grid``,
+    each slice bit for bit the result of its own statistics.
     """
     n0_sq = initial_norm_sq(coeffs, table, statistics)
     nf_sq = final_norm_sq(coeffs, table, statistics)

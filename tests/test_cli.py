@@ -144,8 +144,9 @@ def assert_block_holds(block, expected):
     assert coeffs.b.tolist() == [c.b for c, _ in expected]
     for x, y in PAIRS_WITH_RECOIL:
         assert table.overlap(x, y).tolist() == [t.overlap(x, y) for _, t in expected]
-    for stat, res in results.items():
-        assert res.n0_sq.tolist() == [rates.initial_norm_sq(c, t, stat) for c, t in expected]
+    assert results.n0_sq.shape == (len(cli.BOTH_STATISTICS), len(expected))  # statistics first
+    for n0_sq, stat in zip(results.n0_sq, cli.BOTH_STATISTICS):
+        assert n0_sq.tolist() == [rates.initial_norm_sq(c, t, stat) for c, t in expected]
 
 
 class TinyFirstWeights:
@@ -363,24 +364,24 @@ class TestFigures:
         count_calls(monkeypatch, calls, rates, "initial_norm_sq", "final_norm_sq", "bracket_sum",
                     "relative_rate_grid")
         assert exit_code(["figures", "fig2", "--steps", "11", "--out", str(tmp_path)]) == 0
-        # two tables (i, ii); one evaluation per statistics of each, with the
-        # 3 cases stacked, for the CSVs, and the log reads the choice-ii
+        # two tables (i, ii); one evaluation of each, with the statistics and
+        # the 3 cases stacked, for the CSVs, and the log reads the choice-ii
         # fermion results of that sweep
         assert calls["build_choice_table"] == 2
-        assert calls["relative_rate_grid"] == 4
-        assert calls["initial_norm_sq"] == calls["final_norm_sq"] == calls["bracket_sum"] == 4
+        assert calls["relative_rate_grid"] == 2
+        assert calls["initial_norm_sq"] == calls["final_norm_sq"] == calls["bracket_sum"] == 2
 
     def test_fig3_reuses_the_sweep_table_for_the_coincidence_rows(self, tmp_path, monkeypatch):
         calls = Counter()
         count_calls(monkeypatch, calls, cli, "build_choice_table")
         count_calls(monkeypatch, calls, rates, "relative_rate_grid")
         assert exit_code(["figures", "fig3", "--steps", "11", "--out", str(tmp_path)]) == 0
-        # two tables (iii, iv); one evaluation per statistics of each, with
-        # the 3 cases stacked, for the CSVs, and one of the two stacked
+        # two tables (iii, iv); one evaluation of each, with the statistics
+        # and the 3 cases stacked, for the CSVs, and one of the two stacked
         # normalized cases for the coincidence rows, whose a=1 reference is
         # the sweep's
         assert calls["build_choice_table"] == 2
-        assert calls["relative_rate_grid"] == 5
+        assert calls["relative_rate_grid"] == 3
 
     def test_unknown_target_is_rejected_before_the_directory_is_made(self, tmp_path):
         with pytest.raises(ValueError, match="unknown figure target 'fig5'"):
@@ -657,8 +658,8 @@ def same_bits(got, want):
 
 
 class TestStackedSweepResults:
-    """``sweep_results`` stacks the cases and evaluates once per statistics; each
-    case's result is the one of its own evaluation, bit for bit."""
+    """``sweep_results`` stacks the statistics and the cases and evaluates once;
+    each case's result is the one of its own evaluation, bit for bit."""
 
     CASES = (Coefficients(1.0, 0.0), Coefficients(0.8, 0.6),
              Coefficients(0.3 + 0.4j, -0.5 + 0.2j), Coefficients(-0.0, 1e-3 - 2.5j),
@@ -672,7 +673,7 @@ class TestStackedSweepResults:
         calls = Counter()
         count_calls(monkeypatch, calls, rates, "relative_rate_grid")
         results = cli.sweep_results(table, self.CASES, cli.BOTH_STATISTICS)
-        assert calls["relative_rate_grid"] == 2
+        assert calls["relative_rate_grid"] == 1
         monkeypatch.undo()
         assert [(coeffs, stat) for coeffs, stat, _ in results] == [
             (coeffs, stat) for coeffs in self.CASES for stat in cli.BOTH_STATISTICS]
@@ -830,19 +831,20 @@ class TestVerify:
         assert exit_code(["verify", "--trials", "1", "--config", str(cfg)]) == 1
         assert "tolerance must be positive and finite" in capsys.readouterr().err
 
-    def test_each_closed_form_runs_once_per_block_and_statistics(self, monkeypatch):
+    def test_each_closed_form_runs_once_per_block(self, monkeypatch):
         calls = Counter()
         count_calls(monkeypatch, calls, rates, "initial_norm_sq", "final_norm_sq", "bracket_sum")
         count_calls(monkeypatch, calls, oracle, "formal_quantities")
         count_calls(monkeypatch, calls, cli, "_draw_candidates")  # one per block: no redraw
         trials = cli._VERIFY_BLOCK + 8  # two blocks
         assert exit_code(["verify", "--seed", "3", "--trials", str(trials), "--out", "-"]) == 0
-        assert calls == {"initial_norm_sq": 4, "final_norm_sq": 4, "bracket_sum": 4,
-                         "formal_quantities": 4, "_draw_candidates": 2}
+        # both statistics in each call
+        assert calls == {"initial_norm_sq": 2, "final_norm_sq": 2, "bracket_sum": 2,
+                         "formal_quantities": 2, "_draw_candidates": 2}
 
     def test_a_1000_trial_run_allocates_at_most_2_mib(self):
         # A block holds its arrays until it is done, so _VERIFY_BLOCK sets the
-        # peak: 1.59 MiB at 512 trials, 3.09 MiB for one block of 1000.
+        # peak: 1.53 MiB at 512 trials, 2.97 MiB for one block of 1000.
         assert cli.run_verify(1, 1000, 1e-10, io.StringIO()) == 0  # plans built
         tracemalloc.start()
         try:

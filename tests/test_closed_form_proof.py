@@ -99,14 +99,14 @@ class SymWeights:
 
 def formal_products(weights, table, statistics):
     """The three inner products of the oracle's plan, pair by pair."""
-    plan = oracle._plan(statistics)
+    plan = oracle._plan()
     ab = (weights.a.expr, weights.b.expr)
     products = [sympy.conjugate(x) * y for x in ab for y in ab]  # conj(x) y at 2x + y
-    pair_weights = products + [-w for w in products]
     overlaps = [table.overlap(x, y).expr for x, y in plan.labels]
     return [
         sum(
-            pair_weights[plan.weight_of[p]] * overlaps[plan.first[p]] * overlaps[plan.second[p]]
+            (statistics.sign if plan.exchange[p] else 1) * products[plan.weight_of[p]]
+            * overlaps[plan.first[p]] * overlaps[plan.second[p]]
             for p in range(lo, hi)
         )
         for lo, hi in plan.spans

@@ -224,20 +224,23 @@ LAYOUTS = st.sampled_from([((), ()), ((1,), (1,)), ((4,), (4,)), ((3, 1), (5,))]
 
 
 @st.composite
-def grid_inputs(draw):
+def grid_inputs(draw, real=False):
     """Weights and a table on one of :data:`LAYOUTS`; each table entry and ``alpha0``
-    is a scalar or an array of the table's shape."""
+    is a scalar or an array of the table's shape.  The overlaps are ``real`` or
+    complex."""
     weights_shape, table_shape = draw(LAYOUTS)
 
-    def values(parts, shape):
+    def values(parts, shape, imag_parts=None):
+        imag_parts = parts if imag_parts is None else imag_parts
         if shape and draw(st.booleans()):
-            return np.array([complex(draw(parts), draw(parts)) for _ in range(math.prod(shape))]
-                            ).reshape(shape)
-        return complex(draw(parts), draw(parts))
+            return np.array([complex(draw(parts), draw(imag_parts))
+                             for _ in range(math.prod(shape))]).reshape(shape)
+        return complex(draw(parts), draw(imag_parts))
 
     a, b = (values(PARTS, weights_shape) for _ in range(2))
     assume(not np.any((np.asarray(a) == 0) & (np.asarray(b) == 0)))
-    overlaps = {pair: values(OVERLAP_PARTS, table_shape) for pair in ALL_PAIRS}
+    imag_parts = st.just(0.0) if real else OVERLAP_PARTS
+    overlaps = {pair: values(OVERLAP_PARTS, table_shape, imag_parts) for pair in ALL_PAIRS}
     alpha0 = (np.array([draw(st.floats(0.5, 1.0)) for _ in range(math.prod(table_shape))])
               .reshape(table_shape) if table_shape and draw(st.booleans())
               else draw(st.floats(0.5, 1.0)))
@@ -344,6 +347,80 @@ class TestApplyAbsorption:
             plain = inner_product(final, apply_absorption(state), table)
             scaled = inner_product(final, apply_absorption(combine([(w, state)])), table)
             assert scaled == pytest.approx(w * plain, abs=1e-12)
+
+
+def same_bytes(got, want):
+    """Same dtype, shape and bytes as arrays, so signed zeros count."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def null_message(function, coeffs, table, statistics):
+    """What ``function`` raises as :class:`ExcludedStateError`, else ``None``."""
+    try:
+        function(coeffs, table, statistics)
+    except ExcludedStateError as error:
+        return str(error)
+    return None
+
+
+STATISTICS_TUPLES = st.sampled_from([(BOSON, FERMION), (FERMION, BOSON), (BOSON,), (FERMION,)])
+
+
+class TestStatisticsAxis:
+    """A tuple of statistics is a leading axis of the closed forms and the oracle:
+    each slice is its statistics on its own, byte for byte."""
+
+    @settings(max_examples=300)
+    @given(inputs=st.one_of(grid_inputs(), grid_inputs(real=True)), stats=STATISTICS_TUPLES)
+    def test_each_slice_is_its_statistics_on_its_own(self, inputs, stats):
+        coeffs, table = inputs
+        closed = rates.relative_rate_grid(coeffs, table, stats)
+        for k, stat in enumerate(stats):
+            own = rates.relative_rate_grid(coeffs, table, stat)
+            for field in vars(own):
+                assert np.shape(getattr(closed, field))[0] == len(stats)
+                assert same_bytes(getattr(closed, field)[k], getattr(own, field)), field
+        # the null criterion of the stack: a null state of any statistics, a
+        # null initial state first
+        messages = [null_message(formal_quantities, coeffs, table, stat) for stat in stats]
+        messages = sorted(filter(None, messages), key=lambda m: not m.startswith("initial"))
+        if messages:
+            with pytest.raises(ExcludedStateError) as raised:
+                formal_quantities(coeffs, table, stats)
+            assert str(raised.value) == messages[0]
+            return
+        formal = formal_quantities(coeffs, table, stats)
+        for k, stat in enumerate(stats):
+            for value, own in zip(formal, formal_quantities(coeffs, table, stat)):
+                assert type(value) is np.ndarray and value.shape[0] == len(stats)
+                assert same_bytes(value[k], own)
+
+    @pytest.mark.parametrize("points", [1, 7])
+    def test_signed_sum_is_the_sequential_sum_of_the_signed_rows(self, points):
+        # One total per row of the mask, each term subtracted where it is set:
+        # bit for bit the sequential sum of the signed terms, signed zeros and
+        # exact cancellations included.  A cumsum starts at its first term, so
+        # both sides add 0.0, which makes an all-zero sum +0.0.
+        rng = np.random.default_rng(157)
+        terms = rng.normal(size=(32, points)) + 1j * rng.normal(size=(32, points))
+        terms[::5] = complex(0.0, -0.0)
+        terms[1::7] = complex(-0.0, 0.0)
+        terms[4] = terms[3]  # cancels where one is subtracted and the other not
+        negated = np.array([[False], [True], [True]]) & (rng.random(32) < 0.5)
+        negated[2, 3:5] = [False, True]
+        totals = oracle._signed_sums(terms, negated)
+        assert totals.shape == (3, points)
+        for total, minus in zip(totals, negated):
+            signed = np.where(minus[:, None], -terms, terms)
+            assert same_bytes(total + 0.0, np.cumsum(signed, axis=0)[-1] + 0.0)
+        # why the sum is a loop: on a single point the pair axis is the contiguous
+        # one, and add.reduce then adds pairwise, so 1 + 31 halves of an ulp of 1
+        # sum to more than the 1.0 that adding them in order gives
+        ulp_halves = np.full((32, 1), 2.0**-53 + 0j)
+        ulp_halves[0] = 1.0
+        assert oracle._signed_sums(ulp_halves, np.zeros((1, 32), bool))[0, 0] == 1.0
+        assert np.add.reduce(ulp_halves, axis=0)[0] > 1.0
 
 
 class TestOracleMatrixElement:
@@ -542,13 +619,16 @@ class TestOracleMatrixElement:
 
     @pytest.mark.parametrize("statistics", [BOSON, FERMION])
     def test_each_plan_pair_is_a_built_term_pair_with_its_weight(self, statistics):
-        plan = oracle._plan(statistics)
+        # one plan serves both statistics: the same pairs, labels and spans, each
+        # weight the same product, negated for fermions on the exchange pairs
+        plan = oracle._plan()
+        assert len(plan.labels) == 48 and plan.spans == ((0, 16), (16, 48), (48, 80))
+        assert plan.exchange.sum() == 40
         rng = np.random.default_rng(151)
         for _ in range(20):
             coeffs = random_coefficients(rng)
             products = [x.conjugate() * y for x in (coeffs.a, coeffs.b)
                         for y in (coeffs.a, coeffs.b)]
-            weights = products + [-w for w in products]
             initial, final = build_initial(coeffs, statistics), build_final(coeffs, statistics)
             pairs, spans = [], []
             for bra, ket in ((initial, initial), (final, final),
@@ -561,7 +641,8 @@ class TestOracleMatrixElement:
             for p, (tb, tk) in enumerate(pairs):
                 assert plan.labels[plan.first[p]] == (tb.cm1, tk.cm1)
                 assert plan.labels[plan.second[p]] == (tb.cm2, tk.cm2)
-                assert weights[plan.weight_of[p]] == tb.weight.conjugate() * tk.weight
+                sign = statistics.sign if plan.exchange[p] else 1
+                assert sign * products[plan.weight_of[p]] == tb.weight.conjugate() * tk.weight
 
     def test_non_finite_weight_is_rejected(self):
         coeffs = Coefficients(1.0, 0.0)

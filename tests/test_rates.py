@@ -389,6 +389,28 @@ class TestRelativeRateGrid:
                 assert isinstance(value, np.ndarray) and value.shape == shape, f
             assert res.excluded.dtype == bool
 
+    @pytest.mark.parametrize("stats", [(BOSON, FERMION), (FERMION,)])
+    def test_a_tuple_of_statistics_is_a_leading_axis(self, stats):
+        # on a point, a grid table, array weights against a grid table, and a
+        # grid of alpha0 alone, which the initial norm does not read
+        alpha0_grid = build_table({pair: 0.2 for pair in ALL_PAIRS},
+                                  RecoilModel(np.linspace(0.5, 1.0, 7)))
+        for coeffs, table, shape in (
+            (Coefficients(0.6 + 0.3j, -0.7j), choice_table("iv", 0.8), ()),
+            (A_ONLY, scenario_table("family", GRID_101), (101,)),
+            (Coefficients(np.linspace(0, 1, 5)[:, None], 0.5), scenario_table("ii", GRID_101),
+             (5, 101)),
+            (A_ONLY, alpha0_grid, (7,)),
+        ):
+            res = relative_rate_grid(coeffs, table, stats)
+            for k, stat in enumerate(stats):
+                own = relative_rate_grid(coeffs, table, stat)
+                for field in fields(RateResult):
+                    value, want = getattr(res, field.name), np.asarray(getattr(own, field.name))
+                    assert type(value) is np.ndarray, field.name
+                    assert value.shape == (len(stats),) + shape, field.name
+                    assert value.dtype == want.dtype and value[k].tobytes() == want.tobytes()
+
     def test_a_grid_of_alpha0_alone_gives_every_field_its_shape(self):
         # the initial norm does not read alpha0, yet it is an array of the grid
         table = build_table({pair: 0.2 for pair in ALL_PAIRS},
