@@ -4,9 +4,10 @@ and self-verification against the formal-expansion cross-check.
 All numeric CSV fields use the shortest decimal representation that round-trips
 to the same double, so fixed inputs (and a fixed seed for ``verify``) produce
 byte-identical output.  No field ever needs CSV quoting, so each row is one
-line of a template per block of rows, with no list per row, and
+f-string over its block's formatted columns, with no list per row, and
 :func:`_write_csv` writes a file's lines with one ``writelines`` call: the
-bytes ``csv.writer`` would write.
+bytes ``csv.writer`` would write.  A column whose values all have the same
+bits is formatted once.
 
 The grid subcommands (``sweep``, ``figures``, ``exclusion-scan``) build one
 grid table per ``c`` grid.  ``sweep`` and ``figures`` evaluate it once,
@@ -89,7 +90,14 @@ def _fmt(value: float) -> str:
 
 
 def _column(values: np.ndarray) -> list[str]:
-    """CSV text of each value of a grid array, as :func:`_fmt` writes it."""
+    """CSV text of each value of a 1-d float64 grid array, as :func:`_fmt` writes it.
+
+    A column whose values all have the same bits is formatted once: comparing
+    bits keeps ``0.0`` and ``-0.0`` apart, and a NaN column counts as constant.
+    """
+    bits = values.view(np.int64)
+    if bits.size and (bits == bits[0]).all():
+        return [_fmt(values[0])] * bits.size
     return list(map(repr, values.tolist()))
 
 
@@ -134,9 +142,10 @@ def sweep_rows(
     for coeffs, stat, res in results:
         head = ",".join([scenario_name, stat.name.lower(), _fmt(coeffs.a.real),
                          _fmt(coeffs.a.imag), _fmt(coeffs.b.real), _fmt(coeffs.b.imag)])
-        lines.extend(map((head + ",{}," + alpha0_text + ",{},{},{},{},{},{}\n").format,
-                         c_column, _column(res.n0), _column(res.nf), _column(res.m.real),
-                         _column(res.m.imag), _column(res.r), _flags(res.excluded)))
+        lines.extend([f"{head},{c},{alpha0_text},{n0},{nf},{m_re},{m_im},{r},{flag}\n"
+                      for c, n0, nf, m_re, m_im, r, flag in zip(
+                          c_column, _column(res.n0), _column(res.nf), _column(res.m.real),
+                          _column(res.m.imag), _column(res.r), _flags(res.excluded))])
     return lines
 
 
@@ -253,9 +262,11 @@ def _coincidence_rows(ref: rates.RateResult, results: SweepResults, grid: np.nda
         with np.errstate(divide="ignore", invalid="ignore"):
             dev = np.where(either, np.nan, np.abs(res.r - ref.r) / ref.r)
         max_dev = max([max_dev, *dev[~either].tolist()])
-        lines.extend(map(("{}," + _fmt(coeffs.a.real) + ",{},{},{},{},{}\n").format,
-                         c_column, _column(res.r), ref_r, _column(dev),
-                         _flags(res.excluded), ref_flags))
+        a_text = _fmt(coeffs.a.real)
+        lines.extend([f"{c},{a_text},{r},{r_ref},{d},{flag},{flag_ref}\n"
+                      for c, r, r_ref, d, flag, flag_ref in zip(
+                          c_column, _column(res.r), ref_r, _column(dev),
+                          _flags(res.excluded), ref_flags)])
     return lines, max_dev
 
 
@@ -344,8 +355,10 @@ def exclusion_scan_rows(
     lines: list[str] = []
     for row, a in enumerate(a_grid):
         block = slice(row * len(c_column), (row + 1) * len(c_column))
-        lines.extend(map((_fmt(a) + ",{},{},{},{}\n").format, c_column,
-                         *(column[block] for column in columns)))
+        a_text = _fmt(a)
+        lines.extend([f"{a_text},{c},{abs_coeff},{flag_norm},{flag_formula}\n"
+                      for c, abs_coeff, flag_norm, flag_formula in zip(
+                          c_column, *(column[block] for column in columns))])
     return lines, int(np.count_nonzero(by_norm != by_formula))
 
 

@@ -601,6 +601,64 @@ class TestCsvText:
             assert label and not set(label) & set(',"\r\n'), label
 
 
+def _column_views(values: np.ndarray) -> dict[str, np.ndarray]:
+    """``values`` as the kinds of array a row builder formats: contiguous, the real
+    and imaginary parts of a complex array, reversed, and a row and a column of a
+    2-d stack."""
+    pair = np.empty(len(values), dtype=complex)
+    pair.real, pair.imag = values, values[::-1]
+    return {
+        "plain": values,
+        "real": pair.real,
+        "imag": pair.imag[::-1],
+        "reversed": values[::-1].copy()[::-1],
+        "stack row": np.stack([values[::-1], values])[1],
+        "stack column": np.stack([values, values[::-1]], axis=1)[:, 0],
+    }
+
+
+class TestColumnText:
+    """``_column`` writes each value's ``repr``, formatting a constant column once."""
+
+    # subnormals, the extremes, both zeros and NaN, so that pools of one value
+    # make constant columns and pools of two make mixed ones
+    SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072e-308,
+               1.7976931348623157e308, 0.1]
+
+    @settings(max_examples=300)
+    @example(values=[], view="plain")
+    @example(values=[-0.0], view="real")
+    @example(values=[0.0] * 5, view="imag")
+    @example(values=[-0.0] * 5, view="stack column")
+    @example(values=[math.nan] * 5, view="reversed")
+    @example(values=[0.0, -0.0, 0.0], view="plain")
+    @example(values=[-0.0, 0.0], view="stack row")
+    @example(values=[5e-324, -5e-324, math.inf, -math.inf], view="imag")
+    @given(values=st.lists(st.floats(), min_size=1, max_size=3).flatmap(
+               lambda pool: st.lists(st.sampled_from(pool), max_size=12))
+           | st.lists(st.sampled_from(SPECIAL) | st.floats(), max_size=12),
+           view=st.sampled_from(["plain", "real", "imag", "reversed", "stack row",
+                                 "stack column"]))
+    def test_equals_the_repr_of_each_value(self, values, view):
+        array = _column_views(np.array(values, dtype=float))[view]
+        assert array.tobytes() == np.array(values, dtype=float).tobytes()
+        assert cli._column(array) == list(map(repr, array.tolist()))
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, math.nan, 0.5, 5e-324])
+    def test_a_constant_column_makes_one_repr_call(self, value, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "repr", lambda x: calls.append(x) or repr(x), raising=False)
+        text = cli._column(np.full(101, value))
+        assert len(calls) == 1
+        assert text == [repr(value)] * 101
+
+    def test_a_varying_column_makes_one_repr_call_per_value(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "repr", lambda x: calls.append(x) or repr(x), raising=False)
+        assert cli._column(np.array([0.0] * 100 + [-0.0])) == ["0.0"] * 100 + ["-0.0"]
+        assert len(calls) == 101
+
+
 class TestStdoutBytes:
     """``sweep`` and ``rate`` write the same bytes to standard output as to ``--out``."""
 
@@ -713,6 +771,16 @@ class TestNoContainerPerRow:
         results = cli.sweep_results(table, cli.FIG2_CASES, cli.BOTH_STATISTICS)
         count, lines = self.tracked_allocations(lambda: cli.sweep_rows("i", results, grid, 0.9))
         assert len(lines) == 6 * 101
+        assert count < len(lines) / 4
+
+    def test_coincidence_rows_of_the_fig3_file(self, tmp_path, monkeypatch):
+        built = []
+        build = cli._coincidence_rows
+        monkeypatch.setattr(cli, "_coincidence_rows", lambda *args: built.append(args) or build(*args))
+        cli.run_figures("fig3", tmp_path, log=io.StringIO())
+        (args,) = built
+        count, (lines, _) = self.tracked_allocations(lambda: build(*args))
+        assert len(lines) == 2 * 101
         assert count < len(lines) / 4
 
 
