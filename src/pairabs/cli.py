@@ -9,20 +9,20 @@ f-string over its block's formatted columns, with no list per row, and
 bytes ``csv.writer`` would write.  A column whose values all have the same
 bits is formatted once.
 
-The grid subcommands (``sweep``, ``figures``, ``exclusion-scan``) build one
-grid table per ``c`` grid.  ``sweep`` and ``figures`` evaluate it once,
-with the statistics as axis 0 and their weights stacked on axis 1,
-``exclusion-scan`` once for its whole (a, c) grid with array weights, and
-``verify`` each block of 512 trials as one trial-axis grid with the
-statistics as axis 0; every output is byte-identical to evaluating each
-point and statistics on its own.  ``verify`` draws a block's random numbers
-at once, one generator call per kind, and computes the overlaps of all its
-candidates with one :func:`pairabs.scenarios.realizable_overlaps` call;
-redraws join the end of the block, so its report depends on the seed, the
-trial count and the block size.  ``rate`` is ``sweep`` on the one-point
-grid ``[--c]``.  A sweep keeps its results as a list in (weights,
-statistics) order, and ``figures`` reads its log lines and the a=1
-coincidence curve from them by scenario name.
+The grid subcommands build one grid table per ``c`` grid and evaluate it
+once.  ``sweep`` stacks its statistics on axis 0 and its weights on axis 1.  A
+``figures`` target also stacks its scenarios' bare overlaps into one table and
+evaluates it once over (statistics, scenario, case, c): a ``figures`` job makes
+3 table builds and 3 :func:`pairabs.rates.relative_rate_grid` calls, and every
+file, log line and coincidence row reads slices of that one result.
+``exclusion-scan`` evaluates its (a, c) grid once, with array weights, and
+``verify`` each block of 512 trials as one trial-axis grid; every output is
+byte-identical to evaluating each point and statistics on its own.
+``verify`` draws a block's random numbers at once, one generator call per
+kind, and computes the overlaps of all its candidates with one
+:func:`pairabs.scenarios.realizable_overlaps` call; redraws join the end of the
+block, so its report depends on the seed, the trial count and the block size.
+``rate`` is ``sweep`` on the one-point grid ``[--c]``.
 
 The scenario of ``rate`` and ``sweep`` is one setting, ``choice``: a preset
 or ``family``.  ``--family`` is shorthand for ``--choice family``, a config
@@ -45,20 +45,21 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from . import oracle, rates
 from .algebra import OverlapTable, Statistics
 from .scenarios import (
+    ALL_PAIRS,
     CHOICES,
     Coefficients,
     ExclusionFamily,
     RecoilModel,
-    build_choice_table,
     build_family_table,
     build_table,
+    choice_overlaps,
     family_exclusion_coefficient,
     realizable_overlaps,
 )
@@ -66,6 +67,7 @@ from .scenarios import (
 __all__ = [
     "SCAN_HEADER",
     "SWEEP_HEADER",
+    "SweepResults",
     "build_parser",
     "exclusion_scan_rows",
     "main",
@@ -111,49 +113,76 @@ def _normalized(a: float | np.ndarray) -> Coefficients:
     return Coefficients(a, np.sqrt(np.maximum(0.0, 1.0 - a * a)))
 
 
-SweepResults = list[tuple[Coefficients, Statistics, rates.RateResult]]
+class SweepResults(NamedTuple):
+    """Single-point ``cases`` evaluated once for each of ``stats``: the fields of
+    ``result`` are arrays over (statistics, case, c), or over (statistics,
+    scenario, case, c) on a table from :func:`_stacked_table`."""
+
+    cases: tuple[Coefficients, ...]
+    stats: tuple[Statistics, ...]
+    result: rates.RateResult
+
+    def scenario(self, index: int) -> SweepResults:
+        """The results on scenario ``index`` of a stacked table, as views."""
+        return self._replace(result=rates.RateResult(
+            *(value[:, index] for value in vars(self.result).values())))
 
 
-def sweep_results(
-    table: OverlapTable, cases: Sequence[Coefficients], stats: Sequence[Statistics]
-) -> SweepResults:
-    """``(case, statistics, result)`` per single-point case and statistics, in that
-    order, on a 1-d grid table.  The statistics are axis 0 and the cases are
-    stacked on axis 1, so one :func:`pairabs.rates.relative_rate_grid` gives
-    each case's result for each statistics as one row, bit for bit its own
-    evaluation.  Equal cases keep a result each."""
+def sweep_results(table: OverlapTable, cases: Sequence[Coefficients],
+                  stats: Sequence[Statistics]) -> SweepResults:
+    """Every case for every statistics on a grid table, from one
+    :func:`pairabs.rates.relative_rate_grid` call with the weights stacked on the
+    axis before c; each (statistics, case) slice is bit for bit its own evaluation."""
     stacked = Coefficients(np.array([case.a for case in cases])[:, None],
                            np.array([case.b for case in cases])[:, None])
-    res = rates.relative_rate_grid(stacked, table, tuple(stats))
-    return [(coeffs, stat, rates.RateResult(*(value[k, row] for value in vars(res).values())))
-            for row, coeffs in enumerate(cases) for k, stat in enumerate(stats)]
+    return SweepResults(tuple(cases), tuple(stats),
+                        rates.relative_rate_grid(stacked, table, tuple(stats)))
 
 
-def sweep_rows(
-    scenario_name: str, results: SweepResults, grid: Sequence[float], alpha0: float
-) -> list[str]:
-    """CSV lines ordered as ``results`` (case, then statistics), c ascending.
+def sweep_rows(scenario_name: str, results: SweepResults, grid: Sequence[float],
+               alpha0: float) -> list[str]:
+    """CSV lines of each case of ``results`` (over (statistics, case, c)), then each
+    statistics, c ascending.  ``results`` are on the grid table over ``grid``."""
+    return _sweep_lines(scenario_name, results, results.cases,
+                        _column(np.asarray(grid, dtype=float)), _fmt(alpha0))
 
-    ``results`` come from :func:`sweep_results` on the grid table over ``grid``.
-    """
-    c_column = _column(np.asarray(grid, dtype=float))
-    alpha0_text = _fmt(alpha0)
+
+def _sweep_lines(scenario_name: str, results: SweepResults, cases: Sequence[Coefficients],
+                 c_column: list[str], alpha0_text: str) -> list[str]:
+    """:func:`sweep_rows` of ``cases``, some of ``results.cases``, from the text of c and alpha0."""
+    res = results.result
     lines: list[str] = []
-    for coeffs, stat, res in results:
-        head = ",".join([scenario_name, stat.name.lower(), _fmt(coeffs.a.real),
-                         _fmt(coeffs.a.imag), _fmt(coeffs.b.real), _fmt(coeffs.b.imag)])
-        lines.extend([f"{head},{c},{alpha0_text},{n0},{nf},{m_re},{m_im},{r},{flag}\n"
-                      for c, n0, nf, m_re, m_im, r, flag in zip(
-                          c_column, _column(res.n0), _column(res.nf), _column(res.m.real),
-                          _column(res.m.imag), _column(res.r), _flags(res.excluded))])
+    for coeffs in cases:
+        row = results.cases.index(coeffs)
+        for k, stat in enumerate(results.stats):
+            head = ",".join([scenario_name, stat.name.lower(), _fmt(coeffs.a.real),
+                             _fmt(coeffs.a.imag), _fmt(coeffs.b.real), _fmt(coeffs.b.imag)])
+            lines.extend([f"{head},{c},{alpha0_text},{n0},{nf},{m_re},{m_im},{r},{flag}\n"
+                          for c, n0, nf, m_re, m_im, r, flag in zip(
+                              c_column, _column(res.n0[k, row]), _column(res.nf[k, row]),
+                              _column(res.m.real[k, row]), _column(res.m.imag[k, row]),
+                              _column(res.r[k, row]), _flags(res.excluded[k, row]))])
     return lines
+
+
+def _scenario_overlaps(name: str, grid: np.ndarray) -> dict:
+    """The six bare overlaps over ``grid`` of a preset choice or ``"family"``."""
+    if name == "family":
+        return ExclusionFamily.equal_weight(grid).overlaps
+    return choice_overlaps(name, grid)
 
 
 def _scenario_table(name: str, grid: np.ndarray, model: RecoilModel) -> OverlapTable:
     """Grid table over ``grid`` for a preset choice or ``"family"``."""
-    if name == "family":
-        return build_family_table(ExclusionFamily.equal_weight(grid), model)
-    return build_choice_table(name, grid, model)
+    return build_table(_scenario_overlaps(name, grid), model)
+
+
+def _stacked_table(names: Sequence[str], grid: np.ndarray, model: RecoilModel) -> OverlapTable:
+    """One grid table over (scenario, 1, c) with the bare overlaps of ``names`` stacked
+    on axis 0.  They are real, so each scenario's results are its own table's, bit for bit."""
+    each, shape = [_scenario_overlaps(name, grid) for name in names], (1, *grid.shape)
+    return build_table({pair: np.stack([np.broadcast_to(bare[pair], shape) for bare in each])
+                        for pair in ALL_PAIRS}, model)
 
 
 @contextlib.contextmanager
@@ -212,7 +241,8 @@ def _cmd_sweep(args) -> int:
 
 FIG2_CASES = tuple(map(_normalized, (1.0, 0.8, _ROOT2_INV)))
 FIG3_III_CASES = (Coefficients(1.0, 0.0), Coefficients(0.8, 0.2), Coefficients(0.5, 0.5))
-FIG3_IV_CASES = tuple(map(_normalized, (1.0, 0.8, 0.5)))
+# fig3_iii's own a=1 object, so fig3 evaluates it once; the others are the coincidence curves
+FIG3_IV_CASES = (FIG3_III_CASES[0], *map(_normalized, (0.8, 0.5)))
 FIG4_CASES = tuple(map(_normalized, (0.64, 0.67, _ROOT2_INV)))
 BOTH_STATISTICS = (Statistics.BOSON, Statistics.FERMION)
 
@@ -229,14 +259,13 @@ _FIGURES = {
 
 
 def _log_choice_ii_flatness(results: SweepResults, log: TextIO) -> None:
-    """Per-case spans showing that for fermions only the final normalization moves R.
-
-    ``results`` are those of the fig2 choice-ii sweep.
-    """
-    for coeffs, _, res in results[1::2]:  # the fermion results: BOTH_STATISTICS[1]
-        n0s, nf_sqs = res.n0_sq.tolist(), res.nf_sq.tolist()
-        brackets = np.abs(res.bracket).tolist()
-        rs = res.r[~res.excluded].tolist()
+    """Per-case spans showing that for fermions only the final normalization moves R;
+    ``results`` are fig2's on choice ii."""
+    k, res = results.stats.index(Statistics.FERMION), results.result
+    for row, coeffs in enumerate(results.cases):
+        n0s, nf_sqs = res.n0_sq[k, row].tolist(), res.nf_sq[k, row].tolist()
+        brackets = np.abs(res.bracket[k, row]).tolist()
+        rs = res.r[k, row][~res.excluded[k, row]].tolist()
         r_span = (max(rs) - min(rs)) / min(rs)
         print(
             f"choice ii fermion a={coeffs.a.real:g} b={coeffs.b.real:g}: "
@@ -248,25 +277,27 @@ def _log_choice_ii_flatness(results: SweepResults, log: TextIO) -> None:
         )
 
 
-def _coincidence_rows(ref: rates.RateResult, results: SweepResults, grid: np.ndarray):
-    """Lines of the choice-iii fermion curves of ``results`` against the a=1 curve
-    ``ref``, and their largest relative deviation.  ``ref`` is the a=1 fermion
-    result of the fig3 choice-iii sweep, ``results`` the normalized-weight
-    fermion results on its table.
+def _coincidence_rows(results: SweepResults, c_column: list[str]):
+    """Lines of the fermion curves of ``FIG3_IV_CASES[1:]`` against the a=1 curve, and
+    their largest relative deviation.  ``results`` are fig3's on choice iii, over
+    (statistics, case, c), and ``c_column`` is the text of c.
     """
-    c_column, ref_r, ref_flags = _column(grid), _column(ref.r), _flags(ref.excluded)
-    lines: list[str] = []
-    max_dev = 0.0
-    for coeffs, _, res in results:
-        either = res.excluded | ref.excluded
+    k, cases = results.stats.index(Statistics.FERMION), results.cases
+    r, excluded = results.result.r[k], results.result.excluded[k]  # over (case, c)
+    ref = cases.index(FIG3_III_CASES[0])
+    ref_text, ref_flags = _column(r[ref]), _flags(excluded[ref])
+    lines, max_dev = [], 0.0
+    for coeffs in FIG3_IV_CASES[1:]:
+        row = cases.index(coeffs)
+        either = excluded[row] | excluded[ref]
         with np.errstate(divide="ignore", invalid="ignore"):
-            dev = np.where(either, np.nan, np.abs(res.r - ref.r) / ref.r)
+            dev = np.where(either, np.nan, np.abs(r[row] - r[ref]) / r[ref])
         max_dev = max([max_dev, *dev[~either].tolist()])
         a_text = _fmt(coeffs.a.real)
-        lines.extend([f"{c},{a_text},{r},{r_ref},{d},{flag},{flag_ref}\n"
-                      for c, r, r_ref, d, flag, flag_ref in zip(
-                          c_column, _column(res.r), ref_r, _column(dev),
-                          _flags(res.excluded), ref_flags)])
+        lines.extend([f"{c},{a_text},{r_text},{r_ref},{d},{flag},{flag_ref}\n"
+                      for c, r_text, r_ref, d, flag, flag_ref in zip(
+                          c_column, _column(r[row]), ref_text, _column(dev),
+                          _flags(excluded[row]), ref_flags)])
     return lines, max_dev
 
 
@@ -277,7 +308,8 @@ def run_figures(
     alpha0: float = RecoilModel.alpha0,
     log: TextIO | None = None,
 ) -> list[Path]:
-    """Emit the CSV datasets for one figure target; returns the written paths."""
+    """Emit the CSV datasets for one figure target; returns the written paths.  One table
+    stacks its scenarios, and one evaluation of all its cases on it gives every output."""
     if target not in _FIGURES:
         raise ValueError(f"unknown figure target {target!r}")
     if steps < 1:
@@ -285,6 +317,13 @@ def run_figures(
     log = sys.stdout if log is None else log
     model = RecoilModel(alpha0)
     grid = np.linspace(0.0, 1.0, steps)
+    files = _FIGURES[target]
+    names = tuple(dict.fromkeys(scenario for scenario, _, _ in files.values()))
+    (stats,) = {file_stats for _, _, file_stats in files.values()}  # one per target
+    cases = dict.fromkeys(case for _, file_cases, _ in files.values() for case in file_cases)
+    results = sweep_results(_stacked_table(names, grid, model), tuple(cases), stats)
+    on = {name: results.scenario(j) for j, name in enumerate(names)}
+    c_column, alpha0_text = _column(grid), _fmt(alpha0)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -295,28 +334,16 @@ def run_figures(
             _write_csv(handle, header, lines)
         written.append(path)
 
-    tables: dict[str, OverlapTable] = {}
-    results: dict[str, SweepResults] = {}
-    for name, (scenario, cases, stats) in _FIGURES[target].items():
-        tables[scenario] = _scenario_table(scenario, grid, model)
-        results[scenario] = sweep_results(tables[scenario], cases, stats)
-        emit(name, SWEEP_HEADER, sweep_rows(scenario, results[scenario], grid, alpha0))
+    for name, (scenario, file_cases, _) in files.items():
+        emit(name, SWEEP_HEADER, _sweep_lines(scenario, on[scenario], file_cases,
+                                              c_column, alpha0_text))
     if target == "fig2":
-        _log_choice_ii_flatness(results["ii"], log)
+        _log_choice_ii_flatness(on["ii"], log)
     elif target == "fig3":
-        _, _, a1_fermion = results["iii"][1]  # FIG3_III_CASES[0] (a=1), BOTH_STATISTICS[1]
-        lines, max_dev = _coincidence_rows(
-            a1_fermion,
-            sweep_results(tables["iii"], tuple(map(_normalized, (0.8, 0.5))),
-                          (Statistics.FERMION,)),
-            grid,
-        )
+        lines, max_dev = _coincidence_rows(on["iii"], c_column)
         emit("fig3_iii_fermion_coincidence.csv", COINCIDENCE_HEADER, lines)
-        print(
-            "choice iii fermion, normalized weights: max relative deviation "
-            f"from the a=1 curve {max_dev:.4%}",
-            file=log,
-        )
+        print("choice iii fermion, normalized weights: max relative deviation "
+              f"from the a=1 curve {max_dev:.4%}", file=log)
     return written
 
 

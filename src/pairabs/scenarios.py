@@ -1,7 +1,7 @@
 """Overlap-table construction: swept presets, the exclusion family, recoil entries.
 
 :func:`build_table`, :func:`build_choice_table` and :func:`build_family_table`
-(with :meth:`ExclusionFamily.equal_weight`) also take 1-D numpy arrays of
+(with :meth:`ExclusionFamily.equal_weight`) also take numpy arrays of
 sweep values, bare overlaps or ``alpha0`` and return one grid table (see
 :class:`pairabs.algebra.OverlapTable`) whose entries are arrays over the
 grid; :class:`Coefficients` takes arrays of weights.  The rules below are
@@ -18,7 +18,9 @@ recoil entries:
   coefficient from :func:`_alpha_pair`, while ``<x*|x*> = 1`` (recoiled
   states stay normalized).
 
-:func:`realizable_overlaps` reads the six bare overlaps off the Gram matrices of
+:func:`choice_overlaps` and ``ExclusionFamily.overlaps`` give the six bare
+overlaps of a preset or a family without a table, so several can be stacked
+into one.  :func:`realizable_overlaps` reads them off the Gram matrices of
 stacks of real vectors; :func:`random_realizable_overlaps` is its one-draw case.
 """
 
@@ -200,10 +202,9 @@ def build_table(
     return OverlapTable(entries)
 
 
-def build_choice_table(
-    name: str, c: float | np.ndarray, model: RecoilModel = RecoilModel()
-) -> OverlapTable:
-    """Full table for the preset ``name`` (one of :data:`CHOICES`) at sweep value ``c``.
+def choice_overlaps(name: str,
+                    c: float | np.ndarray) -> dict[tuple[CmLabel, CmLabel], complex | np.ndarray]:
+    """The six bare overlaps of the preset ``name`` (one of :data:`CHOICES`) at sweep value ``c``.
 
     ``c`` may also be a grid of sweep values.  The preset pins some base
     pairs; the other base pairs take the sweep value.  The three dependent
@@ -214,24 +215,19 @@ def build_choice_table(
     """
     if name not in _CHOICE_FIXED:
         raise ValueError(f"unknown choice {name!r}; expected one of {CHOICES}")
-    if not np.all((0.0 <= c) & (c <= 1.0)):
-        raise ValueError(f"sweep value must lie in [0, 1], got {c}")
-    base = {pair: _grid_value(_CHOICE_FIXED[name].get(pair, c)) for pair in _BASE_PAIRS}
-    psi_phi = base[(PSI, PHI)]
-    psi_varphi = base[(PSI, VARPHI)]
-    varphi_chi = base[(VARPHI, CHI)]
+    _require(c, (0.0 <= c) & (c <= 1.0), "sweep value must lie in [0, 1], got {}")
+    psi_phi, psi_varphi, varphi_chi = (
+        _grid_value(_CHOICE_FIXED[name].get(pair, c)) for pair in _BASE_PAIRS)
     phi_varphi = psi_phi.conjugate() * psi_varphi
-    return build_table(
-        {
-            (PSI, PHI): psi_phi,
-            (PSI, VARPHI): psi_varphi,
-            (VARPHI, CHI): varphi_chi,
-            (PSI, CHI): psi_varphi * varphi_chi,
-            (PHI, VARPHI): phi_varphi,
-            (PHI, CHI): phi_varphi * varphi_chi,
-        },
-        model,
-    )
+    return {(PSI, PHI): psi_phi, (PSI, VARPHI): psi_varphi, (VARPHI, CHI): varphi_chi,
+            (PSI, CHI): psi_varphi * varphi_chi, (PHI, VARPHI): phi_varphi,
+            (PHI, CHI): phi_varphi * varphi_chi}
+
+
+def build_choice_table(name: str, c: float | np.ndarray,
+                       model: RecoilModel = RecoilModel()) -> OverlapTable:
+    """Full table for the preset ``name`` at sweep value ``c``, of :func:`choice_overlaps`."""
+    return build_table(choice_overlaps(name, c), model)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,22 +276,19 @@ class ExclusionFamily:
         inv = 1.0 / math.sqrt(2.0)
         return cls(c=c, d=d, e=inv, f=inv, g=(c + d) * inv, h=(c - d) * inv)
 
+    @property
+    def overlaps(self) -> dict[tuple[CmLabel, CmLabel], complex | np.ndarray]:
+        """The six bare overlaps of the family states, by bilinear expansion over {psi, zeta}."""
+        c, d, e, f, g, h = self.c, self.d, self.e, self.f, self.g, self.h
+        return {(PSI, PHI): c, (PSI, VARPHI): e, (PSI, CHI): g,
+                (PHI, VARPHI): c.conjugate() * e + d.conjugate() * f,
+                (PHI, CHI): c.conjugate() * g + d.conjugate() * h,
+                (VARPHI, CHI): e.conjugate() * g + f.conjugate() * h}
 
-def build_family_table(
-    fam: ExclusionFamily, model: RecoilModel = RecoilModel()
-) -> OverlapTable:
-    """Table for the family states; bare overlaps by bilinear expansion over {psi, zeta}."""
-    return build_table(
-        {
-            (PSI, PHI): fam.c,
-            (PSI, VARPHI): fam.e,
-            (PSI, CHI): fam.g,
-            (PHI, VARPHI): fam.c.conjugate() * fam.e + fam.d.conjugate() * fam.f,
-            (PHI, CHI): fam.c.conjugate() * fam.g + fam.d.conjugate() * fam.h,
-            (VARPHI, CHI): fam.e.conjugate() * fam.g + fam.f.conjugate() * fam.h,
-        },
-        model,
-    )
+
+def build_family_table(fam: ExclusionFamily, model: RecoilModel = RecoilModel()) -> OverlapTable:
+    """Table for the family states, of their bare overlaps ``fam.overlaps``."""
+    return build_table(fam.overlaps, model)
 
 
 def family_exclusion_coefficient(coeffs: Coefficients, fam: ExclusionFamily) -> complex:

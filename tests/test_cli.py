@@ -192,8 +192,8 @@ class TestSweep:
         results = cli.sweep_results(build_choice_table("i", grid), cases, [Statistics.FERMION])
         rows = cli.sweep_rows("i", results, grid, 0.9)
         assert len(rows) == 10 and rows[:5] == rows[5:]
-        assert [(coeffs, stat) for coeffs, stat, _ in results] == [
-            (cases[0], Statistics.FERMION), (cases[1], Statistics.FERMION)]
+        assert (results.cases, results.stats) == (tuple(cases), (Statistics.FERMION,))
+        assert results.result.r.shape == (1, 2, 5)  # (statistics, case, c)
 
     def test_single_step_sweeps_at_c_min(self, capsys):
         assert exit_code(["sweep", "--steps", "1", "--c-min", "0.25"]) == 0
@@ -358,30 +358,45 @@ class TestFigures:
         assert captured.out == self.DEFAULT_LOGS[target]
         assert captured.err == ""
 
-    def test_fig2_reuses_the_sweep_table_for_the_flatness_log(self, tmp_path, monkeypatch):
+    @staticmethod
+    def figure_calls(target, tmp_path, monkeypatch):
+        """The table builds and closed-form calls of one ``figures`` target."""
         calls = Counter()
-        count_calls(monkeypatch, calls, cli, "build_choice_table")
+        count_calls(monkeypatch, calls, cli, "build_table")
+        count_calls(monkeypatch, calls, scenarios, "build_table")  # inside the table builders
         count_calls(monkeypatch, calls, rates, "initial_norm_sq", "final_norm_sq", "bracket_sum",
                     "relative_rate_grid")
-        assert exit_code(["figures", "fig2", "--steps", "11", "--out", str(tmp_path)]) == 0
-        # two tables (i, ii); one evaluation of each, with the statistics and
-        # the 3 cases stacked, for the CSVs, and the log reads the choice-ii
-        # fermion results of that sweep
-        assert calls["build_choice_table"] == 2
-        assert calls["relative_rate_grid"] == 2
-        assert calls["initial_norm_sq"] == calls["final_norm_sq"] == calls["bracket_sum"] == 2
+        assert exit_code(["figures", target, "--steps", "11", "--out", str(tmp_path)]) == 0
+        return calls
+
+    ONE_EVALUATION = {"build_table": 1, "relative_rate_grid": 1, "initial_norm_sq": 1,
+                      "final_norm_sq": 1, "bracket_sum": 1}
+
+    def test_fig2_reuses_the_sweep_table_for_the_flatness_log(self, tmp_path, monkeypatch):
+        # one table stacks i and ii; one evaluation, with the statistics, the
+        # scenarios and the 3 cases stacked, gives the CSVs and the log
+        assert self.figure_calls("fig2", tmp_path, monkeypatch) == self.ONE_EVALUATION
 
     def test_fig3_reuses_the_sweep_table_for_the_coincidence_rows(self, tmp_path, monkeypatch):
-        calls = Counter()
-        count_calls(monkeypatch, calls, cli, "build_choice_table")
-        count_calls(monkeypatch, calls, rates, "relative_rate_grid")
-        assert exit_code(["figures", "fig3", "--steps", "11", "--out", str(tmp_path)]) == 0
-        # two tables (iii, iv); one evaluation of each, with the statistics
-        # and the 3 cases stacked, for the CSVs, and one of the two stacked
-        # normalized cases for the coincidence rows, whose a=1 reference is
-        # the sweep's
-        assert calls["build_choice_table"] == 2
-        assert calls["relative_rate_grid"] == 3
+        # one table stacks iii and iv; one evaluation of the 5 distinct cases
+        # gives the CSVs and the coincidence rows, the a=1 reference included
+        assert self.figure_calls("fig3", tmp_path, monkeypatch) == self.ONE_EVALUATION
+
+    def test_fig4_builds_one_table_and_evaluates_it_once(self, tmp_path, monkeypatch):
+        assert self.figure_calls("fig4", tmp_path, monkeypatch) == self.ONE_EVALUATION
+
+    @pytest.mark.parametrize("target", ["fig2", "fig3", "fig4"])
+    def test_a_target_allocates_at_most_1_mib(self, target, tmp_path):
+        # the stacked result holds a whole target at once: at 101 steps the
+        # peaks are about 0.4 MiB for fig2 and fig3 and 0.2 MiB for fig4
+        assert cli.run_figures(target, tmp_path, log=io.StringIO())
+        tracemalloc.start()
+        try:
+            cli.run_figures(target, tmp_path, log=io.StringIO())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
     def test_unknown_target_is_rejected_before_the_directory_is_made(self, tmp_path):
         with pytest.raises(ValueError, match="unknown figure target 'fig5'"):
@@ -717,7 +732,8 @@ def same_bits(got, want):
 
 class TestStackedSweepResults:
     """``sweep_results`` stacks the statistics and the cases and evaluates once;
-    each case's result is the one of its own evaluation, bit for bit."""
+    each case's result is the one of its own evaluation, bit for bit, also on a
+    table that stacks scenarios."""
 
     CASES = (Coefficients(1.0, 0.0), Coefficients(0.8, 0.6),
              Coefficients(0.3 + 0.4j, -0.5 + 0.2j), Coefficients(-0.0, 1e-3 - 2.5j),
@@ -733,13 +749,36 @@ class TestStackedSweepResults:
         results = cli.sweep_results(table, self.CASES, cli.BOTH_STATISTICS)
         assert calls["relative_rate_grid"] == 1
         monkeypatch.undo()
-        assert [(coeffs, stat) for coeffs, stat, _ in results] == [
-            (coeffs, stat) for coeffs in self.CASES for stat in cli.BOTH_STATISTICS]
-        for coeffs, stat, got in results:
-            want = rates.relative_rate_grid(coeffs, table, stat)
-            for field in vars(want):
-                assert same_bits(getattr(got, field), getattr(want, field)), (coeffs, field)
-            assert np.shape(got.m_pro) == grid.shape  # the grid's shape, like every field
+        assert (results.cases, results.stats) == (self.CASES, cli.BOTH_STATISTICS)
+        self.assert_each_slice_is_its_own_evaluation(results, table)
+        assert results.result.m_pro.shape == (2, len(self.CASES)) + grid.shape  # like every field
+
+    def assert_each_slice_is_its_own_evaluation(self, results, table):
+        """Every field of each (statistics, case) slice of ``results`` (over
+        (statistics, case, c)) equals that point's own evaluation on ``table``."""
+        got = results.result
+        for row, coeffs in enumerate(self.CASES):
+            for k, stat in enumerate(cli.BOTH_STATISTICS):
+                want = rates.relative_rate_grid(coeffs, table, stat)
+                for field in vars(want):
+                    assert same_bits(getattr(got, field)[k, row], getattr(want, field)), (
+                        coeffs, stat, field)
+
+    @pytest.mark.parametrize("alpha0", [0.9, np.linspace(0.3, 1.0, 41)])
+    def test_a_scenario_stack_equals_each_scenario_on_its_own(self, alpha0, monkeypatch):
+        grid, names, model = np.linspace(0.0, 1.0, 41), (*CHOICES, "family"), RecoilModel(alpha0)
+        calls = Counter()
+        count_calls(monkeypatch, calls, cli, "build_table")
+        count_calls(monkeypatch, calls, rates, "relative_rate_grid")
+        results = cli.sweep_results(cli._stacked_table(names, grid, model), self.CASES,
+                                    cli.BOTH_STATISTICS)
+        assert calls == {"build_table": 1, "relative_rate_grid": 1}
+        monkeypatch.undo()
+        assert results.result.r.shape == (2, len(names), len(self.CASES)) + grid.shape
+        for j, name in enumerate(names):
+            table = (build_family_table(ExclusionFamily.equal_weight(grid), model)
+                     if name == "family" else build_choice_table(name, grid, model))
+            self.assert_each_slice_is_its_own_evaluation(results.scenario(j), table)
 
 
 class TestNoContainerPerRow:

@@ -9,6 +9,7 @@ is the rounding error of the double route, not of the inputs.
 import csv
 import functools
 import io
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -129,9 +130,11 @@ def sweep_errors(scenario, cases, stats, grid):
     over every case, statistics and point where the column has a number, and
     ``"m_im" -> (value, truth, |true m|)`` over the points where ``m`` has one."""
     table = cli._scenario_table(scenario, grid, RecoilModel())
+    results = cli.sweep_results(table, cases, stats).result  # over (statistics, case, c)
     errors = {"r": [], "n0": [], "nf": [], "m_re": [], "m_im": []}
     with mpmath.workdps(50):
-        for coeffs, stat, res in cli.sweep_results(table, cases, stats):
+        for (row, coeffs), (k, stat) in itertools.product(enumerate(cases), enumerate(stats)):
+            res = rates.RateResult(*(value[k, row] for value in vars(results).values()))
             for i in np.flatnonzero(~np.isnan(res.nf)).tolist():
                 truths = mp_columns(mp_weights(coeffs), MpPoint(table, grid.shape, i), stat,
                                     excluded=bool(res.excluded[i]))

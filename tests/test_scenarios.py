@@ -271,6 +271,16 @@ class TestChoiceTables:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             build_choice_table("i", c)
 
+    @pytest.mark.parametrize("c, first_bad", [
+        (np.linspace(0.5, 3, 12), "1.1818181818181817"),
+        (np.array([0.2, np.nan, 1.5]), "nan"),
+        (-0.25, "-0.25"),
+    ])
+    def test_out_of_range_message_names_the_first_bad_value(self, c, first_bad):
+        with pytest.raises(ValueError) as info:
+            build_choice_table("i", c)
+        assert str(info.value) == f"sweep value must lie in [0, 1], got {first_bad}"
+
     def test_unknown_choice(self):
         with pytest.raises(ValueError, match="unknown choice"):
             build_choice_table("v", 0.3)
