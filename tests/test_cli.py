@@ -388,7 +388,7 @@ class TestFigures:
     @pytest.mark.parametrize("target", ["fig2", "fig3", "fig4"])
     def test_a_target_allocates_at_most_1_mib(self, target, tmp_path):
         # the stacked result holds a whole target at once: at 101 steps the
-        # peaks are about 0.4 MiB for fig2 and fig3 and 0.2 MiB for fig4
+        # peaks are about 0.3 MiB (fig2), 0.4 MiB (fig3) and 0.2 MiB (fig4)
         assert cli.run_figures(target, tmp_path, log=io.StringIO())
         tracemalloc.start()
         try:
