@@ -7,12 +7,13 @@ single source of truth, which is what lets recoiled (starred) labels carry
 overlap rules that no linear map on the originals could reproduce.
 
 Labels are tuples, so they hash and compare in C as table keys.  A table
-stores both orientations of every pair from construction on, so a lookup is
-one dict access either way round.  The array entries of a grid table that
-share a shape are copied once into one read-only complex stack, checked with
-one magnitude test and conjugated with one call; each entry and its mirror
-is a row of those stacks.  None of this changes any value or the order in
-which inner products are summed.
+stores the orientations it is given; the mirror of an entry is its
+conjugate, computed on the first lookup of that orientation and kept, so
+every later lookup is one dict access and a mirror nobody reads is never
+made.  The array entries of a grid table that share a shape are copied once
+into one read-only complex stack and checked with one magnitude test; each
+entry is a row of that stack.  None of this changes any value or the order
+in which inner products are summed.
 
 It also holds the package's few rounding rules: ``|z|^2`` is
 ``re*re + im*im`` on a Python number and on an array alike
@@ -97,29 +98,28 @@ class MissingOverlapError(LookupError):
 class OverlapTable:
     """Hermitian map from ordered CM-label pairs to inner products.
 
-    Storing one orientation per pair is enough: at construction the mirror
-    orientation of every entry is derived once by complex conjugation and
-    stored beside it, so a lookup is a single dict access.  Diagonal entries
-    are identically 1: every labeled state, recoiled ones included, is
-    normalized.
+    Storing one orientation per pair is enough: the mirror orientation of
+    an entry is its complex conjugate, computed on its first lookup and
+    stored beside it, so every later lookup is a single dict access.
+    Diagonal entries are identically 1: every labeled state, recoiled ones
+    included, is normalized.
 
     An entry may also be a numpy array, one value per point of a sweep grid.
     Such a grid table holds many tables at once: scalar entries are Python
     ``complex`` numbers, constant over the grid, and every check applies to
     each point.  The array entries of one shape are copied into one
-    read-only complex stack, and their mirrors are its conjugate; each entry
-    and each mirror is a read-only row view of these (a 0-d entry a 0-d
-    array).  The entries are checked in mapping order, each for its
-    magnitude and finiteness, then as a diagonal, then against its given
-    mirror, so the first bad one is named; a given entry wins over the
-    conjugate of its mirror.  Lookups of array entries return arrays, so
-    elementwise formulas evaluate the whole grid in one pass.
+    read-only complex stack; each entry is a read-only row view of it (a
+    0-d entry a 0-d array), and each mirror a read-only complex array of
+    the entry's shape.  The entries are checked in mapping order, each for
+    its magnitude and finiteness, then as a diagonal, then against its
+    given mirror, so the first bad one is named; a given entry wins over
+    the conjugate of its mirror.  Lookups of array entries return arrays,
+    so elementwise formulas evaluate the whole grid in one pass.
     """
 
     def __init__(self, entries: Mapping[tuple[CmLabel, CmLabel], complex | np.ndarray]):
         raws = list(entries.values())
         values = [None if isinstance(raw, np.ndarray) else complex(raw) for raw in raws]
-        conjugates = [None if value is None else value.conjugate() for value in values]
         valid = [value is None or np.abs(value) <= 1.0 + 1e-12 for value in values]
         rows_of_shape: dict[tuple[int, ...], list[int]] = {}
         for i, raw in enumerate(raws):
@@ -129,13 +129,11 @@ class OverlapTable:
             stack = np.array([raws[i] for i in rows], dtype=complex)
             # every point of every entry at once; False also where one is not finite
             valid_rows = (np.abs(stack) <= 1.0 + 1e-12).reshape(len(rows), -1).all(axis=1)
-            mirror = stack.conjugate()
-            stack.flags.writeable = mirror.flags.writeable = False
+            stack.flags.writeable = False
             for j, i in enumerate(rows):  # [j, ...]: a 0-d entry stays a 0-d array
-                values[i], conjugates[i], valid[i] = stack[j, ...], mirror[j, ...], valid_rows[j]
+                values[i], valid[i] = stack[j, ...], valid_rows[j]
         store: dict[tuple[CmLabel, CmLabel], complex | np.ndarray] = {}
-        mirrors: dict[tuple[CmLabel, CmLabel], complex | np.ndarray] = {}
-        for (x, y), raw, value, conjugate, ok in zip(entries, raws, values, conjugates, valid):
+        for (x, y), raw, value, ok in zip(entries, raws, values, valid):
             if not ok:
                 if not np.isfinite(value).all():
                     raise ValueError(f"non-finite overlap for <{x}|{y}>")
@@ -145,24 +143,37 @@ class OverlapTable:
                     raise ValueError(f"diagonal entry <{x}|{x}> must equal 1, got {raw!r}")
                 continue
             given = store.get((y, x))
-            if given is not None and not np.equal(given, conjugate).all():
+            if given is not None and not np.equal(given, _conjugate(value)).all():
                 raise ValueError(f"entries for <{x}|{y}> and <{y}|{x}> are not conjugates")
             store[(x, y)] = value
-            mirrors[(y, x)] = conjugate
-        # A given entry wins over the conjugate of its mirror (they may differ
-        # in the sign of a zero).
-        self._entries = mirrors | store
+        # only the given orientations: a mirror joins on its first lookup
+        self._entries = store
         #: The number of grid axes: the most of any entry, 0 on a single point.
         self.ndim = max(map(len, rows_of_shape), default=0)
 
     def overlap(self, x: CmLabel, y: CmLabel) -> complex | np.ndarray:
-        """Return ``<x|y>``: the stored entry, or 1 on the diagonal."""
+        """Return ``<x|y>``: the stored entry, its mirror, or 1 on the diagonal."""
         value = self._entries.get((x, y))
         if value is None:
             if x == y:
                 return 1.0 + 0.0j
-            raise MissingOverlapError(x, y)
+            given = self._entries.get((y, x))
+            if given is None:
+                raise MissingOverlapError(x, y)
+            value = self._entries[(x, y)] = _conjugate(given)
         return value
+
+
+def _conjugate(value: complex | np.ndarray) -> complex | np.ndarray:
+    """The conjugate of a complex number, or a new read-only array of a complex array's shape.
+
+    ``out=`` keeps a 0-d array a 0-d array, where ``np.conjugate`` alone returns a scalar.
+    """
+    if not isinstance(value, np.ndarray):
+        return value.conjugate()
+    mirror = np.conjugate(value, out=np.empty(value.shape, dtype=complex))
+    mirror.flags.writeable = False
+    return mirror
 
 
 def _abs_sq(z):

@@ -451,18 +451,29 @@ def _verification_block(
                              zip((a, b, alpha0, raw), _draw_candidates(rng, size - kept)))
 
 
+def _block_deviations(rng: np.random.Generator, size: int) -> tuple[np.ndarray, ...]:
+    """:func:`pairabs.oracle.closed_form_deviations` of one :func:`_verification_block`.
+
+    The block's weights, table and results are freed on return, before the
+    next block draws, so the next block reuses their memory.
+    """
+    coeffs, table, results = _verification_block(rng, size)
+    rates.require_not_null(coeffs, results.n0_sq, results.nf_sq)
+    return oracle.closed_form_deviations(
+        results, oracle.formal_quantities(coeffs, table, BOTH_STATISTICS))
+
+
 #: Trials drawn and evaluated together as one trial-axis grid; a report depends
 #: on it, since a block draws its numbers at once and its redraws join its end.
 #: A larger block pays the fixed cost of a table and two evaluations less
 #: often, but holds its arrays until it is done: the ``tracemalloc`` peak of
-#: ``run_verify(1, 1000)`` is 0.44 MiB at 128, 1.53 MiB at 512 (the oracle's
-#: temporaries) and 2.97 MiB for one block of 1000, and a test bounds it at
-#: 2 MiB.  ``bench/run.py --workload verify --seed 1 --seconds 10`` (median
-#: warm job and the worker's peak RSS, mean of two runs; 2-vCPU Xeon, Python
-#: 3.11, numpy 2.4.6): 128: 11.6 ms, 38.1 MB; 256: 8.2 ms, 38.5 MB; 384:
-#: 7.6 ms, 39.1 MB; 512: 6.3 ms, 39.3 MB; 1000: 5.5 ms, 40.4 MB.  512 makes
-#: the default 1000 trials two blocks and keeps the peak within the bound;
-#: one block of 1000 is about an eighth faster but peaks above it.
+#: ``run_verify(1, 1000)`` is 0.25 MiB at 128, 0.79 MiB at 512 and 1.53 MiB
+#: for one block of 1000, and a test bounds it at 2 MiB.  ``bench/run.py
+#: --workload verify --seed 1 --seconds 10`` (median warm job and the
+#: worker's peak RSS, mean of two runs; 2-vCPU Xeon, Python 3.11, numpy
+#: 2.4.6): 128: 12.9 ms, 38.3 MB; 256: 7.9 ms, 38.4 MB; 384: 6.8 ms, 38.4 MB;
+#: 512: 5.4 ms, 38.4 MB; 1000: 4.7 ms, 39.0 MB.  One block of 1000 is about
+#: an eighth faster, but 512 stays: the block size sets the report bytes.
 _VERIFY_BLOCK = 512
 
 _VERIFY_QUANTITIES = ("matrix element", "initial norm^2", "final norm^2")
@@ -488,12 +499,8 @@ def run_verify(seed: int, trials: int, tolerance: float, out: TextIO | None = No
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     rng = np.random.default_rng(seed)
-    blocks = []
-    for first in range(0, trials, _VERIFY_BLOCK):
-        coeffs, table, results = _verification_block(rng, min(_VERIFY_BLOCK, trials - first))
-        rates.require_not_null(coeffs, results.n0_sq, results.nf_sq)
-        blocks.append(oracle.closed_form_deviations(
-            results, oracle.formal_quantities(coeffs, table, BOTH_STATISTICS)))
+    blocks = [_block_deviations(rng, min(_VERIFY_BLOCK, trials - first))
+              for first in range(0, trials, _VERIFY_BLOCK)]
     devs = np.concatenate(blocks, axis=-1).transpose()  # (trial, statistics, quantity)
     trial, stat, kind = np.unravel_index(int(np.argmax(devs)), devs.shape)  # first NaN, else max
     worst = float(devs[trial, stat, kind])

@@ -28,29 +28,30 @@ exchange terms.  One plan is read, on first use, off
 ``±a`` or ``±b``, so the weight ``conj(w_bra) w_ket`` of each pair is one
 of the four products ``conj(x) y`` for ``x, y`` in ``(a, b)``, negated for
 fermions on the exchange pairs: the plan keeps one index per pair into the
-four products and marks the exchange pairs, and an evaluation computes the
-four products once and gathers them to the pairs.  Each inner product is
-thus a sesquilinear form in ``(a, b)`` whose 2x2 matrix the plan spells
-out.  The plan's overlaps are looked up in the table once, as one stacked
-complex array, and each inner product is evaluated on its own span of
-pairs as numpy arrays over the grid points: the pair products times their
-two overlaps, in place, once for every statistics asked for.  Each
-statistics' total then adds the pair rows in bra-major order, one at a
-time and in place, from ``+0.0``; a fermion total subtracts the exchange
-pairs.  ``x - y`` is exactly ``x + (-y)``, so each total is bit for bit
-the sequential sum of its signed terms; the norms keep only the real sum.
-This loop is faster than ``np.cumsum`` of the signed terms, which gives
-the same bits; ``np.add.reduce`` would add pairwise when the summed axis is
-the contiguous one, as on a single point, and change the last bits.  A
-single point runs the same numpy code as a grid, so every grid value
-equals its point's value bit for bit.  :func:`inner_product` of the built
-states, evaluated in Python, is the reference; numpy's complex multiply rounds on its own,
-so the two agree within ``8 eps`` times the sum of the terms' magnitudes
-per inner product (the bound ``tests/test_oracle.py`` derives), not bit
-for bit.  The builders drop the terms of a zero weight; the plan keeps
-them, but their products are exact signed zeros, which leave a nonzero
-partial sum unchanged, and a sum started at ``+0.0`` stays ``+0.0`` while
-every term is a zero, as in the expansion.
+four products, which an evaluation computes once, and marks the exchange
+pairs.  Each inner product is thus a sesquilinear form in ``(a, b)`` whose
+2x2 matrix the plan spells out.  The plan's overlaps are looked up once and
+read in place, each as one row over the grid points flattened to one axis
+(a view of a contiguous entry of the grid's shape, else a copy).  The pairs
+are evaluated one at a time into two reused rows, the product times the
+first overlap and that times the second, each multiply out of place: numpy
+rounds an in-place complex multiply of a 1-element array otherwise than its
+vector loop.  Each row is added, in place, to the total of every statistics
+asked for, in bra-major order from ``+0.0``; a fermion total subtracts the
+exchange pairs.  ``x - y`` is exactly ``x + (-y)``, so each total is bit
+for bit the sequential sum of its signed terms (``np.add.reduce`` would add
+pairwise on a single point); the norms keep the real sum.  No array has a
+pair or a label axis: a call on a 512-trial ``verify`` block peaks at about
+180 KiB (``tracemalloc``).  A single point runs the same numpy code as a
+grid of one point, so every grid value equals its point's value bit for
+bit.  :func:`inner_product` of the built states, evaluated in Python, is
+the reference; numpy's complex multiply rounds on its own, so the two agree
+within ``8 eps`` times the sum of the terms' magnitudes per inner product
+(the bound ``tests/test_oracle.py`` derives), not bit for bit.  The
+builders drop the terms of a zero weight; the plan keeps them, but their
+products are exact signed zeros, which leave a nonzero partial sum
+unchanged, and a sum started at ``+0.0`` stays ``+0.0`` while every term is
+a zero, as in the expansion.
 """
 
 from __future__ import annotations
@@ -299,18 +300,11 @@ def _plan() -> _Plan:
                  exchange=_frozen(exchange, bool))
 
 
-def _signed_sums(terms: np.ndarray, negated: np.ndarray) -> np.ndarray:
-    """Row ``k``: the rows of ``terms`` summed in their order from ``+0.0``, in
-    place, those where ``negated[k]`` is set subtracted; bit for bit the
-    sequential sum of the signed rows."""
-    totals = np.zeros((len(negated),) + terms.shape[1:], dtype=terms.dtype)
-    for total, signs in zip(totals, negated.tolist()):
-        for row, subtract in zip(terms, signs):
-            if subtract:
-                total -= row
-            else:
-                total += row
-    return totals
+def _on_grid(value: complex | np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` over the grid ``shape`` as one axis: a view if it is a contiguous grid."""
+    if isinstance(value, np.ndarray) and value.shape == shape and value.flags.c_contiguous:
+        return value.reshape(-1)
+    return np.full(shape, value, dtype=complex).reshape(-1)
 
 
 def formal_quantities(
@@ -333,27 +327,31 @@ def formal_quantities(
     stats = statistics if isinstance(statistics, tuple) else (statistics,)
     axis = (len(stats),) if stats is statistics else ()  # a tuple of statistics is axis 0
     plan = _plan()
-    values = [coeffs.a, coeffs.b, *(table.overlap(x, y) for x, y in plan.labels)]
+    overlaps = [table.overlap(x, y) for x, y in plan.labels]
     # each grid shape once: numpy < 2 broadcasts at most 32 arrays in one call
-    shape = np.broadcast_shapes(*{v.shape for v in values if isinstance(v, np.ndarray)})
-    grid = np.empty((len(values),) + shape, dtype=complex)
-    for row, value in enumerate(values):  # each broadcast to the grid, then flattened
-        grid[row] = value
-    grid = grid.reshape(len(values), -1)
-    ab, ov = grid[:2], grid[2:]  # (a and b, points), (overlaps, points)
+    shape = np.broadcast_shapes(*{np.shape(v) for v in (coeffs.a, coeffs.b, *overlaps)})
+    ab = np.array([_on_grid(coeffs.a, shape), _on_grid(coeffs.b, shape)])  # (a and b, points)
     finite = np.isfinite(ab)
     if not finite.all():  # named as the builders name it: a, else b, times 1+0j
         k = finite.all(axis=0).argmin()
         weight = complex(ab[int(finite[0, k]), k])
         raise ValueError(f"non-finite term weight {weight * (1 + 0j)!r}")
-    products = np.multiply(ab.conjugate()[:, None], ab).reshape(4, -1)  # conj(x) y at 2x + y
-    negated = np.array([[stat.sign < 0] for stat in stats]) & plan.exchange  # (stats, pairs)
+    products = list(np.multiply(ab.conjugate()[:, None], ab).reshape(4, -1))  # conj(x) y at 2x + y
+    grids = {id(v): _on_grid(v, shape) for v in overlaps}  # each once: 8 labels share the 1
+    overlaps = [grids[id(v)] for v in overlaps]
+    pairs = list(zip(plan.weight_of.tolist(), plan.first.tolist(), plan.second.tolist(),
+                     plan.exchange.tolist()))
+    partial, row = np.empty((2, ab.shape[1]), dtype=complex)
     sums = []
-    for lo, hi in plan.spans:  # each pair's product is computed once for every statistics
-        terms = products.take(plan.weight_of[lo:hi], axis=0)
-        terms *= ov.take(plan.first[lo:hi], axis=0)
-        terms *= ov.take(plan.second[lo:hi], axis=0)
-        sums.append(_signed_sums(terms, negated[:, lo:hi]).reshape(axis + shape))
+    for lo, hi in plan.spans:
+        totals = np.zeros((len(stats), ab.shape[1]), dtype=complex)
+        signed = list(zip(totals, [stat.sign < 0 for stat in stats]))
+        for weight, first, second, exchange in pairs[lo:hi]:
+            np.multiply(products[weight], overlaps[first], out=partial)  # never in place
+            np.multiply(partial, overlaps[second], out=row)
+            for total, negated in signed:
+                (np.subtract if exchange and negated else np.add)(total, row, out=total)
+        sums.append(totals.reshape(axis + shape))
     n0_sq, nf_sq, bracket = sums[0].real, sums[1].real, sums[2]  # the norms are real
     rates.require_not_null(coeffs, n0_sq, nf_sq)
     return _python_on_point((n0_sq, nf_sq, bracket))

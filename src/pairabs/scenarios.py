@@ -8,9 +8,8 @@ grid; :class:`Coefficients` takes arrays of weights.  The rules below are
 elementwise, so each grid point holds exactly the values of a single point.
 
 Tables are built from the six bare pairwise overlaps among {psi, phi, varphi,
-chi}, read as an :class:`~pairabs.algebra.OverlapTable` (the one owner of
-orientation, mirrors and the unit diagonal), and then completed with the
-recoil entries:
+chi}, each given in either orientation (the other is its conjugate), and
+then completed with the recoil entries:
 
 * one recoil:  ``<x*|y> = alpha0 <x|y>`` for every ordered pair, diagonal
   included (``<x*|x> = alpha0``);
@@ -36,7 +35,7 @@ from typing import Mapping
 import numpy as np
 
 from .algebra import (CHI, PHI, PSI, VARPHI, CmLabel, OverlapTable, _LABELS, _STARRED, _abs_sq,
-                      _python_on_point)
+                      _conjugate, _python_on_point)
 
 __all__ = [
     "ALL_PAIRS",
@@ -178,10 +177,12 @@ def build_table(
     Adds every one- and two-recoil entry.  The table holds only psi, phi,
     varphi, chi and their starred forms; the product-state reference of the
     rate needs nothing more, since ``<psi*|psi> = <phi*|phi> = alpha0``.
-    ``overlaps`` is read as an :class:`~pairabs.algebra.OverlapTable`: a pair
-    may come in either orientation or both, and ``ValueError`` is raised for
-    a missing pair, a starred or unknown label, or an entry that table
-    rejects.  Array overlaps give a grid table.
+    A pair may come in either orientation or both; ``ValueError`` is raised
+    for a missing pair, a starred or unknown label, a given diagonal entry
+    other than 1, two given orientations that are not conjugates, or an
+    entry that :class:`~pairabs.algebra.OverlapTable` rejects for its
+    magnitude or finiteness.  Each ordered pair reads its given orientation,
+    else the conjugate of the reverse.  Array overlaps give a grid table.
     """
     for x, y in overlaps:
         if x not in _LABELS or y not in _LABELS:
@@ -189,16 +190,28 @@ def build_table(
     for x, y in ALL_PAIRS:
         if (x, y) not in overlaps and (y, x) not in overlaps:
             raise ValueError(f"missing bare overlap for <{x}|{y}>")
-    bare = OverlapTable(overlaps).overlap
-    entries = {pair: bare(*pair) for pair in ALL_PAIRS}
+    bare = {}  # as the table would store them: complex, and checked in mapping order
+    for (x, y), raw in overlaps.items():
+        value = bare[(x, y)] = (np.asarray(raw, dtype=complex) if isinstance(raw, np.ndarray)
+                                else complex(raw))
+        if x == y and not np.equal(value, 1.0).all():
+            raise ValueError(f"diagonal entry <{x}|{x}> must equal 1, got {raw!r}")
+        if x != y and (y, x) in bare and not np.equal(bare[(y, x)], _conjugate(value)).all():
+            raise ValueError(f"entries for <{x}|{y}> and <{y}|{x}> are not conjugates")
+    for x, y in itertools.permutations(_LABELS, 2):
+        if (x, y) not in bare:
+            bare[(x, y)] = _conjugate(bare[(y, x)])
+    bare |= dict.fromkeys(zip(_LABELS, _LABELS), 1.0 + 0.0j)
+    entries = {pair: bare[pair] for pair in ALL_PAIRS}
     alpha0 = model.alpha0
-    for x, xs in zip(_LABELS, _STARRED):
-        for y in _LABELS:
-            entries[(xs, y)] = alpha0 * bare(x, y)
-    for i, (x, xs) in enumerate(zip(_LABELS, _STARRED)):
-        for y, ys in zip(_LABELS[i + 1 :], _STARRED[i + 1 :]):
-            alpha = _alpha_pair(model, bare(x, y))
-            entries[(xs, ys)] = alpha * alpha * bare(x, y)
+    with np.errstate(invalid="ignore", over="ignore"):  # a bad bare overlap is rejected below
+        for x, xs in zip(_LABELS, _STARRED):
+            for y in _LABELS:
+                entries[(xs, y)] = alpha0 * bare[(x, y)]
+        for i, (x, xs) in enumerate(zip(_LABELS, _STARRED)):
+            for y, ys in zip(_LABELS[i + 1 :], _STARRED[i + 1 :]):
+                alpha = _alpha_pair(model, bare[(x, y)])
+                entries[(xs, ys)] = alpha * alpha * bare[(x, y)]
     return OverlapTable(entries)
 
 

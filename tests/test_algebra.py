@@ -1,6 +1,7 @@
 """Tests for the labeled one-particle states and overlap tables."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,3 +235,39 @@ class TestStackedGridEntries:
         assert np.copysign(1.0, table.overlap(PHI, PSI).imag).tolist() == [1.0, 1.0]
         mirrored = OverlapTable({(PSI, PHI): signed})
         assert np.copysign(1.0, mirrored.overlap(PHI, PSI).imag).tolist() == [-1.0, 1.0]
+
+
+class TestMirrorsOnFirstLookup:
+    """A mirror is conjugated on its first lookup and kept; construction makes none."""
+
+    # a 0-d entry's mirror is a 0-d array too
+    ENTRIES = {(PSI, PHI): np.array([0.2 + 0.5j, complex(-0.0, 0.0), complex(0.3, -0.0)]),
+               (PSI, CHI): np.array(0.25 - 0.5j), (PHI, CHI): np.array([[0.5], [-0.25j]]),
+               (VARPHI, CHI): 0.5j}
+
+    def test_a_mirror_is_the_conjugate_of_its_entry_and_kept(self):
+        table = OverlapTable(self.ENTRIES)
+        for (x, y), value in self.ENTRIES.items():
+            mirror = table.overlap(y, x)
+            assert same_value(mirror, np.asarray(np.conjugate(value.astype(complex)))
+                              if isinstance(value, np.ndarray) else complex(value).conjugate())
+            assert table.overlap(y, x) is mirror
+            if isinstance(value, np.ndarray):
+                assert not mirror.flags.writeable
+                assert not np.shares_memory(mirror, value)
+                assert not np.shares_memory(mirror, table.overlap(x, y))
+
+    def test_construction_holds_only_the_copied_entries(self):
+        # 28 entries of 4096 points, 1.75 MiB: a conjugated stack would double it
+        labels = (PSI, PHI, VARPHI, CHI) + tuple(label.star() for label in (PSI, PHI, VARPHI, CHI))
+        entries = {(x, y): np.full(4096, 0.5 + 0.25j)
+                   for i, x in enumerate(labels) for y in labels[i + 1:]}
+        size = sum(value.nbytes for value in entries.values())
+        tracemalloc.start()
+        try:
+            table = OverlapTable(entries)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert size <= held < 1.05 * size
+        assert table.overlap(CHI.star(), PSI).tolist() == [0.5 - 0.25j] * 4096

@@ -951,7 +951,7 @@ class TestVerify:
 
     def test_a_1000_trial_run_allocates_at_most_2_mib(self):
         # A block holds its arrays until it is done, so _VERIFY_BLOCK sets the
-        # peak: 1.53 MiB at 512 trials, 2.97 MiB for one block of 1000.
+        # peak: 0.79 MiB at 512 trials, 1.53 MiB for one block of 1000.
         assert cli.run_verify(1, 1000, 1e-10, io.StringIO()) == 0  # plans built
         tracemalloc.start()
         try:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import types
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pairabs import oracle, rates
+from pairabs import cli, oracle, rates
 from pairabs.algebra import CHI, PHI, PSI, VARPHI, OverlapTable, Statistics, _python_on_point
 from pairabs.oracle import (
     E,
@@ -397,30 +398,36 @@ class TestStatisticsAxis:
                 assert same_bytes(value[k], own)
 
     @pytest.mark.parametrize("points", [1, 7])
-    def test_signed_sum_is_the_sequential_sum_of_the_signed_rows(self, points):
-        # One total per row of the mask, each term subtracted where it is set:
-        # bit for bit the sequential sum of the signed terms, signed zeros and
-        # exact cancellations included.  A cumsum starts at its first term, so
-        # both sides add 0.0, which makes an all-zero sum +0.0.
+    def test_each_total_is_the_sequential_sum_of_its_signed_pair_terms(self, points):
+        # Each total adds its pair terms in plan order from +0.0, in place, a
+        # fermion total subtracting the exchange terms: bit for bit the
+        # sequential sum of the signed terms, signed zeros included (b = 0 at
+        # the first point makes every product with b one).  A cumsum starts
+        # at its first term, so both sides add 0.0, which makes an all-zero
+        # sum +0.0.  The terms are the plan's products times their two
+        # overlaps, multiplied over all pairs at once.
         rng = np.random.default_rng(157)
-        terms = rng.normal(size=(32, points)) + 1j * rng.normal(size=(32, points))
-        terms[::5] = complex(0.0, -0.0)
-        terms[1::7] = complex(-0.0, 0.0)
-        terms[4] = terms[3]  # cancels where one is subtracted and the other not
-        negated = np.array([[False], [True], [True]]) & (rng.random(32) < 0.5)
-        negated[2, 3:5] = [False, True]
-        totals = oracle._signed_sums(terms, negated)
-        assert totals.shape == (3, points)
-        for total, minus in zip(totals, negated):
-            signed = np.where(minus[:, None], -terms, terms)
-            assert same_bytes(total + 0.0, np.cumsum(signed, axis=0)[-1] + 0.0)
-        # why the sum is a loop: on a single point the pair axis is the contiguous
-        # one, and add.reduce then adds pairwise, so 1 + 31 halves of an ulp of 1
-        # sum to more than the 1.0 that adding them in order gives
-        ulp_halves = np.full((32, 1), 2.0**-53 + 0j)
-        ulp_halves[0] = 1.0
-        assert oracle._signed_sums(ulp_halves, np.zeros((1, 32), bool))[0, 0] == 1.0
-        assert np.add.reduce(ulp_halves, axis=0)[0] > 1.0
+        overlaps = {pair: rng.uniform(-0.5, 0.5, points) + 1j * rng.uniform(-0.5, 0.5, points)
+                    for pair in ALL_PAIRS}
+        a, b = (rng.normal(size=points) + 1j * rng.normal(size=points) for _ in range(2))
+        b[0] = complex(-0.0, 0.0)
+        coeffs = Coefficients(a, b)
+        table = build_table(overlaps, RecoilModel(rng.uniform(0.5, 1.0, points)))
+        stats = (BOSON, FERMION)
+        formal = formal_quantities(coeffs, table, stats)
+        plan = oracle._plan()
+        ab = np.array([coeffs.a, coeffs.b])
+        products = np.multiply(ab.conjugate()[:, None], ab).reshape(4, -1)
+        ov = np.array([np.broadcast_to(table.overlap(x, y), (points,)) for x, y in plan.labels])
+        terms = products[plan.weight_of] * ov[plan.first] * ov[plan.second]  # (pairs, points)
+        for (lo, hi), value in zip(plan.spans, formal):
+            for k, stat in enumerate(stats):
+                minus = plan.exchange[lo:hi] & (stat.sign < 0)
+                signed = np.where(minus[:, None], -terms[lo:hi], terms[lo:hi])
+                expected = np.cumsum(signed, axis=0)[-1] + 0.0
+                if value.dtype != complex:  # the norms keep the real sum
+                    expected = expected.real
+                assert same_bytes(value[k] + 0.0, expected)
 
 
 class TestOracleMatrixElement:
@@ -488,6 +495,35 @@ class TestOracleMatrixElement:
         for coeffs, table, values in zip(coeffs_seq, tables, points):
             assert_within_rounding(values, expansion(coeffs, table, statistics),
                                    term_scales(coeffs, table, statistics))
+
+    def test_a_point_keeps_the_bits_of_its_1_element_grid(self):
+        # numpy rounds an in-place complex multiply of a 1-element array otherwise
+        # than its vector loop: multiplying each pair's row in place gives this
+        # bracket an imaginary part of 7.676393035896064e-16
+        rng = np.random.default_rng(5)
+        overlaps = {pair: rng.uniform(-0.5, 0.5) + 1j * rng.uniform(-0.5, 0.5)
+                    for pair in ALL_PAIRS}
+        coeffs = Coefficients(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
+        point = formal_quantities(coeffs, build_table(overlaps), BOSON)
+        assert repr(point[2]) == "(21.91920298552663+7.916820546335177e-16j)"
+        grid = formal_quantities(Coefficients(np.array([coeffs.a]), np.array([coeffs.b])),
+                                 build_table({pair: np.array([value])
+                                              for pair, value in overlaps.items()}), BOSON)
+        assert per_point(grid) == [point] and repr(per_point(grid)) == repr([point])
+
+    def test_a_verify_block_allocates_at_most_256_kib(self):
+        # The pairs are evaluated one at a time into two reused rows, reading the
+        # table's entries in place: no array has a pair or a label axis.  A
+        # (labels, points) gather and (pairs, points) copies peaked at 980 KiB.
+        coeffs, table, _ = cli._verification_block(np.random.default_rng(1), cli._VERIFY_BLOCK)
+        formal_quantities(A_ONLY, choice_table("i", 0.5), BOSON)  # plan built
+        tracemalloc.start()
+        try:
+            formal_quantities(coeffs, table, cli.BOTH_STATISTICS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * 2**10
 
     def test_signed_zero_weights_keep_the_expansion_bits(self):
         # Each part of these weights is one nonzero product or none, on a real

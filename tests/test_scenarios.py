@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from pairabs import scenarios
 from pairabs.rates import EXCLUSION_EPS, _null_floors
 
 from pairabs.algebra import CHI, PHI, PSI, VARPHI, CmLabel, MissingOverlapError, OverlapTable
@@ -329,6 +330,22 @@ class TestBuildTable:
     def test_rejects_contradicting_or_foreign_entries(self, extra, message):
         with pytest.raises(ValueError, match=message):
             build_table({pair: 0.1 for pair in ALL_PAIRS} | extra)
+
+    def test_reads_the_given_overlaps_without_a_table_of_them(self, monkeypatch):
+        built = []
+
+        class CountedTable(OverlapTable):
+            def __init__(self, entries):
+                built.append(list(entries))
+                super().__init__(entries)
+
+        monkeypatch.setattr(scenarios, "OverlapTable", CountedTable)
+        reversed_pairs = {(y, x): complex(0.1, k) / 10 for k, (x, y) in enumerate(ALL_PAIRS)}
+        table = build_table(reversed_pairs)
+        assert len(built) == 1 and built[0][:6] == list(ALL_PAIRS)  # canonical orientation
+        for (y, x), value in reversed_pairs.items():
+            assert repr(table.overlap(x, y)) == repr(value.conjugate())
+            assert repr(table.overlap(y, x)) == repr(value)
 
     @given(st.sets(st.sampled_from(ALL_PAIRS)), st.lists(
         st.one_of(st.complex_numbers(max_magnitude=1.0),
