@@ -1303,6 +1303,218 @@ class TestConfigFile:
         assert size(with_config=True) == changed
         assert size(with_config=False) == default
 
+    #: A valid value of each long flag, not its default.
+    FLAG_VALUES = {
+        "--choice": "iii", "--statistics": "fermion", "--a-re": "0.6", "--a-im": "0.1",
+        "--b-re": "0.5", "--b-im": "0.25", "--c": "0.25", "--c-min": "0.25", "--c-max": "0.75",
+        "--a-min": "0.25", "--a-max": "0.75", "--a-steps": "3", "--steps": "4",
+        "--alpha0": "0.5", "--seed": "7", "--trials": "3", "--tolerance": "0.001",
+        "--out": "result",
+    }
+    #: Small runs of each subcommand, as ``flag -> value``.
+    BASE_FLAGS = {
+        "rate": {}, "sweep": {"--steps": "3"}, "figures": {"--steps": "3"},
+        "exclusion-scan": {"--steps": "3", "--a-steps": "2"}, "verify": {"--trials": "2"},
+    }
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_flag_can_come_from_the_config(self, command, tmp_path, monkeypatch, capsys):
+        """``key = v`` writes the bytes of ``--flag v`` for each long flag of the ``-h`` text,
+        spelled with ``-`` or ``_``; only ``--config``, ``--family`` and ``--help`` are not keys."""
+        with pytest.raises(SystemExit):
+            cli.main([command, "-h"])
+        flags = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+        flags -= {"--config", "--family", "--help"}
+        assert flags and flags <= set(self.FLAG_VALUES), flags - set(self.FLAG_VALUES)
+
+        def written(flag, config=None):
+            """Exit code, stdout, stderr and the files written by one run in a new directory."""
+            run = Path(tempfile.mkdtemp(dir=tmp_path))
+            monkeypatch.chdir(run)
+            base = {key: value for key, value in self.BASE_FLAGS[command].items() if key != flag}
+            argv = [command, *(["fig4"] if command == "figures" else []),
+                    *(text for item in base.items() for text in item)]
+            if config is not None:
+                (tmp_path / "run.cfg").write_text(config + "\n")
+                argv += ["--config", str(tmp_path / "run.cfg")]
+            elif flag is not None:
+                argv += [flag, self.FLAG_VALUES[flag]]
+            code = exit_code(argv)
+            files = {str(path.relative_to(run)): path.read_bytes()
+                     for path in sorted(run.rglob("*")) if path.is_file()}
+            return (code, *capsys.readouterr(), files)
+
+        default = written(None)
+        for flag in sorted(flags):
+            by_flag = written(flag)
+            assert by_flag[0] == 0 and by_flag != default, flag
+            for key in {flag[2:], flag[2:].replace("-", "_")}:
+                assert written(flag, f"{key} = {self.FLAG_VALUES[flag]}") == by_flag, key
+
+
+#: The usage line of each parser at 80 columns; each error message follows it.
+PARSER_USAGE = {
+    "": "usage: pairabs [-h] {rate,sweep,figures,exclusion-scan,verify} ...\n",
+    "rate": """\
+usage: pairabs rate [-h] [--choice {i,ii,iii,iv,family} | --family]
+                    [--statistics {boson,fermion,both}] [--a-re A_RE]
+                    [--a-im A_IM] [--b-re B_RE] [--b-im B_IM] [--c C]
+                    [--alpha0 ALPHA0] [--out PATH] [--config PATH]
+""",
+    "sweep": """\
+usage: pairabs sweep [-h] [--choice {i,ii,iii,iv,family} | --family]
+                     [--statistics {boson,fermion,both}] [--a-re A_RE]
+                     [--a-im A_IM] [--b-re B_RE] [--b-im B_IM] [--c-min C_MIN]
+                     [--c-max C_MAX] [--steps STEPS] [--alpha0 ALPHA0]
+                     [--out PATH] [--config PATH]
+""",
+    "figures": """\
+usage: pairabs figures [-h] [--steps STEPS] [--alpha0 ALPHA0] [--out DIR]
+                       [--config PATH]
+                       {fig2,fig3,fig4}
+""",
+    "exclusion-scan": """\
+usage: pairabs exclusion-scan [-h] [--a-min A_MIN] [--a-max A_MAX]
+                              [--a-steps A_STEPS] [--c-min C_MIN]
+                              [--c-max C_MAX] [--steps STEPS] [--out PATH]
+                              [--config PATH]
+""",
+    "verify": """\
+usage: pairabs verify [-h] [--seed SEED] [--trials TRIALS]
+                      [--tolerance TOLERANCE] [--out PATH] [--config PATH]
+""",
+}
+
+_CASE_HELP = """\
+  --choice {i,ii,iii,iv,family}
+                        built-in overlap preset, or the equal-weight exclusion
+                        family (default i)
+  --family              shorthand for --choice family
+  --statistics {boson,fermion,both}
+                        exchange statistics of the pair (default both)
+  --a-re A_RE           real part of the weight a (default 1.0)
+  --a-im A_IM           imaginary part of the weight a (default 0.0)
+  --b-re B_RE           real part of the weight b (default 0.0)
+  --b-im B_IM           imaginary part of the weight b (default 0.0)
+"""
+_OUT_CONFIG_HELP = """\
+  --out PATH            output path; default standard output
+  --config PATH         key = value config file; command-line flags override
+                        it
+"""
+
+#: The ``-h`` text of each parser at 80 columns.
+PARSER_HELP = {
+    "": PARSER_USAGE[""] + """
+Relative single-photon absorption rates for symmetrized two-atom
+superpositions.
+
+positional arguments:
+  {rate,sweep,figures,exclusion-scan,verify}
+    rate                evaluate a single sweep point
+    sweep               sweep the overlap parameter, emit CSV
+    figures             emit the built-in figure datasets
+    exclusion-scan      grid scan of the exclusion family, two detection paths
+    verify              randomized closed-form vs formal-expansion check
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "rate": PARSER_USAGE["rate"] + """
+options:
+  -h, --help            show this help message and exit
+""" + _CASE_HELP + """\
+  --c C                 sweep value (default 0)
+  --alpha0 ALPHA0       one-recoil overlap shrink factor (default 0.9)
+""" + _OUT_CONFIG_HELP,
+    "sweep": PARSER_USAGE["sweep"] + """
+options:
+  -h, --help            show this help message and exit
+""" + _CASE_HELP + """\
+  --c-min C_MIN         first sweep value (default 0.0)
+  --c-max C_MAX         last sweep value (default 1.0)
+  --steps STEPS         number of sweep values (default 101)
+  --alpha0 ALPHA0       one-recoil overlap shrink factor (default 0.9)
+""" + _OUT_CONFIG_HELP,
+    "figures": PARSER_USAGE["figures"] + """
+positional arguments:
+  {fig2,fig3,fig4}
+
+options:
+  -h, --help        show this help message and exit
+  --steps STEPS     number of sweep values (default 101)
+  --alpha0 ALPHA0   one-recoil overlap shrink factor (default 0.9)
+  --out DIR         output directory (default current directory)
+  --config PATH     key = value config file; command-line flags override it
+""",
+    "exclusion-scan": PARSER_USAGE["exclusion-scan"] + """
+options:
+  -h, --help         show this help message and exit
+  --a-min A_MIN      first weight a, with b = sqrt(1 - a^2) (default 0.0)
+  --a-max A_MAX      last weight a (default 1.0)
+  --a-steps A_STEPS  number of weights a (default 51)
+  --c-min C_MIN      first sweep value (default 0.0)
+  --c-max C_MAX      last sweep value (default 1.0)
+  --steps STEPS      number of sweep values (default 51)
+  --out PATH         output path; default standard output
+  --config PATH      key = value config file; command-line flags override it
+""",
+    "verify": PARSER_USAGE["verify"] + """
+options:
+  -h, --help            show this help message and exit
+  --seed SEED           seed of the random configurations (default 0)
+  --trials TRIALS       number of random configurations (default 1000)
+  --tolerance TOLERANCE
+                        bound on every |closed-form - formal| deviation: the
+                        amplitude and both norms^2 (default 1e-10)
+""" + _OUT_CONFIG_HELP,
+}
+
+
+def parser_error(command, message):
+    """Exit code, stdout and stderr of a usage error of the ``command`` parser."""
+    prog = " ".join(["pairabs", command]).strip()
+    return 1, "", f"{PARSER_USAGE[command]}{prog}: error: {message}\n"
+
+
+_INVALID_COMMAND = ("argument command: invalid choice: {!r} (choose from 'rate', 'sweep', "
+                    "'figures', 'exclusion-scan', 'verify')")
+
+#: The outcome of each argv of ``TestParserPerCommand.CORPUS``, by its words.
+PARSER_OUTCOMES = {
+    "": parser_error("", "the following arguments are required: command"),
+    "-h": (0, PARSER_HELP[""], ""),
+    "--help": (0, PARSER_HELP[""], ""),
+    "--": parser_error("", "the following arguments are required: command"),
+    "-- rate": parser_error("", _INVALID_COMMAND.format("--")),
+    "-x": parser_error("", "the following arguments are required: command"),
+    "nope": parser_error("", _INVALID_COMMAND.format("nope")),
+    "Rate": parser_error("", _INVALID_COMMAND.format("Rate")),
+    "rat": parser_error("", _INVALID_COMMAND.format("rat")),
+    **{f"{command} -h": (0, PARSER_HELP[command], "") for command in cli._COMMANDS},
+    "rate -h extra": (0, PARSER_HELP["rate"], ""),
+    "rate extra": parser_error("", "unrecognized arguments: extra"),
+    "rate --bogus": parser_error("", "unrecognized arguments: --bogus"),
+    "rate --choice v": parser_error(
+        "rate", "argument --choice: invalid choice: 'v' "
+                "(choose from 'i', 'ii', 'iii', 'iv', 'family')"),
+    "rate --choice i --family": parser_error(
+        "rate", "argument --family: not allowed with argument --choice"),
+    "sweep --steps 0": parser_error("sweep", "argument --steps: must be a positive integer"),
+    "sweep --c-min": parser_error("sweep", "argument --c-min: expected one argument"),
+    "sweep --c x": parser_error(
+        "sweep", "ambiguous option: --c could match --choice, --c-min, --c-max, --config"),
+    "figures": parser_error("figures", "the following arguments are required: target"),
+    "figures fig9": parser_error(
+        "figures", "argument target: invalid choice: 'fig9' "
+                   "(choose from 'fig2', 'fig3', 'fig4')"),
+    "figures fig2 --steps": parser_error("figures", "argument --steps: expected one argument"),
+    "exclusion-scan 1": parser_error("", "unrecognized arguments: 1"),
+    "verify --seed -1": parser_error("verify", "argument --seed: must be a non-negative integer"),
+    "verify --trials 1.5": parser_error(
+        "verify", "argument --trials: invalid _positive_int value: '1.5'"),
+}
+
 
 class TestParserPerCommand:
     """One parser, built once, serves every call of ``main``; its text is the full parser's."""
@@ -1339,6 +1551,16 @@ class TestParserPerCommand:
     def test_text_and_exit_code_equal_the_full_parser(self, argv, capsys):
         full = self.outcome(capsys, lambda: cli.build_parser()[0].parse_args(argv))
         assert self.outcome(capsys, lambda: cli.main(argv)) == full
+
+    # Python 3.10 titles the options "optional arguments:", and other versions
+    # may wrap or word a message differently; these texts are Python 3.11's.
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="the pinned help and error texts are Python 3.11's")
+    @pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+    def test_text_and_exit_code_are_pinned(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text to the terminal
+        assert self.outcome(capsys, lambda: cli.main(argv)) == PARSER_OUTCOMES[" ".join(argv)]
+        assert len(PARSER_OUTCOMES) == len(self.CORPUS)
 
     def test_main_builds_its_parser_once(self, tmp_path, capsys):
         assert list(self.RUNS) == list(cli._COMMANDS)
