@@ -28,7 +28,12 @@ The scenario of ``rate`` and ``sweep`` is one setting, ``choice``: a preset
 or ``family``.  ``--family`` is shorthand for ``--choice family``, a config
 file spells it ``choice = family``, and an explicit flag beats the file.
 
-``_COMMANDS`` holds each subcommand's help line, arguments and runner.
+``_COMMANDS`` holds each subcommand's help line and runner.  ``_FLAGS`` holds
+one row per flag: its name, the subcommands that take it and its
+``add_argument`` keywords.  :func:`build_parser` adds a subcommand's rows, then
+``--config``; a config file's keys are the dests of the same rows, each value
+converted and checked by its row's type and choices.
+
 :func:`main` builds the parser once per process and never changes it.  A
 ``--config`` file fills a namespace that the subcommand's parser then parses
 into: argparse sets a default only where the namespace has no value, so
@@ -549,114 +554,75 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _add_common(p) -> None:
-    _add_alpha0(p)
-    _add_output(p)
+#: The help of ``--steps``, whose default differs between subcommands.
+_STEPS_HELP = "number of sweep values (default %(default)s)"
 
+#: One row per flag: its name, the subcommands that take it and its
+#: ``add_argument`` keywords.  Each subcommand takes its rows in this order,
+#: then ``--config``.  ``--choice`` and ``--family`` share a mutually exclusive
+#: group; ``--choice`` defaults to None, not "i", so that argparse still
+#: rejects it with ``--family``.
+_FLAGS = (
+    ("--choice", ("rate", "sweep"),
+     dict(choices=(*CHOICES, "family"),
+          help="built-in overlap preset, or the equal-weight exclusion family (default i)")),
+    ("--family", ("rate", "sweep"),
+     dict(action="store_const", dest="choice", const="family",
+          help="shorthand for --choice family")),
+    ("--statistics", ("rate", "sweep"),
+     dict(choices=("boson", "fermion", "both"), default="both",
+          help="exchange statistics of the pair (default %(default)s)")),
+    ("--a-re", ("rate", "sweep"),
+     dict(type=float, default=1.0, help="real part of the weight a (default %(default)s)")),
+    ("--a-im", ("rate", "sweep"),
+     dict(type=float, default=0.0, help="imaginary part of the weight a (default %(default)s)")),
+    ("--b-re", ("rate", "sweep"),
+     dict(type=float, default=0.0, help="real part of the weight b (default %(default)s)")),
+    ("--b-im", ("rate", "sweep"),
+     dict(type=float, default=0.0, help="imaginary part of the weight b (default %(default)s)")),
+    ("--c", ("rate",), dict(type=float, default=0.0, help="sweep value (default 0)")),
+    ("target", ("figures",), dict(choices=tuple(_FIGURES))),
+    ("--a-min", ("exclusion-scan",),
+     dict(type=float, default=0.0,
+          help="first weight a, with b = sqrt(1 - a^2) (default %(default)s)")),
+    ("--a-max", ("exclusion-scan",),
+     dict(type=float, default=1.0, help="last weight a (default %(default)s)")),
+    ("--a-steps", ("exclusion-scan",),
+     dict(type=_positive_int, default=51, help="number of weights a (default %(default)s)")),
+    ("--c-min", ("sweep", "exclusion-scan"),
+     dict(type=float, default=0.0, help="first sweep value (default %(default)s)")),
+    ("--c-max", ("sweep", "exclusion-scan"),
+     dict(type=float, default=1.0, help="last sweep value (default %(default)s)")),
+    ("--steps", ("sweep", "figures"), dict(type=_positive_int, default=101, help=_STEPS_HELP)),
+    ("--steps", ("exclusion-scan",), dict(type=_positive_int, default=51, help=_STEPS_HELP)),
+    ("--seed", ("verify",),
+     dict(type=_nonnegative_int, default=0,
+          help="seed of the random configurations (default %(default)s)")),
+    ("--trials", ("verify",),
+     dict(type=_positive_int, default=1000,
+          help="number of random configurations (default %(default)s)")),
+    ("--tolerance", ("verify",),
+     dict(type=float, default=1e-10,
+          help="bound on every |closed-form - formal| deviation: the amplitude and "
+               "both norms^2 (default %(default)s)")),
+    ("--alpha0", ("rate", "sweep", "figures"),
+     dict(type=float, default=RecoilModel.alpha0,
+          help=f"one-recoil overlap shrink factor (default {RecoilModel.alpha0})")),
+    ("--out", ("rate", "sweep", "exclusion-scan", "verify"),
+     dict(default=None, metavar="PATH", help="output path; default standard output")),
+    ("--out", ("figures",),
+     dict(default=".", metavar="DIR", help="output directory (default current directory)")),
+)
 
-def _add_alpha0(p) -> None:
-    p.add_argument("--alpha0", type=float, default=RecoilModel.alpha0,
-                   help=f"one-recoil overlap shrink factor (default {RecoilModel.alpha0})")
-
-
-def _add_output(p) -> None:
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="output path; default standard output")
-    _add_config(p)
-
-
-def _add_config(p) -> None:
-    p.add_argument("--config", default=None, metavar="PATH",
-                   help="key = value config file; command-line flags override it")
-
-
-def _add_case(p) -> None:
-    """The scenario, statistics and weights flags of ``rate`` and ``sweep``."""
-    # default None, not "i": argparse then still rejects --choice with --family
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--choice", choices=(*CHOICES, "family"),
-                       help="built-in overlap preset, or the equal-weight exclusion "
-                            "family (default i)")
-    group.add_argument("--family", action="store_const", dest="choice", const="family",
-                       help="shorthand for --choice family")
-    p.add_argument("--statistics", choices=("boson", "fermion", "both"), default="both",
-                   help="exchange statistics of the pair (default %(default)s)")
-    p.add_argument("--a-re", type=float, default=1.0,
-                   help="real part of the weight a (default %(default)s)")
-    p.add_argument("--a-im", type=float, default=0.0,
-                   help="imaginary part of the weight a (default %(default)s)")
-    p.add_argument("--b-re", type=float, default=0.0,
-                   help="real part of the weight b (default %(default)s)")
-    p.add_argument("--b-im", type=float, default=0.0,
-                   help="imaginary part of the weight b (default %(default)s)")
-
-
-def _add_rate(p) -> None:
-    _add_case(p)
-    p.add_argument("--c", type=float, default=0.0, help="sweep value (default 0)")
-    _add_common(p)
-
-
-def _add_sweep(p) -> None:
-    _add_case(p)
-    _add_c_axis(p, steps=101)
-    _add_common(p)
-
-
-def _add_c_axis(p, steps: int) -> None:
-    """The sweep-value axis of ``sweep`` and ``exclusion-scan``."""
-    p.add_argument("--c-min", type=float, default=0.0,
-                   help="first sweep value (default %(default)s)")
-    p.add_argument("--c-max", type=float, default=1.0,
-                   help="last sweep value (default %(default)s)")
-    _add_steps(p, steps)
-
-
-def _add_steps(p, steps: int) -> None:
-    p.add_argument("--steps", type=_positive_int, default=steps,
-                   help="number of sweep values (default %(default)s)")
-
-
-def _add_figures(p) -> None:
-    p.add_argument("target", choices=tuple(_FIGURES))
-    _add_steps(p, 101)
-    _add_alpha0(p)
-    p.add_argument("--out", default=".", metavar="DIR",
-                   help="output directory (default current directory)")
-    _add_config(p)
-
-
-def _add_exclusion_scan(p) -> None:
-    p.add_argument("--a-min", type=float, default=0.0,
-                   help="first weight a, with b = sqrt(1 - a^2) (default %(default)s)")
-    p.add_argument("--a-max", type=float, default=1.0,
-                   help="last weight a (default %(default)s)")
-    p.add_argument("--a-steps", type=_positive_int, default=51,
-                   help="number of weights a (default %(default)s)")
-    _add_c_axis(p, steps=51)
-    _add_output(p)
-
-
-def _add_verify(p) -> None:
-    p.add_argument("--seed", type=_nonnegative_int, default=0,
-                   help="seed of the random configurations (default %(default)s)")
-    p.add_argument("--trials", type=_positive_int, default=1000,
-                   help="number of random configurations (default %(default)s)")
-    p.add_argument("--tolerance", type=float, default=1e-10,
-                   help="bound on every |closed-form - formal| deviation: the amplitude and "
-                        "both norms^2 (default %(default)s)")
-    _add_output(p)
-
-
-#: Each subcommand's help line, the function that adds its arguments and the
-#: function that runs it, in the order of the usage line.
+#: Each subcommand's help line and the function that runs it, in the order of
+#: the usage line.
 _COMMANDS = {
-    "rate": ("evaluate a single sweep point", _add_rate, _cmd_sweep),
-    "sweep": ("sweep the overlap parameter, emit CSV", _add_sweep, _cmd_sweep),
-    "figures": ("emit the built-in figure datasets", _add_figures, _cmd_figures),
+    "rate": ("evaluate a single sweep point", _cmd_sweep),
+    "sweep": ("sweep the overlap parameter, emit CSV", _cmd_sweep),
+    "figures": ("emit the built-in figure datasets", _cmd_figures),
     "exclusion-scan": ("grid scan of the exclusion family, two detection paths",
-                       _add_exclusion_scan, _cmd_exclusion_scan),
-    "verify": ("randomized closed-form vs formal-expansion check", _add_verify, _cmd_verify),
+                       _cmd_exclusion_scan),
+    "verify": ("randomized closed-form vs formal-expansion check", _cmd_verify),
 }
 
 
@@ -668,8 +634,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                     "two-atom superpositions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, _) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for command, (help_text, _) in _COMMANDS.items():
+        subparser = sub.add_parser(command, help=help_text)
+        group = None  # made on first use: argparse cannot format an empty group
+        for name, commands, kwargs in _FLAGS:
+            if command not in commands:
+                continue
+            if name in ("--choice", "--family"):
+                group = group or subparser.add_mutually_exclusive_group()
+                group.add_argument(name, **kwargs)
+            else:
+                subparser.add_argument(name, **kwargs)
+        subparser.add_argument("--config", default=None, metavar="PATH",
+                               help="key = value config file; command-line flags override it")
     return parser, sub.choices
 
 
@@ -692,21 +669,21 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _config_values(subparser: argparse.ArgumentParser,
-                   values: dict[str, str]) -> dict[str, object]:
-    """``values`` converted and checked by the ``subparser`` action of each key."""
-    # the first action of a dest wins: --choice, not its --family shorthand
-    actions = {action.dest: action for action in reversed(subparser._actions)}
+def _config_values(command: str, values: dict[str, str]) -> dict[str, object]:
+    """``values`` converted and checked by the ``_FLAGS`` row of each key for ``command``."""
+    flags: dict[str, dict] = {}  # dest -> add_argument keywords
+    for name, commands, kwargs in _FLAGS:
+        if command in commands:
+            # the first row of a dest wins: --choice, not its --family shorthand
+            flags.setdefault(kwargs.get("dest", name.lstrip("-").replace("-", "_")), kwargs)
     converted: dict[str, object] = {}
     for key, raw in values.items():
-        action = actions.get(key)
-        if action is None or key in ("config", "help"):
+        if key not in flags:
             raise ValueError(f"unknown config key {key!r} for this command")
-        value: object = action.type(raw) if action.type is not None else raw
-        if action.choices is not None and value not in action.choices:
-            raise ValueError(
-                f"config key {key!r}: {value!r} is not one of {tuple(action.choices)}"
-            )
+        value = flags[key].get("type", str)(raw)
+        choices = flags[key].get("choices")
+        if choices is not None and value not in choices:
+            raise ValueError(f"config key {key!r}: {value!r} is not one of {tuple(choices)}")
         converted[key] = value
     return converted
 
@@ -737,7 +714,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.config:
         cmd = args.command
         try:
-            config = _config_values(commands[cmd], _read_config(args.config))
+            config = _config_values(cmd, _read_config(args.config))
         except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
             print(f"pairabs: config error: {exc}", file=sys.stderr)
             return 1
@@ -745,7 +722,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = commands[cmd].parse_args(argv[argv.index(cmd) + 1:],
                                         argparse.Namespace(command=cmd, **config))
     try:
-        code = _COMMANDS[args.command][2](args)
+        code = _COMMANDS[args.command][1](args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code
     except (ValueError, OSError, MemoryError) as exc:  # ExcludedStateError is a ValueError
