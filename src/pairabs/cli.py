@@ -680,7 +680,10 @@ def _config_values(command: str, values: dict[str, str]) -> dict[str, object]:
     for key, raw in values.items():
         if key not in flags:
             raise ValueError(f"unknown config key {key!r} for this command")
-        value = flags[key].get("type", str)(raw)
+        try:
+            value = flags[key].get("type", str)(raw)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from exc
         choices = flags[key].get("choices")
         if choices is not None and value not in choices:
             raise ValueError(f"config key {key!r}: {value!r} is not one of {tuple(choices)}")
@@ -715,7 +718,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cmd = args.command
         try:
             config = _config_values(cmd, _read_config(args.config))
-        except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"pairabs: config error: {exc}", file=sys.stderr)
             return 1
         # argparse fills in only the dests the namespace lacks: explicit flags still win

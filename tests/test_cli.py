@@ -920,7 +920,7 @@ class TestVerify:
         cfg.write_text("seed = -1\n")
         assert exit_code(["verify", "--trials", "1", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == (
-            "pairabs: config error: must be a non-negative integer\n")
+            "pairabs: config error: config key 'seed': must be a non-negative integer\n")
 
     def test_seed_zero_is_accepted(self, capsys):
         assert exit_code(["verify", "--trials", "1", "--seed", "0"]) == 0
@@ -1256,6 +1256,18 @@ class TestConfigFile:
         assert exit_code(["sweep", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "config key 'choice': 'v' is not one of" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["sweep"], "steps = x", "'steps': invalid literal for int() with base 10: 'x'"),
+        (["exclusion-scan"], "a-steps = 0", "'a_steps': must be a positive integer"),
+        (["rate"], "a-re = 1,5", "'a_re': could not convert string to float: '1,5'"),
+    ], ids=["steps", "a-steps", "a-re"])
+    def test_a_value_that_does_not_convert_is_reported_with_its_key(self, argv, config, message,
+                                                                    tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config + "\n")
+        assert exit_code([*argv, "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", f"pairabs: config error: config key {message}\n")
 
     def test_family_is_not_a_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "old.cfg"
