@@ -671,20 +671,21 @@ def _read_config(path: str) -> dict[str, str]:
 
 def _config_values(command: str, values: dict[str, str]) -> dict[str, object]:
     """``values`` converted and checked by the ``_FLAGS`` row of each key for ``command``."""
-    flags: dict[str, dict] = {}  # dest -> add_argument keywords
+    rows: dict[str, dict] = {}  # dest -> add_argument keywords
     for name, commands, kwargs in _FLAGS:
         if command in commands:
             # the first row of a dest wins: --choice, not its --family shorthand
-            flags.setdefault(kwargs.get("dest", name.lstrip("-").replace("-", "_")), kwargs)
+            rows.setdefault(kwargs.get("dest", name.lstrip("-").replace("-", "_")), kwargs)
     converted: dict[str, object] = {}
     for key, raw in values.items():
-        if key not in flags:
+        kwargs = rows.get(key)
+        if kwargs is None:
             raise ValueError(f"unknown config key {key!r} for this command")
         try:
-            value = flags[key].get("type", str)(raw)
+            value = kwargs.get("type", str)(raw)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"config key {key!r}: {exc}") from exc
-        choices = flags[key].get("choices")
+        choices = kwargs.get("choices")
         if choices is not None and value not in choices:
             raise ValueError(f"config key {key!r}: {value!r} is not one of {tuple(choices)}")
         converted[key] = value
