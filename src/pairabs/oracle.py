@@ -358,16 +358,23 @@ def formal_quantities(
 
 
 def closed_form_deviations(
-    closed: rates.RateResult, formal: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``|closed - formal|`` of the normalized amplitude, the initial and the final norm².
+    coeffs: Coefficients, closed: rates.RateResult,
+    formal: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``|closed - formal|`` of the normalized amplitude, the initial and the final
+    norm², and the scale of each: two arrays over (quantity,) + the points' shape.
 
-    ``closed`` and ``formal`` are :func:`pairabs.rates.relative_rate_grid`
-    and :func:`formal_quantities` on the same points and statistics.  The formal amplitude
-    is the formal bracket over the closed-form ``sqrt(n0^2 nf^2)``, each part
-    divided on its own; ``abs`` is numpy's.
+    ``closed`` and ``formal`` are :func:`pairabs.rates.relative_rate_grid` and
+    :func:`formal_quantities` of ``coeffs`` on the same points and statistics.
+    The formal amplitude is the formal bracket over the closed-form
+    ``sqrt(n0^2 nf^2)``, each part divided on its own; ``abs`` is numpy's.  The
+    norms² have the scales of their null floors (:func:`pairabs.rates._norm_scales`);
+    ``m`` is twice a bracket sum over the weight products of the final norm², so
+    its scale is twice the final norm²'s over ``sqrt(n0^2 nf^2)``.
     """
     n0_sq, nf_sq, bracket = formal
-    gap = closed.m - _over_real(bracket, np.sqrt(closed.n0_sq * closed.nf_sq))
-    return (np.abs(gap), np.abs(closed.n0_sq - n0_sq),
-            np.abs(closed.nf_sq - nf_sq))
+    root = np.sqrt(closed.n0_sq * closed.nf_sq)
+    gap = closed.m - _over_real(bracket, root)
+    n0_scale, nf_scale = rates._norm_scales(coeffs)
+    return (np.array([np.abs(gap), np.abs(closed.n0_sq - n0_sq), np.abs(closed.nf_sq - nf_sq)]),
+            np.array(np.broadcast_arrays(2.0 * nf_scale / root, n0_scale, nf_scale)))

@@ -199,10 +199,17 @@ def bracket_sum(
     return direct + s * exchange
 
 
+def _norm_scales(coeffs: Coefficients) -> tuple[float, float]:
+    """Scales ``2W`` and ``4W`` of the initial and the final squared norm, ``W = |a|^2 + |b|^2``:
+    the null floors, and the scales of :func:`pairabs.oracle.closed_form_deviations`."""
+    *_, weight_sq = coeffs.weight_products
+    return 2.0 * weight_sq, 4.0 * weight_sq
+
+
 def _null_floors(coeffs: Coefficients) -> tuple[float, float]:
     """Floors below which the initial and the final squared norm count as null."""
-    *_, weight_sq = coeffs.weight_products
-    return EXCLUSION_EPS * 2.0 * weight_sq, EXCLUSION_EPS * 4.0 * weight_sq
+    n0_scale, nf_scale = _norm_scales(coeffs)
+    return EXCLUSION_EPS * n0_scale, EXCLUSION_EPS * nf_scale
 
 
 def exclusion_mask(coeffs: Coefficients, n0_sq: float | np.ndarray) -> bool | np.ndarray:

@@ -42,7 +42,7 @@ def _choice_tables(name, grid=GRID_101, model=RecoilModel()):
 def test_criterion_1_oracle_equivalence():
     buffer = io.StringIO()
     start = time.perf_counter()
-    code = cli.run_verify(seed=20250809, trials=1000, tolerance=1e-10, out=buffer)
+    code = cli.run_verify(seed=20250809, trials=1000, out=buffer)
     elapsed = time.perf_counter() - start
     report = buffer.getvalue()
     max_line = next(line for line in report.splitlines() if "matrix element" in line)

@@ -35,6 +35,7 @@ from pairabs.scenarios import (
     build_choice_table,
     build_table,
     random_realizable_overlaps,
+    realizable_overlaps,
 )
 
 BOSON = Statistics.BOSON
@@ -515,7 +516,10 @@ class TestOracleMatrixElement:
         # The pairs are evaluated one at a time into two reused rows, reading the
         # table's entries in place: no array has a pair or a label axis.  A
         # (labels, points) gather and (pairs, points) copies peaked at 980 KiB.
-        coeffs, table, _ = cli._verification_block(np.random.default_rng(1), cli._VERIFY_BLOCK)
+        a, b, alpha0, raw = cli._draw_candidates(np.random.default_rng(1), cli._VERIFY_BLOCK)
+        coeffs = Coefficients(a, b)
+        table = build_table(realizable_overlaps(raw), RecoilModel(alpha0))
+        rates.relative_rate_grid(coeffs, table, cli.BOTH_STATISTICS)  # as a block does first
         formal_quantities(A_ONLY, choice_table("i", 0.5), BOSON)  # plan built
         tracemalloc.start()
         try:
@@ -581,7 +585,7 @@ class TestOracleMatrixElement:
         for statistics in (BOSON, FERMION):
             closed = rates.relative_rate_grid(coeffs, table, statistics)
             formal = formal_quantities(coeffs, table, statistics)
-            matrix, initial, final = closed_form_deviations(closed, formal)
+            (matrix, initial, final), scales = closed_form_deviations(coeffs, closed, formal)
             root = np.sqrt(closed.n0_sq * closed.nf_sq)
             for i in range(40):
                 bracket, d = formal[2][i].item(), root[i].item()
@@ -589,6 +593,9 @@ class TestOracleMatrixElement:
                 assert repr(matrix[i].item()) == repr(np.abs(closed.m[i] - formal_m).item())
                 assert initial[i] == abs(closed.n0_sq[i] - formal[0][i])
                 assert final[i] == abs(closed.nf_sq[i] - formal[1][i])
+                weight = abs(coeffs_seq[i].a) ** 2 + abs(coeffs_seq[i].b) ** 2
+                assert scales[:, i].tolist() == pytest.approx([8 * weight / d, 2 * weight,
+                                                               4 * weight], rel=1e-15)
             assert max(matrix.max(), initial.max(), final.max()) < 1e-12
 
     @settings(max_examples=300)
