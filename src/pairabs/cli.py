@@ -9,12 +9,13 @@ f-string over its block's formatted columns, with no list per row, and
 bytes ``csv.writer`` would write.  A column whose values all have the same
 bits is formatted once.
 
-The grid subcommands build one grid table per ``c`` grid and evaluate it
-once.  ``sweep`` stacks its statistics on axis 0 and its weights on axis 1.  A
-``figures`` target also stacks its scenarios' bare overlaps into one table and
-evaluates it once over (statistics, scenario, case, c): a ``figures`` job makes
-3 table builds and 3 :func:`pairabs.rates.relative_rate_grid` calls, and every
-file, log line and coincidence row reads slices of that one result.
+``rate``, ``sweep`` and ``figures`` share one evaluation
+(:func:`_sweep_files`): it stacks the bare overlaps of the scenarios of its
+files into one grid table and evaluates it once over (statistics, scenario,
+case, c), and every file, log line and coincidence row reads slices of that
+one result.  A ``figures`` job makes 3 table builds and 3
+:func:`pairabs.rates.relative_rate_grid` calls, a ``sweep`` one of each, and
+``rate`` is ``sweep`` on the one-point grid ``[--c]``.
 ``exclusion-scan`` evaluates its (a, c) grid once, with array weights, and
 ``verify`` each block of 512 trials as one trial-axis grid; every output is
 byte-identical to evaluating each point and statistics on its own.
@@ -22,7 +23,6 @@ byte-identical to evaluating each point and statistics on its own.
 kind, and computes the overlaps of all its trials with one
 :func:`pairabs.scenarios.realizable_overlaps` call, so its report depends on
 the seed, the trial count and the block size.
-``rate`` is ``sweep`` on the one-point grid ``[--c]``.
 
 The scenario of ``rate`` and ``sweep`` is one setting, ``choice``: a preset
 or ``family``.  ``--family`` is shorthand for ``--choice family``, a config
@@ -62,7 +62,6 @@ from .scenarios import (
     Coefficients,
     ExclusionFamily,
     RecoilModel,
-    build_family_table,
     build_table,
     choice_overlaps,
     family_exclusion_coefficient,
@@ -79,7 +78,6 @@ __all__ = [
     "run_figures",
     "run_verify",
     "sweep_results",
-    "sweep_rows",
 ]
 
 SWEEP_HEADER = [
@@ -120,41 +118,35 @@ def _normalized(a: float | np.ndarray) -> Coefficients:
 
 class SweepResults(NamedTuple):
     """Single-point ``cases`` evaluated once for each of ``stats``: the fields of
-    ``result`` are arrays over (statistics, case, c), or over (statistics,
-    scenario, case, c) on a table from :func:`_stacked_table`."""
+    ``result`` are arrays over (statistics, scenario, case, c), on a table from
+    :func:`_stacked_table`, and :meth:`SweepResults.scenario` views one scenario's."""
 
     cases: tuple[Coefficients, ...]
     stats: tuple[Statistics, ...]
     result: rates.RateResult
 
     def scenario(self, index: int) -> SweepResults:
-        """The results on scenario ``index`` of a stacked table, as views."""
+        """The results on scenario ``index``, over (statistics, case, c), as views."""
         return self._replace(result=rates.RateResult(
             *(value[:, index] for value in vars(self.result).values())))
 
 
 def sweep_results(table: OverlapTable, cases: Sequence[Coefficients],
                   stats: Sequence[Statistics]) -> SweepResults:
-    """Every case for every statistics on a grid table, from one
-    :func:`pairabs.rates.relative_rate_grid` call with the weights stacked on the
-    axis before c; each (statistics, case) slice is bit for bit its own evaluation."""
+    """Every case for every statistics on a stacked table (:func:`_stacked_table`),
+    from one :func:`pairabs.rates.relative_rate_grid` call with the weights stacked
+    on the axis before c; each (statistics, scenario, case) slice is bit for bit
+    its own evaluation."""
     stacked = Coefficients(np.array([case.a for case in cases])[:, None],
                            np.array([case.b for case in cases])[:, None])
     return SweepResults(tuple(cases), tuple(stats),
                         rates.relative_rate_grid(stacked, table, tuple(stats)))
 
 
-def sweep_rows(scenario_name: str, results: SweepResults, grid: Sequence[float],
-               alpha0: float) -> list[str]:
-    """CSV lines of each case of ``results`` (over (statistics, case, c)), then each
-    statistics, c ascending.  ``results`` are on the grid table over ``grid``."""
-    return _sweep_lines(scenario_name, results, results.cases,
-                        _column(np.asarray(grid, dtype=float)), _fmt(alpha0))
-
-
 def _sweep_lines(scenario_name: str, results: SweepResults, cases: Sequence[Coefficients],
                  c_column: list[str], alpha0_text: str) -> list[str]:
-    """:func:`sweep_rows` of ``cases``, some of ``results.cases``, from the text of c and alpha0."""
+    """CSV lines of each of ``cases``, some of ``results.cases`` (over (statistics,
+    case, c)), then each statistics, c ascending, from the text of c and alpha0."""
     res = results.result
     lines: list[str] = []
     for coeffs in cases:
@@ -177,17 +169,30 @@ def _scenario_overlaps(name: str, grid: np.ndarray) -> dict:
     return choice_overlaps(name, grid)
 
 
-def _scenario_table(name: str, grid: np.ndarray, model: RecoilModel) -> OverlapTable:
-    """Grid table over ``grid`` for a preset choice or ``"family"``."""
-    return build_table(_scenario_overlaps(name, grid), model)
-
-
 def _stacked_table(names: Sequence[str], grid: np.ndarray, model: RecoilModel) -> OverlapTable:
     """One grid table over (scenario, 1, c) with the bare overlaps of ``names`` stacked
     on axis 0.  They are real, so each scenario's results are its own table's, bit for bit."""
     each, shape = [_scenario_overlaps(name, grid) for name in names], (1, *grid.shape)
     return build_table({pair: np.stack([np.broadcast_to(bare[pair], shape) for bare in each])
                         for pair in ALL_PAIRS}, model)
+
+
+def _sweep_files(grid: np.ndarray, model: RecoilModel, stats: Sequence[Statistics],
+                 files: dict[str, tuple[str, Sequence[Coefficients]]]):
+    """The CSV lines of each of ``files``, ``file -> (scenario, cases)``, over
+    ``grid``; also the results on each scenario and the text of c.
+
+    One table stacks the scenarios, one :func:`sweep_results` call evaluates
+    every case on it, and c and alpha0 are formatted once.
+    """
+    names = tuple(dict.fromkeys(scenario for scenario, _ in files.values()))
+    cases = dict.fromkeys(case for _, file_cases in files.values() for case in file_cases)
+    results = sweep_results(_stacked_table(names, grid, model), tuple(cases), stats)
+    on = {name: results.scenario(j) for j, name in enumerate(names)}
+    c_column, alpha0_text = _column(grid), _fmt(model.alpha0)
+    lines = {file: _sweep_lines(scenario, on[scenario], file_cases, c_column, alpha0_text)
+             for file, (scenario, file_cases) in files.items()}
+    return lines, on, c_column
 
 
 @contextlib.contextmanager
@@ -227,7 +232,7 @@ def _check_range(name: str, lo: float, hi: float) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    """``sweep``, and ``rate`` as a sweep of the one point ``--c``."""
+    """``sweep``, and ``rate`` as a sweep of the one point ``--c``: one file of one case."""
     model = RecoilModel(args.alpha0)
     c_min, c_max, steps = ((args.c, args.c, 1) if args.command == "rate"
                            else (args.c_min, args.c_max, args.steps))
@@ -237,10 +242,9 @@ def _cmd_sweep(args) -> int:
     stats = (BOTH_STATISTICS if args.statistics == "both"
              else (Statistics[args.statistics.upper()],))
     coeffs = Coefficients(complex(args.a_re, args.a_im), complex(args.b_re, args.b_im))
-    results = sweep_results(_scenario_table(name, grid, model), [coeffs], stats)
-    lines = sweep_rows(name, results, grid, args.alpha0)
+    lines, _, _ = _sweep_files(grid, model, stats, {name: (name, (coeffs,))})
     with _open_out(args.out) as out:
-        _write_csv(out, SWEEP_HEADER, lines)
+        _write_csv(out, SWEEP_HEADER, lines[name])
     return 0
 
 
@@ -253,13 +257,13 @@ BOTH_STATISTICS = (Statistics.BOSON, Statistics.FERMION)
 
 COINCIDENCE_HEADER = ["c", "a", "r", "r_ref", "rel_dev", "excluded", "excluded_ref"]
 
-#: The sweep files of each figure target: ``file -> (scenario, cases, statistics)``.
+#: Each figure target's statistics and its sweep files, ``file -> (scenario, cases)``.
 _FIGURES = {
-    "fig2": {"fig2_i.csv": ("i", FIG2_CASES, BOTH_STATISTICS),
-             "fig2_ii.csv": ("ii", FIG2_CASES, BOTH_STATISTICS)},
-    "fig3": {"fig3_iii.csv": ("iii", FIG3_III_CASES, BOTH_STATISTICS),
-             "fig3_iv.csv": ("iv", FIG3_IV_CASES, BOTH_STATISTICS)},
-    "fig4": {"fig4.csv": ("family", FIG4_CASES, (Statistics.FERMION,))},
+    "fig2": (BOTH_STATISTICS, {"fig2_i.csv": ("i", FIG2_CASES),
+                               "fig2_ii.csv": ("ii", FIG2_CASES)}),
+    "fig3": (BOTH_STATISTICS, {"fig3_iii.csv": ("iii", FIG3_III_CASES),
+                               "fig3_iv.csv": ("iv", FIG3_IV_CASES)}),
+    "fig4": ((Statistics.FERMION,), {"fig4.csv": ("family", FIG4_CASES)}),
 }
 
 
@@ -313,8 +317,8 @@ def run_figures(
     alpha0: float = RecoilModel.alpha0,
     log: TextIO | None = None,
 ) -> list[Path]:
-    """Emit the CSV datasets for one figure target; returns the written paths.  One table
-    stacks its scenarios, and one evaluation of all its cases on it gives every output."""
+    """Emit the CSV datasets for one figure target; returns the written paths.  Every
+    output reads the target's one evaluation (:func:`_sweep_files`)."""
     if target not in _FIGURES:
         raise ValueError(f"unknown figure target {target!r}")
     if steps < 1:
@@ -322,13 +326,7 @@ def run_figures(
     log = sys.stdout if log is None else log
     model = RecoilModel(alpha0)
     grid = np.linspace(0.0, 1.0, steps)
-    files = _FIGURES[target]
-    names = tuple(dict.fromkeys(scenario for scenario, _, _ in files.values()))
-    (stats,) = {file_stats for _, _, file_stats in files.values()}  # one per target
-    cases = dict.fromkeys(case for _, file_cases, _ in files.values() for case in file_cases)
-    results = sweep_results(_stacked_table(names, grid, model), tuple(cases), stats)
-    on = {name: results.scenario(j) for j, name in enumerate(names)}
-    c_column, alpha0_text = _column(grid), _fmt(alpha0)
+    files, on, c_column = _sweep_files(grid, model, *_FIGURES[target])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -339,9 +337,8 @@ def run_figures(
             _write_csv(handle, header, lines)
         written.append(path)
 
-    for name, (scenario, file_cases, _) in files.items():
-        emit(name, SWEEP_HEADER, _sweep_lines(scenario, on[scenario], file_cases,
-                                              c_column, alpha0_text))
+    for name, lines in files.items():
+        emit(name, SWEEP_HEADER, lines)
     if target == "fig2":
         _log_choice_ii_flatness(on["ii"], log)
     elif target == "fig3":
@@ -367,8 +364,9 @@ def exclusion_scan_rows(
     floor: ``excluded_by_norm`` on the closed-form initial norm², and
     ``excluded_by_formula`` on ``2|coefficient|^2``, which is that norm² on
     the family.  Each is one evaluation over the whole grid: weights
-    ``a[:, None]`` against the family's grid table over ``c``.  The initial
-    norm² reads only bare overlaps, so no recoil model enters.
+    ``a[:, None]`` against a grid table over ``c``.  The initial norm² reads
+    only bare overlaps, so that table holds just the family's six
+    (``ExclusionFamily.overlaps``), with no recoil entries.
     """
     for name, values in (("a", a_grid), ("c", c_grid)):
         for value in values:
@@ -378,7 +376,7 @@ def exclusion_scan_rows(
     fam = ExclusionFamily.equal_weight(c_grid)
     coeffs = _normalized(np.asarray(a_grid, dtype=float)[:, None])  # (a, c) grid
     by_norm = rates.exclusion_mask(
-        coeffs, rates.initial_norm_sq(coeffs, build_family_table(fam), Statistics.FERMION))
+        coeffs, rates.initial_norm_sq(coeffs, OverlapTable(fam.overlaps), Statistics.FERMION))
     coefficient = family_exclusion_coefficient(coeffs, fam)
     magnitude = np.broadcast_to(np.abs(coefficient), by_norm.shape)
     by_formula = rates.exclusion_mask(coeffs, 2.0 * magnitude * magnitude)
@@ -429,12 +427,6 @@ def _draw_candidates(rng: np.random.Generator, count: int) -> list[np.ndarray]:
     return [weights[:, 0], weights[:, 1], alpha0, raw]
 
 
-#: A ``verify`` deviation passes up to ``_K`` epsilons times its scale.  Over seeds
-#: 0-9999 at 1000 trials the worst were 6.25 (amplitude), 8 (initial norm²) and
-#: 12 (final norm²) such units: 32 leaves a margin of 2.6.
-_K = 32
-
-
 def _block_deviations(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
     """The deviations (:func:`pairabs.oracle.closed_form_deviations`) of ``size``
     random trials, drawn at once (:func:`_draw_candidates`), and their rounding
@@ -447,9 +439,8 @@ def _block_deviations(rng: np.random.Generator, size: int) -> tuple[np.ndarray, 
     table = build_table(realizable_overlaps(raw), RecoilModel(alpha0))
     results = rates.relative_rate_grid(coeffs, table, BOTH_STATISTICS)
     rates.require_not_null(coeffs, results.n0_sq, results.nf_sq)
-    devs, scales = oracle.closed_form_deviations(
+    return oracle.closed_form_deviations(
         coeffs, results, oracle.formal_quantities(coeffs, table, BOTH_STATISTICS))
-    return devs, _K * np.finfo(float).eps * scales
 
 
 #: Trials drawn and evaluated together as one trial-axis grid; a report depends

@@ -15,7 +15,8 @@ entirely by the starred labels of the final-state monomials.
 one point or for a whole grid of (weights, table) points at once, and for
 one statistics or a tuple of them as a leading axis; ``pairabs verify``
 compares each of them with its closed form through
-:func:`closed_form_deviations`.  The bracket divided by the square root of
+:func:`closed_form_deviations`, which also gives each deviation's rounding
+bound.  The bracket divided by the square root of
 the product of the norms is the normalized amplitude; its agreement with the
 closed-form ``m`` of :func:`pairabs.rates.relative_rate_grid` over randomized
 configurations is the central anti-regression property of the library.
@@ -319,10 +320,10 @@ def formal_quantities(
     weights, a grid table or both, broadcast together) arrays over it, each
     point bit for bit its value on its own.  A tuple of statistics is one
     more leading axis of each array, each slice bit for bit its statistics
-    on its own.  Raises ``ValueError`` on a non-finite term weight and
-    :class:`~pairabs.rates.ExcludedStateError` when either norm is null
-    anywhere, by the criterion of the closed forms
-    (:func:`pairabs.rates.require_not_null`).
+    on its own.  Raises :class:`~pairabs.rates.ExcludedStateError` when either
+    norm is null anywhere, by the criterion of the closed forms
+    (:func:`pairabs.rates.require_not_null`); :class:`Coefficients` has
+    already refused non-finite weights.
     """
     stats = statistics if isinstance(statistics, tuple) else (statistics,)
     axis = (len(stats),) if stats is statistics else ()  # a tuple of statistics is axis 0
@@ -331,11 +332,6 @@ def formal_quantities(
     # each grid shape once: numpy < 2 broadcasts at most 32 arrays in one call
     shape = np.broadcast_shapes(*{np.shape(v) for v in (coeffs.a, coeffs.b, *overlaps)})
     ab = np.array([_on_grid(coeffs.a, shape), _on_grid(coeffs.b, shape)])  # (a and b, points)
-    finite = np.isfinite(ab)
-    if not finite.all():  # named as the builders name it: a, else b, times 1+0j
-        k = finite.all(axis=0).argmin()
-        weight = complex(ab[int(finite[0, k]), k])
-        raise ValueError(f"non-finite term weight {weight * (1 + 0j)!r}")
     products = list(np.multiply(ab.conjugate()[:, None], ab).reshape(4, -1))  # conj(x) y at 2x + y
     grids = {id(v): _on_grid(v, shape) for v in overlaps}  # each once: 8 labels share the 1
     overlaps = [grids[id(v)] for v in overlaps]
@@ -357,24 +353,33 @@ def formal_quantities(
     return _python_on_point((n0_sq, nf_sq, bracket))
 
 
+#: A deviation passes up to ``_K`` epsilons times its scale.  Over ``pairabs
+#: verify`` seeds 0-9999 at 1000 trials the worst were 6.25 (amplitude), 8
+#: (initial norm²) and 12 (final norm²) such units: 32 leaves a margin of 2.6.
+_K = 32
+
+
 def closed_form_deviations(
     coeffs: Coefficients, closed: rates.RateResult,
     formal: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """``|closed - formal|`` of the normalized amplitude, the initial and the final
-    norm², and the scale of each: two arrays over (quantity,) + the points' shape.
+    norm², and the rounding bound of each: two arrays over (quantity,) + the
+    points' shape.  A deviation passes where it is at most its bound.
 
     ``closed`` and ``formal`` are :func:`pairabs.rates.relative_rate_grid` and
     :func:`formal_quantities` of ``coeffs`` on the same points and statistics.
     The formal amplitude is the formal bracket over the closed-form
-    ``sqrt(n0^2 nf^2)``, each part divided on its own; ``abs`` is numpy's.  The
-    norms² have the scales of their null floors (:func:`pairabs.rates._norm_scales`);
-    ``m`` is twice a bracket sum over the weight products of the final norm², so
-    its scale is twice the final norm²'s over ``sqrt(n0^2 nf^2)``.
+    ``sqrt(n0^2 nf^2)``, each part divided on its own; ``abs`` is numpy's.  Each
+    bound is ``_K`` epsilons times a scale.  The norms² have the scales of their
+    null floors (:func:`pairabs.rates._norm_scales`); ``m`` is twice a bracket
+    sum over the weight products of the final norm², so its scale is twice the
+    final norm²'s over ``sqrt(n0^2 nf^2)``.
     """
     n0_sq, nf_sq, bracket = formal
     root = np.sqrt(closed.n0_sq * closed.nf_sq)
     gap = closed.m - _over_real(bracket, root)
     n0_scale, nf_scale = rates._norm_scales(coeffs)
+    scales = np.array(np.broadcast_arrays(2.0 * nf_scale / root, n0_scale, nf_scale))
     return (np.array([np.abs(gap), np.abs(closed.n0_sq - n0_sq), np.abs(closed.nf_sq - nf_sq)]),
-            np.array(np.broadcast_arrays(2.0 * nf_scale / root, n0_scale, nf_scale)))
+            _K * np.finfo(float).eps * scales)

@@ -5,6 +5,7 @@ import csv
 import functools
 import gc
 import gzip
+import hashlib
 import io
 import math
 import os
@@ -118,6 +119,13 @@ class ScaledOverlap:
         return value * self.factor if (x, y) == self.pair else value
 
 
+def scenario_table(name, grid, model=RecoilModel()):
+    """The grid table of the preset ``name`` or the family on its own."""
+    if name == "family":
+        return build_family_table(ExclusionFamily.equal_weight(grid), model)
+    return build_choice_table(name, grid, model)
+
+
 def closed_form_pairs():
     """Every overlap that :func:`pairabs.rates.relative_rate_grid` reads, in order."""
     table = ScaledOverlap(build_table(realizable_overlaps(np.ones((1, 4, 4))), RecoilModel()))
@@ -146,11 +154,12 @@ class TestSweep:
 
     def test_equal_cases_keep_a_row_block_each(self):
         grid = np.linspace(0.0, 1.0, 5)
-        cases = [Coefficients(1.0, 0.0), Coefficients(1.0, 0.0)]
-        results = cli.sweep_results(build_choice_table("i", grid), cases, [Statistics.FERMION])
-        rows = cli.sweep_rows("i", results, grid, 0.9)
+        cases = (Coefficients(1.0, 0.0), Coefficients(1.0, 0.0))
+        files, on, _ = cli._sweep_files(grid, RecoilModel(), [Statistics.FERMION],
+                                        {"i.csv": ("i", cases)})
+        rows, results = files["i.csv"], on["i"]
         assert len(rows) == 10 and rows[:5] == rows[5:]
-        assert (results.cases, results.stats) == (tuple(cases), (Statistics.FERMION,))
+        assert (results.cases, results.stats) == (cases, (Statistics.FERMION,))
         assert results.result.r.shape == (1, 2, 5)  # (statistics, case, c)
 
     def test_single_step_sweeps_at_c_min(self, capsys):
@@ -650,21 +659,56 @@ class TestStdoutBytes:
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
+class TestSweepBytesArePinned:
+    """``sweep`` and ``rate`` write the bytes pinned here, for each choice and the
+    family, with real, complex and signed-zero weights and every statistics setting."""
+
+    SCENARIOS = (*CHOICES, "family")
+    WEIGHTS = (["--a-re", "0.8", "--b-re", "0.6"],
+               TestCsvText.COMPLEX_WEIGHTS,
+               ["--a-re", "-0.0", "--a-im", "-0.0", "--b-re", "1", "--b-im", "-0.0"])
+    STATISTICS = ("both", "fermion", "boson")
+
+    #: sha256 of the standard output of each scenario's :meth:`runs`, in order.
+    PINS = {
+        "i": "7adbdff53045d24bff65419d74a4c484c3df90771f3a224eb34a29748115b4b7",
+        "ii": "01ca5db286168d325c77d17ab7c8729742a2cd29282d65f62aa126658e4f7217",
+        "iii": "ae170ff631e5df87a020a388aa65cae0eff3679ccacb26fd6c3adfde274e4fec",
+        "iv": "3bdc9a02c593faff368e14b56bd29e35b478fe831f9dbf05a521af00c887bc8b",
+        "family": "80b4e7e19e12f6630af6ca05cb2084aa23d8911a8dac86e0495b60a330ca9f49",
+    }
+
+    @classmethod
+    def runs(cls, scenario):
+        """A sweep and a rate per weight set, the statistics turning with the scenario."""
+        turn = cls.SCENARIOS.index(scenario)
+        for n, weights in enumerate(cls.WEIGHTS):
+            common = ["--choice", scenario, *weights,
+                      "--statistics", cls.STATISTICS[(n + turn) % 3]]
+            yield ["sweep", "--steps", "11", *common]
+            yield ["rate", "--c", str(n / 2), "--alpha0", "0.6", *common]
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_stdout_bytes_are_pinned(self, scenario, capsys):
+        digest = hashlib.sha256()
+        for argv in self.runs(scenario):
+            assert exit_code(argv) == 0, argv
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == self.PINS[scenario]
+
+
 class TestGridEqualsPointLoop:
     @pytest.mark.parametrize("name", ["i", "ii", "iii", "iv", "family"])
     def test_sweep_rows(self, name):
         model = RecoilModel(0.6)
-        if name == "family":
-            table_for = lambda c: build_family_table(ExclusionFamily.equal_weight(c), model)
-        else:
-            table_for = lambda c: build_choice_table(name, c, model)
-        cases = [Coefficients(1.0, 0.0), Coefficients(0.8, 0.6),
+        table_for = functools.partial(scenario_table, name, model=model)
+        cases = (Coefficients(1.0, 0.0), Coefficients(0.8, 0.6),
                  Coefficients(0.3 + 0.4j, -0.5 + 0.2j),
-                 Coefficients(ROOT2_INV, ROOT2_INV)]
+                 Coefficients(ROOT2_INV, ROOT2_INV))
         stats = [Statistics.BOSON, Statistics.FERMION]
         grid = [float(c) for c in np.linspace(0.0, 1.0, 41)]
-        results = cli.sweep_results(table_for(np.array(grid)), cases, stats)
-        assert cli.sweep_rows(name, results, grid, 0.6) == as_lines(
+        files, _, _ = cli._sweep_files(np.array(grid), model, stats, {"f": (name, cases)})
+        assert files["f"] == as_lines(
             reference_sweep_rows(name, table_for, cases, stats, grid, 0.6)
         )
 
@@ -690,8 +734,8 @@ def same_bits(got, want):
 
 class TestStackedSweepResults:
     """``sweep_results`` stacks the statistics and the cases and evaluates once;
-    each case's result is the one of its own evaluation, bit for bit, also on a
-    table that stacks scenarios."""
+    each case's result is the one of its own evaluation on its scenario's own
+    table, bit for bit, on a stack of one scenario (``sweep``) or of several."""
 
     CASES = (Coefficients(1.0, 0.0), Coefficients(0.8, 0.6),
              Coefficients(0.3 + 0.4j, -0.5 + 0.2j), Coefficients(-0.0, 1e-3 - 2.5j),
@@ -700,16 +744,18 @@ class TestStackedSweepResults:
     @pytest.mark.parametrize("alpha0", [0.9, np.linspace(0.3, 1.0, 41)])
     @pytest.mark.parametrize("name", [*CHOICES, "family"])
     def test_equals_one_evaluation_per_case_and_statistics(self, name, alpha0, monkeypatch):
-        grid = np.linspace(0.0, 1.0, 41)
-        table = cli._scenario_table(name, grid, RecoilModel(alpha0))
+        grid, model = np.linspace(0.0, 1.0, 41), RecoilModel(alpha0)
         calls = Counter()
         count_calls(monkeypatch, calls, rates, "relative_rate_grid")
-        results = cli.sweep_results(table, self.CASES, cli.BOTH_STATISTICS)
+        results = cli.sweep_results(cli._stacked_table((name,), grid, model), self.CASES,
+                                    cli.BOTH_STATISTICS)
         assert calls["relative_rate_grid"] == 1
         monkeypatch.undo()
         assert (results.cases, results.stats) == (self.CASES, cli.BOTH_STATISTICS)
-        self.assert_each_slice_is_its_own_evaluation(results, table)
-        assert results.result.m_pro.shape == (2, len(self.CASES)) + grid.shape  # like every field
+        # like every field: over (statistics, scenario, case, c)
+        assert results.result.m_pro.shape == (2, 1, len(self.CASES)) + grid.shape
+        self.assert_each_slice_is_its_own_evaluation(results.scenario(0),
+                                                     scenario_table(name, grid, model))
 
     def assert_each_slice_is_its_own_evaluation(self, results, table):
         """Every field of each (statistics, case) slice of ``results`` (over
@@ -734,9 +780,8 @@ class TestStackedSweepResults:
         monkeypatch.undo()
         assert results.result.r.shape == (2, len(names), len(self.CASES)) + grid.shape
         for j, name in enumerate(names):
-            table = (build_family_table(ExclusionFamily.equal_weight(grid), model)
-                     if name == "family" else build_choice_table(name, grid, model))
-            self.assert_each_slice_is_its_own_evaluation(results.scenario(j), table)
+            self.assert_each_slice_is_its_own_evaluation(results.scenario(j),
+                                                         scenario_table(name, grid, model))
 
 
 class TestNoContainerPerRow:
@@ -764,9 +809,11 @@ class TestNoContainerPerRow:
 
     def test_sweep_rows_of_a_fig2_file(self):
         grid = np.linspace(0.0, 1.0, 101)
-        table = cli._scenario_table("i", grid, RecoilModel())
-        results = cli.sweep_results(table, cli.FIG2_CASES, cli.BOTH_STATISTICS)
-        count, lines = self.tracked_allocations(lambda: cli.sweep_rows("i", results, grid, 0.9))
+        table = cli._stacked_table(("i",), grid, RecoilModel())
+        results = cli.sweep_results(table, cli.FIG2_CASES, cli.BOTH_STATISTICS).scenario(0)
+        c_column = cli._column(grid)
+        count, lines = self.tracked_allocations(
+            lambda: cli._sweep_lines("i", results, cli.FIG2_CASES, c_column, "0.9"))
         assert len(lines) == 6 * 101
         assert count < len(lines) / 4
 

@@ -19,7 +19,8 @@ import pytest
 
 from pairabs import cli, rates
 from pairabs.algebra import _STARRED, PHI, PSI, Statistics
-from pairabs.scenarios import CHOICES, Coefficients, RecoilModel
+from pairabs.scenarios import (CHOICES, Coefficients, ExclusionFamily, RecoilModel,
+                               build_choice_table, build_family_table)
 
 
 class MpPoint:
@@ -59,9 +60,17 @@ class mp_weights:
     weight_products = Coefficients.weight_products
 
 
+def own_table(scenario, grid):
+    """The table of a figure scenario over ``grid`` on its own; its points are those
+    of the scenario's slice of a stacked table, and evaluate bit for bit alike."""
+    if scenario == "family":
+        return build_family_table(ExclusionFamily.equal_weight(grid))
+    return build_choice_table(scenario, grid)
+
+
 def test_fig4_rate_is_accurate_to_5e_12():
     grid = np.linspace(0.0, 1.0, 101)  # the c values of `figures fig4`
-    table = cli._scenario_table("family", grid, RecoilModel())
+    table = own_table("family", grid)
     errors = []
     with mpmath.workdps(50):
         for coeffs in cli.FIG4_CASES:
@@ -115,7 +124,8 @@ COINCIDENCE_CEILINGS = {"r": (4e-14, 200),  # 3.7e-14
 
 
 #: ``file -> (scenario, cases, statistics)`` over every figure target.
-FIGURE_FILES = {name: sweep for files in cli._FIGURES.values() for name, sweep in files.items()}
+FIGURE_FILES = {name: (scenario, cases, stats) for stats, files in cli._FIGURES.values()
+                for name, (scenario, cases) in files.items()}
 
 
 def test_every_figure_file_has_a_ceiling():
@@ -129,8 +139,9 @@ def sweep_errors(scenario, cases, stats, grid):
     """``column -> relative errors`` of ``r``, ``n0``, ``nf`` and ``m_re`` of one sweep,
     over every case, statistics and point where the column has a number, and
     ``"m_im" -> (value, truth, |true m|)`` over the points where ``m`` has one."""
-    table = cli._scenario_table(scenario, grid, RecoilModel())
-    results = cli.sweep_results(table, cases, stats).result  # over (statistics, case, c)
+    table = own_table(scenario, grid)
+    stacked = cli._stacked_table((scenario,), grid, RecoilModel())
+    results = cli.sweep_results(stacked, cases, stats).scenario(0).result  # (statistics, case, c)
     errors = {"r": [], "n0": [], "nf": [], "m_re": [], "m_im": []}
     with mpmath.workdps(50):
         for (row, coeffs), (k, stat) in itertools.product(enumerate(cases), enumerate(stats)):
@@ -196,7 +207,7 @@ def coincidence_truths():
         with open(Path(tmp) / "fig3_iii_fermion_coincidence.csv", newline="") as handle:
             rows = list(csv.DictReader(handle))
     grid = np.linspace(0.0, 1.0, 101)
-    table = cli._scenario_table("iii", grid, RecoilModel())
+    table = own_table("iii", grid)
     ref_coeffs = mp_weights(cli.FIG3_III_CASES[0])
     found = []
     with mpmath.workdps(50):
