@@ -5,8 +5,8 @@ The package has four layers:
 
 * :mod:`pairabs.algebra`: labeled states, exchange statistics and overlap
   tables;
-* :mod:`pairabs.scenarios`: table builders for the swept presets, the
-  exclusion family, and user-supplied overlaps, including all recoil entries;
+* :mod:`pairabs.scenarios`: the bare overlaps of the swept presets and the
+  exclusion family, and the one table builder, which adds all recoil entries;
 * :mod:`pairabs.rates`: closed-form norms, absorption matrix elements, the
   relative rate, and null-state (exclusion) detection, for one point or a
   whole sweep grid at once;

@@ -24,9 +24,10 @@ kind, and computes the overlaps of all its trials with one
 :func:`pairabs.scenarios.realizable_overlaps` call, so its report depends on
 the seed, the trial count and the block size.
 
-The scenario of ``rate`` and ``sweep`` is one setting, ``choice``: a preset
-or ``family``.  ``--family`` is shorthand for ``--choice family``, a config
-file spells it ``choice = family``, and an explicit flag beats the file.
+The scenario of ``rate`` and ``sweep`` is one setting, ``choice``: a name of
+:data:`pairabs.scenarios.CHOICES`, a preset or ``family``.  ``--family`` is
+shorthand for ``--choice family``, a config file spells it ``choice = family``,
+and an explicit flag beats the file.
 
 ``_COMMANDS`` holds each subcommand's help line and runner.  ``_FLAGS`` holds
 one row per flag: its name, the subcommands that take it and its
@@ -162,17 +163,10 @@ def _sweep_lines(scenario_name: str, results: SweepResults, cases: Sequence[Coef
     return lines
 
 
-def _scenario_overlaps(name: str, grid: np.ndarray) -> dict:
-    """The six bare overlaps over ``grid`` of a preset choice or ``"family"``."""
-    if name == "family":
-        return ExclusionFamily.equal_weight(grid).overlaps
-    return choice_overlaps(name, grid)
-
-
 def _stacked_table(names: Sequence[str], grid: np.ndarray, model: RecoilModel) -> OverlapTable:
     """One grid table over (scenario, 1, c) with the bare overlaps of ``names`` stacked
     on axis 0.  They are real, so each scenario's results are its own table's, bit for bit."""
-    each, shape = [_scenario_overlaps(name, grid) for name in names], (1, *grid.shape)
+    each, shape = [choice_overlaps(name, grid) for name in names], (1, *grid.shape)
     return build_table({pair: np.stack([np.broadcast_to(bare[pair], shape) for bare in each])
                         for pair in ALL_PAIRS}, model)
 
@@ -538,7 +532,7 @@ _STEPS_HELP = "number of sweep values (default %(default)s)"
 #: rejects it with ``--family``.
 _FLAGS = (
     ("--choice", ("rate", "sweep"),
-     dict(choices=(*CHOICES, "family"),
+     dict(choices=CHOICES,
           help="built-in overlap preset, or the equal-weight exclusion family (default i)")),
     ("--family", ("rate", "sweep"),
      dict(action="store_const", dest="choice", const="family",

@@ -1,8 +1,8 @@
 """Overlap-table construction: swept presets, the exclusion family, recoil entries.
 
-:func:`build_table`, :func:`build_choice_table` and :func:`build_family_table`
-(with :meth:`ExclusionFamily.equal_weight`) also take numpy arrays of
-sweep values, bare overlaps or ``alpha0`` and return one grid table (see
+:func:`build_table` also takes numpy arrays of bare overlaps or ``alpha0``,
+and :func:`choice_overlaps` and :meth:`ExclusionFamily.equal_weight` arrays
+of sweep values; a table of array overlaps is one grid table (see
 :class:`pairabs.algebra.OverlapTable`) whose entries are arrays over the
 grid; :class:`Coefficients` takes arrays of weights.  The rules below are
 elementwise, so each grid point holds exactly the values of a single point.
@@ -17,10 +17,12 @@ then completed with the recoil entries:
   coefficient from :func:`_alpha_pair`, while ``<x*|x*> = 1`` (recoiled
   states stay normalized).
 
-:func:`choice_overlaps` and ``ExclusionFamily.overlaps`` give the six bare
-overlaps of a preset or a family without a table, so several can be stacked
-into one.  :func:`realizable_overlaps` reads them off the Gram matrices of
-stacks of real vectors; :func:`random_realizable_overlaps` is its one-draw case.
+:func:`choice_overlaps` is the one route from a scenario name (a preset or
+``"family"``, see :data:`CHOICES`) to its six bare overlaps, and
+``ExclusionFamily.overlaps`` gives those of any family member.  A table is
+:func:`build_table` of them, and several can be stacked into one.
+:func:`realizable_overlaps` reads them off the Gram matrices of stacks of
+real vectors; :func:`random_realizable_overlaps` is its one-draw case.
 """
 
 from __future__ import annotations
@@ -43,9 +45,8 @@ __all__ = [
     "Coefficients",
     "ExclusionFamily",
     "RecoilModel",
-    "build_choice_table",
-    "build_family_table",
     "build_table",
+    "choice_overlaps",
     "family_exclusion_coefficient",
     "random_realizable_overlaps",
     "realizable_overlaps",
@@ -165,7 +166,8 @@ _CHOICE_FIXED: dict[str, dict[tuple[CmLabel, CmLabel], complex]] = {
     "iv": {(PSI, PHI): 0.8, (PSI, VARPHI): 0.9},
 }
 
-CHOICES = tuple(_CHOICE_FIXED)
+#: Every scenario name, in ``--choice`` order: the presets, then the exclusion family.
+CHOICES = (*_CHOICE_FIXED, "family")
 
 
 def build_table(
@@ -217,30 +219,27 @@ def build_table(
 
 def choice_overlaps(name: str,
                     c: float | np.ndarray) -> dict[tuple[CmLabel, CmLabel], complex | np.ndarray]:
-    """The six bare overlaps of the preset ``name`` (one of :data:`CHOICES`) at sweep value ``c``.
+    """The six bare overlaps of scenario ``name`` (one of :data:`CHOICES`) at sweep value ``c``.
 
-    ``c`` may also be a grid of sweep values.  The preset pins some base
+    ``c`` may also be a grid of sweep values.  ``"family"`` is
+    ``ExclusionFamily.equal_weight(c).overlaps``.  A preset pins some base
     pairs; the other base pairs take the sweep value.  The three dependent
     overlaps follow the chain rules
     ``<psi|chi> = <psi|varphi><varphi|chi>``,
     ``<phi|varphi> = <phi|psi><psi|varphi>`` and
     ``<phi|chi> = <phi|varphi><varphi|chi>``.
     """
-    if name not in _CHOICE_FIXED:
+    if name not in CHOICES:
         raise ValueError(f"unknown choice {name!r}; expected one of {CHOICES}")
     _require(c, (0.0 <= c) & (c <= 1.0), "sweep value must lie in [0, 1], got {}")
+    if name == "family":
+        return ExclusionFamily.equal_weight(c).overlaps
     psi_phi, psi_varphi, varphi_chi = (
         _grid_value(_CHOICE_FIXED[name].get(pair, c)) for pair in _BASE_PAIRS)
     phi_varphi = psi_phi.conjugate() * psi_varphi
     return {(PSI, PHI): psi_phi, (PSI, VARPHI): psi_varphi, (VARPHI, CHI): varphi_chi,
             (PSI, CHI): psi_varphi * varphi_chi, (PHI, VARPHI): phi_varphi,
             (PHI, CHI): phi_varphi * varphi_chi}
-
-
-def build_choice_table(name: str, c: float | np.ndarray,
-                       model: RecoilModel = RecoilModel()) -> OverlapTable:
-    """Full table for the preset ``name`` at sweep value ``c``, of :func:`choice_overlaps`."""
-    return build_table(choice_overlaps(name, c), model)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,11 +296,6 @@ class ExclusionFamily:
                 (PHI, VARPHI): c.conjugate() * e + d.conjugate() * f,
                 (PHI, CHI): c.conjugate() * g + d.conjugate() * h,
                 (VARPHI, CHI): e.conjugate() * g + f.conjugate() * h}
-
-
-def build_family_table(fam: ExclusionFamily, model: RecoilModel = RecoilModel()) -> OverlapTable:
-    """Table for the family states, of their bare overlaps ``fam.overlaps``."""
-    return build_table(fam.overlaps, model)
 
 
 def family_exclusion_coefficient(coeffs: Coefficients, fam: ExclusionFamily) -> complex:

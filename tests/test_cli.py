@@ -31,9 +31,8 @@ from pairabs.scenarios import (
     Coefficients,
     ExclusionFamily,
     RecoilModel,
-    build_choice_table,
-    build_family_table,
     build_table,
+    choice_overlaps,
     family_exclusion_coefficient,
     random_realizable_overlaps,
     realizable_overlaps,
@@ -120,10 +119,8 @@ class ScaledOverlap:
 
 
 def scenario_table(name, grid, model=RecoilModel()):
-    """The grid table of the preset ``name`` or the family on its own."""
-    if name == "family":
-        return build_family_table(ExclusionFamily.equal_weight(grid), model)
-    return build_choice_table(name, grid, model)
+    """The grid table of the scenario ``name`` on its own."""
+    return build_table(choice_overlaps(name, grid), model)
 
 
 def closed_form_pairs():
@@ -490,7 +487,7 @@ def reference_scan_rows(a_grid, c_grid):
         coeffs = Coefficients(a, math.sqrt(max(0.0, 1.0 - a * a)))
         for c in c_grid:
             fam = ExclusionFamily.equal_weight(c)
-            n0_sq = rates.initial_norm_sq(coeffs, build_family_table(fam), Statistics.FERMION)
+            n0_sq = rates.initial_norm_sq(coeffs, build_table(fam.overlaps), Statistics.FERMION)
             by_norm = rates.exclusion_mask(coeffs, n0_sq)
             magnitude = abs(family_exclusion_coefficient(coeffs, fam))
             by_formula = rates.exclusion_mask(coeffs, 2.0 * magnitude * magnitude)
@@ -549,7 +546,7 @@ class TestCsvText:
             ["exclusion-scan", "--a-steps", "6", "--steps", "6"],
             NEAR_NULL_SCAN,
             *(["sweep", "--choice", name, "--steps", "11", *self.COMPLEX_WEIGHTS]
-              for name in (*CHOICES, "family")),
+              for name in CHOICES),
             ["sweep", "--choice", "i", "--steps", "11"],
             ["rate", "--family", "--c", "0.5", "--a-re", str(ROOT2_INV), "--b-re",
              str(ROOT2_INV)],
@@ -557,7 +554,7 @@ class TestCsvText:
         for number, argv in enumerate(runs):
             out = tmp_path / (str(number) if argv[0] == "figures" else f"{number}.csv")
             assert exit_code([*argv, "--out", str(out)]) == 0
-        assert len(written) == 6 + 2 + len(CHOICES) + 1 + 2  # figure files, scans, sweeps, rate
+        assert len(written) == 6 + 2 + len(CHOICES) + 2  # figure files, scans, sweeps, rate
         for path, header, rows in written:
             assert path.read_bytes() == csv_module_text(header, rows).encode(), path.name
         fields = {field for _, _, rows in written for row in rows for field in row}
@@ -577,7 +574,7 @@ class TestCsvText:
         assert out.getvalue().encode() == csv_module_text(SWEEP_HEADER, rows).encode()
 
     def test_no_fixed_field_needs_quoting(self):
-        labels = [*SWEEP_HEADER, *SCAN_HEADER, *cli.COINCIDENCE_HEADER, *CHOICES, "family",
+        labels = [*SWEEP_HEADER, *SCAN_HEADER, *cli.COINCIDENCE_HEADER, *CHOICES,
                   *(stat.name.lower() for stat in Statistics)]
         for label in labels:
             assert label and not set(label) & set(',"\r\n'), label
@@ -645,7 +642,7 @@ class TestStdoutBytes:
     """``sweep`` and ``rate`` write the same bytes to standard output as to ``--out``."""
 
     @pytest.mark.parametrize("statistics", ["boson", "fermion", "both"])
-    @pytest.mark.parametrize("choice", [*CHOICES, "family"])
+    @pytest.mark.parametrize("choice", CHOICES)
     @pytest.mark.parametrize("command", [
         ["sweep", "--steps", "11", *TestCsvText.COMPLEX_WEIGHTS],
         ["rate", "--c", "1"],
@@ -663,7 +660,7 @@ class TestSweepBytesArePinned:
     """``sweep`` and ``rate`` write the bytes pinned here, for each choice and the
     family, with real, complex and signed-zero weights and every statistics setting."""
 
-    SCENARIOS = (*CHOICES, "family")
+    SCENARIOS = CHOICES
     WEIGHTS = (["--a-re", "0.8", "--b-re", "0.6"],
                TestCsvText.COMPLEX_WEIGHTS,
                ["--a-re", "-0.0", "--a-im", "-0.0", "--b-re", "1", "--b-im", "-0.0"])
@@ -698,7 +695,7 @@ class TestSweepBytesArePinned:
 
 
 class TestGridEqualsPointLoop:
-    @pytest.mark.parametrize("name", ["i", "ii", "iii", "iv", "family"])
+    @pytest.mark.parametrize("name", CHOICES)
     def test_sweep_rows(self, name):
         model = RecoilModel(0.6)
         table_for = functools.partial(scenario_table, name, model=model)
@@ -742,7 +739,7 @@ class TestStackedSweepResults:
              Coefficients(ROOT2_INV, ROOT2_INV), Coefficients(0.8, 0.6))  # equal cases too
 
     @pytest.mark.parametrize("alpha0", [0.9, np.linspace(0.3, 1.0, 41)])
-    @pytest.mark.parametrize("name", [*CHOICES, "family"])
+    @pytest.mark.parametrize("name", CHOICES)
     def test_equals_one_evaluation_per_case_and_statistics(self, name, alpha0, monkeypatch):
         grid, model = np.linspace(0.0, 1.0, 41), RecoilModel(alpha0)
         calls = Counter()
@@ -770,7 +767,7 @@ class TestStackedSweepResults:
 
     @pytest.mark.parametrize("alpha0", [0.9, np.linspace(0.3, 1.0, 41)])
     def test_a_scenario_stack_equals_each_scenario_on_its_own(self, alpha0, monkeypatch):
-        grid, names, model = np.linspace(0.0, 1.0, 41), (*CHOICES, "family"), RecoilModel(alpha0)
+        grid, names, model = np.linspace(0.0, 1.0, 41), CHOICES, RecoilModel(alpha0)
         calls = Counter()
         count_calls(monkeypatch, calls, cli, "build_table")
         count_calls(monkeypatch, calls, rates, "relative_rate_grid")
@@ -1617,6 +1614,14 @@ class TestParserPerCommand:
             assert len(set(by_command.values())) == 1, (flag, by_command)
         assert helps["--config"]["verify"] == helps["--config"]["figures"] is not None
 
+    @pytest.mark.parametrize("command", ["rate", "sweep"])
+    def test_choice_names_the_library_scenarios(self, command):
+        # the parser and choice_overlaps accept the same names, so neither can drift
+        actions = {action.option_strings[0]: action
+                   for action in cli.build_parser()[1][command]._actions if action.option_strings}
+        assert actions["--choice"].choices is scenarios.CHOICES
+        assert actions["--family"].const in scenarios.CHOICES
+
     @pytest.mark.parametrize("command, shown", [
         ("rate", "exchange statistics of the pair (default both)"),
         ("sweep", "--steps STEPS number of sweep values (default 101)"),
@@ -1740,7 +1745,7 @@ def int_text(cap):
 
 
 _CASE_FLAGS = {
-    "--choice": st.sampled_from([*CHOICES, "family", "v", ""]),
+    "--choice": st.sampled_from([*CHOICES, "v", ""]),
     "--family": st.none(),
     "--statistics": st.sampled_from(["boson", "fermion", "both", "Boson"]),
     "--a-re": FLOAT_TEXT, "--a-im": FLOAT_TEXT, "--b-re": FLOAT_TEXT, "--b-im": FLOAT_TEXT,

@@ -19,8 +19,7 @@ import pytest
 
 from pairabs import cli, rates
 from pairabs.algebra import _STARRED, PHI, PSI, Statistics
-from pairabs.scenarios import (CHOICES, Coefficients, ExclusionFamily, RecoilModel,
-                               build_choice_table, build_family_table)
+from pairabs.scenarios import CHOICES, Coefficients, RecoilModel, build_table, choice_overlaps
 
 
 class MpPoint:
@@ -60,17 +59,9 @@ class mp_weights:
     weight_products = Coefficients.weight_products
 
 
-def own_table(scenario, grid):
-    """The table of a figure scenario over ``grid`` on its own; its points are those
-    of the scenario's slice of a stacked table, and evaluate bit for bit alike."""
-    if scenario == "family":
-        return build_family_table(ExclusionFamily.equal_weight(grid))
-    return build_choice_table(scenario, grid)
-
-
 def test_fig4_rate_is_accurate_to_5e_12():
     grid = np.linspace(0.0, 1.0, 101)  # the c values of `figures fig4`
-    table = own_table("family", grid)
+    table = build_table(choice_overlaps("family", grid))
     errors = []
     with mpmath.workdps(50):
         for coeffs in cli.FIG4_CASES:
@@ -139,7 +130,7 @@ def sweep_errors(scenario, cases, stats, grid):
     """``column -> relative errors`` of ``r``, ``n0``, ``nf`` and ``m_re`` of one sweep,
     over every case, statistics and point where the column has a number, and
     ``"m_im" -> (value, truth, |true m|)`` over the points where ``m`` has one."""
-    table = own_table(scenario, grid)
+    table = build_table(choice_overlaps(scenario, grid))
     stacked = cli._stacked_table((scenario,), grid, RecoilModel())
     results = cli.sweep_results(stacked, cases, stats).scenario(0).result  # (statistics, case, c)
     errors = {"r": [], "n0": [], "nf": [], "m_re": [], "m_im": []}
@@ -207,7 +198,7 @@ def coincidence_truths():
         with open(Path(tmp) / "fig3_iii_fermion_coincidence.csv", newline="") as handle:
             rows = list(csv.DictReader(handle))
     grid = np.linspace(0.0, 1.0, 101)
-    table = own_table("iii", grid)
+    table = build_table(choice_overlaps("iii", grid))
     ref_coeffs = mp_weights(cli.FIG3_III_CASES[0])
     found = []
     with mpmath.workdps(50):
@@ -267,7 +258,7 @@ def complex_sweep_errors():
     grid = np.linspace(0.0, 1.0, COMPLEX_SWEEP_STEPS)
     cases = [Coefficients(a, b) for a, b in COMPLEX_WEIGHTS]
     errors = {column: [] for column in COMPLEX_SWEEP_CEILINGS}
-    for scenario in (*CHOICES, "family"):
+    for scenario in CHOICES:
         for column, found in sweep_errors(scenario, cases, cli.BOTH_STATISTICS, grid).items():
             errors[column] += ([float(abs(value - truth) / size) for value, truth, size in found]
                                if column == "m_im" else found)

@@ -32,8 +32,8 @@ from pairabs.scenarios import (
     ALL_PAIRS,
     Coefficients,
     RecoilModel,
-    build_choice_table,
     build_table,
+    choice_overlaps,
     random_realizable_overlaps,
     realizable_overlaps,
 )
@@ -67,7 +67,7 @@ def random_state(rng, labels, max_terms=4):
 
 
 def choice_table(name, c, model=RecoilModel()):
-    return build_choice_table(name, c, model)
+    return build_table(choice_overlaps(name, c), model)
 
 
 def random_coefficients(rng):

@@ -38,8 +38,8 @@ def test_package_exports_are_pinned():
         "EXCLUSION_EPS", "ExcludedStateError", "ExclusionFamily", "FormalState", "G",
         "Internal", "MissingOverlapError", "OverlapTable", "PHI", "PSI", "RateResult",
         "RecoilModel", "Statistics", "Term", "VARPHI", "__version__", "apply_absorption",
-        "bracket_sum", "build_choice_table", "build_family_table", "build_final",
-        "build_initial", "build_table", "closed_form_deviations", "combine",
+        "bracket_sum", "build_final", "build_initial", "build_table", "choice_overlaps",
+        "closed_form_deviations", "combine",
         "exclusion_mask", "family_exclusion_coefficient", "final_norm_sq",
         "formal_quantities", "initial_norm_sq", "inner_product", "matching_term_pairs",
         "random_realizable_overlaps", "realizable_overlaps", "relative_rate_grid",

@@ -28,9 +28,8 @@ from pairabs.scenarios import (
     ExclusionFamily,
     RecoilModel,
     _alpha_pair,
-    build_choice_table,
-    build_family_table,
     build_table,
+    choice_overlaps,
     family_exclusion_coefficient,
     random_realizable_overlaps,
 )
@@ -47,7 +46,7 @@ def orthogonal_table(model=RecoilModel()):
 
 
 def choice_table(name, c, model=RecoilModel()):
-    return build_choice_table(name, c, model)
+    return build_table(choice_overlaps(name, c), model)
 
 
 def amplitude(coeffs, table, statistics):
@@ -248,7 +247,7 @@ class TestExclusionCheck:
 
     def test_family_equal_weights(self):
         fam = ExclusionFamily.equal_weight(0.5)
-        table = build_family_table(fam)
+        table = build_table(fam.overlaps)
         coeffs = Coefficients(1.0 / ROOT2, 1.0 / ROOT2)
         assert exclusion_mask(coeffs, initial_norm_sq(coeffs, table, FERMION))
 
@@ -258,7 +257,7 @@ class TestExclusionCheck:
             coeffs = Coefficients(a, math.sqrt(1.0 - a * a)) if a < 1.0 else A_ONLY
             for c in np.linspace(0.0, 1.0, 11):
                 fam = ExclusionFamily.equal_weight(float(c))
-                table = build_family_table(fam)
+                table = build_table(fam.overlaps)
                 by_norm = exclusion_mask(coeffs, initial_norm_sq(coeffs, table, FERMION))
                 coefficient = abs(family_exclusion_coefficient(coeffs, fam))
                 by_formula = exclusion_mask(coeffs, 2.0 * coefficient * coefficient)
@@ -289,12 +288,6 @@ GRID_WEIGHTS = (
 )
 
 
-def scenario_table(name, c, model=RecoilModel()):
-    if name == "family":
-        return build_family_table(ExclusionFamily.equal_weight(c), model)
-    return choice_table(name, c, model)
-
-
 def assert_same_doubles(got, want):
     """Equal bit for bit, sign of zero included; any NaN matches any NaN."""
     got, want = np.asarray(got), np.asarray(want)
@@ -309,11 +302,11 @@ class TestRelativeRateGrid:
     """The grid evaluation against the per-point loop it replaces."""
 
     @pytest.mark.parametrize("statistics", [BOSON, FERMION])
-    @pytest.mark.parametrize("name", CHOICES + ("family",))
+    @pytest.mark.parametrize("name", CHOICES)
     def test_equals_per_point_relative_rate(self, name, statistics):
         for model in (RecoilModel(), RecoilModel(0.37)):
-            grid_table = scenario_table(name, GRID_101, model)
-            tables = [scenario_table(name, float(c), model) for c in GRID_101]
+            grid_table = choice_table(name, GRID_101, model)
+            tables = [choice_table(name, float(c), model) for c in GRID_101]
             for coeffs in GRID_WEIGHTS:
                 grid = relative_rate_grid(coeffs, grid_table, statistics)
                 points = [relative_rate_grid(coeffs, t, statistics) for t in tables]
@@ -347,7 +340,7 @@ class TestRelativeRateGrid:
             scaled = Coefficients(scale * coeffs.a, scale * coeffs.b)
             for statistics in (BOSON, FERMION):
                 for name in ("ii", "family"):
-                    table = scenario_table(name, GRID_101)
+                    table = choice_table(name, GRID_101)
                     unit = relative_rate_grid(coeffs, table, statistics)
                     res = relative_rate_grid(scaled, table, statistics)
                     assert res.excluded.tolist() == unit.excluded.tolist()
@@ -359,7 +352,7 @@ class TestRelativeRateGrid:
 
     def test_excluded_points_are_masked_without_warnings(self):
         coeffs = Coefficients(1.0 / ROOT2, 1.0 / ROOT2)  # the family's null direction
-        res = relative_rate_grid(coeffs, scenario_table("family", GRID_101), FERMION)
+        res = relative_rate_grid(coeffs, choice_table("family", GRID_101), FERMION)
         assert res.excluded.all()
         assert np.isnan(res.r).all() and np.isnan(res.n0).all() and np.isnan(res.m).all()
 
@@ -371,14 +364,14 @@ class TestRelativeRateGrid:
                                 (Coefficients(1.0 / ROOT2, 1.0 / ROOT2), "family", 0.3),
                                 (Coefficients(0.6 + 0.3j, -0.7j), "iv", 0.8)):
             for statistics in (BOSON, FERMION):
-                res = relative_rate_grid(coeffs, scenario_table(name, c), statistics)
+                res = relative_rate_grid(coeffs, choice_table(name, c), statistics)
                 assert {f: type(getattr(res, f)) for f in types} == types
         # grid tables, array weights, and an alpha0 grid: every field has the grid's shape
         alpha0_grid = build_table({pair: np.full(7, 0.2) for pair in ALL_PAIRS},
                                   RecoilModel(np.linspace(0.5, 1.0, 7)))
         for coeffs, table, shape in (
-            (A_ONLY, scenario_table("family", GRID_101), (101,)),
-            (Coefficients(np.linspace(0, 1, 5)[:, None], 0.5), scenario_table("ii", GRID_101),
+            (A_ONLY, choice_table("family", GRID_101), (101,)),
+            (Coefficients(np.linspace(0, 1, 5)[:, None], 0.5), choice_table("ii", GRID_101),
              (5, 101)),
             (Coefficients(np.array([1.0, 0.6]), 0.0), choice_table("i", 0.5), (2,)),
             (A_ONLY, alpha0_grid, (7,)),
@@ -397,8 +390,8 @@ class TestRelativeRateGrid:
                                   RecoilModel(np.linspace(0.5, 1.0, 7)))
         for coeffs, table, shape in (
             (Coefficients(0.6 + 0.3j, -0.7j), choice_table("iv", 0.8), ()),
-            (A_ONLY, scenario_table("family", GRID_101), (101,)),
-            (Coefficients(np.linspace(0, 1, 5)[:, None], 0.5), scenario_table("ii", GRID_101),
+            (A_ONLY, choice_table("family", GRID_101), (101,)),
+            (Coefficients(np.linspace(0, 1, 5)[:, None], 0.5), choice_table("ii", GRID_101),
              (5, 101)),
             (A_ONLY, alpha0_grid, (7,)),
         ):
@@ -560,8 +553,7 @@ class TestRelativeRatePinned:
                 table = build_table({pair: complex(rng.uniform(-0.55, 0.55),
                                                    rng.uniform(-0.4, 0.4))
                                      for pair in ALL_PAIRS}, model)
-            family = build_family_table(ExclusionFamily.equal_weight(float(rng.uniform())),
-                                        model)
+            family = choice_table("family", float(rng.uniform()), model)
             for statistics in (BOSON, FERMION):
                 yield coeffs, table, statistics
                 yield Coefficients(coeffs.a, 0.0), table, statistics

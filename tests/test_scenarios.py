@@ -21,9 +21,8 @@ from pairabs.scenarios import (
     RecoilModel,
     _WEIGHT_NORM_RANGE,
     _alpha_pair,
-    build_choice_table,
-    build_family_table,
     build_table,
+    choice_overlaps,
     family_exclusion_coefficient,
     random_realizable_overlaps,
     realizable_overlaps,
@@ -31,6 +30,8 @@ from pairabs.scenarios import (
 
 ROOT2_INV = 1.0 / math.sqrt(2.0)
 BARE = (PSI, PHI, VARPHI, CHI)
+#: The scenarios whose dependent overlaps follow the chain rules: all but the family.
+PRESETS = ("i", "ii", "iii", "iv")
 
 
 def min_gram_eigenvalue(table, labels=BARE):
@@ -200,7 +201,7 @@ class TestCoefficients:
 
 class TestChoiceTables:
     def test_choice_i_at_zero_sweep(self):
-        table = build_choice_table("i", 0.0)
+        table = build_table(choice_overlaps("i", 0.0))
         assert table.overlap(PSI, PHI) == 0.0
         assert table.overlap(PSI, CHI) == 0.0
         assert table.overlap(PHI, VARPHI) == 0.0
@@ -209,17 +210,17 @@ class TestChoiceTables:
 
     @pytest.mark.parametrize("c", [0.0, 0.25, 0.5, 1.0])
     def test_choice_ii_phi_chi_chain(self, c):
-        table = build_choice_table("ii", c)
+        table = build_table(choice_overlaps("ii", c))
         assert table.overlap(PHI, CHI) == pytest.approx(0.72 * c, rel=1e-12)
 
     def test_one_recoil_diagonal_is_alpha0(self):
         for name in CHOICES:
-            table = build_choice_table(name, 0.3)
+            table = build_table(choice_overlaps(name, 0.3))
             assert table.overlap(PSI.star(), PSI) == 0.9
 
     def test_one_recoil_cross_entry(self):
         c = 0.4
-        table = build_choice_table("i", c)
+        table = build_table(choice_overlaps("i", c))
         assert table.overlap(PSI.star(), PHI) == pytest.approx(0.9 * c, abs=1e-15)
         # mirror orientation conjugates
         assert table.overlap(PHI, PSI.star()) == table.overlap(PSI.star(), PHI).conjugate()
@@ -227,23 +228,23 @@ class TestChoiceTables:
     def test_two_recoil_entry_and_unit_starred_diagonal(self):
         c = 0.4
         model = RecoilModel()
-        table = build_choice_table("i", c, model)
+        table = build_table(choice_overlaps("i", c), model)
         alpha = _alpha_pair(model, c)
         assert table.overlap(PSI.star(), PHI.star()) == pytest.approx(alpha * alpha * c, abs=1e-15)
         assert table.overlap(PSI.star(), PSI.star()) == 1.0
 
     def test_product_reference_entries(self):
         # the product reference |psi>|phi> needs no labels of its own
-        table = build_choice_table("iv", 0.2, RecoilModel(0.7))
+        table = build_table(choice_overlaps("iv", 0.2), RecoilModel(0.7))
         assert table.overlap(PSI.star(), PSI) == 0.7
         assert table.overlap(PHI.star(), PHI) == 0.7
         labels = {label for pair in table._entries for label in pair}
         assert sorted(labels) == sorted(BARE + tuple(x.star() for x in BARE))
 
-    @pytest.mark.parametrize("name", CHOICES)
+    @pytest.mark.parametrize("name", PRESETS)
     def test_chain_relations_hold(self, name):
         for c in np.linspace(0.0, 1.0, 21):
-            table = build_choice_table(name, float(c))
+            table = build_table(choice_overlaps(name, float(c)))
             assert abs(
                 table.overlap(PSI, CHI)
                 - table.overlap(PSI, VARPHI) * table.overlap(VARPHI, CHI)
@@ -260,31 +261,35 @@ class TestChoiceTables:
     @pytest.mark.parametrize("name", CHOICES)
     def test_gram_realizable_over_full_sweep(self, name):
         for c in np.linspace(0.0, 1.0, 21):
-            min_eigenvalue = min_gram_eigenvalue(build_choice_table(name, float(c)))
+            min_eigenvalue = min_gram_eigenvalue(build_table(choice_overlaps(name, float(c))))
             assert min_eigenvalue >= -1e-12, (name, c, min_eigenvalue)
 
     def test_choice_i_midpoint_gram_example(self):
-        table = build_choice_table("i", 0.5)
+        table = build_table(choice_overlaps("i", 0.5))
         assert min_gram_eigenvalue(table) >= -1e-12
 
+    @pytest.mark.parametrize("name", ["i", "family"])
     @pytest.mark.parametrize("c", [-0.1, 1.1, np.array([0.5, 1.1]), np.array([0.2, np.nan])])
-    def test_rejects_sweep_out_of_range(self, c):
+    def test_rejects_sweep_out_of_range(self, name, c):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            build_choice_table("i", c)
+            choice_overlaps(name, c)
 
     @pytest.mark.parametrize("c, first_bad", [
         (np.linspace(0.5, 3, 12), "1.1818181818181817"),
         (np.array([0.2, np.nan, 1.5]), "nan"),
         (-0.25, "-0.25"),
     ])
-    def test_out_of_range_message_names_the_first_bad_value(self, c, first_bad):
+    @pytest.mark.parametrize("name", ["i", "family"])
+    def test_out_of_range_message_names_the_first_bad_value(self, name, c, first_bad):
         with pytest.raises(ValueError) as info:
-            build_choice_table("i", c)
+            choice_overlaps(name, c)
         assert str(info.value) == f"sweep value must lie in [0, 1], got {first_bad}"
 
     def test_unknown_choice(self):
-        with pytest.raises(ValueError, match="unknown choice"):
-            build_choice_table("v", 0.3)
+        with pytest.raises(ValueError) as info:
+            choice_overlaps("v", 0.3)
+        assert str(info.value) == ("unknown choice 'v'; expected one of "
+                                   "('i', 'ii', 'iii', 'iv', 'family')")
 
 
 ALL_LABELS = BARE + tuple(label.star() for label in BARE)
@@ -370,25 +375,25 @@ class TestExclusionFamily:
 
     def test_phi_equals_psi_when_c_is_one(self):
         fam = ExclusionFamily(c=1.0, d=0.0, e=1.0, f=0.0, g=0.0, h=1.0)
-        table = build_family_table(fam)
+        table = build_table(fam.overlaps)
         assert table.overlap(PSI, PHI) == 1.0
 
     def test_equal_weight_components_align(self):
         fam = ExclusionFamily(
             c=ROOT2_INV, d=ROOT2_INV, e=ROOT2_INV, f=ROOT2_INV, g=ROOT2_INV, h=ROOT2_INV
         )
-        table = build_family_table(fam)
+        table = build_table(fam.overlaps)
         assert table.overlap(VARPHI, CHI) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal_component_pairing(self):
         fam = ExclusionFamily(c=0.0, d=1.0, e=0.0, f=1.0, g=1.0, h=0.0)
-        table = build_family_table(fam)
+        table = build_table(fam.overlaps)
         assert table.overlap(PHI, VARPHI) == 1.0
         assert table.overlap(PSI, PHI) == 0.0
 
     def test_real_family_reproduces_exact_values(self):
         fam = ExclusionFamily.equal_weight(0.6)
-        table = build_family_table(fam)
+        table = build_table(fam.overlaps)
         assert table.overlap(PSI, PHI) == 0.6
         assert table.overlap(PHI, PHI) == 1.0
 
@@ -407,7 +412,12 @@ class TestExclusionFamily:
     def test_grid_family_holds_each_member(self):
         grid = np.linspace(0.0, 1.0, 11)
         fam = ExclusionFamily.equal_weight(grid)
-        table = build_family_table(fam)
+        table = build_table(fam.overlaps)
+        named, own = choice_overlaps("family", grid), fam.overlaps
+        assert list(named) == list(own)
+        for pair, value in own.items():  # the same bits, signed zeros included
+            assert type(named[pair]) is type(value)
+            assert np.asarray(named[pair]).tobytes() == np.asarray(value).tobytes()
         coeffs = Coefficients(0.6, 0.8)
         for i, c in enumerate(grid.tolist()):
             point = ExclusionFamily.equal_weight(c)
@@ -415,7 +425,7 @@ class TestExclusionFamily:
             assert family_exclusion_coefficient(coeffs, fam)[i] == (
                 family_exclusion_coefficient(coeffs, point)
             )
-            point_table = build_family_table(point)
+            point_table = build_table(point.overlaps)
             for x, y in ALL_PAIRS:
                 for pair in ((x, y), (x.star(), y), (x.star(), y.star())):
                     # <psi|varphi> = e is the same for every member, so a scalar entry
