@@ -3,6 +3,7 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 """
 
+import contextlib
 import io
 import math
 import time
@@ -42,7 +43,8 @@ def _choice_tables(name, grid=GRID_101, model=RecoilModel()):
 def test_criterion_1_oracle_equivalence():
     buffer = io.StringIO()
     start = time.perf_counter()
-    code = cli.run_verify(seed=20250809, trials=1000, out=buffer)
+    with contextlib.redirect_stdout(buffer):
+        code = cli.main(["verify", "--seed", "20250809", "--trials", "1000"])
     elapsed = time.perf_counter() - start
     report = buffer.getvalue()
     max_line = next(line for line in report.splitlines() if "matrix element" in line)
@@ -163,11 +165,12 @@ def test_criterion_6_choice_iii_fermion_coincidence(tmp_path):
                 assert res.excluded == ref.excluded, (a, c)
                 continue
             worst = max(worst, abs(res.r - ref.r) / ref.r)
-    written = cli.run_figures("fig3", tmp_path, steps=101, log=io.StringIO())
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["figures", "fig3", "--steps", "101", "--out", str(tmp_path)])
     report_path = tmp_path / "fig3_iii_fermion_coincidence.csv"
     _report(
         "criterion 6: choice iii fermion curves coincide with the single-component curve",
-        worst < 0.03 and report_path in written,
+        worst < 0.03 and code == 0 and report_path.is_file(),
         f"max relative deviation {worst:.3%}; report at {report_path.name}",
     )
 
@@ -178,7 +181,7 @@ def test_criterion_7_exclusion_biconditional():
     a_grid[snap] = ROOT2_INV  # the balanced-weights column must be on the grid
     c_grid = [float(c) for c in np.linspace(0.0, 1.0, 51)]
     start = time.perf_counter()
-    lines, disagreements = cli.exclusion_scan_rows(a_grid, c_grid)
+    lines, disagreements = cli._scan_lines(np.array(a_grid), np.array(c_grid))
     elapsed = time.perf_counter() - start
     rows = [line[:-1].split(",") for line in lines if line.endswith("\n")]
     balanced_label = repr(ROOT2_INV)

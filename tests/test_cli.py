@@ -56,6 +56,14 @@ def exit_code(argv):
         return exc.code
 
 
+def main_stdout(argv):
+    """Exit code and standard output of ``cli.main(argv)``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
@@ -353,28 +361,15 @@ class TestFigures:
     def test_a_target_allocates_at_most_1_mib(self, target, tmp_path):
         # the stacked result holds a whole target at once: at 101 steps the
         # peaks are about 0.3 MiB (fig2), 0.4 MiB (fig3) and 0.2 MiB (fig4)
-        assert cli.run_figures(target, tmp_path, log=io.StringIO())
+        argv = ["figures", target, "--out", str(tmp_path)]
+        assert main_stdout(argv)[0] == 0
         tracemalloc.start()
         try:
-            cli.run_figures(target, tmp_path, log=io.StringIO())
+            main_stdout(argv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 2**20
-
-    def test_unknown_target_is_rejected_before_the_directory_is_made(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown figure target 'fig5'"):
-            cli.run_figures("fig5", tmp_path / "new")
-        assert not (tmp_path / "new").exists()
-
-    @pytest.mark.parametrize("target", ["fig2", "fig3", "fig4"])
-    @pytest.mark.parametrize("steps", [0, -1])
-    def test_steps_below_one_are_rejected_before_any_write(self, tmp_path, target, steps):
-        log = io.StringIO()
-        with pytest.raises(ValueError, match="steps must be a positive integer"):
-            cli.run_figures(target, tmp_path / "new", steps=steps, log=log)
-        assert not (tmp_path / "new").exists()
-        assert list(tmp_path.iterdir()) == [] and log.getvalue() == ""
 
     def test_unwritable_output_location_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -433,7 +428,7 @@ class TestExclusionScan:
         c=st.one_of(st.floats(0.0, 1.0), st.floats(1.0 - 1e-9, 1.0)),
     )
     def test_both_paths_agree_near_the_null_manifold(self, a, c):
-        (line,), disagreements = cli.exclusion_scan_rows([a], [c])
+        (line,), disagreements = cli._scan_lines(np.array([a]), np.array([c]))
         row = split_line(line)
         coeffs = Coefficients(a, math.sqrt(max(0.0, 1.0 - a * a)))
         floor = rates.EXCLUSION_EPS * 2.0 * (abs(coeffs.a) ** 2 + abs(coeffs.b) ** 2)
@@ -449,14 +444,6 @@ class TestExclusionScan:
         ])
         assert code == 2
         assert "disagree" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("axis", ["a", "c"])
-    @pytest.mark.parametrize("value", [-0.5, 1.5, math.nan])
-    def test_rows_refuse_an_axis_value_outside_the_unit_interval(self, axis, value):
-        # the CLI checks its ranges first; the function checks each value itself
-        grids = {"a": [0.5], "c": [0.5], axis: [value]}
-        with pytest.raises(ValueError, match=rf"^{axis} values must lie in \[0, 1\], got {value}$"):
-            cli.exclusion_scan_rows(grids["a"], grids["c"])
 
 
 def reference_sweep_rows(name, table_for, cases, stats, grid, alpha0):
@@ -718,7 +705,8 @@ class TestGridEqualsPointLoop:
     ])
     def test_exclusion_scan_rows(self, a_grid, c_grid):
         rows, disagreements = reference_scan_rows(a_grid, c_grid)
-        assert cli.exclusion_scan_rows(a_grid, c_grid) == (as_lines(rows), disagreements)
+        assert (cli._scan_lines(np.array(a_grid), np.array(c_grid))
+                == (as_lines(rows), disagreements))
 
 
 def same_bits(got, want):
@@ -730,13 +718,14 @@ def same_bits(got, want):
 
 
 class TestStackedSweepResults:
-    """``sweep_results`` stacks the statistics and the cases and evaluates once;
-    each case's result is the one of its own evaluation on its scenario's own
-    table, bit for bit, on a stack of one scenario (``sweep``) or of several."""
+    """``_sweep_files`` stacks the statistics and the distinct cases and evaluates
+    once; each case's result is the one of its own evaluation on its scenario's
+    own table, bit for bit, on a stack of one scenario (``sweep``) or of several."""
 
     CASES = (Coefficients(1.0, 0.0), Coefficients(0.8, 0.6),
              Coefficients(0.3 + 0.4j, -0.5 + 0.2j), Coefficients(-0.0, 1e-3 - 2.5j),
              Coefficients(ROOT2_INV, ROOT2_INV), Coefficients(0.8, 0.6))  # equal cases too
+    DISTINCT = tuple(dict.fromkeys(CASES))
 
     @pytest.mark.parametrize("alpha0", [0.9, np.linspace(0.3, 1.0, 41)])
     @pytest.mark.parametrize("name", CHOICES)
@@ -744,21 +733,22 @@ class TestStackedSweepResults:
         grid, model = np.linspace(0.0, 1.0, 41), RecoilModel(alpha0)
         calls = Counter()
         count_calls(monkeypatch, calls, rates, "relative_rate_grid")
-        results = cli.sweep_results(cli._stacked_table((name,), grid, model), self.CASES,
-                                    cli.BOTH_STATISTICS)
+        monkeypatch.setattr(cli, "_fmt", lambda value: "")  # an alpha0 per c has no one text
+        _, on, _ = cli._sweep_files(grid, model, cli.BOTH_STATISTICS, {"f": (name, self.CASES)})
         assert calls["relative_rate_grid"] == 1
         monkeypatch.undo()
-        assert (results.cases, results.stats) == (self.CASES, cli.BOTH_STATISTICS)
-        # like every field: over (statistics, scenario, case, c)
-        assert results.result.m_pro.shape == (2, 1, len(self.CASES)) + grid.shape
-        self.assert_each_slice_is_its_own_evaluation(results.scenario(0),
-                                                     scenario_table(name, grid, model))
+        results = on[name]
+        assert (results.cases, results.stats) == (self.DISTINCT, cli.BOTH_STATISTICS)
+        # like every field: over (statistics, case, c) on the one scenario
+        assert results.result.m_pro.shape == (2, len(self.DISTINCT)) + grid.shape
+        self.assert_each_slice_is_its_own_evaluation(results, scenario_table(name, grid, model))
 
     def assert_each_slice_is_its_own_evaluation(self, results, table):
         """Every field of each (statistics, case) slice of ``results`` (over
         (statistics, case, c)) equals that point's own evaluation on ``table``."""
         got = results.result
-        for row, coeffs in enumerate(self.CASES):
+        for coeffs in self.CASES:
+            row = results.cases.index(coeffs)
             for k, stat in enumerate(cli.BOTH_STATISTICS):
                 want = rates.relative_rate_grid(coeffs, table, stat)
                 for field in vars(want):
@@ -771,13 +761,15 @@ class TestStackedSweepResults:
         calls = Counter()
         count_calls(monkeypatch, calls, cli, "build_table")
         count_calls(monkeypatch, calls, rates, "relative_rate_grid")
-        results = cli.sweep_results(cli._stacked_table(names, grid, model), self.CASES,
-                                    cli.BOTH_STATISTICS)
+        monkeypatch.setattr(cli, "_fmt", lambda value: "")  # an alpha0 per c has no one text
+        _, on, _ = cli._sweep_files(grid, model, cli.BOTH_STATISTICS,
+                                    {name: (name, self.CASES) for name in names})
         assert calls == {"build_table": 1, "relative_rate_grid": 1}
         monkeypatch.undo()
-        assert results.result.r.shape == (2, len(names), len(self.CASES)) + grid.shape
-        for j, name in enumerate(names):
-            self.assert_each_slice_is_its_own_evaluation(results.scenario(j),
+        assert list(on) == list(names)
+        for name in names:
+            assert on[name].result.r.shape == (2, len(self.DISTINCT)) + grid.shape
+            self.assert_each_slice_is_its_own_evaluation(on[name],
                                                          scenario_table(name, grid, model))
 
 
@@ -800,15 +792,15 @@ class TestNoContainerPerRow:
 
     def test_exclusion_scan_rows_of_the_default_grid(self):
         grid = np.linspace(0.0, 1.0, 51)
-        count, (lines, _) = self.tracked_allocations(lambda: cli.exclusion_scan_rows(grid, grid))
+        count, (lines, _) = self.tracked_allocations(lambda: cli._scan_lines(grid, grid))
         assert len(lines) == 51 * 51
         assert count < len(lines) / 4
 
     def test_sweep_rows_of_a_fig2_file(self):
         grid = np.linspace(0.0, 1.0, 101)
-        table = cli._stacked_table(("i",), grid, RecoilModel())
-        results = cli.sweep_results(table, cli.FIG2_CASES, cli.BOTH_STATISTICS).scenario(0)
-        c_column = cli._column(grid)
+        _, on, c_column = cli._sweep_files(grid, RecoilModel(), cli.BOTH_STATISTICS,
+                                           {"f": ("i", cli.FIG2_CASES)})
+        results = on["i"]
         count, lines = self.tracked_allocations(
             lambda: cli._sweep_lines("i", results, cli.FIG2_CASES, c_column, "0.9"))
         assert len(lines) == 6 * 101
@@ -818,7 +810,7 @@ class TestNoContainerPerRow:
         built = []
         build = cli._coincidence_rows
         monkeypatch.setattr(cli, "_coincidence_rows", lambda *args: built.append(args) or build(*args))
-        cli.run_figures("fig3", tmp_path, log=io.StringIO())
+        assert main_stdout(["figures", "fig3", "--out", str(tmp_path)])[0] == 0
         (args,) = built
         count, (lines, _) = self.tracked_allocations(lambda: build(*args))
         assert len(lines) == 2 * 101
@@ -876,17 +868,6 @@ class TestVerify:
     def test_zero_trials_rejected(self):
         assert exit_code(["verify", "--trials", "0"]) == 1
 
-    def test_library_rejects_zero_trials_before_it_draws(self, monkeypatch):
-        # argparse stops --trials 0 on the command line; only a library call gets here
-        def no_draw(*args):
-            raise AssertionError("drew candidates")
-
-        monkeypatch.setattr(cli, "_draw_candidates", no_draw)
-        out = io.StringIO()
-        with pytest.raises(ValueError, match="^trials must be a positive integer$"):
-            cli.run_verify(0, 0, out)
-        assert out.getvalue() == ""
-
     def test_byte_identical_reruns(self, tmp_path):
         first, second = tmp_path / "v1.txt", tmp_path / "v2.txt"
         argv = ["verify", "--seed", "9", "--trials", "60", "--out"]
@@ -939,17 +920,33 @@ class TestVerify:
         assert calls == {"initial_norm_sq": 2, "final_norm_sq": 2, "bracket_sum": 2,
                          "formal_quantities": 2, "_draw_candidates": 2}
 
-    def test_a_1000_trial_run_allocates_at_most_2_mib(self):
+    @pytest.mark.parametrize("trials", [1000, 20000])
+    def test_a_run_allocates_at_most_2_mib(self, trials):
         # A block holds its arrays until it is done, so _VERIFY_BLOCK sets the
-        # peak: 0.79 MiB at 512 trials, 1.53 MiB for one block of 1000.
-        assert cli.run_verify(1, 1000, io.StringIO()) == 0  # plans built
+        # peak: 0.79 MiB at 512 trials, 1.53 MiB for one block of 1000.  A run
+        # keeps only running maxima across blocks, so the peak does not grow
+        # with the trial count.
+        argv = ["verify", "--seed", "1", "--trials", str(trials)]
+        assert main_stdout(argv)[0] == 0  # plans built
         tracemalloc.start()
         try:
-            assert cli.run_verify(1, 1000, io.StringIO()) == 0
+            assert main_stdout(argv)[0] == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+    def test_an_error_leaves_an_existing_report_as_it_was(self, tmp_path, monkeypatch, capsys):
+        # the report file is opened once the run is done, as sweep's output is
+        def null(*args):
+            raise rates.ExcludedStateError("planted null trial")
+
+        out = tmp_path / "verify.txt"
+        out.write_text("an earlier report\n")
+        monkeypatch.setattr(rates, "require_not_null", null)
+        assert exit_code(["verify", "--trials", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "pairabs: error: planted null trial\n"
+        assert out.read_text() == "an earlier report\n"
 
     def test_weight_products_are_computed_once_per_coefficients(self, monkeypatch):
         # Over each block, its null check and its rounding bounds, each
@@ -1102,9 +1099,9 @@ class TestVerify:
                                            statistics)
 
         monkeypatch.setattr(rates, "relative_rate_grid", scaled)
-        out = io.StringIO()
-        assert cli.run_verify(1, cli._VERIFY_BLOCK, out) == 2
-        assert out.getvalue().splitlines()[-1].startswith("FAIL: deviation ")
+        code, out = main_stdout(["verify", "--seed", "1", "--trials", str(cli._VERIFY_BLOCK)])
+        assert code == 2
+        assert out.splitlines()[-1].startswith("FAIL: deviation ")
 
     def test_seeds_0_to_49_pass_with_a_margin(self):
         # The benchmark's verify job runs at a seed it chooses itself.  Over seeds
@@ -1112,9 +1109,9 @@ class TestVerify:
         # final norm²'s scale); this guards the bound on every numpy a CI cell runs.
         worst = 0.0
         for seed in range(50):
-            out = io.StringIO()
-            assert cli.run_verify(seed, 1000, out) == 0, out.getvalue()
-            ratio_line = out.getvalue().splitlines()[4]
+            code, out = main_stdout(["verify", "--seed", str(seed)])
+            assert code == 0, out
+            ratio_line = out.splitlines()[4]
             worst = max(worst, float(re.fullmatch(r"max \|closed - formal\| / rounding bound"
                                                   r" = (\S+) in .*", ratio_line).group(1)))
         assert worst <= 0.5
@@ -1171,16 +1168,14 @@ class TestVerify:
                              ids=[f"seed{r[0]}-trials{r[1]}" for r in BLOCK_EDGE_REPORTS])
     def test_reports_at_block_edges(self, seed, trials, matrix, initial, final, ratio, where):
         assert cli._VERIFY_BLOCK == 512  # the last six trial counts are chosen for it
-        out = io.StringIO()
-        assert cli.run_verify(seed, trials, out) == 0
-        assert out.getvalue() == (
+        assert main_stdout(["verify", "--seed", str(seed), "--trials", str(trials)]) == (0, (
             f"verify: seed={seed} trials={trials}\n"
             f"max |matrix element closed - formal| = {matrix}\n"
             f"max |initial norm^2 closed - formal| = {initial}\n"
             f"max |final norm^2 closed - formal| = {final}\n"
             f"max |closed - formal| / rounding bound = {ratio} {where}\n"
             "PASS\n"
-        )
+        ))
 
 
 class TestConfigFile:
@@ -1201,6 +1196,20 @@ class TestConfigFile:
         assert len(rows) == 5  # flag beats config
         assert all(row[1] == "boson" for row in rows)
         assert max(float(row[6]) for row in rows) == 0.5  # config beats builtin
+
+    def test_a_hash_inside_a_value_is_part_of_it(self, tmp_path, monkeypatch):
+        # a # starts a comment only at the start of a line or after whitespace
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(
+            "# sweep configuration\n"
+            "  # indented\n"
+            "steps = 3  # three\n"
+            "out = res#1.csv\n"
+        )
+        assert exit_code(["sweep", "--config", "run.cfg"]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["res#1.csv", "run.cfg"]
+        _, rows = read_csv(tmp_path / "res#1.csv")
+        assert len(rows) == 2 * 3  # both statistics, 3 steps
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -1830,6 +1839,31 @@ class TestInvalidInput:
         err = capsys.readouterr().err
         assert err.startswith("pairabs: error: ") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []  # figures makes no output directory
+
+    @pytest.mark.parametrize("argv, message", [
+        (["figures", "fig5"], "argument target: invalid choice: 'fig5'"),
+        *((["figures", target, "--steps", steps], "argument --steps: must be a positive integer")
+          for target in ("fig2", "fig3", "fig4") for steps in ("0", "-1")),
+        (["verify", "--trials", "0"], "argument --trials: must be a positive integer"),
+    ])
+    def test_a_rejected_argument_creates_no_output(self, argv, message, tmp_path, capsys):
+        # the parser is the one check of these values: it stops before any write
+        assert exit_code([*argv, "--out", str(tmp_path / "new")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err.splitlines()[-1]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--a-min", "-0.5"], "need 0 <= a-min <= a-max <= 1, got a-min=-0.5 a-max=1.0"),
+        (["--c-max", "1.5"], "need 0 <= c-min <= c-max <= 1, got c-min=0.0 c-max=1.5"),
+        (["--a-max", "nan"], "need 0 <= a-min <= a-max <= 1, got a-min=0.0 a-max=nan"),
+    ])
+    def test_an_exclusion_scan_axis_outside_the_unit_interval_exits_1(self, flags, message,
+                                                                      tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert exit_code(["exclusion-scan", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"pairabs: error: {message}\n")
+        assert not out.exists()
 
     @settings(max_examples=200)
     @given(cli_jobs())

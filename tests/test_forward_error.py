@@ -6,6 +6,7 @@ complex-number interface, and any weights with ``a``, ``b`` and
 is the rounding error of the double route, not of the inputs.
 """
 
+import contextlib
 import csv
 import functools
 import io
@@ -131,12 +132,13 @@ def sweep_errors(scenario, cases, stats, grid):
     over every case, statistics and point where the column has a number, and
     ``"m_im" -> (value, truth, |true m|)`` over the points where ``m`` has one."""
     table = build_table(choice_overlaps(scenario, grid))
-    stacked = cli._stacked_table((scenario,), grid, RecoilModel())
-    results = cli.sweep_results(stacked, cases, stats).scenario(0).result  # (statistics, case, c)
+    _, on, _ = cli._sweep_files(grid, RecoilModel(), stats, {"f": (scenario, cases)})
+    results = on[scenario]  # over (statistics, case, c)
     errors = {"r": [], "n0": [], "nf": [], "m_re": [], "m_im": []}
     with mpmath.workdps(50):
-        for (row, coeffs), (k, stat) in itertools.product(enumerate(cases), enumerate(stats)):
-            res = rates.RateResult(*(value[k, row] for value in vars(results).values()))
+        for coeffs, (k, stat) in itertools.product(cases, enumerate(stats)):
+            row = results.cases.index(coeffs)
+            res = rates.RateResult(*(value[k, row] for value in vars(results.result).values()))
             for i in np.flatnonzero(~np.isnan(res.nf)).tolist():
                 truths = mp_columns(mp_weights(coeffs), MpPoint(table, grid.shape, i), stat,
                                     excluded=bool(res.excluded[i]))
@@ -194,7 +196,8 @@ def coincidence_truths():
     file of `figures fig3` where neither curve is excluded; ``r_ref`` is fig3_iii's
     a = 1 fermion ``r``."""
     with tempfile.TemporaryDirectory() as tmp:
-        cli.run_figures("fig3", Path(tmp), log=io.StringIO())
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["figures", "fig3", "--out", tmp]) == 0
         with open(Path(tmp) / "fig3_iii_fermion_coincidence.csv", newline="") as handle:
             rows = list(csv.DictReader(handle))
     grid = np.linspace(0.0, 1.0, 101)

@@ -47,6 +47,12 @@ def test_package_exports_are_pinned():
     ]
 
 
+def test_cli_exports_are_pinned():
+    # one entry point per job, main; the parser and the CSV headers are the rest
+    assert cli.__all__ == ["SCAN_HEADER", "SWEEP_HEADER", "build_parser", "main"]
+    assert [name for name in cli.__all__ if not hasattr(cli, name)] == []
+
+
 def private_names_read_from_other_modules(source: str) -> list[str]:
     """``module._name`` reads and ``from .module import _name`` imports of package modules."""
     tree = ast.parse(source)
