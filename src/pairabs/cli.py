@@ -3,11 +3,15 @@ and self-verification against the formal-expansion cross-check.
 
 All numeric CSV fields use the shortest decimal representation that round-trips
 to the same double, so fixed inputs (and a fixed seed for ``verify``) produce
-byte-identical output.  No field ever needs CSV quoting, so each row is one
-f-string over its block's formatted columns, with no list per row, and
-:func:`_write_csv` writes a file's lines with one ``writelines`` call: the
-bytes ``csv.writer`` would write.  A column whose values all have the same
-bits is formatted once.
+byte-identical output.  No field ever needs CSV quoting, so a block of rows
+(one case and statistics of a sweep, one coincidence curve, a scan's whole
+(a, c) grid) is built column-major (:func:`_block`): one list of rows × fields
+pieces, each field filled by one slice assignment, separators and flag endings
+shared constant strings, and one join.  :func:`_write_csv` joins a file's
+blocks once and writes the text in slices of at most 4096 characters, so that
+a closed pipe raises on an unbuffered standard output: the bytes
+``csv.writer`` would write.  A column whose values all have the same bits is
+formatted once.
 
 ``rate``, ``sweep`` and ``figures`` share one evaluation
 (:func:`_sweep_files`): it stacks the bare overlaps of the scenarios of its
@@ -104,9 +108,22 @@ def _column(values: np.ndarray) -> list[str]:
     return list(map(repr, values.tolist()))
 
 
-def _flags(mask: np.ndarray) -> list[str]:
-    """CSV text of each flag of a grid mask."""
-    return ["1" if v else "0" for v in mask.tolist()]
+#: The end of a row by its one flag, and by its two flags ``(x, y)`` at ``2*x + y``.
+_FLAG_ENDS = np.array([",0\n", ",1\n"], dtype=object)
+_FLAG_PAIR_ENDS = np.array([",0,0\n", ",0,1\n", ",1,0\n", ",1,1\n"], dtype=object)
+
+
+def _block(rows: int, fields: Sequence[str | list[str]]) -> str:
+    """CSV text of ``rows`` rows built column-major: ``fields`` are a row's pieces
+    in order, a ``str`` where every row has the same piece, else a list of one
+    piece per row.  One list holds every piece, each field filled by one slice
+    assignment, and one join makes the text."""
+    width = len(fields)
+    pieces = [field if isinstance(field, str) else "" for field in fields] * rows
+    for start, field in enumerate(fields):
+        if not isinstance(field, str):
+            pieces[start::width] = field
+    return "".join(pieces)
 
 
 def _normalized(a: float | np.ndarray) -> Coefficients:
@@ -130,22 +147,22 @@ class SweepResults(NamedTuple):
 
 
 def _sweep_lines(scenario_name: str, results: SweepResults, cases: Sequence[Coefficients],
-                 c_column: list[str], alpha0_text: str) -> list[str]:
-    """CSV lines of each of ``cases``, some of ``results.cases`` (over (statistics,
-    case, c)), then each statistics, c ascending, from the text of c and alpha0."""
+                 c_alpha0: list[str]) -> list[str]:
+    """CSV text of each of ``cases``, some of ``results.cases`` (over (statistics,
+    case, c)), then each statistics, as one block of rows, c ascending;
+    ``c_alpha0`` holds each row's ``"{c},{alpha0},"``."""
     res = results.result
-    lines: list[str] = []
+    blocks: list[str] = []
     for coeffs in cases:
         row = results.cases.index(coeffs)
         for k, stat in enumerate(results.stats):
             head = ",".join([scenario_name, stat.name.lower(), _fmt(coeffs.a.real),
-                             _fmt(coeffs.a.imag), _fmt(coeffs.b.real), _fmt(coeffs.b.imag)])
-            lines.extend([f"{head},{c},{alpha0_text},{n0},{nf},{m_re},{m_im},{r},{flag}\n"
-                          for c, n0, nf, m_re, m_im, r, flag in zip(
-                              c_column, _column(res.n0[k, row]), _column(res.nf[k, row]),
-                              _column(res.m.real[k, row]), _column(res.m.imag[k, row]),
-                              _column(res.r[k, row]), _flags(res.excluded[k, row]))])
-    return lines
+                             _fmt(coeffs.a.imag), _fmt(coeffs.b.real), _fmt(coeffs.b.imag), ""])
+            blocks.append(_block(len(c_alpha0), [
+                head, c_alpha0, _column(res.n0[k, row]), ",", _column(res.nf[k, row]), ",",
+                _column(res.m.real[k, row]), ",", _column(res.m.imag[k, row]), ",",
+                _column(res.r[k, row]), _FLAG_ENDS[res.excluded[k, row].astype(np.intp)].tolist()]))
+    return blocks
 
 
 def _stacked_table(names: Sequence[str], grid: np.ndarray, model: RecoilModel) -> OverlapTable:
@@ -158,12 +175,13 @@ def _stacked_table(names: Sequence[str], grid: np.ndarray, model: RecoilModel) -
 
 def _sweep_files(grid: np.ndarray, model: RecoilModel, stats: Sequence[Statistics],
                  files: dict[str, tuple[str, Sequence[Coefficients]]]):
-    """The CSV lines of each of ``files``, ``file -> (scenario, cases)``, over
-    ``grid``; also the results on each scenario and the text of c.
+    """The CSV blocks (:func:`_sweep_lines`) of each of ``files``, ``file ->
+    (scenario, cases)``, over ``grid``; also the results on each scenario and
+    the text of c.
 
     One table stacks the scenarios, one :func:`pairabs.rates.relative_rate_grid`
     call evaluates every distinct case on it with the weights stacked on the
-    axis before c, and c and alpha0 are formatted once.
+    axis before c, and each row's ``"{c},{alpha0},"`` is built once.
     """
     names = tuple(dict.fromkeys(scenario for scenario, _ in files.values()))
     cases = tuple(dict.fromkeys(case for _, file_cases in files.values() for case in file_cases))
@@ -173,9 +191,10 @@ def _sweep_files(grid: np.ndarray, model: RecoilModel, stats: Sequence[Statistic
         stacked, _stacked_table(names, grid, model), tuple(stats)))
     on = {name: results.scenario(j) for j, name in enumerate(names)}
     c_column, alpha0_text = _column(grid), _fmt(model.alpha0)
-    lines = {file: _sweep_lines(scenario, on[scenario], file_cases, c_column, alpha0_text)
-             for file, (scenario, file_cases) in files.items()}
-    return lines, on, c_column
+    c_alpha0 = [f"{c},{alpha0_text}," for c in c_column]
+    blocks = {file: _sweep_lines(scenario, on[scenario], file_cases, c_alpha0)
+              for file, (scenario, file_cases) in files.items()}
+    return blocks, on, c_column
 
 
 @contextlib.contextmanager
@@ -188,19 +207,26 @@ def _open_out(path: str | Path | None):
             yield handle
 
 
-def _write_csv(out: TextIO, header: Sequence[str], lines: Iterable[str]) -> None:
-    """Write ``header`` joined with ``,`` and the ``lines``, each ending in ``\\n``.
+#: The most characters one ``write`` gets: POSIX ``PIPE_BUF``, up to which a
+#: write to a pipe is atomic (the CSV text is ASCII, one byte a character).
+_WRITE_SLICE = 4096
+
+
+def _write_csv(out: TextIO, header: Sequence[str], blocks: Iterable[str]) -> None:
+    """Write ``header`` joined with ``,``, then the ``blocks``, each whole rows
+    ending in ``\\n``.
 
     No field needs CSV quoting: every one is a float ``repr``, a ``0``/``1``
     flag or a fixed label, none with a comma, a quote or a line break, so the
-    bytes equal what ``csv.writer(out, lineterminator="\\n")`` writes.  The
-    lines go out one at a time through ``writelines``, never as one joined
-    string: on an unbuffered standard output a single large ``write`` can be
-    cut short without an error, while a line at a time still raises on a
-    closed pipe.
+    bytes equal what ``csv.writer(out, lineterminator="\\n")`` writes.  One
+    join makes the file's text, and it goes out in slices of at most
+    ``_WRITE_SLICE`` characters, one ``write`` each: on an unbuffered standard
+    output a larger write to a pipe whose reader has closed can be cut short
+    without an error, while a write up to ``PIPE_BUF`` is whole or raises.
     """
-    out.write(",".join(header) + "\n")
-    out.writelines(lines)
+    text = "".join([",".join(header), "\n", *blocks])
+    out.writelines(text[start:start + _WRITE_SLICE]
+                   for start in range(0, len(text), _WRITE_SLICE))
 
 
 def _check_range(name: str, lo: float, hi: float) -> None:
@@ -225,9 +251,9 @@ def _cmd_sweep(args) -> int:
     stats = (BOTH_STATISTICS if args.statistics == "both"
              else (Statistics[args.statistics.upper()],))
     coeffs = Coefficients(complex(args.a_re, args.a_im), complex(args.b_re, args.b_im))
-    lines, _, _ = _sweep_files(grid, model, stats, {name: (name, (coeffs,))})
+    files, _, _ = _sweep_files(grid, model, stats, {name: (name, (coeffs,))})
     with _open_out(args.out) as out:
-        _write_csv(out, SWEEP_HEADER, lines[name])
+        _write_csv(out, SWEEP_HEADER, files[name])
     return 0
 
 
@@ -269,27 +295,25 @@ def _log_choice_ii_flatness(results: SweepResults) -> None:
 
 
 def _coincidence_rows(results: SweepResults, c_column: list[str]):
-    """Lines of the fermion curves of ``FIG3_IV_CASES[1:]`` against the a=1 curve, and
-    their largest relative deviation.  ``results`` are fig3's on choice iii, over
-    (statistics, case, c), and ``c_column`` is the text of c.
+    """CSV text of the fermion curves of ``FIG3_IV_CASES[1:]`` against the a=1 curve,
+    one block a curve, and their largest relative deviation.  ``results`` are
+    fig3's on choice iii, over (statistics, case, c), and ``c_column`` is the text of c.
     """
     k, cases = results.stats.index(Statistics.FERMION), results.cases
     r, excluded = results.result.r[k], results.result.excluded[k]  # over (case, c)
     ref = cases.index(FIG3_III_CASES[0])
-    ref_text, ref_flags = _column(r[ref]), _flags(excluded[ref])
-    lines, max_dev = [], 0.0
+    c_texts, ref_text = [f"{c}," for c in c_column], _column(r[ref])
+    blocks, max_dev = [], 0.0
     for coeffs in FIG3_IV_CASES[1:]:
         row = cases.index(coeffs)
         either = excluded[row] | excluded[ref]
         with np.errstate(divide="ignore", invalid="ignore"):
             dev = np.where(either, np.nan, np.abs(r[row] - r[ref]) / r[ref])
         max_dev = max([max_dev, *dev[~either].tolist()])
-        a_text = _fmt(coeffs.a.real)
-        lines.extend([f"{c},{a_text},{r_text},{r_ref},{d},{flag},{flag_ref}\n"
-                      for c, r_text, r_ref, d, flag, flag_ref in zip(
-                          c_column, _column(r[row]), ref_text, _column(dev),
-                          _flags(excluded[row]), ref_flags)])
-    return lines, max_dev
+        blocks.append(_block(len(c_texts), [
+            c_texts, f"{_fmt(coeffs.a.real)},", _column(r[row]), ",", ref_text, ",",
+            _column(dev), _FLAG_PAIR_ENDS[2 * excluded[row] + excluded[ref]].tolist()]))
+    return blocks, max_dev
 
 
 def _cmd_figures(args) -> int:
@@ -299,24 +323,24 @@ def _cmd_figures(args) -> int:
     files, on, c_column = _sweep_files(grid, RecoilModel(args.alpha0), *_FIGURES[args.target])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, lines in files.items():
+    for name, blocks in files.items():
         with _open_out(out_dir / name) as out:
-            _write_csv(out, SWEEP_HEADER, lines)
+            _write_csv(out, SWEEP_HEADER, blocks)
     if args.target == "fig2":
         _log_choice_ii_flatness(on["ii"])
     elif args.target == "fig3":
-        lines, max_dev = _coincidence_rows(on["iii"], c_column)
+        blocks, max_dev = _coincidence_rows(on["iii"], c_column)
         with _open_out(out_dir / "fig3_iii_fermion_coincidence.csv") as out:
-            _write_csv(out, COINCIDENCE_HEADER, lines)
+            _write_csv(out, COINCIDENCE_HEADER, blocks)
         print("choice iii fermion, normalized weights: max relative deviation "
               f"from the a=1 curve {max_dev:.4%}")
     return 0
 
 
 def _scan_lines(a_grid: np.ndarray, c_grid: np.ndarray) -> tuple[list[str], int]:
-    """Lines (a, c, |coefficient|, excluded_by_norm, excluded_by_formula) of the
-    1-d grids ``a_grid`` and ``c_grid``, plus the number of rows where the two
-    detection paths disagree.
+    """CSV text (a, c, |coefficient|, excluded_by_norm, excluded_by_formula) of the
+    1-d grids ``a_grid`` and ``c_grid``, a ascending, then c, as one block, plus
+    the number of rows where the two detection paths disagree.
 
     Both verdicts are :func:`pairabs.rates.exclusion_mask`, the one null
     floor: ``excluded_by_norm`` on the closed-form initial norm², and
@@ -333,24 +357,21 @@ def _scan_lines(a_grid: np.ndarray, c_grid: np.ndarray) -> tuple[list[str], int]
     coefficient = family_exclusion_coefficient(coeffs, fam)
     magnitude = np.broadcast_to(np.abs(coefficient), by_norm.shape)
     by_formula = rates.exclusion_mask(coeffs, 2.0 * magnitude * magnitude)
-    c_column = _column(c_grid)
-    columns = (_column(magnitude.ravel()), _flags(by_norm.ravel()), _flags(by_formula.ravel()))
-    lines: list[str] = []
-    for row, a_text in enumerate(_column(a_grid)):
-        block = slice(row * len(c_column), (row + 1) * len(c_column))
-        lines.extend([f"{a_text},{c},{abs_coeff},{flag_norm},{flag_formula}\n"
-                      for c, abs_coeff, flag_norm, flag_formula in zip(
-                          c_column, *(column[block] for column in columns))])
-    return lines, int(np.count_nonzero(by_norm != by_formula))
+    a_texts, c_texts = ([f"{value}," for value in _column(grid)] for grid in (a_grid, c_grid))
+    block = _block(by_norm.size, [
+        [text for text in a_texts for _ in c_texts], c_texts * len(a_texts),
+        _column(magnitude.ravel()),
+        _FLAG_PAIR_ENDS[2 * by_norm + by_formula].ravel().tolist()])
+    return [block], int(np.count_nonzero(by_norm != by_formula))
 
 
 def _cmd_exclusion_scan(args) -> int:
     _check_range("c", args.c_min, args.c_max)
     _check_range("a", args.a_min, args.a_max)
-    lines, disagreements = _scan_lines(np.linspace(args.a_min, args.a_max, args.a_steps),
-                                       np.linspace(args.c_min, args.c_max, args.steps))
+    blocks, disagreements = _scan_lines(np.linspace(args.a_min, args.a_max, args.a_steps),
+                                        np.linspace(args.c_min, args.c_max, args.steps))
     with _open_out(args.out) as out:
-        _write_csv(out, SCAN_HEADER, lines)
+        _write_csv(out, SCAN_HEADER, blocks)
     if disagreements:
         print(
             f"pairabs exclusion-scan: norm-based and formula-based detection "

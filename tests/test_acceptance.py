@@ -181,8 +181,9 @@ def test_criterion_7_exclusion_biconditional():
     a_grid[snap] = ROOT2_INV  # the balanced-weights column must be on the grid
     c_grid = [float(c) for c in np.linspace(0.0, 1.0, 51)]
     start = time.perf_counter()
-    lines, disagreements = cli._scan_lines(np.array(a_grid), np.array(c_grid))
+    blocks, disagreements = cli._scan_lines(np.array(a_grid), np.array(c_grid))
     elapsed = time.perf_counter() - start
+    lines = "".join(blocks).splitlines(keepends=True)
     rows = [line[:-1].split(",") for line in lines if line.endswith("\n")]
     balanced_label = repr(ROOT2_INV)
     balanced = [row for row in rows if row[0] == balanced_label]

@@ -89,6 +89,18 @@ def as_lines(rows):
     return [",".join(row) + "\n" for row in rows]
 
 
+class RecordingOut(io.StringIO):
+    """A text output that keeps the text of each ``write`` call in ``writes``."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
 def split_line(line):
     """The fields of one CSV line; it must end in its only line break."""
     assert line.endswith("\n") and line.count("\n") == 1, line
@@ -162,7 +174,9 @@ class TestSweep:
         cases = (Coefficients(1.0, 0.0), Coefficients(1.0, 0.0))
         files, on, _ = cli._sweep_files(grid, RecoilModel(), [Statistics.FERMION],
                                         {"i.csv": ("i", cases)})
-        rows, results = files["i.csv"], on["i"]
+        blocks, results = files["i.csv"], on["i"]
+        rows = "".join(blocks).splitlines(keepends=True)
+        assert len(blocks) == 2 and blocks[0] == blocks[1]
         assert len(rows) == 10 and rows[:5] == rows[5:]
         assert (results.cases, results.stats) == (cases, (Statistics.FERMION,))
         assert results.result.r.shape == (1, 2, 5)  # (statistics, case, c)
@@ -520,12 +534,13 @@ class TestCsvText:
         written = []
         original = cli._write_csv
 
-        def recording(out, header, lines):
-            lines = list(lines)
-            rows = list(map(split_line, lines))
+        def recording(out, header, blocks):
+            blocks = list(blocks)
+            assert all(block.endswith("\n") for block in blocks), out.name  # whole rows
+            rows = list(map(split_line, "".join(blocks).splitlines(keepends=True)))
             assert all(len(row) == len(header) for row in rows), out.name
             written.append((Path(out.name), header, rows))
-            original(out, header, lines)
+            original(out, header, blocks)
 
         monkeypatch.setattr(cli, "_write_csv", recording)
         runs = [
@@ -559,6 +574,19 @@ class TestCsvText:
         out = io.StringIO()
         cli._write_csv(out, SWEEP_HEADER, as_lines(rows))
         assert out.getvalue().encode() == csv_module_text(SWEEP_HEADER, rows).encode()
+
+    def test_each_write_holds_at_most_4096_characters(self):
+        """The default scan, about 89 kB, reaches standard output in writes of at
+        most ``PIPE_BUF`` characters, whose concatenation is the whole file."""
+        out = RecordingOut()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["exclusion-scan"]) == 0
+        text = "".join(out.writes)
+        assert len(out.writes) == -(-len(text) // 4096) > 20
+        assert max(map(len, out.writes)) == 4096
+        header, rows = parse_stdout_csv(text)
+        assert text.encode() == csv_module_text(header, rows).encode()
+        assert text.encode() == gzip.decompress((REFERENCE / "scan.csv.gz").read_bytes())
 
     def test_no_fixed_field_needs_quoting(self):
         labels = [*SWEEP_HEADER, *SCAN_HEADER, *cli.COINCIDENCE_HEADER, *CHOICES,
@@ -692,9 +720,9 @@ class TestGridEqualsPointLoop:
         stats = [Statistics.BOSON, Statistics.FERMION]
         grid = [float(c) for c in np.linspace(0.0, 1.0, 41)]
         files, _, _ = cli._sweep_files(np.array(grid), model, stats, {"f": (name, cases)})
-        assert files["f"] == as_lines(
+        assert "".join(files["f"]) == "".join(as_lines(
             reference_sweep_rows(name, table_for, cases, stats, grid, 0.6)
-        )
+        ))
 
     @pytest.mark.parametrize("a_grid, c_grid", [
         (np.linspace(0.0, 1.0, 51).tolist(), np.linspace(0.0, 1.0, 51).tolist()),
@@ -705,8 +733,8 @@ class TestGridEqualsPointLoop:
     ])
     def test_exclusion_scan_rows(self, a_grid, c_grid):
         rows, disagreements = reference_scan_rows(a_grid, c_grid)
-        assert (cli._scan_lines(np.array(a_grid), np.array(c_grid))
-                == (as_lines(rows), disagreements))
+        blocks, got_disagreements = cli._scan_lines(np.array(a_grid), np.array(c_grid))
+        assert ("".join(blocks), got_disagreements) == ("".join(as_lines(rows)), disagreements)
 
 
 def same_bits(got, want):
@@ -774,9 +802,9 @@ class TestStackedSweepResults:
 
 
 class TestNoContainerPerRow:
-    """Rows are built as finished lines: the gc-tracked containers a row builder
-    leaves allocated stay far below one per row, so writing a job's rows
-    triggers no collection of its own."""
+    """Rows are built column-major into a block's text: the gc-tracked containers
+    a row builder leaves allocated stay far below one per row (counted by
+    ``"\n"``), so writing a job's rows triggers no collection of its own."""
 
     @staticmethod
     def tracked_allocations(build):
@@ -792,19 +820,21 @@ class TestNoContainerPerRow:
 
     def test_exclusion_scan_rows_of_the_default_grid(self):
         grid = np.linspace(0.0, 1.0, 51)
-        count, (lines, _) = self.tracked_allocations(lambda: cli._scan_lines(grid, grid))
-        assert len(lines) == 51 * 51
-        assert count < len(lines) / 4
+        count, (blocks, _) = self.tracked_allocations(lambda: cli._scan_lines(grid, grid))
+        rows = "".join(blocks).count("\n")
+        assert rows == 51 * 51
+        assert count < rows / 4
 
     def test_sweep_rows_of_a_fig2_file(self):
         grid = np.linspace(0.0, 1.0, 101)
         _, on, c_column = cli._sweep_files(grid, RecoilModel(), cli.BOTH_STATISTICS,
                                            {"f": ("i", cli.FIG2_CASES)})
-        results = on["i"]
-        count, lines = self.tracked_allocations(
-            lambda: cli._sweep_lines("i", results, cli.FIG2_CASES, c_column, "0.9"))
-        assert len(lines) == 6 * 101
-        assert count < len(lines) / 4
+        results, c_alpha0 = on["i"], [f"{c},0.9," for c in c_column]
+        count, blocks = self.tracked_allocations(
+            lambda: cli._sweep_lines("i", results, cli.FIG2_CASES, c_alpha0))
+        rows = "".join(blocks).count("\n")
+        assert rows == 6 * 101
+        assert count < rows / 4
 
     def test_coincidence_rows_of_the_fig3_file(self, tmp_path, monkeypatch):
         built = []
@@ -812,9 +842,10 @@ class TestNoContainerPerRow:
         monkeypatch.setattr(cli, "_coincidence_rows", lambda *args: built.append(args) or build(*args))
         assert main_stdout(["figures", "fig3", "--out", str(tmp_path)])[0] == 0
         (args,) = built
-        count, (lines, _) = self.tracked_allocations(lambda: build(*args))
-        assert len(lines) == 2 * 101
-        assert count < len(lines) / 4
+        count, (blocks, _) = self.tracked_allocations(lambda: build(*args))
+        rows = "".join(blocks).count("\n")
+        assert rows == 2 * 101
+        assert count < rows / 4
 
 
 class TestTinyAlpha0:
@@ -1692,20 +1723,27 @@ class TestEntryPoint:
         assert proc.stdout == (tmp_path / "out.csv").read_bytes()
 
     @pytest.mark.parametrize("unbuffered", [False, True])
-    def test_a_closed_stdout_pipe_exits_1_without_a_traceback(self, unbuffered, tmp_path):
+    @pytest.mark.parametrize("argv, header", [
+        # 40000 rows, about 6 MB, and 2601 rows, about 89 kB: each more than a
+        # pipe and its reader's buffer hold
+        (["sweep", "--steps", "20000"], SWEEP_HEADER),
+        (["exclusion-scan"], SCAN_HEADER),
+    ], ids=["sweep", "exclusion-scan"])
+    def test_a_closed_stdout_pipe_exits_1_without_a_traceback(self, argv, header, unbuffered,
+                                                              tmp_path):
         """A reader that stops after the first line: the unwritten rest is an error.
 
         Unbuffered (``PYTHONUNBUFFERED=1``), standard output writes straight to
-        the pipe, where one large write can be cut short without an error.
+        the pipe, where one write larger than ``PIPE_BUF`` can be cut short
+        without an error.
         """
-        # 40000 rows, about 6 MB: far more than a pipe holds
-        proc = subprocess.Popen([sys.executable, "-m", "pairabs", "sweep", "--steps", "20000"],
+        proc = subprocess.Popen([sys.executable, "-m", "pairabs", *argv],
                                 cwd=tmp_path, env=self.module_env(unbuffered),
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         first = proc.stdout.readline()
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
-        assert first == (",".join(SWEEP_HEADER) + "\n").encode()
+        assert first == (",".join(header) + "\n").encode()
         assert proc.returncode == 1
         assert err == b"pairabs: error: [Errno 32] Broken pipe\n"
 
