@@ -5,13 +5,13 @@ All numeric CSV fields use the shortest decimal representation that round-trips
 to the same double, so fixed inputs (and a fixed seed for ``verify``) produce
 byte-identical output.  No field ever needs CSV quoting, so a block of rows
 (one case and statistics of a sweep, one coincidence curve, a scan's whole
-(a, c) grid) is built column-major (:func:`_block`): one list of rows × fields
-pieces, each field filled by one slice assignment, separators and flag endings
-shared constant strings, and one join.  :func:`_write_csv` joins a file's
-blocks once and writes the text in slices of at most 4096 characters, so that
-a closed pipe raises on an unbuffered standard output: the bytes
-``csv.writer`` would write.  A column whose values all have the same bits is
-formatted once.
+(a, c) grid) is built column-major (:func:`_block`) as the bytes
+``csv.writer`` would write: one list of rows × fields pieces, each field
+filled by one slice assignment, separators and flag endings shared constant
+strings, and one join.  :func:`_write_csv` joins a file's blocks once and
+writes the text in slices of at most 4096 characters, so that a closed pipe
+raises on an unbuffered standard output.  A column whose values all have the
+same bits is formatted once.
 
 ``rate``, ``sweep`` and ``figures`` share one evaluation
 (:func:`_sweep_files`): it stacks the bare overlaps of the scenarios of its
